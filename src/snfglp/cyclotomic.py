@@ -274,10 +274,6 @@ def cyc_reflect(a: CycInt, m: int) -> CycInt:
     return CycInt(k, tuple(a.coeffs[(m - i) % k] for i in range(k)))
 
 
-def cyc_is_real(a: CycInt) -> bool:
-    return cyc_eq(a, cyc_conj(a))
-
-
 def cyc_div_int(a: CycInt, n: int) -> CycInt | None:
     """Exact division by a nonzero integer, or None if a is not divisible.
 
@@ -308,5 +304,14 @@ def _cartesian(order: int, coeffs: tuple[int, ...]) -> tuple[float, float]:
 
 
 def to_cartesian(a: CycInt) -> tuple[float, float]:
-    """Double-precision embedding; used for rendering and angle bucketing only."""
+    """Double-precision embedding of a as the point (x, y).
+
+    Besides rendering and slice angle bucketing, these floats also decide
+    geometric questions outright: hull overlap and its distance exit
+    (`model.cells_conflict`, also prefiltered in `construct._conflict_free`),
+    the `model._close_pairs` adjacency prefilter, the corner search
+    (`model._find_corner`) and the growth radius in
+    `construct.random_valid_spec`.  No error bound certifies those answers
+    for large coefficients yet (ROADMAP item 2).
+    """
     return _cartesian(a.order, a.coeffs)

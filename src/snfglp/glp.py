@@ -263,17 +263,13 @@ def decide_glp_even(spec: FractalSpec) -> Verdict:
                 f"edge ({e.a}, {e.b}) has weight {edge_weight(e, k)}; "
                 "even-k adjacency must have weight k/2"
             )
-    color = [c % 2 for c in _colors_from_depth(graph)]
+    color = [d % 2 for d in graph.depth]
     for e in graph.nontree:
         if color[e.a] == color[e.b]:
             return Verdict(glp=False, witness=_tree_cycle(graph, e.a, e.b))
     offsets = {i: color[i] * (k // 2) for i in range(graph.n)}
     classes = {i: color[i] + 1 for i in range(graph.n)}
     return Verdict(glp=True, labeling=make_labeling(spec, offsets), classes=classes)
-
-
-def _colors_from_depth(graph: ConstraintGraph) -> list[int]:
-    return [graph.depth[v] for v in range(graph.n)]
 
 
 def decide_glp_odd(spec: FractalSpec) -> Verdict:

@@ -109,27 +109,15 @@ def vertices(cell: Cell) -> list[CycInt]:
 
 
 @lru_cache(maxsize=None)
-def _steps(k: int) -> tuple[tuple[CycInt, tuple[tuple[int, int], ...]], ...]:
-    """All distinct vertex-difference vectors zeta^ja - zeta^jb with their index pairs."""
-    order: list[CycInt] = []
+def _step_table(k: int) -> dict[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Map canonical(zeta^ja - zeta^jb) -> all index pairs (ja, jb) producing it."""
     table: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for ja in range(k):
         for jb in range(k):
-            if ja == jb:
-                continue
-            delta = cyc_sub(zeta(k, ja), zeta(k, jb))
-            key = delta.canonical_key()
-            if key not in table:
-                table[key] = []
-                order.append(delta)
-            table[key].append((ja, jb))
-    return tuple((delta, tuple(table[delta.canonical_key()])) for delta in order)
-
-
-@lru_cache(maxsize=None)
-def _step_table(k: int) -> dict[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Map canonical(zeta^ja - zeta^jb) -> all index pairs producing it."""
-    return {delta.canonical_key(): pairs for delta, pairs in _steps(k)}
+            if ja != jb:
+                key = cyc_sub(zeta(k, ja), zeta(k, jb)).canonical_key()
+                table.setdefault(key, []).append((ja, jb))
+    return {key: tuple(pairs) for key, pairs in table.items()}
 
 
 def shared_vertices(a: Cell, b: Cell) -> list[tuple[int, int]]:
@@ -141,34 +129,46 @@ def shared_vertices(a: Cell, b: Cell) -> list[tuple[int, int]]:
     return list(_step_table(k).get(delta.canonical_key(), ()))
 
 
-def _polygon(cell: Cell) -> list[tuple[float, float]]:
-    return [to_cartesian(v) for v in vertices(cell)]
+@lru_cache(maxsize=None)
+def _support_table(k: int) -> tuple[tuple[float, float, float], ...]:
+    """Per edge i of the unit k-gon: outward normal (nx, ny) and the width w along it.
 
-
-def _hulls_overlap(a: Cell, b: Cell) -> bool:
-    """Separating-axis test: do the open hull interiors intersect?
-
-    Both polygons are translates of one regular k-gon, so its k edge
-    normals are the only axes needed.  Overlap below HULL_EPS on some
-    axis means separated or merely touching.
+    The normal is the edge vector v_{i+1} - v_i turned clockwise, so it has
+    the edge's length, not unit length; HULL_EPS is measured in that scale.
     """
-    k = a.barycenter.order
-    pa = _polygon(a)
-    pb = _polygon(b)
+    poly = [to_cartesian(zeta(k, j)) for j in range(k)]
+    table = []
     for i in range(k):
-        x0, y0 = pa[i]
-        x1, y1 = pa[(i + 1) % k]
+        x0, y0 = poly[i]
+        x1, y1 = poly[(i + 1) % k]
         nx, ny = y1 - y0, x0 - x1
-        proj_a = [nx * x + ny * y for x, y in pa]
-        proj_b = [nx * x + ny * y for x, y in pb]
-        gap = min(max(proj_a), max(proj_b)) - max(min(proj_a), min(proj_b))
-        if gap <= HULL_EPS:
+        proj = [nx * x + ny * y for x, y in poly]
+        table.append((nx, ny, max(proj) - min(proj)))
+    return tuple(table)
+
+
+def _hulls_overlap(k: int, dx: float, dy: float) -> bool:
+    """Do the open interiors of unit k-gons P and (dx, dy) + P intersect?
+
+    They do exactly when the offset lies inside the difference body P - P
+    (2P for even k, a regular 2k-gon for odd k), whose facet normals are
+    the k edge normals of P up to sign.  On normal n the two projections
+    overlap by w - |<delta, n>|, the separating-axis gap of the two
+    polygons; a gap <= HULL_EPS on some normal means separated or merely
+    touching.
+    """
+    for nx, ny, w in _support_table(k):
+        if w - abs(nx * dx + ny * dy) <= HULL_EPS:
             return False
     return True
 
 
 def cells_conflict(a: Cell, b: Cell) -> bool:
-    """True iff the cells share >= 2 vertices or their hull interiors overlap."""
+    """True iff the cells share >= 2 vertices or their hull interiors overlap.
+
+    Overlap is decided on the float barycenter difference alone, by the
+    O(k) support test of `_hulls_overlap`; no vertex is built.
+    """
     shared = shared_vertices(a, b)
     if len(shared) >= 2:
         return True
@@ -177,7 +177,7 @@ def cells_conflict(a: Cell, b: Cell) -> bool:
     d2 = (ax - bx) ** 2 + (ay - by) ** 2
     if d2 >= 4.0:
         return False
-    return _hulls_overlap(a, b)
+    return _hulls_overlap(a.barycenter.order, bx - ax, by - ay)
 
 
 def global_barycenter(spec: FractalSpec) -> tuple[CycInt, int]:

@@ -4,6 +4,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snfglp.cyclotomic import (
     cyc_add,
@@ -18,6 +20,7 @@ from snfglp.cyclotomic import (
     zeta,
 )
 from snfglp.model import (
+    HULL_EPS,
     Cell,
     ParseError,
     ScalingError,
@@ -71,6 +74,64 @@ def hulls_overlap_oracle(a: Cell, b: Cell) -> bool:
     pa = [to_cartesian(v) for v in vertices(a)]
     pb = [to_cartesian(v) for v in vertices(b)]
     return any(point_in_polygon(p, pb) for p in sample_interior_points(pa))
+
+
+def vertex_sat_overlap(a: Cell, b: Cell) -> bool:
+    """Reference: separating-axis test on the two cells' float vertex polygons.
+
+    Projects both polygons on each edge normal of the first one (the same
+    k normals, since both are translates of one k-gon); a projection gap
+    <= HULL_EPS on some axis means separated or merely touching.
+    """
+    k = a.barycenter.order
+    pa = [to_cartesian(v) for v in vertices(a)]
+    pb = [to_cartesian(v) for v in vertices(b)]
+    for i in range(k):
+        x0, y0 = pa[i]
+        x1, y1 = pa[(i + 1) % k]
+        nx, ny = y1 - y0, x0 - x1
+        proj_a = [nx * x + ny * y for x, y in pa]
+        proj_b = [nx * x + ny * y for x, y in pb]
+        gap = min(max(proj_a), max(proj_b)) - max(min(proj_a), min(proj_b))
+        if gap <= HULL_EPS:
+            return False
+    return True
+
+
+def vertex_sat_conflict(a: Cell, b: Cell) -> bool:
+    """Reference conflict rule: >= 2 shared vertices, else distance exit, else vertex SAT."""
+    if len(shared_vertices(a, b)) >= 2:
+        return True
+    ax, ay = to_cartesian(a.barycenter)
+    bx, by = to_cartesian(b.barycenter)
+    if (ax - bx) ** 2 + (ay - by) ** 2 >= 4.0:
+        return False
+    return vertex_sat_overlap(a, b)
+
+
+@st.composite
+def cell_pairs(draw):
+    """Two distinct cells of one order k in 3..16: a random small base plus an offset.
+
+    The offset is a random small vector, a vertex-to-vertex step
+    zeta^ja - zeta^jb (a touching pair; at exactly distance 2 when the
+    vertices are opposite), or 2 * zeta^j (distance exactly 2).
+    """
+    k = draw(st.integers(3, 16))
+    small = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+    base = from_coeffs(k, draw(small))
+    kind = draw(st.sampled_from(("random", "vertex-step", "double-root")))
+    if kind == "random":
+        delta = from_coeffs(k, draw(small))
+    elif kind == "vertex-step":
+        ja = draw(st.integers(0, k - 1))
+        jb = draw(st.integers(0, k - 1))
+        delta = cyc_sub(zeta(k, ja), zeta(k, jb))
+    else:
+        delta = zeta(k, draw(st.integers(0, k - 1)), 2)
+    if cyc_is_zero(delta):
+        delta = zeta(k, 0, 3)
+    return Cell(base, 0), Cell(cyc_add(base, delta), 1)
 
 
 class TestVertices:
@@ -131,8 +192,8 @@ class TestConflicts:
         assert len(shared_vertices(a, b)) == 2
         assert cells_conflict(a, b)
 
-    def test_oracle_agreement_on_lattice_offsets(self):
-        k = 5
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_oracle_agreement_on_lattice_offsets(self, k):
         a = cell(k, (0,) * k, 0)
         for j1 in range(k):
             for j2 in range(k):
@@ -144,6 +205,13 @@ class TestConflicts:
                 if len(shared) >= 2:
                     continue  # conflict by definition, hull state irrelevant
                 assert cells_conflict(a, b) == hulls_overlap_oracle(a, b), (j1, j2)
+
+    @given(cell_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_vertex_sat_reference(self, pair):
+        a, b = pair
+        assert cells_conflict(a, b) == vertex_sat_conflict(a, b)
+        assert cells_conflict(b, a) == vertex_sat_conflict(b, a)
 
 
 class TestBarycenter:
