@@ -10,8 +10,9 @@ is the minimal polynomial of a primitive k-th root of unity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add
 
 MAX_ORDER = 36
 COEFF_LIMIT = 2**31
@@ -145,11 +146,15 @@ class CycInt:
     """An element of Z[zeta_k]: sum of coeffs[j] * zeta_k^j for j = 0..k-1.
 
     Equality and hashing are mathematical (two vectors representing the
-    same complex number compare equal).  Values are immutable.
+    same complex number compare equal).  Values are immutable: the
+    canonical key is computed lazily and cached on the instance, written
+    at most once per value (every writer stores the same tuple), so a
+    CycInt can be shared across threads.
     """
 
     order: int
     coeffs: tuple[int, ...]
+    _key: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.order <= MAX_ORDER:
@@ -158,12 +163,16 @@ class CycInt:
             raise ValueError(
                 f"expected {self.order} coefficients, got {len(self.coeffs)}"
             )
-        for c in self.coeffs:
-            if abs(c) > COEFF_LIMIT:
-                raise CoefficientOverflow(f"coefficient {c} exceeds +/-{COEFF_LIMIT}")
+        if max(self.coeffs) > COEFF_LIMIT or min(self.coeffs) < -COEFF_LIMIT:
+            c = next(c for c in self.coeffs if abs(c) > COEFF_LIMIT)
+            raise CoefficientOverflow(f"coefficient {c} exceeds +/-{COEFF_LIMIT}")
 
     def canonical_key(self) -> tuple[int, ...]:
-        return _canonical(self.order, self.coeffs)
+        key = self._key
+        if key is None:
+            key = _canonical(self.order, self.coeffs)
+            object.__setattr__(self, "_key", key)
+        return key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CycInt):
@@ -250,14 +259,68 @@ def cyc_eq(a: CycInt, b: CycInt) -> bool:
 
 
 def cyc_is_zero(a: CycInt) -> bool:
-    return cyc_eq(a, zero(a.order))
+    """True iff a's reduced key, which is unique, is all zeros."""
+    return not any(a.canonical_key())
+
+
+def _preset(order: int, coeffs: tuple[int, ...], key: tuple[int, ...]) -> CycInt:
+    """A CycInt built as usual whose canonical key is already known, so it is never reduced."""
+    out = CycInt(order, coeffs)
+    object.__setattr__(out, "_key", key)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _sparse_rows(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The reduction rows as their nonzero (index, coefficient) pairs."""
+    return tuple(
+        tuple((t, r) for t, r in enumerate(row) if r) for row in _reduction_rows(order)
+    )
+
+
+def _permuted(seq: tuple[int, ...], shift: int, sign: int) -> tuple[int, ...]:
+    """seq with entry i moved to index (shift + sign * i) mod len(seq), for sign = +-1."""
+    if sign < 0:
+        seq = seq[::-1]
+        shift += 1
+    s = shift % len(seq)
+    return seq[-s:] + seq[:-s]
+
+
+def _mapped_key(a: CycInt, shift: int, sign: int) -> tuple[int, ...]:
+    """Canonical key of the image of a under zeta^i -> zeta^(shift + sign * i).
+
+    Rotation and reflection are well defined on Z[zeta_k], so the image's
+    key is the reduction of a's permuted key.  Entries landing below
+    deg = phi(k) are already reduced; only the rest add multiples of
+    their (sparse) reduction rows.
+    """
+    k = a.order
+    key = a.canonical_key()
+    deg = len(key)
+    spread = _permuted(key + (0,) * (k - deg), shift, sign)
+    out = list(spread[:deg])
+    rows = _sparse_rows(k)
+    for m in range(deg, k):
+        c = spread[m]
+        if c:
+            for t, r in rows[m]:
+                out[t] += c * r
+    return tuple(out)
+
+
+def _mapped(a: CycInt, shift: int, sign: int) -> CycInt:
+    return _preset(a.order, _permuted(a.coeffs, shift, sign), _mapped_key(a, shift, sign))
 
 
 def cyc_rotate(a: CycInt, j: int) -> CycInt:
     """Multiply by zeta^j: rotation by angle 2*pi*j/k about the origin."""
-    k = a.order
-    j %= k
-    return CycInt(k, tuple(a.coeffs[(i - j) % k] for i in range(k)))
+    return _mapped(a, j, 1)
+
+
+def cyc_rotate_key(a: CycInt, j: int) -> tuple[int, ...]:
+    """canonical_key of cyc_rotate(a, j), without building the rotated value."""
+    return _mapped_key(a, j, 1)
 
 
 def cyc_conj(a: CycInt) -> CycInt:
@@ -270,8 +333,28 @@ def cyc_reflect(a: CycInt, m: int) -> CycInt:
     On coefficients this is the index map j -> (m - j) mod k, i.e.
     z -> zeta^m * conj(z).
     """
+    return _mapped(a, m, -1)
+
+
+def cyc_reflect_key(a: CycInt, m: int) -> tuple[int, ...]:
+    """canonical_key of cyc_reflect(a, m), without building the reflected value."""
+    return _mapped_key(a, m, -1)
+
+
+def cyc_unit_translates(a: CycInt) -> list[CycInt]:
+    """The k points a + zeta^j, j = 0..k-1, in order.
+
+    Reduction is linear, so each key is key(a) + row[j]: a itself is
+    reduced at most once and the translates never are.
+    """
     k = a.order
-    return CycInt(k, tuple(a.coeffs[(m - i) % k] for i in range(k)))
+    key = a.canonical_key()
+    out = []
+    for j, row in enumerate(_reduction_rows(k)):
+        coeffs = list(a.coeffs)
+        coeffs[j] += 1
+        out.append(_preset(k, tuple(coeffs), tuple(map(add, key, row))))
+    return out
 
 
 def cyc_div_int(a: CycInt, n: int) -> CycInt | None:
@@ -291,15 +374,24 @@ def cyc_div_int(a: CycInt, n: int) -> CycInt | None:
     return CycInt(a.order, tuple(quot))
 
 
+@lru_cache(maxsize=None)
+def _unit_circle(order: int) -> tuple[tuple[float, float], ...]:
+    """(cos, sin) of 2*pi*j/order for j = 0..order-1."""
+    out = []
+    for j in range(order):
+        ang = 2.0 * math.pi * j / order
+        out.append((math.cos(ang), math.sin(ang)))
+    return tuple(out)
+
+
 @lru_cache(maxsize=1 << 16)
 def _cartesian(order: int, coeffs: tuple[int, ...]) -> tuple[float, float]:
     x = 0.0
     y = 0.0
-    for j, c in enumerate(coeffs):
+    for c, (cos, sin) in zip(coeffs, _unit_circle(order)):
         if c:
-            ang = 2.0 * math.pi * j / order
-            x += c * math.cos(ang)
-            y += c * math.sin(ang)
+            x += c * cos
+            y += c * sin
     return (x, y)
 
 

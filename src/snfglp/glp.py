@@ -18,11 +18,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cyclotomic import (
     CycInt,
     cyc_is_zero,
-    cyc_reflect,
+    cyc_reflect_key,
     to_cartesian,
 )
 from .model import (
@@ -60,14 +61,22 @@ class ConstraintGraph:
     def component_count(self) -> int:
         return max(self.component) + 1
 
+    @cached_property
+    def _weights(self) -> dict[tuple[int, int], int]:
+        """Weight of every edge in both directions, built on first use."""
+        out: dict[tuple[int, int], int] = {}
+        for e in self.edges:
+            w = edge_weight(e, self.k)
+            out[(e.a, e.b)] = w
+            out[(e.b, e.a)] = -w % self.k
+        return out
+
     def weight(self, u: int, v: int) -> int:
         """Constraint weight for traversing u -> v: r_v = r_u + weight mod k."""
-        for e in self.edges:
-            if (e.a, e.b) == (u, v):
-                return (e.ja - e.jb) % self.k
-            if (e.a, e.b) == (v, u):
-                return (e.jb - e.ja) % self.k
-        raise KeyError(f"no edge between {u} and {v}")
+        w = self._weights.get((u, v))
+        if w is None:
+            raise KeyError(f"no edge between {u} and {v}")
+        return w
 
 
 @dataclass(frozen=True)
@@ -369,38 +378,58 @@ def _on_axis_ray(p: CycInt, k: int) -> int | None:
     """
     if cyc_is_zero(p):
         return None
+    key = p.canonical_key()
     x, y = to_cartesian(p)
     for j in range(k):
-        if cyc_reflect(p, (2 * j) % k) == p:
+        if cyc_reflect_key(p, 2 * j) == key:
             ang = 2.0 * math.pi * j / k
             if x * math.cos(ang) + y * math.sin(ang) > 0:
                 return j
     return None
 
 
-def slices(spec: FractalSpec) -> SliceAssignment:
-    """Assign each cell to the angular sector holding its barycenter.
+_Sectors = tuple[list[int | None], list[int | None]]
+
+
+def _sectors(spec: FractalSpec) -> _Sectors:
+    """Per cell: its open sector, and the vertex ray it lies on (None for neither).
 
     Sector i covers angles in ((i-1) * 2pi/k, i * 2pi/k]; a cell exactly
     on a vertex ray belongs to the sector whose counter-clockwise edge
     that ray is.  The central cell (barycenter at the global barycenter)
-    belongs to no sector.
+    belongs to no sector and lies on no ray.
     """
     k = spec.k
-    positions = _scaled_positions(spec)
     sector: list[int | None] = []
-    for p in positions:
-        if cyc_is_zero(p):
-            sector.append(None)
-            continue
+    rays: list[int | None] = []
+    for p in _scaled_positions(spec):
         ray = _on_axis_ray(p, k)
+        rays.append(ray)
         if ray is not None:
             sector.append((ray - 1) % k + 1)
+        elif cyc_is_zero(p):
+            sector.append(None)
+        else:
+            x, y = to_cartesian(p)
+            theta = math.atan2(y, x) % (2.0 * math.pi)
+            sector.append(int(theta * k / (2.0 * math.pi)) + 1)
+    return sector, rays
+
+
+def slices(spec: FractalSpec) -> SliceAssignment:
+    """Assign each cell to the angular sector holding its barycenter (see `_sectors`)."""
+    return SliceAssignment(spec.k, tuple(_sectors(spec)[0]))
+
+
+def _closed_members(k: int, sectors: _Sectors) -> list[frozenset[int]]:
+    members: list[set[int]] = [set() for _ in range(k)]
+    for idx, (s, ray) in enumerate(zip(*sectors)):
+        if s is None:
             continue
-        x, y = to_cartesian(p)
-        theta = math.atan2(y, x) % (2.0 * math.pi)
-        sector.append(int(theta * k / (2.0 * math.pi)) + 1)
-    return SliceAssignment(k, tuple(sector))
+        members[s - 1].add(idx)
+        if ray is not None:
+            members[ray % k].add(idx)  # right edge of the next sector's closure
+    return [frozenset(m) for m in members]
 
 
 def closed_slices(spec: FractalSpec) -> list[frozenset[int]]:
@@ -409,48 +438,46 @@ def closed_slices(spec: FractalSpec) -> list[frozenset[int]]:
     Entry i-1 holds closed slice i.  The central cell is in no closed
     slice.
     """
-    k = spec.k
-    positions = _scaled_positions(spec)
-    open_assignment = slices(spec)
-    members: list[set[int]] = [set() for _ in range(k)]
-    for idx, p in enumerate(positions):
-        s = open_assignment.sector[idx]
-        if s is None:
-            continue
-        members[s - 1].add(idx)
-        ray = _on_axis_ray(p, k)
-        if ray is not None:
-            members[ray % k].add(idx)  # right edge of the next sector's closure
-    return [frozenset(m) for m in members]
+    return _closed_members(spec.k, _sectors(spec))
 
 
-def slice_cells(spec: FractalSpec, ids, closed: bool = False) -> tuple[int, ...]:
-    """Cell indices in the union of the chosen (closed) slices, ascending."""
+def _slice_ids(k: int, ids) -> list[int]:
     ids = sorted(set(ids))
     if not ids:
         raise ValueError("empty slice selection")
-    k = spec.k
     for i in ids:
         if not 1 <= i <= k:
             raise ValueError(f"slice id {i} out of range 1..{k}")
+    return ids
+
+
+def _chosen_cells(k: int, ids: list[int], closed: bool, sectors: _Sectors) -> tuple[int, ...]:
     if closed:
-        sets = closed_slices(spec)
+        sets = _closed_members(k, sectors)
         chosen = set().union(*(sets[i - 1] for i in ids))
     else:
-        assignment = slices(spec)
-        chosen = {idx for idx, s in enumerate(assignment.sector) if s in ids}
+        chosen = {idx for idx, s in enumerate(sectors[0]) if s in ids}
     if not chosen:
         raise ValueError("selected slices contain no cells")
     return tuple(sorted(chosen))
 
 
-def slice_subspec(spec: FractalSpec, ids, closed: bool = False) -> FractalSpec:
-    """Partial spec of the chosen (closed) slices, cells in original order."""
-    chosen = slice_cells(spec, ids, closed)
+def slice_cells(spec: FractalSpec, ids, closed: bool = False) -> tuple[int, ...]:
+    """Cell indices in the union of the chosen (closed) slices, ascending."""
+    ids = _slice_ids(spec.k, ids)
+    return _chosen_cells(spec.k, ids, closed, _sectors(spec))
+
+
+def _subspec(spec: FractalSpec, chosen: tuple[int, ...]) -> FractalSpec:
     cells = tuple(
         Cell(spec.cells[orig].barycenter, new) for new, orig in enumerate(chosen)
     )
     return FractalSpec(spec.k, cells, partial=True)
+
+
+def slice_subspec(spec: FractalSpec, ids, closed: bool = False) -> FractalSpec:
+    """Partial spec of the chosen (closed) slices, cells in original order."""
+    return _subspec(spec, slice_cells(spec, ids, closed))
 
 
 def _remap_verdict(sub: Verdict, mapping: tuple[int, ...]) -> Verdict:
@@ -493,8 +520,8 @@ def glp_via_slices(spec: FractalSpec) -> Verdict:
     if spec.partial:
         raise ValueError("glp_via_slices requires a non-partial spec")
     k = spec.k
-    assignment = slices(spec)
-    central = assignment.central_cells
+    sectors = _sectors(spec)
+    central = [idx for idx, s in enumerate(sectors[0]) if s is None]
     if k == 6 and central:
         cyc = _central_cycle(spec, central[0])
         if cyc is not None:
@@ -504,14 +531,10 @@ def glp_via_slices(spec: FractalSpec) -> Verdict:
     if k in (3, 4, 5):
         return decide_glp(spec)
     if k % 2 == 0:
-        chosen = slice_cells(spec, [1], closed=True)
+        chosen = _chosen_cells(k, [1], True, sectors)
     else:
-        chosen = slice_cells(spec, [1, 2], closed=False)
-    cells = tuple(
-        Cell(spec.cells[orig].barycenter, new) for new, orig in enumerate(chosen)
-    )
-    sub = FractalSpec(spec.k, cells, partial=True)
-    return _remap_verdict(decide_glp(sub), chosen)
+        chosen = _chosen_cells(k, [1, 2], False, sectors)
+    return _remap_verdict(decide_glp(_subspec(spec, chosen)), chosen)
 
 
 def check_labeling(spec: FractalSpec, labeling: Labeling) -> bool:

@@ -20,10 +20,12 @@ from .cyclotomic import (
     cyc_div_int,
     cyc_eq,
     cyc_is_zero,
-    cyc_reflect,
+    cyc_reflect_key,
     cyc_rotate,
+    cyc_rotate_key,
     cyc_scale,
     cyc_sub,
+    cyc_unit_translates,
     from_coeffs,
     to_cartesian,
     zero,
@@ -103,9 +105,8 @@ def make_spec(k: int, barycenters, partial: bool = False) -> FractalSpec:
 
 
 def vertices(cell: Cell) -> list[CycInt]:
-    """The k vertices barycenter + zeta^j, j = 0..k-1 in order."""
-    k = cell.barycenter.order
-    return [cyc_add(cell.barycenter, zeta(k, j)) for j in range(k)]
+    """The k vertices barycenter + zeta^j, j = 0..k-1 in order, keyed without reduction."""
+    return cyc_unit_translates(cell.barycenter)
 
 
 @lru_cache(maxsize=None)
@@ -240,12 +241,18 @@ def find_adjacencies(spec: FractalSpec) -> tuple[list[Adjacency], tuple[int, int
     A pair sharing two or more vertices violates nesting and is reported
     as a witness rather than as an edge.
     """
-    k = spec.k
-    table = _step_table(k)
+    return _adjacencies(spec, _close_pairs(spec))
+
+
+def _adjacencies(
+    spec: FractalSpec, close: list[tuple[int, int]]
+) -> tuple[list[Adjacency], tuple[int, int] | None]:
+    """`find_adjacencies` over the given `_close_pairs(spec)`."""
+    table = _step_table(spec.k)
     edges: list[Adjacency] = []
     violation: tuple[int, int] | None = None
     # shared vertices force barycenter distance <= 2, so only close pairs qualify
-    for i, j in _close_pairs(spec):
+    for i, j in close:
         delta = cyc_sub(spec.cells[j].barycenter, spec.cells[i].barycenter)
         pairs = table.get(delta.canonical_key())
         if pairs is None:
@@ -377,11 +384,12 @@ def validate(spec: FractalSpec) -> ValidationReport:
     """
     k = spec.k
     n = spec.n
-    edges, nesting_witness = find_adjacencies(spec)
+    close = _close_pairs(spec)
+    edges, nesting_witness = _adjacencies(spec, close)
 
     # Hull overlaps without shared vertices (or despite one shared vertex).
     if nesting_witness is None:
-        for i, j in _close_pairs(spec):
+        for i, j in close:
             if cells_conflict(spec.cells[i], spec.cells[j]):
                 nesting_witness = (i, j)
                 break
@@ -400,13 +408,13 @@ def validate(spec: FractalSpec) -> ValidationReport:
     corner_witness: int | None = None
     vertex_at_center: int | None = None
     if not spec.partial:
-        rotated = sorted(cyc_rotate(p, 1).canonical_key() for p in positions)
+        rotated = sorted(cyc_rotate_key(p, 1) for p in positions)
         if rotated != keys:
             symmetry_ok = False
             symmetry_witness = ("rotation", 1)
         else:
             for m in range(k):
-                reflected = sorted(cyc_reflect(p, m).canonical_key() for p in positions)
+                reflected = sorted(cyc_reflect_key(p, m) for p in positions)
                 if reflected != keys:
                     symmetry_ok = False
                     symmetry_witness = ("reflection", m)
@@ -419,16 +427,16 @@ def validate(spec: FractalSpec) -> ValidationReport:
             corner_witness = 0
         else:
             for j in range(1, k):
-                if cyc_rotate(positions[corner], j).canonical_key() not in key_set:
+                if cyc_rotate_key(positions[corner], j) not in key_set:
                     corner_ok = False
                     corner_witness = j
                     break
 
         if k > 3:
+            # p + n * zeta^j = 0 exactly when key(p) = key(-n * zeta^j)
+            at_center = {zeta(k, j, -n).canonical_key() for j in range(k)}
             for cell, p in zip(spec.cells, positions):
-                if any(
-                    cyc_is_zero(cyc_add(p, zeta(k, j, n))) for j in range(k)
-                ):
+                if p.canonical_key() in at_center:
                     vertex_at_center = cell.index
                     break
 

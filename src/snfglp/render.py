@@ -48,7 +48,31 @@ def render_svg(
     """One polygon per cell, vertex dots, optional labels/classes/slices/witness."""
     opt = options or RenderOptions()
     k = spec.k
-    polys = [[to_cartesian(v) for v in vertices(c)] for c in spec.cells]
+    labeling = (
+        verdict.labeling if (opt.show_labels and verdict is not None and verdict.glp) else None
+    )
+    # one pass builds each cell's vertices: its polygon, and the label glyphs
+    # (once per point, nudged outward from the first owning cell's center)
+    polys: list[list[tuple[float, float]]] = []
+    glyphs: list[tuple[float, float, str]] = []
+    seen: set[tuple[int, ...]] = set()
+    for cell in spec.cells:
+        points = vertices(cell)
+        poly = [to_cartesian(v) for v in points]
+        polys.append(poly)
+        if labeling is None:
+            continue
+        cx, cy = to_cartesian(cell.barycenter)
+        for point, (x, y) in zip(points, poly):
+            key = point.canonical_key()
+            if key in seen:
+                continue
+            seen.add(key)
+            lab = labeling.labels.get(point)
+            if lab is not None:
+                dx, dy = x - cx, y - cy
+                norm = math.hypot(dx, dy) or 1.0
+                glyphs.append((x + 0.22 * dx / norm, y + 0.22 * dy / norm, _label_text(lab, k)))
     xs = [x for poly in polys for x, _ in poly]
     ys = [y for poly in polys for _, y in poly]
     xmin, xmax = min(xs) - opt.margin, max(xs) + opt.margin
@@ -111,31 +135,13 @@ def render_svg(
             f'<polyline points="{pts}" fill="none" stroke="red" stroke-width="2"/>'
         )
 
-    # one dot per cell vertex (shared points coincide); labels once per point
-    seen: set[tuple[int, ...]] = set()
-    dots: list[tuple[float, float]] = []
-    label_at: list[tuple[float, float, str]] = []
-    labeling = verdict.labeling if (verdict is not None and verdict.glp) else None
-    for cell, poly in zip(spec.cells, polys):
-        cx, cy = to_cartesian(cell.barycenter)
-        for j, point in enumerate(vertices(cell)):
-            x, y = poly[j]
-            dots.append(px((x, y)))
-            key = point.canonical_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            if opt.show_labels and labeling is not None:
-                lab = labeling.labels.get(point)
-                if lab is not None:
-                    # nudge the glyph outward from the owning cell's center
-                    dx, dy = x - cx, y - cy
-                    norm = math.hypot(dx, dy) or 1.0
-                    lx, ly = px((x + 0.22 * dx / norm, y + 0.22 * dy / norm))
-                    label_at.append((lx, ly, _label_text(lab, k)))
-    for x, y in dots:
-        out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.5" fill="black"/>')
-    for x, y, text in label_at:
+    # one dot per cell vertex (shared points coincide)
+    for poly in polys:
+        for p in poly:
+            x, y = px(p)
+            out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.5" fill="black"/>')
+    for gx, gy, text in glyphs:
+        x, y = px((gx, gy))
         out.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
             f'font-size="12" text-anchor="middle" dominant-baseline="middle">{text}</text>'

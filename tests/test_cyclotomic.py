@@ -3,14 +3,20 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snfglp.cyclotomic import (
+    COEFF_LIMIT,
     CoefficientOverflow,
     CycInt,
+    _canonical,
     IntPolynomial,
     OrderMismatch,
     cyc_add,
@@ -20,8 +26,11 @@ from snfglp.cyclotomic import (
     cyc_mul,
     cyc_neg,
     cyc_reflect,
+    cyc_reflect_key,
     cyc_rotate,
+    cyc_rotate_key,
     cyc_sub,
+    cyc_unit_translates,
     cyclotomic_polynomial,
     euler_phi,
     from_coeffs,
@@ -134,6 +143,10 @@ class TestRingOps:
         with pytest.raises(CoefficientOverflow):
             from_coeffs(3, (2**40, 0, 0))
 
+    def test_overflow_names_first_offending_coefficient(self):
+        with pytest.raises(CoefficientOverflow, match=r"^coefficient -2147483649 exceeds \+/-2147483648$"):
+            from_coeffs(4, (COEFF_LIMIT, -COEFF_LIMIT - 1, 2**40, 0))
+
     def test_order_cap(self):
         with pytest.raises(ValueError):
             zero(37)
@@ -235,3 +248,87 @@ class TestAlgebraProperties:
             folded[i % k] += c
         b = cyc_add(a, from_coeffs(k, folded))
         assert a == b and hash(a) == hash(b)
+
+
+def fresh_key(a: CycInt) -> tuple[int, ...]:
+    """Reference: reduce a's raw coefficients, bypassing the LRU and any cached key."""
+    return _canonical.__wrapped__(a.order, a.coeffs)
+
+
+wide_vectors = st.integers(3, 36).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.lists(st.integers(-COEFF_LIMIT, COEFF_LIMIT), min_size=k, max_size=k),
+    )
+)
+
+
+class TestDerivedKeys:
+    """Keys derived by linearity, never by reduction, match a fresh reduction."""
+
+    def assert_preset(self, v: CycInt) -> None:
+        assert v._key is not None  # set at construction, not computed on demand
+        assert v.canonical_key() == fresh_key(v)
+
+    @given(wide_vectors, st.integers(-40, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_rotation_reflection_and_translates(self, kv, m):
+        a = as_cyc(kv)
+        k = a.order
+        rotated, reflected = cyc_rotate(a, m), cyc_reflect(a, m)
+        assert rotated.coeffs == tuple(a.coeffs[(i - m) % k] for i in range(k))
+        assert reflected.coeffs == tuple(a.coeffs[(m - i) % k] for i in range(k))
+        self.assert_preset(rotated)
+        self.assert_preset(reflected)
+        assert cyc_rotate_key(a, m) == fresh_key(rotated)
+        assert cyc_reflect_key(a, m) == fresh_key(reflected)
+        if max(a.coeffs) == COEFF_LIMIT:
+            # vertex j of a cell at the limit has coefficient COEFF_LIMIT + 1
+            with pytest.raises(CoefficientOverflow):
+                cyc_unit_translates(a)
+            return
+        translates = cyc_unit_translates(a)
+        assert len(translates) == k
+        for j, v in enumerate(translates):
+            assert v.coeffs == tuple(c + (i == j) for i, c in enumerate(a.coeffs))
+            self.assert_preset(v)
+
+    def test_threads_share_fresh_values(self):
+        # more threads than cores and a short switch interval, so writes of
+        # the lazily cached key interleave; every key must still be exact
+        rng = random.Random(5)
+        values = [
+            from_coeffs(k, [rng.randint(-COEFF_LIMIT, COEFF_LIMIT) for _ in range(k)])
+            for k in (5, 12, 30, 36)
+            for _ in range(150)
+        ]
+        n_threads = (os.cpu_count() or 1) + 3
+        barrier = threading.Barrier(n_threads)
+        seen: list[dict[int, tuple] | None] = [None] * n_threads
+
+        def work(slot: int) -> None:
+            order = list(range(len(values)))
+            random.Random(slot).shuffle(order)
+            barrier.wait(timeout=30)
+            out = {}
+            for i in order:
+                v = values[i]
+                out[i] = (hash(v), v.canonical_key(), cyc_rotate_key(v, 1))
+            seen[slot] = out
+
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, v in enumerate(values):
+            key = fresh_key(v)
+            want = (hash((v.order, key)), key, fresh_key(cyc_rotate(v, 1)))
+            assert v.canonical_key() == key
+            assert all(out is not None and out[i] == want for out in seen)

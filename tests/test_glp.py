@@ -58,6 +58,27 @@ class TestConstraintGraph:
         for e in graph.edges:
             assert (graph.weight(e.a, e.b) + graph.weight(e.b, e.a)) % 3 == 0
 
+    @pytest.mark.parametrize("k,seed", [(5, 0), (7, 1), (8, 2), (9, 3)])
+    def test_weight_matches_edge_scan(self, k, seed):
+        graph = build_constraint_graph(random_valid_spec(k, 20, seed))
+
+        def scan(u, v):
+            for e in graph.edges:
+                if (e.a, e.b) == (u, v):
+                    return (e.ja - e.jb) % k
+                if (e.a, e.b) == (v, u):
+                    return (e.jb - e.ja) % k
+            return None
+
+        for u in range(graph.n):
+            for v in range(graph.n):
+                want = scan(u, v)
+                if want is None:
+                    with pytest.raises(KeyError):
+                        graph.weight(u, v)
+                else:
+                    assert graph.weight(u, v) == want
+
     def test_even_k_weights_always_half_turn(self):
         for seed in range(5):
             spec = random_valid_spec(8, 25, seed)

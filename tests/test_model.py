@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from snfglp.cyclotomic import (
@@ -25,6 +25,7 @@ from snfglp.model import (
     ParseError,
     ScalingError,
     SpecError,
+    _scaled_positions,
     catalog,
     cells_conflict,
     derive_scaling,
@@ -318,6 +319,61 @@ class TestValidate:
         report = validate(spec)
         assert report.vertex_at_center == 8
         assert not report.central_ok
+
+
+def per_j_vertex_at_center(spec) -> int | None:
+    """Reference: the first cell with p + n * zeta^j == 0 for some j, p its scaled position."""
+    k, n = spec.k, spec.n
+    if spec.partial or k <= 3:
+        return None
+    for cell, p in zip(spec.cells, _scaled_positions(spec)):
+        if any(cyc_eq(cyc_add(p, zeta(k, j, n)), zero(k)) for j in range(k)):
+            return cell.index
+    return None
+
+
+@st.composite
+def center_specs(draw):
+    """Non-partial specs of small cells; half of them get one more cell that
+    moves the mean barycenter onto a vertex of an earlier cell."""
+    k = draw(st.integers(4, 12))
+    rows = draw(
+        st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=1, max_size=8)
+    )
+    cells = [from_coeffs(k, row) for row in rows]
+    hit = draw(st.booleans())
+    if hit:
+        i = draw(st.integers(0, len(cells) - 1))
+        mean = cyc_add(cells[i], zeta(k, draw(st.integers(0, k - 1))))
+        total = zero(k)
+        for b in cells:
+            total = cyc_add(total, b)
+        cells.append(cyc_sub(cyc_scale(mean, len(cells) + 1), total))
+    assume(len({b.canonical_key() for b in cells}) == len(cells))
+    return make_spec(k, cells), hit
+
+
+class TestVertexAtCenter:
+    def test_ring_with_vertex_orbit(self):
+        from snfglp.construct import generate_glp_example
+
+        ring = generate_glp_example(4)
+        spec = make_spec(4, [c.barycenter for c in ring.cells] + [zeta(4, j) for j in range(4)])
+        assert per_j_vertex_at_center(spec) == validate(spec).vertex_at_center == 8
+
+    @pytest.mark.parametrize("name", ["vicsek-cross", "sierpinski-hexagon", "lindstrom-snowflake", "pentagon-ring"])
+    def test_catalog_has_none(self, name):
+        spec = catalog(name)
+        assert per_j_vertex_at_center(spec) is validate(spec).vertex_at_center is None
+
+    @given(center_specs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_j_reference(self, case):
+        spec, hit = case
+        found = validate(spec).vertex_at_center
+        assert found == per_j_vertex_at_center(spec)
+        if hit:
+            assert found is not None
 
 
 class TestAdjacencies:
