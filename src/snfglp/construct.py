@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import product
+from operator import add
 
 from .cyclotomic import (
     CycInt,
@@ -22,7 +23,9 @@ from .cyclotomic import (
     cyc_is_zero,
     cyc_mul,
     cyc_reflect,
+    cyc_reflect_key,
     cyc_rotate,
+    cyc_rotate_key,
     cyc_scale,
     cyc_sub,
     to_cartesian,
@@ -183,17 +186,52 @@ def _legal_steps(k: int) -> list[CycInt]:
     return out
 
 
-def _conflict_free(cand: CycInt, accepted: dict[tuple[int, ...], CycInt]) -> bool:
-    """Candidate cell conflicts with nobody already accepted."""
-    cx, cy = to_cartesian(cand)
-    cand_cell = Cell(cand, 0)
-    for other in accepted.values():
-        ox, oy = to_cartesian(other)
-        if (cx - ox) ** 2 + (cy - oy) ** 2 >= 4.0:
+_Entry = tuple[float, float, Cell]  # a cell with its float barycenter (x, y, cell)
+
+
+def _entry(pos: CycInt) -> _Entry:
+    """A candidate or accepted cell with its float barycenter."""
+    x, y = to_cartesian(pos)
+    return x, y, Cell(pos, 0)
+
+
+def _clear_of(entry: _Entry, others) -> bool:
+    """The entry's cell conflicts with no cell among the `others` entries."""
+    x, y, cell = entry
+    for ox, oy, other in others:
+        if (x - ox) ** 2 + (y - oy) ** 2 >= 4.0:
             continue
-        if cells_conflict(cand_cell, Cell(other, 1)):
+        if cells_conflict(cell, other):
             return False
     return True
+
+
+class _CellIndex:
+    """Accepted cells bucketed by float barycenter in 2 x 2 squares.
+
+    Cells whose buckets are two apart on either axis differ by more than 2
+    in that float coordinate, so the `d2 >= 4.0` exit clears them anyway;
+    a candidate scans only its 3 x 3 neighbourhood and gets the verdict a
+    scan of every accepted cell would give.
+    """
+
+    def __init__(self) -> None:
+        self._buckets: dict[tuple[int, int], list[_Entry]] = {}
+
+    def add(self, entry: _Entry) -> None:
+        x, y, _ = entry
+        self._buckets.setdefault((math.floor(x / 2.0), math.floor(y / 2.0)), []).append(entry)
+
+    def clear(self, entry: _Entry) -> bool:
+        """The entry's cell conflicts with no accepted cell."""
+        gx, gy = math.floor(entry[0] / 2.0), math.floor(entry[1] / 2.0)
+        buckets = self._buckets
+        for bx in (gx - 1, gx, gx + 1):
+            for by in (gy - 1, gy, gy + 1):
+                others = buckets.get((bx, by))
+                if others is not None and not _clear_of(entry, others):
+                    return False
+        return True
 
 
 def random_valid_spec(
@@ -215,24 +253,28 @@ def random_valid_spec(
         raise GenerationError("target_cells must be in 1..100")
     rng = random.Random(seed)
     steps = _legal_steps(k)
+    step_keys = [s.canonical_key() for s in steps]
 
     if not symmetrize:
-        accepted: dict[tuple[int, ...], CycInt] = {}
-        order: list[CycInt] = []
         start = zero(k)
-        accepted[start.canonical_key()] = start
-        order.append(start)
+        accepted = {start.canonical_key()}
+        index = _CellIndex()
+        index.add(_entry(start))
+        order = [start]
         budget = 400 * target_cells
         while len(order) < target_cells and budget > 0:
             budget -= 1
             base = order[rng.randrange(len(order))]
-            cand = cyc_add(base, steps[rng.randrange(len(steps))])
-            key = cand.canonical_key()
+            i = rng.randrange(len(steps))
+            key = tuple(map(add, base.canonical_key(), step_keys[i]))
             if key in accepted:
                 continue
-            if not _conflict_free(cand, accepted):
+            cand = cyc_add(base, steps[i])
+            entry = _entry(cand)
+            if not index.clear(entry):
                 continue
-            accepted[key] = cand
+            accepted.add(key)
+            index.add(entry)
             order.append(cand)
         if len(order) < target_cells:
             raise GenerationError("growth stalled before reaching the target size")
@@ -244,47 +286,59 @@ def random_valid_spec(
         expanded = expand(ring, 2)
         base_spec = make_spec(k, [c.barycenter for c in expanded.cells])
     corner_radius = to_cartesian(derive_scaling(base_spec))[0] - 1.0
-    accepted = {c.barycenter.canonical_key(): c.barycenter for c in base_spec.cells}
     order = [c.barycenter for c in base_spec.cells]
+    accepted = {pos.canonical_key() for pos in order}
+    index = _CellIndex()
+    for pos in order:
+        index.add(_entry(pos))
     budget = 40 * target_cells
     stale = 0
     while len(order) < target_cells and budget > 0 and stale < 300:
         budget -= 1
         stale += 1
         base = order[rng.randrange(len(order))]
-        cand = cyc_add(base, steps[rng.randrange(len(steps))])
-        if cand.canonical_key() in accepted:
+        i = rng.randrange(len(steps))
+        key = tuple(map(add, base.canonical_key(), step_keys[i]))
+        if key in accepted:
             continue
-        if cyc_is_zero(cand):
+        cand = cyc_add(base, steps[i])
+        if not any(key):
             if k not in (3, 4, 6):
                 continue  # central cell only legal for triangles, squares, hexagons
         elif math.hypot(*to_cartesian(cand)) > corner_radius - 0.05:
             continue
-        orbit: dict[tuple[int, ...], CycInt] = {}
+        # cand is in its own orbit: test it against the accepted cells first
+        if not index.clear(_entry(cand)):
+            continue
+        # orbit key -> (shift, sign): cyc_rotate(cand, shift) for sign 1 and
+        # cyc_reflect(cand, shift) for sign -1, which has the coefficients of
+        # cyc_reflect(cyc_rotate(cand, -shift), 0); the image written last for
+        # a point is its member, built only when it is tested
+        orbit: dict[tuple[int, ...], tuple[int, int]] = {}
         for j in range(k):
-            rot = cyc_rotate(cand, j)
-            orbit[rot.canonical_key()] = rot
-            ref = cyc_reflect(rot, 0)
-            orbit[ref.canonical_key()] = ref
-        if any(key in accepted for key in orbit):
+            orbit[cyc_rotate_key(cand, j)] = (j, 1)
+            orbit[cyc_reflect_key(cand, -j)] = (-j, -1)
+        if any(okey in accepted for okey in orbit):
             continue
-        trial = dict(accepted)
-        ok = True
-        for key, pos in sorted(orbit.items()):
-            if not _conflict_free(pos, trial):
-                ok = False
+        members: list[_Entry] = []
+        for okey, (shift, sign) in sorted(orbit.items()):
+            entry = _entry(cyc_rotate(cand, shift) if sign > 0 else cyc_reflect(cand, shift))
+            if (okey != key and not index.clear(entry)) or not _clear_of(entry, members):
                 break
-            trial[key] = pos
-        if not ok:
+            members.append(entry)
+        if len(members) < len(orbit):
             continue
-        # every orbit cell must touch the previously accepted configuration
+        # every orbit cell must touch the previously accepted configuration;
+        # key(pos + s) = key(pos) + key(s), so no sum is built
         if not all(
-            any(cyc_add(pos, s).canonical_key() in accepted for s in steps)
-            for pos in orbit.values()
+            any(tuple(map(add, okey, skey)) in accepted for skey in step_keys)
+            for okey in orbit
         ):
             continue
-        for key, pos in sorted(orbit.items()):
-            accepted[key] = pos
+        for entry in members:
+            pos = entry[2].barycenter
+            accepted.add(pos.canonical_key())
+            index.add(entry)
             order.append(pos)
         stale = 0
     return make_spec(k, order, partial=False)

@@ -384,8 +384,8 @@ def _unit_circle(order: int) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=1 << 16)
-def _cartesian(order: int, coeffs: tuple[int, ...]) -> tuple[float, float]:
+def _embed(order: int, coeffs: tuple[int, ...]) -> tuple[float, float]:
+    """The float point of a coefficient vector, uncached (for points seen once)."""
     x = 0.0
     y = 0.0
     for c, (cos, sin) in zip(coeffs, _unit_circle(order)):
@@ -395,14 +395,17 @@ def _cartesian(order: int, coeffs: tuple[int, ...]) -> tuple[float, float]:
     return (x, y)
 
 
+_cartesian = lru_cache(maxsize=1 << 16)(_embed)
+
+
 def to_cartesian(a: CycInt) -> tuple[float, float]:
     """Double-precision embedding of a as the point (x, y).
 
     Besides rendering and slice angle bucketing, these floats also decide
     geometric questions outright: hull overlap and its distance exit
-    (`model.cells_conflict`, also prefiltered in `construct._conflict_free`),
-    the `model._close_pairs` adjacency prefilter, the corner search
-    (`model._find_corner`) and the growth radius in
+    (`model.cells_conflict`, also bucketed and prefiltered in
+    `construct._CellIndex`), the `model._close_pairs` adjacency prefilter,
+    the corner search (`model._find_corner`) and the growth radius in
     `construct.random_valid_spec`.  No error bound certifies those answers
     for large coefficients yet (ROADMAP item 2).
     """

@@ -64,19 +64,11 @@ class ConstraintGraph:
     @cached_property
     def _weights(self) -> dict[tuple[int, int], int]:
         """Weight of every edge in both directions, built on first use."""
-        out: dict[tuple[int, int], int] = {}
-        for e in self.edges:
-            w = edge_weight(e, self.k)
-            out[(e.a, e.b)] = w
-            out[(e.b, e.a)] = -w % self.k
-        return out
+        return _weight_map(self.edges, self.k)
 
     def weight(self, u: int, v: int) -> int:
         """Constraint weight for traversing u -> v: r_v = r_u + weight mod k."""
-        w = self._weights.get((u, v))
-        if w is None:
-            raise KeyError(f"no edge between {u} and {v}")
-        return w
+        return _lookup_weight(self._weights, u, v)
 
 
 @dataclass(frozen=True)
@@ -110,6 +102,32 @@ def edge_weight(e: Adjacency, k: int) -> int:
     return (e.ja - e.jb) % k
 
 
+def _weight_map(edges, k: int) -> dict[tuple[int, int], int]:
+    """Weight of every edge in both directions."""
+    out: dict[tuple[int, int], int] = {}
+    for e in edges:
+        w = edge_weight(e, k)
+        out[(e.a, e.b)] = w
+        out[(e.b, e.a)] = -w % k
+    return out
+
+
+def _lookup_weight(weights: dict[tuple[int, int], int], u: int, v: int) -> int:
+    """Weight of u -> v in a `_weight_map`; KeyError when u and v share no edge."""
+    w = weights.get((u, v))
+    if w is None:
+        raise KeyError(f"no edge between {u} and {v}")
+    return w
+
+
+def _nested_adjacencies(spec: FractalSpec) -> list[Adjacency]:
+    """`find_adjacencies`, raising SpecError for a pair sharing >= 2 vertices."""
+    edges, violation = find_adjacencies(spec)
+    if violation is not None:
+        raise SpecError(f"cells {violation} violate nesting (share >= 2 vertices)")
+    return edges
+
+
 def build_constraint_graph(spec: FractalSpec) -> ConstraintGraph:
     """Adjacency graph with Z_k weights, spanning forest, and fundamental edges.
 
@@ -118,9 +136,7 @@ def build_constraint_graph(spec: FractalSpec) -> ConstraintGraph:
     more vertices are rejected here; hull overlaps without shared
     vertices are validate's concern.
     """
-    edges, violation = find_adjacencies(spec)
-    if violation is not None:
-        raise SpecError(f"cells {violation} violate nesting (share >= 2 vertices)")
+    edges = _nested_adjacencies(spec)
     n = spec.n
     adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
     for idx, e in enumerate(edges):
@@ -208,11 +224,11 @@ def fundamental_cycles(graph: ConstraintGraph) -> list[tuple[int, ...]]:
 
 def cycle_weight(spec: FractalSpec, cycle: tuple[int, ...]) -> int:
     """Directed weight sum around a cell cycle, mod k."""
-    graph = build_constraint_graph(spec)
+    weights = _weight_map(_nested_adjacencies(spec), spec.k)
     total = 0
     for i, u in enumerate(cycle):
         v = cycle[(i + 1) % len(cycle)]
-        total += graph.weight(u, v)
+        total += _lookup_weight(weights, u, v)
     return total % spec.k
 
 

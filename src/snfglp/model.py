@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 
 from .cyclotomic import (
     CycInt,
@@ -125,9 +126,9 @@ def shared_vertices(a: Cell, b: Cell) -> list[tuple[int, int]]:
     """Index pairs (j_a, j_b) with a.barycenter + zeta^j_a == b.barycenter + zeta^j_b."""
     if a.barycenter.order != b.barycenter.order:
         raise SpecError("cells of different order")
-    k = a.barycenter.order
-    delta = cyc_sub(b.barycenter, a.barycenter)
-    return list(_step_table(k).get(delta.canonical_key(), ()))
+    # reduction is linear, so key(b - a) = key(b) - key(a); no difference is built
+    delta = tuple(map(sub, b.barycenter.canonical_key(), a.barycenter.canonical_key()))
+    return list(_step_table(a.barycenter.order).get(delta, ()))
 
 
 @lru_cache(maxsize=None)
@@ -249,12 +250,12 @@ def _adjacencies(
 ) -> tuple[list[Adjacency], tuple[int, int] | None]:
     """`find_adjacencies` over the given `_close_pairs(spec)`."""
     table = _step_table(spec.k)
+    keys = [c.barycenter.canonical_key() for c in spec.cells]
     edges: list[Adjacency] = []
     violation: tuple[int, int] | None = None
     # shared vertices force barycenter distance <= 2, so only close pairs qualify
     for i, j in close:
-        delta = cyc_sub(spec.cells[j].barycenter, spec.cells[i].barycenter)
-        pairs = table.get(delta.canonical_key())
+        pairs = table.get(tuple(map(sub, keys[j], keys[i])))
         if pairs is None:
             continue
         if len(pairs) > 1:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cyclotomic import to_cartesian
+from .cyclotomic import _embed, to_cartesian
 from .glp import Verdict
 from .model import FractalSpec, global_barycenter, vertices
 
@@ -58,7 +58,7 @@ def render_svg(
     seen: set[tuple[int, ...]] = set()
     for cell in spec.cells:
         points = vertices(cell)
-        poly = [to_cartesian(v) for v in points]
+        poly = [_embed(k, v.coeffs) for v in points]  # each vertex is seen once: no cache
         polys.append(poly)
         if labeling is None:
             continue

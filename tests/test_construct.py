@@ -1,20 +1,43 @@
 """Generators and substitution expansion."""
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_glp
 from snfglp.construct import (
     GenerationError,
+    _legal_steps,
     base_step,
     expand,
     generate_counterexample,
     generate_glp_example,
     random_valid_spec,
 )
-from snfglp.cyclotomic import cyc_eq, cyc_rotate, cyc_sub
+from snfglp.cyclotomic import (
+    cyc_add,
+    cyc_eq,
+    cyc_is_zero,
+    cyc_reflect,
+    cyc_rotate,
+    cyc_sub,
+    to_cartesian,
+    zero,
+)
 from snfglp.glp import build_constraint_graph, decide_glp, fundamental_cycles
-from snfglp.model import catalog, serialize, validate
+from snfglp.model import (
+    Cell,
+    catalog,
+    cells_conflict,
+    derive_scaling,
+    make_spec,
+    serialize,
+    validate,
+)
 
 COMPOSITE_NON_P2 = (6, 9, 10, 12, 14, 15, 18, 20, 21, 22, 24, 25, 26, 27, 28, 30)
 
@@ -162,7 +185,115 @@ class TestExpand:
             expand(generate_counterexample(9), 2)
 
 
+def reference_conflict_free(cand, accepted):
+    """Reference: scan every accepted cell, in insertion order."""
+    cx, cy = to_cartesian(cand)
+    cand_cell = Cell(cand, 0)
+    for other in accepted.values():
+        ox, oy = to_cartesian(other)
+        if (cx - ox) ** 2 + (cy - oy) ** 2 >= 4.0:
+            continue
+        if cells_conflict(cand_cell, Cell(other, 1)):
+            return False
+    return True
+
+
+def reference_growth(k, target_cells, seed, symmetrize):
+    """Reference: the O(n)-per-candidate growth that `random_valid_spec` replaces.
+
+    Every candidate scans every accepted cell; a symmetrized candidate
+    builds its whole orbit before any test and checks it against a copy of
+    the accepted cells; touching is tested on built sums.  Argument checks
+    are left to `random_valid_spec`.
+    """
+    rng = random.Random(seed)
+    steps = _legal_steps(k)
+    if not symmetrize:
+        start = zero(k)
+        accepted = {start.canonical_key(): start}
+        order = [start]
+        budget = 400 * target_cells
+        while len(order) < target_cells and budget > 0:
+            budget -= 1
+            base = order[rng.randrange(len(order))]
+            cand = cyc_add(base, steps[rng.randrange(len(steps))])
+            key = cand.canonical_key()
+            if key in accepted or not reference_conflict_free(cand, accepted):
+                continue
+            accepted[key] = cand
+            order.append(cand)
+        if len(order) < target_cells:
+            raise GenerationError("growth stalled before reaching the target size")
+        return make_spec(k, order, partial=True)
+
+    ring = generate_glp_example(k)
+    base_spec = ring
+    if ring.n**2 <= 100 and rng.random() < 0.5:
+        base_spec = make_spec(k, [c.barycenter for c in expand(ring, 2).cells])
+    corner_radius = to_cartesian(derive_scaling(base_spec))[0] - 1.0
+    accepted = {c.barycenter.canonical_key(): c.barycenter for c in base_spec.cells}
+    order = [c.barycenter for c in base_spec.cells]
+    budget = 40 * target_cells
+    stale = 0
+    while len(order) < target_cells and budget > 0 and stale < 300:
+        budget -= 1
+        stale += 1
+        base = order[rng.randrange(len(order))]
+        cand = cyc_add(base, steps[rng.randrange(len(steps))])
+        if cand.canonical_key() in accepted:
+            continue
+        if cyc_is_zero(cand):
+            if k not in (3, 4, 6):
+                continue
+        elif math.hypot(*to_cartesian(cand)) > corner_radius - 0.05:
+            continue
+        orbit = {}
+        for j in range(k):
+            rot = cyc_rotate(cand, j)
+            orbit[rot.canonical_key()] = rot
+            ref = cyc_reflect(rot, 0)
+            orbit[ref.canonical_key()] = ref
+        if any(key in accepted for key in orbit):
+            continue
+        trial = dict(accepted)
+        ok = True
+        for key, pos in sorted(orbit.items()):
+            if not reference_conflict_free(pos, trial):
+                ok = False
+                break
+            trial[key] = pos
+        if not ok:
+            continue
+        if not all(
+            any(cyc_add(pos, s).canonical_key() in accepted for s in steps)
+            for pos in orbit.values()
+        ):
+            continue
+        for key, pos in sorted(orbit.items()):
+            accepted[key] = pos
+            order.append(pos)
+        stale = 0
+    return make_spec(k, order, partial=False)
+
+
+def grown_or_error(grow, k, target, seed, symmetrize):
+    try:
+        return serialize(grow(k, target, seed, symmetrize))
+    except GenerationError as exc:
+        return f"GenerationError: {exc}"
+
+
 class TestRandomSpecs:
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_growth(self, symmetrize, data):
+        k = data.draw(st.integers(3, 12 if symmetrize else 16), label="k")
+        target = data.draw(st.integers(1, 100), label="target")
+        seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+        got = grown_or_error(random_valid_spec, k, target, seed, symmetrize)
+        assert got == grown_or_error(reference_growth, k, target, seed, symmetrize)
+
     def test_repeatability(self):
         a = serialize(random_valid_spec(7, 30, seed=42))
         b = serialize(random_valid_spec(7, 30, seed=42))

@@ -23,7 +23,7 @@ from snfglp.glp import (
     odd_cycle_scan,
 )
 from snfglp.construct import generate_counterexample, random_valid_spec
-from snfglp.model import catalog, make_spec
+from snfglp.model import SpecError, catalog, make_spec
 
 
 def two_cell_path(k: int):
@@ -78,6 +78,25 @@ class TestConstraintGraph:
                         graph.weight(u, v)
                 else:
                     assert graph.weight(u, v) == want
+
+    @pytest.mark.parametrize("k,seed", [(5, 0), (6, 4), (9, 3), (12, 1)])
+    def test_cycle_weight_matches_graph_weights(self, k, seed):
+        spec = random_valid_spec(k, 30, seed)
+        graph = build_constraint_graph(spec)
+        for cycle in fundamental_cycles(graph):
+            want = sum(graph.weight(u, cycle[(i + 1) % len(cycle)]) for i, u in enumerate(cycle))
+            assert cycle_weight(spec, cycle) == want % k
+        assert graph.nontree
+        neighbours = {e.b for e in graph.edges if e.a == 0}
+        far = min(set(range(1, graph.n)) - neighbours)
+        with pytest.raises(KeyError):
+            cycle_weight(spec, (0, far))
+
+    def test_cycle_weight_rejects_nesting_violation(self):
+        # squares one unit chord apart share a whole edge
+        spec = make_spec(4, [zeta(4, 0, 0), cyc_sub(zeta(4, 0), zeta(4, 1))], partial=True)
+        with pytest.raises(SpecError):
+            cycle_weight(spec, (0, 1))
 
     def test_even_k_weights_always_half_turn(self):
         for seed in range(5):

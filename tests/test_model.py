@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from snfglp.cyclotomic import (
+    COEFF_LIMIT,
+    CoefficientOverflow,
     cyc_add,
     cyc_eq,
     cyc_is_zero,
@@ -25,7 +27,9 @@ from snfglp.model import (
     ParseError,
     ScalingError,
     SpecError,
+    _hulls_overlap,
     _scaled_positions,
+    _step_table,
     catalog,
     cells_conflict,
     derive_scaling,
@@ -166,6 +170,56 @@ class TestSharedVertices:
         b = cell(6, (4, 0, 0, 0, 0, 0), 1)
         assert shared_vertices(a, b) == []
 
+    def test_extreme_coefficients_with_out_of_range_difference(self):
+        # a = 2^31 (1 + zeta + zeta^2) = 0 and b = 1 - zeta in k = 3; b - a,
+        # built coefficient by coefficient, leaves the supported range
+        a = cell(3, (COEFF_LIMIT,) * 3, 0)
+        b = cell(3, (-COEFF_LIMIT + 2, -COEFF_LIMIT, -COEFF_LIMIT + 1), 1)
+        with pytest.raises(CoefficientOverflow):
+            cyc_sub(b.barycenter, a.barycenter)
+        assert shared_vertices(a, b) == [(0, 1)]
+
+
+def difference_shared(a: Cell, b: Cell) -> list[tuple[int, int]]:
+    """Reference: shared vertices looked up by the key of the built value b - a."""
+    delta = cyc_sub(b.barycenter, a.barycenter)
+    return list(_step_table(a.barycenter.order).get(delta.canonical_key(), ()))
+
+
+def difference_conflict(a: Cell, b: Cell) -> bool:
+    """Reference: `cells_conflict` with its shared-vertex rule on the built b - a."""
+    if len(difference_shared(a, b)) >= 2:
+        return True
+    ax, ay = to_cartesian(a.barycenter)
+    bx, by = to_cartesian(b.barycenter)
+    if (ax - bx) ** 2 + (ay - by) ** 2 >= 4.0:
+        return False
+    return _hulls_overlap(a.barycenter.order, bx - ax, by - ay)
+
+
+@st.composite
+def wide_cell_pairs(draw):
+    """`cell_pairs` moved by a large base and given a large zero summand.
+
+    The base has coefficients up to 2^30; the second cell also adds m times
+    a vanishing sum of p-th roots of unity (p prime, p | k) with |m| up to
+    2^29, so its coefficients differ from the first cell's by up to ~2^29
+    while the cells stay close or touch.  Every coefficient of both cells
+    and of their difference stays within COEFF_LIMIT.
+    """
+    a, b = draw(cell_pairs())
+    k = a.barycenter.order
+    big = st.integers(-(2**30), 2**30)
+    base = from_coeffs(k, [draw(big) for _ in range(k)])
+    p = min(d for d in range(2, k + 1) if k % d == 0)
+    shift = draw(st.integers(0, k - 1))
+    m = draw(st.integers(-(2**29), 2**29))
+    vanishing = [0] * k
+    for q in range(p):
+        vanishing[(shift + q * (k // p)) % k] = m
+    second = cyc_add(cyc_add(b.barycenter, base), from_coeffs(k, vanishing))
+    return Cell(cyc_add(a.barycenter, base), 0), Cell(second, 1)
+
 
 class TestConflicts:
     def test_diameter_touch_is_legal(self):
@@ -213,6 +267,15 @@ class TestConflicts:
         a, b = pair
         assert cells_conflict(a, b) == vertex_sat_conflict(a, b)
         assert cells_conflict(b, a) == vertex_sat_conflict(b, a)
+
+    @given(st.one_of(cell_pairs(), wide_cell_pairs()))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_built_difference_reference(self, pair):
+        a, b = pair
+        assert shared_vertices(a, b) == difference_shared(a, b)
+        assert shared_vertices(b, a) == difference_shared(b, a)
+        assert cells_conflict(a, b) == difference_conflict(a, b)
+        assert cells_conflict(b, a) == difference_conflict(b, a)
 
 
 class TestBarycenter:
