@@ -7,6 +7,7 @@ invalid input; 3 for usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import construct, glp, model, render
@@ -26,7 +27,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process, built on first use (not at import).
+
+    `parse_args` only reads it and `_Parser.error` raises instead of
+    exiting, so every `run` call can share it.
+    """
     parser = _Parser(prog="snfglp", description="Nested-fractal good-labeling toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import lru_cache
 from itertools import product
 from operator import add
 
@@ -234,6 +235,20 @@ class _CellIndex:
         return True
 
 
+@lru_cache(maxsize=None)
+def _growth_base(k: int, expanded: bool) -> tuple[tuple[CycInt, ...], float]:
+    """Barycenters and corner radius of a symmetrized growth base: the
+    example ring, or with `expanded` its level-2 expansion.
+
+    They depend on (k, expanded) alone, so each base is built once and
+    shared between calls; its CycInt values are immutable.
+    """
+    spec = generate_glp_example(k)
+    if expanded:
+        spec = make_spec(k, [c.barycenter for c in expand(spec, 2).cells])
+    return tuple(c.barycenter for c in spec.cells), to_cartesian(derive_scaling(spec))[0] - 1.0
+
+
 def random_valid_spec(
     k: int, target_cells: int, seed: int, symmetrize: bool = False
 ) -> FractalSpec:
@@ -280,13 +295,10 @@ def random_valid_spec(
             raise GenerationError("growth stalled before reaching the target size")
         return make_spec(k, order, partial=True)
 
-    ring = generate_glp_example(k)
-    base_spec = ring
-    if ring.n**2 <= 100 and rng.random() < 0.5:
-        expanded = expand(ring, 2)
-        base_spec = make_spec(k, [c.barycenter for c in expanded.cells])
-    corner_radius = to_cartesian(derive_scaling(base_spec))[0] - 1.0
-    order = [c.barycenter for c in base_spec.cells]
+    base, corner_radius = _growth_base(k, False)
+    if len(base) ** 2 <= 100 and rng.random() < 0.5:
+        base, corner_radius = _growth_base(k, True)
+    order = list(base)
     accepted = {pos.canonical_key() for pos in order}
     index = _CellIndex()
     for pos in order:
@@ -318,8 +330,8 @@ def random_valid_spec(
         for j in range(k):
             orbit[cyc_rotate_key(cand, j)] = (j, 1)
             orbit[cyc_reflect_key(cand, -j)] = (-j, -1)
-        if any(okey in accepted for okey in orbit):
-            continue
+        # no image of cand can be accepted: the accepted set is dihedral-closed
+        # and cand's own key is not in it
         members: list[_Entry] = []
         for okey, (shift, sign) in sorted(orbit.items()):
             entry = _entry(cyc_rotate(cand, shift) if sign > 0 else cyc_reflect(cand, shift))

@@ -341,19 +341,24 @@ def cyc_reflect_key(a: CycInt, m: int) -> tuple[int, ...]:
     return _mapped_key(a, m, -1)
 
 
-def cyc_unit_translates(a: CycInt) -> list[CycInt]:
-    """The k points a + zeta^j, j = 0..k-1, in order.
+def cyc_unit_translate_keys(a: CycInt) -> list[tuple[int, ...]]:
+    """canonical_key of each of cyc_unit_translates(a), without building the values.
 
-    Reduction is linear, so each key is key(a) + row[j]: a itself is
-    reduced at most once and the translates never are.
+    Reduction is linear, so the key of a + zeta^j is key(a) + row[j]: a
+    itself is reduced at most once and the translates never are.
     """
-    k = a.order
     key = a.canonical_key()
+    return [tuple(map(add, key, row)) for row in _reduction_rows(a.order)]
+
+
+def cyc_unit_translates(a: CycInt) -> list[CycInt]:
+    """The k points a + zeta^j, j = 0..k-1, in order, keyed by cyc_unit_translate_keys."""
+    k = a.order
     out = []
-    for j, row in enumerate(_reduction_rows(k)):
+    for j, key in enumerate(cyc_unit_translate_keys(a)):
         coeffs = list(a.coeffs)
         coeffs[j] += 1
-        out.append(_preset(k, tuple(coeffs), tuple(map(add, key, row))))
+        out.append(_preset(k, tuple(coeffs), key))
     return out
 
 

@@ -24,6 +24,7 @@ from .cyclotomic import (
     CycInt,
     cyc_is_zero,
     cyc_reflect_key,
+    cyc_unit_translate_keys,
     to_cartesian,
 )
 from .model import (
@@ -553,6 +554,16 @@ def glp_via_slices(spec: FractalSpec) -> Verdict:
     return _remap_verdict(decide_glp(_subspec(spec, chosen)), chosen)
 
 
+def _labels_by_key(labeling: Labeling, k: int) -> dict[tuple[int, ...], int]:
+    """The labels of order-k points, keyed by canonical key.
+
+    A CycInt equals a vertex of order k exactly when it has order k and
+    the vertex's key, so a lookup here answers `labeling.labels.get(v)`
+    from the key of v without building v.
+    """
+    return {v.canonical_key(): lab for v, lab in labeling.labels.items() if v.order == k}
+
+
 def check_labeling(spec: FractalSpec, labeling: Labeling) -> bool:
     """Independent verification: each cell's labels are one rotation of 0..k-1.
 
@@ -560,10 +571,11 @@ def check_labeling(spec: FractalSpec, labeling: Labeling) -> bool:
     labeling maps each point to a single label.
     """
     k = spec.k
+    labels = _labels_by_key(labeling, k)
     for cell in spec.cells:
         labs = []
-        for v in vertices(cell):
-            lab = labeling.labels.get(v)
+        for key in cyc_unit_translate_keys(cell.barycenter):
+            lab = labels.get(key)
             if lab is None:
                 raise LabelingError(f"vertex of cell {cell.index} has no label")
             labs.append(lab)

@@ -9,9 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cyclotomic import _embed, to_cartesian
-from .glp import Verdict
-from .model import FractalSpec, global_barycenter, vertices
+from .cyclotomic import _embed, cyc_unit_translate_keys, to_cartesian
+from .glp import Labeling, Verdict, _labels_by_key
+from .model import FractalSpec, global_barycenter
 
 _FILL = "#d3d3d3"
 _FILL_ALT = "#a9a9a9"
@@ -40,6 +40,42 @@ def _label_text(lab: int, k: int) -> str:
     return chr(ord("A") + lab) if k <= 26 else str(lab)
 
 
+def _polygon(k: int, barycenter: tuple[int, ...]) -> list[tuple[float, float]]:
+    """The float vertices barycenter + zeta^j, j = 0..k-1, each embedded once (no cache)."""
+    poly = []
+    for j in range(k):
+        coeffs = list(barycenter)
+        coeffs[j] += 1
+        poly.append(_embed(k, coeffs))
+    return poly
+
+
+def _label_glyphs(
+    spec: FractalSpec, polys: list[list[tuple[float, float]]], labeling: Labeling
+) -> list[tuple[float, float, str]]:
+    """One glyph per labeled point, nudged outward from its first owning cell's center.
+
+    Points are told apart by vertex key, so no vertex value is built; the
+    key view and the seen set die here, before the SVG text is built.
+    """
+    k = spec.k
+    labels = _labels_by_key(labeling, k)
+    glyphs: list[tuple[float, float, str]] = []
+    seen: set[tuple[int, ...]] = set()
+    for cell, poly in zip(spec.cells, polys):
+        cx, cy = to_cartesian(cell.barycenter)
+        for key, (x, y) in zip(cyc_unit_translate_keys(cell.barycenter), poly):
+            if key in seen:
+                continue
+            seen.add(key)
+            lab = labels.get(key)
+            if lab is not None:
+                dx, dy = x - cx, y - cy
+                norm = math.hypot(dx, dy) or 1.0
+                glyphs.append((x + 0.22 * dx / norm, y + 0.22 * dy / norm, _label_text(lab, k)))
+    return glyphs
+
+
 def render_svg(
     spec: FractalSpec,
     verdict: Verdict | None = None,
@@ -51,28 +87,8 @@ def render_svg(
     labeling = (
         verdict.labeling if (opt.show_labels and verdict is not None and verdict.glp) else None
     )
-    # one pass builds each cell's vertices: its polygon, and the label glyphs
-    # (once per point, nudged outward from the first owning cell's center)
-    polys: list[list[tuple[float, float]]] = []
-    glyphs: list[tuple[float, float, str]] = []
-    seen: set[tuple[int, ...]] = set()
-    for cell in spec.cells:
-        points = vertices(cell)
-        poly = [_embed(k, v.coeffs) for v in points]  # each vertex is seen once: no cache
-        polys.append(poly)
-        if labeling is None:
-            continue
-        cx, cy = to_cartesian(cell.barycenter)
-        for point, (x, y) in zip(points, poly):
-            key = point.canonical_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            lab = labeling.labels.get(point)
-            if lab is not None:
-                dx, dy = x - cx, y - cy
-                norm = math.hypot(dx, dy) or 1.0
-                glyphs.append((x + 0.22 * dx / norm, y + 0.22 * dy / norm, _label_text(lab, k)))
+    polys = [_polygon(k, cell.barycenter.coeffs) for cell in spec.cells]
+    glyphs = [] if labeling is None else _label_glyphs(spec, polys, labeling)
     xs = [x for poly in polys for x, _ in poly]
     ys = [y for poly in polys for _, y in poly]
     xmin, xmax = min(xs) - opt.margin, max(xs) + opt.margin

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from snfglp.cli import run
+from snfglp.cli import _build_parser, run
 from snfglp.model import catalog, parse, serialize
 
 
@@ -53,6 +53,25 @@ class TestDecide:
 
     def test_no_command(self):
         assert run([]) == 3
+
+
+class TestOneParserPerProcess:
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_calls_after_a_usage_error_are_unchanged(self, hexagon_file, capsys):
+        assert run(["decide", hexagon_file]) == 0
+        good = capsys.readouterr()
+        assert good.out.splitlines()[0] == "GLP" and "offset 0 0" in good.out
+        assert good.err == ""
+        assert run(["decide", hexagon_file, "--method", "psychic"]) == 3
+        usage = capsys.readouterr()
+        assert usage.out == "" and usage.err.startswith("usage error: ")
+        assert run(["decide", hexagon_file]) == 0
+        assert capsys.readouterr() == good
+        assert run(["decide", "/no/such/file.snf"]) == 2
+        missing = capsys.readouterr()
+        assert missing.out == "" and missing.err.startswith("error: cannot read /no/such/file.snf")
 
 
 class TestValidate:

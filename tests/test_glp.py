@@ -1,12 +1,14 @@
 """Constraint graph construction and the GLP deciders."""
 from __future__ import annotations
 
+from functools import cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_glp
-from snfglp.cyclotomic import cyc_sub, zeta
+from snfglp.cyclotomic import CycInt, cyc_add, cyc_sub, euler_phi, zeta
 from snfglp.glp import (
     DisconnectedSpec,
     Labeling,
@@ -22,8 +24,8 @@ from snfglp.glp import (
     fundamental_cycles,
     odd_cycle_scan,
 )
-from snfglp.construct import generate_counterexample, random_valid_spec
-from snfglp.model import SpecError, catalog, make_spec
+from snfglp.construct import generate_counterexample, generate_glp_example, random_valid_spec
+from snfglp.model import CATALOG_NAMES, SpecError, catalog, make_spec, vertices
 
 
 def two_cell_path(k: int):
@@ -295,6 +297,93 @@ class TestCheckLabeling:
                 spec, {i: (r + shift) % 5 for i, r in base.offsets.items()}
             )
             assert check_labeling(spec, shifted)
+
+
+def _reference_check_labeling(spec, labeling):
+    """check_labeling as it was: every vertex built as a CycInt and looked up by value."""
+    k = spec.k
+    for cell in spec.cells:
+        labs = []
+        for v in vertices(cell):
+            lab = labeling.labels.get(v)
+            if lab is None:
+                raise LabelingError(f"vertex of cell {cell.index} has no label")
+            labs.append(lab)
+        r = (labs[0] - 0) % k
+        if any((labs[j] - j) % k != r for j in range(k)):
+            return False
+    return True
+
+
+def _outcome(check, spec, labeling):
+    try:
+        return check(spec, labeling)
+    except LabelingError as exc:
+        return ("LabelingError", str(exc))
+
+
+_LABELING_SPECS = (
+    [lambda name=name: catalog(name) for name in CATALOG_NAMES]
+    + [lambda k=k: generate_glp_example(k) for k in (4, 9, 12)]
+    + [
+        lambda: generate_counterexample(9),
+        lambda: random_valid_spec(7, 12, 1),
+        lambda: random_valid_spec(8, 15, 2),
+    ]
+)
+
+
+@cache
+def _labeling_spec(i):
+    return _LABELING_SPECS[i]()
+
+
+def _alias(v, label):
+    """A point of another order whose canonical key is v's (when some order
+    shares phi(k)), else one of another order with v's key cut or padded."""
+    key = v.canonical_key()
+    same = [m for m in range(3, 37) if m != v.order and euler_phi(m) == len(key)]
+    m = same[label % len(same)] if same else (v.order % 36) + 1
+    coeffs = (key + (0,) * m)[:m]
+    return CycInt(m, coeffs)
+
+
+class TestCheckLabelingReference:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_value_based_reference(self, data):
+        base = _labeling_spec(data.draw(st.integers(0, len(_LABELING_SPECS) - 1)))
+        k = base.k
+        shift = CycInt(k, tuple(data.draw(
+            st.lists(st.integers(-2**20, 2**20), min_size=k, max_size=k))))
+        spec = make_spec(k, [cyc_add(c.barycenter, shift) for c in base.cells], base.partial)
+        verdict = decide_glp(spec)
+        if verdict.glp and data.draw(st.booleans()):
+            turn = data.draw(st.integers(0, k - 1))
+            offsets = [(verdict.labeling.offsets[i] + turn) % k for i in range(spec.n)]
+        else:
+            offsets = data.draw(st.lists(st.integers(0, k - 1), min_size=spec.n, max_size=spec.n))
+        labels = {}
+        for cell, r in zip(spec.cells, offsets):
+            for j, v in enumerate(vertices(cell)):
+                labels[v] = (j + r) % k
+        for op in data.draw(st.lists(
+                st.sampled_from(["swap", "drop", "alias", "replace"]), max_size=4)):
+            points = list(labels)
+            v = points[data.draw(st.integers(0, len(points) - 1))]
+            if op == "swap":
+                w = points[data.draw(st.integers(0, len(points) - 1))]
+                labels[v], labels[w] = labels[w], labels[v]
+            elif op == "drop" and v.order == k:
+                del labels[v]
+            elif op == "alias":
+                labels[_alias(v, data.draw(st.integers(0, k - 1)))] = data.draw(st.integers(0, k - 1))
+            elif op == "replace" and v.order == k:
+                lab = labels.pop(v)
+                labels[_alias(v, lab)] = lab
+        labeling = Labeling(k, dict(enumerate(offsets)), labels)
+        assert _outcome(check_labeling, spec, labeling) == _outcome(
+            _reference_check_labeling, spec, labeling)
 
 
 class TestBruteForceOracle:

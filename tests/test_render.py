@@ -1,12 +1,15 @@
 """SVG output: structure, counts, determinism."""
 from __future__ import annotations
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from snfglp.glp import decide_glp, decide_glp_even
-from snfglp.model import catalog
+from snfglp.construct import generate_counterexample, generate_glp_example
+from snfglp.cyclotomic import CycInt, zeta
+from snfglp.glp import Labeling, Verdict, decide_glp, decide_glp_even
+from snfglp.model import CATALOG_NAMES, catalog, parse, vertices
 from snfglp.render import RenderOptions, render_svg
 
 NS = "{http://www.w3.org/2000/svg}"
@@ -100,3 +103,104 @@ class TestDiscipline:
     def test_scale_validation(self):
         with pytest.raises(ValueError):
             RenderOptions(scale=0)
+
+
+ALL_LAYERS = RenderOptions(show_labels=True, show_classes=True, show_slices=True)
+
+
+def _verdict(spec):
+    """The even decider where it applies, for its two-class division."""
+    return decide_glp_even(spec) if spec.k % 2 == 0 else decide_glp(spec)
+
+
+def _with_labels(verdict, labels):
+    labeling = Labeling(verdict.labeling.k, verdict.labeling.offsets, labels)
+    return Verdict(glp=True, labeling=labeling, classes=verdict.classes)
+
+
+def _other_order_entry():
+    """The hexagon's labels plus, last, an order-3 point whose canonical key
+    equals that of an order-6 vertex, with a label the vertex does not carry."""
+    spec = catalog("sierpinski-hexagon")
+    verdict = _verdict(spec)
+    labels = dict(verdict.labeling.labels)
+    vertex = vertices(spec.cells[0])[0]
+    key = vertex.canonical_key()
+    alias = CycInt(3, key + (0,))
+    assert alias.canonical_key() == key
+    labels[alias] = (labels[vertex] + 1) % 6
+    return spec, _with_labels(verdict, labels)
+
+
+def _missing_label():
+    spec = catalog("vicsek-cross")
+    verdict = _verdict(spec)
+    labels = dict(verdict.labeling.labels)
+    del labels[vertices(spec.cells[2])[1]]
+    return spec, _with_labels(verdict, labels)
+
+
+def _pinned_cases():
+    for name in CATALOG_NAMES:
+        spec = catalog(name)
+        yield name, spec, _verdict(spec)
+    for k in (5, 9, 12, 32, 36):
+        spec = generate_glp_example(k)
+        yield f"glp-example-{k}", spec, _verdict(spec)
+    for k in (9, 12, 36):  # 5 is prime and 32 a power of two: no counterexample
+        spec = generate_counterexample(k)
+        yield f"counterexample-{k}", spec, _verdict(spec)
+    yield ("other-order-entry", *_other_order_entry())
+    yield ("missing-label", *_missing_label())
+
+
+# SHA-256 of render_svg(spec, verdict, ALL_LAYERS), computed with the renderer
+# that built every cell vertex as a CycInt and looked labels up by value.
+PINNED_SHA256 = {
+    "sierpinski-gasket": "1f96b5b588da2733d70895c0a6546be620bff5c814ddce81565c8e87e6c8b583",
+    "vicsek-cross": "b54221a140cb15fed2eea162a12e1bcc2898eb39f320cb29af091e8f048cd0c3",
+    "sierpinski-hexagon": "90872c9431e980b3a674c618bbb26944f36b6a40a94951d76ce0d97d4f8093c6",
+    "lindstrom-snowflake": "2bf4f3c333192cf0ce6e2da92af39052a0b0d03eb71ce68004891a199c454180",
+    "pentagon-ring": "6ab63bf4676dd5964e599ab22bcdb07a1b6737be839b7f9c26117ec4cb6206ac",
+    "glp-example-5": "6ab63bf4676dd5964e599ab22bcdb07a1b6737be839b7f9c26117ec4cb6206ac",
+    "glp-example-9": "d9c78bf687bfb1c5fef8981037b40b7b5963b22d1ecfa79d6ed7c3a76c3738f5",
+    "glp-example-12": "fce391e4575b6e35ef6ab127bfb0cb665d7e09a979c4539551f00cb78ecb3b73",
+    "glp-example-32": "d8fd61306ac5a3ef79eca11c59c37950af3aa0545eb268b67f24bdaf707b02a2",
+    "glp-example-36": "c2d6856ed5c1406ae7d67d391dc21b0a0efefb7204a6f1e120907558184fd589",
+    "counterexample-9": "c2e3b327598874ff085e5c048ae7d768cfcb75d47cfb727bcfa65382edb31e99",
+    "counterexample-12": "413592cf09af4d69c55e8096c9caf56b3f71bbc8045375b97ecb2698a9fe48fc",
+    "counterexample-36": "ff4b75a4607022926d26586ab19f2e72ba6039e1d53c53846d9be327f3362be4",
+    "other-order-entry": "90872c9431e980b3a674c618bbb26944f36b6a40a94951d76ce0d97d4f8093c6",
+    "missing-label": "fd86784bb4dd34de282c1c9b17b71efaa5c20b9f3a4fe166f91a347c31051975",
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("case", list(_pinned_cases()), ids=lambda case: case[0])
+    def test_sha256_unchanged(self, case):
+        name, spec, verdict = case
+        svg = render_svg(spec, verdict, ALL_LAYERS)
+        assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == PINNED_SHA256[name]
+
+    def test_other_order_entry_is_ignored(self):
+        spec, verdict = _other_order_entry()
+        assert render_svg(spec, verdict, ALL_LAYERS) == render_svg(spec, _verdict(spec), ALL_LAYERS)
+
+    def test_missing_label_drops_one_glyph(self):
+        spec, verdict = _missing_label()
+        full = parsed(render_svg(spec, _verdict(spec), RenderOptions(show_labels=True)))
+        missing = parsed(render_svg(spec, verdict, RenderOptions(show_labels=True)))
+        assert len(missing.findall(f"{NS}text")) == len(full.findall(f"{NS}text")) - 1
+
+
+class TestCoefficientLimit:
+    def test_cell_at_the_limit_renders(self):
+        # every vertex b + zeta^j has a coefficient 2^31 + 1, outside COEFF_LIMIT;
+        # 1 + zeta + zeta^2 = 0, so b = 0 and vertex j equals zeta^j
+        spec = parse("snf k=3 partial\ncell 2147483648 2147483648 2147483648\n")
+        labeling = Labeling(3, {0: 0}, {zeta(3, j): j for j in range(3)})
+        svg = render_svg(spec, Verdict(glp=True, labeling=labeling), ALL_LAYERS)
+        root = parsed(svg)
+        assert len(root.findall(f"{NS}polygon")) == 1
+        assert len(root.findall(f"{NS}circle")) == 3
+        assert sorted(t.text for t in root.findall(f"{NS}text")) == ["A", "B", "C"]
