@@ -412,6 +412,6 @@ def to_cartesian(a: CycInt) -> tuple[float, float]:
     `construct._CellIndex`), the `model._close_pairs` adjacency prefilter,
     the corner search (`model._find_corner`) and the growth radius in
     `construct.random_valid_spec`.  No error bound certifies those answers
-    for large coefficients yet (ROADMAP item 2).
+    for large coefficients yet (ROADMAP item 1).
     """
     return _cartesian(a.order, a.coeffs)

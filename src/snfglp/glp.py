@@ -12,11 +12,15 @@ Deciders provided:
   * decide_glp_even  -- bipartiteness of the adjacency graph (even k).
   * decide_glp_odd   -- rotation-count criterion k | (c - d) (odd k).
   * glp_via_slices   -- reduction to one or two angular slices.
+
+The three forest deciders share one kernel and differ only in the edge
+map (Z_k weight, parity, or +-1 rotation class); the odd decider derives
+its offsets from the rotation counts.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,6 +36,8 @@ from .model import (
     Cell,
     FractalSpec,
     SpecError,
+    _forest,
+    _rotation_class,
     _scaled_positions,
     find_adjacencies,
     vertices,
@@ -138,42 +144,13 @@ def build_constraint_graph(spec: FractalSpec) -> ConstraintGraph:
     vertices are validate's concern.
     """
     edges = _nested_adjacencies(spec)
-    n = spec.n
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
-    for idx, e in enumerate(edges):
-        adj[e.a].append((e.b, idx))
-        adj[e.b].append((e.a, idx))
-    for lst in adj.values():
-        lst.sort()
-
-    parent = [-1] * n
-    parent_edge = [-1] * n
-    depth = [0] * n
-    component = [-1] * n
-    tree_idx: set[int] = set()
-    comp = 0
-    for root in range(n):
-        if component[root] != -1:
-            continue
-        component[root] = comp
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, idx in adj[u]:
-                if component[v] == -1:
-                    component[v] = comp
-                    parent[v] = u
-                    parent_edge[v] = idx
-                    depth[v] = depth[u] + 1
-                    tree_idx.add(idx)
-                    queue.append(v)
-        comp += 1
-
+    component, parent, parent_edge, depth = _forest(spec.n, edges)
+    tree_idx = set(parent_edge)
     tree = tuple(e for i, e in enumerate(edges) if i in tree_idx)
     nontree = tuple(e for i, e in enumerate(edges) if i not in tree_idx)
     return ConstraintGraph(
         k=spec.k,
-        n=n,
+        n=spec.n,
         edges=tuple(edges),
         tree=tree,
         nontree=nontree,
@@ -182,21 +159,6 @@ def build_constraint_graph(spec: FractalSpec) -> ConstraintGraph:
         parent_edge=tuple(parent_edge),
         depth=tuple(depth),
     )
-
-
-def _propagate_offsets(graph: ConstraintGraph) -> list[int]:
-    """Offsets from forest propagation; each component root gets 0."""
-    r = [0] * graph.n
-    order = sorted(range(graph.n), key=lambda v: graph.depth[v])
-    for v in order:
-        u = graph.parent[v]
-        if u == -1:
-            r[v] = 0
-            continue
-        e = graph.edges[graph.parent_edge[v]]
-        w = edge_weight(e, graph.k)
-        r[v] = (r[u] + w) % graph.k if (e.a, e.b) == (u, v) else (r[u] - w) % graph.k
-    return r
 
 
 def _tree_cycle(graph: ConstraintGraph, u: int, v: int) -> tuple[int, ...]:
@@ -254,20 +216,42 @@ def _require_connected(spec: FractalSpec, graph: ConstraintGraph) -> None:
         )
 
 
+def _forest_sums(
+    spec: FractalSpec, m: int, edge_map: Callable[[Adjacency], int]
+) -> tuple[list[int], tuple[int, ...] | None]:
+    """Per-cell sums in Z_m of the mapped edge steps down the spanning forest.
+
+    Every edge a -> b is mapped first, in edge order.  Also returns the
+    fundamental cycle of the first edge the sums contradict, or None; tree
+    edges agree by construction, so that edge is a non-tree edge.
+    """
+    graph = build_constraint_graph(spec)
+    _require_connected(spec, graph)
+    steps = [edge_map(e) for e in graph.edges]
+    sums = [0] * graph.n
+    for v in sorted(range(graph.n), key=graph.depth.__getitem__):
+        u = graph.parent[v]
+        if u != -1:
+            idx = graph.parent_edge[v]
+            step = steps[idx] if graph.edges[idx].a == u else -steps[idx]
+            sums[v] = (sums[u] + step) % m
+    for e, step in zip(graph.edges, steps):
+        if (sums[e.a] + step - sums[e.b]) % m:
+            return sums, _tree_cycle(graph, e.a, e.b)
+    return sums, None
+
+
 def decide_glp(spec: FractalSpec) -> Verdict:
     """General decider: propagate offsets over the forest, check non-tree edges.
 
     Partial specs may be disconnected; each component is labeled
     independently with its root offset normalized to 0.
     """
-    graph = build_constraint_graph(spec)
-    _require_connected(spec, graph)
-    r = _propagate_offsets(graph)
     k = spec.k
-    for e in graph.nontree:
-        if r[e.b] != (r[e.a] + edge_weight(e, k)) % k:
-            return Verdict(glp=False, witness=_tree_cycle(graph, e.a, e.b))
-    offsets = {i: r[i] for i in range(graph.n)}
+    r, witness = _forest_sums(spec, k, lambda e: edge_weight(e, k))
+    if witness is not None:
+        return Verdict(glp=False, witness=witness)
+    offsets = dict(enumerate(r))
     return Verdict(glp=True, labeling=make_labeling(spec, offsets))
 
 
@@ -278,23 +262,21 @@ def decide_glp_even(spec: FractalSpec) -> Verdict:
     length is odd.  On success the verdict carries the two classes
     (1 and 2) and the offsets 0 / k/2 they induce.
     """
-    if spec.k % 2 != 0:
-        raise ValueError("decide_glp_even requires even k")
-    graph = build_constraint_graph(spec)
-    _require_connected(spec, graph)
     k = spec.k
-    for e in graph.edges:
+    if k % 2 != 0:
+        raise ValueError("decide_glp_even requires even k")
+
+    def parity(e: Adjacency) -> int:
         if edge_weight(e, k) != k // 2:
-            raise SpecError(
-                f"edge ({e.a}, {e.b}) has weight {edge_weight(e, k)}; "
-                "even-k adjacency must have weight k/2"
-            )
-    color = [d % 2 for d in graph.depth]
-    for e in graph.nontree:
-        if color[e.a] == color[e.b]:
-            return Verdict(glp=False, witness=_tree_cycle(graph, e.a, e.b))
-    offsets = {i: color[i] * (k // 2) for i in range(graph.n)}
-    classes = {i: color[i] + 1 for i in range(graph.n)}
+            raise SpecError(f"edge ({e.a}, {e.b}) has weight {edge_weight(e, k)}; "
+                            "even-k adjacency must have weight k/2")
+        return 1
+
+    color, witness = _forest_sums(spec, 2, parity)
+    if witness is not None:
+        return Verdict(glp=False, witness=witness)
+    offsets = {i: c * (k // 2) for i, c in enumerate(color)}
+    classes = {i: c + 1 for i, c in enumerate(color)}
     return Verdict(glp=True, labeling=make_labeling(spec, offsets), classes=classes)
 
 
@@ -304,40 +286,25 @@ def decide_glp_odd(spec: FractalSpec) -> Verdict:
     Traversing an edge a -> b rotates the cell by angle pi*(k+1)/k
     (class +1, shared indices j_b - j_a = (k+1)/2) or pi*(k-1)/k
     (class -1, j_b - j_a = (k-1)/2); c and d count the two classes
-    around a cycle.
+    around a cycle.  A weight is -(k+1)/2 (the inverse of -2 mod k) times
+    the class, so the offsets are -(k+1)/2 times the forest sums of c - d.
     """
     k = spec.k
     if k % 2 != 1:
         raise ValueError("decide_glp_odd requires odd k")
-    graph = build_constraint_graph(spec)
-    _require_connected(spec, graph)
-    plus = (k + 1) // 2
 
-    def edge_class(e: Adjacency) -> int:
-        d = (e.jb - e.ja) % k
-        if d == plus:
-            return 1
-        if d == plus - 1:
-            return -1
-        raise SpecError(
-            f"edge ({e.a}, {e.b}) has shared-index difference {d}; "
-            "odd-k adjacency must rotate by (k+-1)/k * pi"
-        )
+    def rotation_class(e: Adjacency) -> int:
+        cls = _rotation_class(e, k)
+        if cls is None:
+            raise SpecError(f"edge ({e.a}, {e.b}) has shared-index difference "
+                            f"{(e.jb - e.ja) % k}; odd-k adjacency must rotate by (k+-1)/k * pi")
+        return cls
 
-    rho = [0] * graph.n
-    for v in sorted(range(graph.n), key=lambda v: graph.depth[v]):
-        u = graph.parent[v]
-        if u == -1:
-            continue
-        e = graph.edges[graph.parent_edge[v]]
-        cls = edge_class(e)
-        rho[v] = rho[u] + (cls if (e.a, e.b) == (u, v) else -cls)
-    for e in graph.nontree:
-        c_minus_d = rho[e.b] - rho[e.a] - edge_class(e)
-        if c_minus_d % k != 0:
-            return Verdict(glp=False, witness=_tree_cycle(graph, e.a, e.b))
-    r = _propagate_offsets(graph)
-    return Verdict(glp=True, labeling=make_labeling(spec, {i: r[i] for i in range(graph.n)}))
+    rho, witness = _forest_sums(spec, k, rotation_class)
+    if witness is not None:
+        return Verdict(glp=False, witness=witness)
+    offsets = {i: -((k + 1) // 2) * c % k for i, c in enumerate(rho)}
+    return Verdict(glp=True, labeling=make_labeling(spec, offsets))
 
 
 @dataclass(frozen=True)
@@ -543,8 +510,9 @@ def glp_via_slices(spec: FractalSpec) -> Verdict:
         cyc = _central_cycle(spec, central[0])
         if cyc is not None:
             return Verdict(glp=False, witness=cyc)
-        fallback = decide_glp(spec)  # defensive; a valid spec always has the 3-cycle
-        return fallback
+        # reachable: a spec validate rejects, e.g. the lone central cell of
+        # `snf k=6` / `cell 0 0 0 0 0 0`, has no 3-cycle and no slice cells
+        return decide_glp(spec)
     if k in (3, 4, 5):
         return decide_glp(spec)
     if k % 2 == 0:

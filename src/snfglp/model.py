@@ -10,6 +10,7 @@ scaling factor, and round-trips a plain text file format.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import sub
@@ -269,26 +270,55 @@ def _adjacencies(
     return edges, violation
 
 
-def _components(n: int, edges: list[Adjacency]) -> list[int]:
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for e in edges:
-        adj[e.a].append(e.b)
-        adj[e.b].append(e.a)
-    comp = [-1] * n
-    current = 0
-    for start in range(n):
-        if comp[start] != -1:
+def _forest(
+    n: int, edges: list[Adjacency]
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Breadth-first spanning forest as (component, parent, parent_edge, depth).
+
+    Each component is rooted at its lowest-index cell; parent and
+    parent_edge (an index into edges) are -1 at the roots.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for idx, e in enumerate(edges):
+        adj[e.a].append((e.b, idx))
+        adj[e.b].append((e.a, idx))
+    for lst in adj:
+        lst.sort()
+    component = [-1] * n
+    parent = [-1] * n
+    parent_edge = [-1] * n
+    depth = [0] * n
+    comp = 0
+    for root in range(n):
+        if component[root] != -1:
             continue
-        stack = [start]
-        comp[start] = current
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if comp[v] == -1:
-                    comp[v] = current
-                    stack.append(v)
-        current += 1
-    return comp
+        component[root] = comp
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v, idx in adj[u]:
+                if component[v] == -1:
+                    component[v] = comp
+                    parent[v] = u
+                    parent_edge[v] = idx
+                    depth[v] = depth[u] + 1
+                    queue.append(v)
+        comp += 1
+    return component, parent, parent_edge, depth
+
+
+def _rotation_class(e: Adjacency, k: int) -> int | None:
+    """Odd k: the rotation class of crossing edge a -> b, or None if illegal.
+
+    +1 rotates by pi*(k+1)/k (j_b - j_a = (k+1)/2), -1 by pi*(k-1)/k
+    (j_b - j_a = (k-1)/2).
+    """
+    d = (e.jb - e.ja) % k
+    if d == (k + 1) // 2:
+        return 1
+    if d == (k - 1) // 2:
+        return -1
+    return None
 
 
 def _find_corner(spec: FractalSpec, positions: list[CycInt]) -> int | None:
@@ -396,8 +426,7 @@ def validate(spec: FractalSpec) -> ValidationReport:
                 break
     nesting_ok = nesting_witness is None
 
-    comp = _components(n, edges)
-    component_count = max(comp) + 1
+    component_count = max(_forest(n, edges)[0]) + 1
     connectivity_ok = component_count == 1
 
     positions = _scaled_positions(spec)
@@ -444,9 +473,8 @@ def validate(spec: FractalSpec) -> ValidationReport:
     odd_adjacency_ok = True
     odd_adjacency_witness: tuple[int, int] | None = None
     if k % 2 == 1:
-        legal = {(k + 1) // 2, (k - 1) // 2}
         for e in edges:
-            if (e.jb - e.ja) % k not in legal:
+            if _rotation_class(e, k) is None:
                 odd_adjacency_ok = False
                 odd_adjacency_witness = (e.a, e.b)
                 break

@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, exit codes, stream formats."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import snfglp
 from snfglp.cli import _build_parser, run
 from snfglp.model import catalog, parse, serialize
 
@@ -47,6 +52,12 @@ class TestDecide:
 
     def test_missing_file(self, capsys):
         assert run(["decide", "/no/such/file.snf"]) == 2
+
+    def test_slices_k6_lone_central_cell(self, tmp_path, capsys):
+        path = tmp_path / "center.snf"
+        path.write_text("snf k=6\ncell 0 0 0 0 0 0\n")
+        assert run(["decide", str(path), "--method", "slices"]) == 0
+        assert capsys.readouterr().out == "GLP\noffset 0 0\n"
 
     def test_bad_flag(self, hexagon_file):
         assert run(["decide", hexagon_file, "--method", "psychic"]) == 3
@@ -169,3 +180,17 @@ class TestGenerators:
         assert capsys.readouterr().out.strip() == "AlwaysGLP(prime)"
         assert run(["classify", "--k", "9"]) == 0
         assert capsys.readouterr().out.strip() == "Conditional"
+
+
+class TestModuleEntry:
+    def test_python_dash_m(self):
+        src = str(Path(snfglp.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "snfglp", "classify", "--k", "8"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "AlwaysGLP(power_of_two)"

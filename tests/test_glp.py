@@ -25,7 +25,7 @@ from snfglp.glp import (
     odd_cycle_scan,
 )
 from snfglp.construct import generate_counterexample, generate_glp_example, random_valid_spec
-from snfglp.model import CATALOG_NAMES, SpecError, catalog, make_spec, vertices
+from snfglp.model import CATALOG_NAMES, SpecError, catalog, make_spec, validate, vertices
 
 
 def two_cell_path(k: int):
@@ -223,6 +223,21 @@ class TestOddDecider:
         with pytest.raises(ValueError):
             decide_glp_odd(catalog("sierpinski-hexagon"))
 
+    def test_first_illegal_edge_is_validates_witness(self):
+        # every edge is classified before any cycle is checked, so the error
+        # names validate's witness even though the cycle 1 0 3 also fails
+        spec = make_spec(9, [
+            (0, -1, 0, 2, 0, 0, 1, -2, 0),
+            (0, 0, 0, 1, 0, 0, 0, -1, 0),
+            (1, -1, 0, 1, 0, -1, 1, -1, 0),
+            (0, -1, 0, 1, 0, 0, 1, -1, 0),
+            (0,) * 9,
+            (0, -1, 0, 1, 0, 0, 1, -2, 1),
+        ], partial=True)
+        assert validate(spec).odd_adjacency_witness == (2, 4)
+        with pytest.raises(SpecError, match=r"edge \(2, 4\)"):
+            decide_glp_odd(spec)
+
 
 class TestClassify:
     @pytest.mark.parametrize("k,reason", [(3, "prime"), (5, "prime"), (7, "prime"),
@@ -414,14 +429,22 @@ class TestDeciderEquivalence:
     def test_even_matches_general(self, seed, cells):
         for k in (6, 8):
             spec = random_valid_spec(k, cells, seed)
-            assert decide_glp(spec).glp == decide_glp_even(spec).glp
+            general, even = decide_glp(spec), decide_glp_even(spec)
+            assert even.serialize() == general.serialize()
+            if general.glp:
+                offsets = general.labeling.offsets
+                assert even.labeling.offsets == offsets
+                assert even.classes == {i: r // (k // 2) + 1 for i, r in offsets.items()}
 
     @given(st.integers(0, 10_000), st.integers(2, 30))
     @settings(max_examples=30, deadline=None)
     def test_odd_matches_general(self, seed, cells):
         for k in (5, 9):
             spec = random_valid_spec(k, cells, seed)
-            assert decide_glp(spec).glp == decide_glp_odd(spec).glp
+            general, odd = decide_glp(spec), decide_glp_odd(spec)
+            assert odd.serialize() == general.serialize()
+            if general.glp:
+                assert odd.labeling.offsets == general.labeling.offsets
 
     @given(st.integers(3, 10), st.integers(4, 25), st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)

@@ -130,6 +130,14 @@ class TestViaSlices:
                 assert validate(spec).valid
                 assert glp_via_slices(spec).glp == decide_glp(spec).glp, (k, seed)
 
+    def test_k6_lone_central_cell_falls_back_to_general(self):
+        # validate rejects it (no corner), but glp_via_slices must still
+        # answer: it has no central 3-cycle and its slices hold no cells
+        spec = make_spec(6, [(0,) * 6])
+        assert not validate(spec).valid
+        assert glp_via_slices(spec).serialize() == "GLP\noffset 0 0\n"
+        assert glp_via_slices(spec).serialize() == decide_glp(spec).serialize()
+
     def test_k6_central_spec_no_by_both_paths(self):
         spec = catalog("lindstrom-snowflake")
         assert not decide_glp(spec).glp
