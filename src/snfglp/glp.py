@@ -16,11 +16,15 @@ Deciders provided:
 The three forest deciders share one kernel and differ only in the edge
 map (Z_k weight, parity, or +-1 rotation class); the odd decider derives
 its offsets from the rotation counts.
+
+A labeling is fixed by its offsets.  `make_labeling` checks the vertex
+labels for consistency and stores them by canonical key (the key CycInt
+equality uses); vertex values are built only when the labels are iterated.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,6 +33,7 @@ from .cyclotomic import (
     cyc_is_zero,
     cyc_reflect_key,
     cyc_unit_translate_keys,
+    cyc_unit_translates,
     to_cartesian,
 )
 from .model import (
@@ -40,7 +45,6 @@ from .model import (
     _rotation_class,
     _scaled_positions,
     find_adjacencies,
-    vertices,
 )
 
 
@@ -80,9 +84,54 @@ class ConstraintGraph:
 
 @dataclass(frozen=True)
 class Labeling:
+    """Per-cell offsets and the vertex labels they induce.
+
+    `labels` may be a plain dict.  From `make_labeling` it is a read-only
+    mapping stored by canonical key: lookups build nothing, and iterating
+    it builds the vertex values, so on a spec with a coefficient of
+    +-2^31 iteration raises CoefficientOverflow (ROADMAP item 2).
+    """
+
     k: int
     offsets: dict[int, int]
-    labels: dict[CycInt, int]
+    labels: Mapping[CycInt, int]
+
+
+class _VertexLabels(Mapping[CycInt, int]):
+    """Labels of the vertices of `cells`, stored by canonical key.
+
+    An order-k CycInt is looked up by its key; iteration builds each vertex
+    value when first seen in cell order, which is the order `make_labeling`
+    stored them in.  Nothing is cached, so the mapping can be shared
+    across threads.
+    """
+
+    __slots__ = ("_k", "_cells", "_by_key")
+
+    def __init__(self, k: int, cells: tuple[Cell, ...], by_key: dict[tuple[int, ...], int]):
+        self._k = k
+        self._cells = cells
+        self._by_key = by_key
+
+    def __getitem__(self, v: CycInt) -> int:
+        if isinstance(v, CycInt) and v.order == self._k:
+            return self._by_key[v.canonical_key()]
+        raise KeyError(v)
+
+    def __len__(self) -> int:
+        return len(self._by_key)
+
+    def __iter__(self) -> Iterator[CycInt]:
+        seen: set[tuple[int, ...]] = set()
+        for cell in self._cells:
+            for v in cyc_unit_translates(cell.barycenter):
+                key = v.canonical_key()
+                if key not in seen:
+                    seen.add(key)
+                    yield v
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 @dataclass(frozen=True)
@@ -196,17 +245,20 @@ def cycle_weight(spec: FractalSpec, cycle: tuple[int, ...]) -> int:
 
 
 def make_labeling(spec: FractalSpec, offsets: dict[int, int]) -> Labeling:
-    """Vertex labels induced by per-cell offsets: vertex j gets (j + r) mod k."""
-    labels: dict[CycInt, int] = {}
+    """Vertex labels induced by per-cell offsets: vertex j gets (j + r) mod k.
+
+    Vertices are told apart by their keys key(b) + row_j, so no vertex
+    value is built here.
+    """
+    k = spec.k
+    by_key: dict[tuple[int, ...], int] = {}
     for cell in spec.cells:
         r = offsets[cell.index]
-        for j, v in enumerate(vertices(cell)):
-            lab = (j + r) % spec.k
-            prev = labels.get(v)
-            if prev is not None and prev != lab:
+        for j, key in enumerate(cyc_unit_translate_keys(cell.barycenter)):
+            lab = (j + r) % k
+            if by_key.setdefault(key, lab) != lab:
                 raise SpecError(f"offsets disagree at a shared vertex of cell {cell.index}")
-            labels[v] = lab
-    return Labeling(spec.k, dict(offsets), labels)
+    return Labeling(k, dict(offsets), _VertexLabels(k, spec.cells, by_key))
 
 
 def _require_connected(spec: FractalSpec, graph: ConstraintGraph) -> None:
@@ -468,7 +520,7 @@ def _remap_verdict(sub: Verdict, mapping: tuple[int, ...]) -> Verdict:
     if sub.glp:
         assert sub.labeling is not None
         offsets = {mapping[i]: r for i, r in sub.labeling.offsets.items()}
-        labeling = Labeling(sub.labeling.k, offsets, dict(sub.labeling.labels))
+        labeling = Labeling(sub.labeling.k, offsets, sub.labeling.labels)
         classes = (
             {mapping[i]: c for i, c in sub.classes.items()} if sub.classes else None
         )
@@ -477,10 +529,9 @@ def _remap_verdict(sub: Verdict, mapping: tuple[int, ...]) -> Verdict:
     return Verdict(glp=False, witness=tuple(mapping[i] for i in sub.witness))
 
 
-def _central_cycle(spec: FractalSpec, central: int) -> tuple[int, ...] | None:
+def _central_cycle(n: int, edges: list[Adjacency], central: int) -> tuple[int, ...] | None:
     """A 3-cycle through the central cell and two mutually adjacent neighbors."""
-    edges, _ = find_adjacencies(spec)
-    neighbor_sets: dict[int, set[int]] = {i: set() for i in range(spec.n)}
+    neighbor_sets: dict[int, set[int]] = {i: set() for i in range(n)}
     for e in edges:
         neighbor_sets[e.a].add(e.b)
         neighbor_sets[e.b].add(e.a)
@@ -504,10 +555,12 @@ def glp_via_slices(spec: FractalSpec) -> Verdict:
     if spec.partial:
         raise ValueError("glp_via_slices requires a non-partial spec")
     k = spec.k
+    # a slice verdict says nothing about nesting outside the slice
+    edges = _nested_adjacencies(spec)
     sectors = _sectors(spec)
     central = [idx for idx, s in enumerate(sectors[0]) if s is None]
     if k == 6 and central:
-        cyc = _central_cycle(spec, central[0])
+        cyc = _central_cycle(spec.n, edges, central[0])
         if cyc is not None:
             return Verdict(glp=False, witness=cyc)
         # reachable: a spec validate rejects, e.g. the lone central cell of
@@ -527,9 +580,13 @@ def _labels_by_key(labeling: Labeling, k: int) -> dict[tuple[int, ...], int]:
 
     A CycInt equals a vertex of order k exactly when it has order k and
     the vertex's key, so a lookup here answers `labeling.labels.get(v)`
-    from the key of v without building v.
+    from the key of v without building v.  Labels from `make_labeling`
+    are stored that way already.
     """
-    return {v.canonical_key(): lab for v, lab in labeling.labels.items() if v.order == k}
+    labels = labeling.labels
+    if isinstance(labels, _VertexLabels) and labels._k == k:
+        return labels._by_key
+    return {v.canonical_key(): lab for v, lab in labels.items() if v.order == k}
 
 
 def check_labeling(spec: FractalSpec, labeling: Labeling) -> bool:

@@ -442,13 +442,10 @@ def validate(spec: FractalSpec) -> ValidationReport:
         if rotated != keys:
             symmetry_ok = False
             symmetry_witness = ("rotation", 1)
-        else:
-            for m in range(k):
-                reflected = sorted(cyc_reflect_key(p, m) for p in positions)
-                if reflected != keys:
-                    symmetry_ok = False
-                    symmetry_witness = ("reflection", m)
-                    break
+        # on a zeta-invariant set reflection m is zeta^m after reflection 0
+        elif sorted(cyc_reflect_key(p, 0) for p in positions) != keys:
+            symmetry_ok = False
+            symmetry_witness = ("reflection", 0)
 
         key_set = set(keys)
         corner = _find_corner(spec, positions)

@@ -59,6 +59,23 @@ class TestDecide:
         assert run(["decide", str(path), "--method", "slices"]) == 0
         assert capsys.readouterr().out == "GLP\noffset 0 0\n"
 
+    def test_slices_checks_nesting_of_whole_spec(self, tmp_path, capsys):
+        # cells 0 and 1 share an edge; the slice holding neither hides it
+        path = tmp_path / "nested.snf"
+        path.write_text("snf k=6\ncell 0 0 0 0 0 0\ncell 0 0 0 0 -1 1\ncell 0 0 -1 0 0 1\n")
+        for method in ("general", "slices"):
+            assert run(["decide", str(path), "--method", method]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "cells (0, 1) violate nesting" in captured.err
+
+    def test_extreme_coefficient(self, tmp_path, capsys):
+        # the vertices b + zeta^j leave the coefficient range; labels are keyed, not built
+        path = tmp_path / "big.snf"
+        path.write_text("snf k=3 partial\ncell 2147483648 2147483648 2147483648\n")
+        assert run(["decide", str(path)]) == 0
+        assert capsys.readouterr().out == "GLP\noffset 0 0\n"
+
     def test_bad_flag(self, hexagon_file):
         assert run(["decide", hexagon_file, "--method", "psychic"]) == 3
 
@@ -112,6 +129,14 @@ class TestLabel:
         root = ET.parse(out_svg).getroot()
         assert root.tag.endswith("svg")
         assert capsys.readouterr().out.splitlines()[0] == "GLP"
+
+    def test_extreme_coefficient(self, tmp_path, capsys):
+        path = tmp_path / "big.snf"
+        path.write_text("snf k=3 partial\ncell 2147483648 2147483648 2147483648\n")
+        svg = tmp_path / "big.svg"
+        assert run(["label", str(path), "--svg", str(svg)]) == 0
+        assert capsys.readouterr().out == "GLP\noffset 0 0\n"
+        assert len(ET.parse(svg).getroot().findall(".//{*}polygon")) == 1
 
     def test_noglp_still_renders(self, snowflake_file, tmp_path):
         out_svg = str(tmp_path / "snow.svg")

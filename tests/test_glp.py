@@ -1,6 +1,9 @@
 """Constraint graph construction and the GLP deciders."""
 from __future__ import annotations
 
+import os
+import sys
+import threading
 from functools import cache
 
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_glp
-from snfglp.cyclotomic import CycInt, cyc_add, cyc_sub, euler_phi, zeta
+from snfglp.cyclotomic import CycInt, cyc_add, cyc_sub, cyclotomic_polynomial, euler_phi, zeta
 from snfglp.glp import (
     DisconnectedSpec,
     Labeling,
@@ -22,6 +25,8 @@ from snfglp.glp import (
     decide_glp_odd,
     edge_weight,
     fundamental_cycles,
+    glp_via_slices,
+    make_labeling,
     odd_cycle_scan,
 )
 from snfglp.construct import generate_counterexample, generate_glp_example, random_valid_spec
@@ -399,6 +404,137 @@ class TestCheckLabelingReference:
         labeling = Labeling(k, dict(enumerate(offsets)), labels)
         assert _outcome(check_labeling, spec, labeling) == _outcome(
             _reference_check_labeling, spec, labeling)
+
+
+def _reference_labels(spec, offsets):
+    """make_labeling's labels as they were: every vertex of the cells that
+    `offsets` names, in index order, built as a CycInt and keyed by value."""
+    k = spec.k
+    labels = {}
+    for i in sorted(offsets):
+        for j, v in enumerate(vertices(spec.cells[i])):
+            lab = (j + offsets[i]) % k
+            prev = labels.get(v)
+            if prev is not None and prev != lab:
+                raise SpecError(f"offsets disagree at a shared vertex of cell {i}")
+            labels[v] = lab
+    return labels
+
+
+def _labels_outcome(build, spec, offsets):
+    """Entries of the built labels with their coefficients, in order, or the SpecError."""
+    try:
+        labels = build(spec, offsets)
+    except SpecError as exc:
+        return ("SpecError", str(exc))
+    return [(v.order, v.coeffs, lab) for v, lab in labels.items()]
+
+
+@st.composite
+def keyed_label_cases(draw):
+    """A catalog, generated or grown spec with one decider that applies to it."""
+    kind = draw(st.sampled_from(["catalog", "example", "counterexample", "grown"]))
+    if kind == "catalog":
+        spec = catalog(draw(st.sampled_from(CATALOG_NAMES)))
+    elif kind == "example":
+        spec = generate_glp_example(draw(st.integers(3, 12)))
+    elif kind == "counterexample":
+        spec = generate_counterexample(draw(st.sampled_from([6, 9, 10, 12, 15])))
+    else:
+        symmetrize = draw(st.booleans())
+        k = draw(st.integers(3, 12))
+        spec = random_valid_spec(k, draw(st.integers(2, 40)), draw(st.integers(0, 10_000)),
+                                 symmetrize=symmetrize)
+    deciders = [decide_glp, decide_glp_even if spec.k % 2 == 0 else decide_glp_odd]
+    if not spec.partial:
+        deciders.append(glp_via_slices)
+    return spec, draw(st.sampled_from(deciders))
+
+
+class TestKeyedLabels:
+    @given(keyed_label_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_value_based_reference(self, case, data):
+        spec, decider = case
+        k = spec.k
+        verdict = decider(spec)
+        if verdict.glp:
+            labeling = verdict.labeling
+        else:
+            offsets = data.draw(st.lists(st.integers(0, k - 1), min_size=spec.n, max_size=spec.n))
+            try:
+                labeling = make_labeling(spec, dict(enumerate(offsets)))
+            except SpecError:
+                labeling = None
+        if labeling is not None:
+            labels = labeling.labels
+            ref = _reference_labels(spec, labeling.offsets)
+            assert dict(labels) == ref
+            assert [(v.coeffs, lab) for v, lab in labels.items()] == [
+                (v.coeffs, lab) for v, lab in ref.items()]
+            assert len(labels) == len(ref)
+            assert labeling == Labeling(k, dict(labeling.offsets), ref)
+            assert Labeling(k, dict(labeling.offsets), ref) == labeling
+
+            v = list(ref)[data.draw(st.integers(0, len(ref) - 1))]
+            # the same point written with other coefficients: add a nonzero
+            # multiple of Phi_k (zero at zeta_k), folded into k entries
+            m = data.draw(st.integers(-9, 9).filter(bool))
+            fold = cyclotomic_polynomial(k).coeffs + (0,) * k
+            other = CycInt(k, tuple(c + m * f for c, f in zip(v.coeffs, fold)))
+            assert other.coeffs != v.coeffs and other == v
+            assert labels[other] == labels.get(other) == ref[v] and other in labels
+
+            far = CycInt(k, (10**6,) + (0,) * (k - 1))
+            alias = _alias(v, ref[v])
+            for miss in (far, alias, v.canonical_key(), v.coeffs, "vertex", None):
+                assert labels.get(miss) is None and ref.get(miss) is None
+                assert miss not in labels
+            with pytest.raises(KeyError):
+                labels[alias]
+
+        # the consistency check: decider offsets with one cell's offset changed, or any offsets
+        if verdict.glp and len(verdict.labeling.offsets) == spec.n:
+            offsets = dict(verdict.labeling.offsets)
+        else:
+            offsets = dict(enumerate(
+                data.draw(st.lists(st.integers(0, k - 1), min_size=spec.n, max_size=spec.n))))
+        offsets[data.draw(st.integers(0, spec.n - 1))] = data.draw(st.integers(0, k - 1))
+        assert _labels_outcome(lambda s, o: make_labeling(s, o).labels, spec, offsets) == (
+            _labels_outcome(_reference_labels, spec, offsets))
+
+
+    def test_threads_share_one_labeling(self):
+        # more threads than cores and a short switch interval: iteration and
+        # lookups of one shared mapping must agree in every thread
+        spec = generate_glp_example(12)
+        labeling = glp_via_slices(spec).labeling
+        labels = labeling.labels
+        want = [(v.coeffs, lab) for v, lab in _reference_labels(spec, labeling.offsets).items()]
+        n_threads = (os.cpu_count() or 1) + 3
+        barrier = threading.Barrier(n_threads)
+        seen: list[bool | None] = [None] * n_threads
+
+        def work(slot: int) -> None:
+            barrier.wait(timeout=30)
+            ok = True
+            for _ in range(20):
+                items = [(v.coeffs, labels[v]) for v in labels]
+                ok = ok and items == want and len(labels) == len(want)
+            seen[slot] = ok
+
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [True] * n_threads
 
 
 class TestBruteForceOracle:

@@ -11,9 +11,13 @@ from snfglp.cyclotomic import (
     COEFF_LIMIT,
     CoefficientOverflow,
     cyc_add,
+    cyc_conj,
     cyc_eq,
     cyc_is_zero,
     cyc_neg,
+    cyc_reflect_key,
+    cyc_rotate,
+    cyc_rotate_key,
     cyc_scale,
     cyc_sub,
     from_coeffs,
@@ -437,6 +441,63 @@ class TestVertexAtCenter:
         assert found == per_j_vertex_at_center(spec)
         if hit:
             assert found is not None
+
+
+def all_reflections_symmetry(spec) -> tuple[bool, tuple[str, int] | None]:
+    """Reference: the symmetry verdict of a non-partial spec, testing all k reflections."""
+    positions = _scaled_positions(spec)
+    keys = sorted(p.canonical_key() for p in positions)
+    if sorted(cyc_rotate_key(p, 1) for p in positions) != keys:
+        return False, ("rotation", 1)
+    for m in range(spec.k):
+        if sorted(cyc_reflect_key(p, m) for p in positions) != keys:
+            return False, ("reflection", m)
+    return True, None
+
+
+@st.composite
+def symmetry_specs(draw):
+    """Non-partial copies of generated and grown specs; some lose a cell or
+    gain a rotation orbit, with or without its mirror image."""
+    from snfglp.construct import generate_counterexample, generate_glp_example, random_valid_spec
+
+    k = draw(st.integers(3, 12))
+    kind = draw(st.sampled_from(["example", "counterexample", "plain", "symmetrized"]))
+    if kind == "example" or (kind == "counterexample" and k in (3, 4, 5, 7, 8, 11)):
+        base = generate_glp_example(k)
+    elif kind == "counterexample":
+        base = generate_counterexample(k)
+    else:
+        seed = draw(st.integers(0, 10_000))
+        base = random_valid_spec(k, draw(st.integers(2, 30)), seed, symmetrize=kind == "symmetrized")
+    cells = [c.barycenter for c in base.cells]
+    change = draw(st.sampled_from(["none", "drop", "chiral", "mirrored"]))
+    if change == "drop" and len(cells) > 1:
+        del cells[draw(st.integers(0, len(cells) - 1))]
+    elif change in ("chiral", "mirrored"):
+        p = from_coeffs(k, draw(st.lists(st.integers(-40, 40), min_size=k, max_size=k)))
+        orbit = [cyc_rotate(p, j) for j in range(k)]
+        if change == "mirrored":
+            orbit += [cyc_rotate(cyc_conj(p), j) for j in range(k)]
+        cells += orbit
+    assume(len({b.canonical_key() for b in cells}) == len(cells))
+    return make_spec(k, cells)
+
+
+class TestReflectionSymmetry:
+    def test_chiral_rotation_invariant_spec(self):
+        # zeta^j * (3 + zeta): closed under rotation, not under any reflection
+        p = from_coeffs(4, (3, 1, 0, 0))
+        spec = make_spec(4, [cyc_rotate(p, j) for j in range(4)])
+        report = validate(spec)
+        assert "symmetry: FAIL ('reflection', 0)" in report.lines()
+        assert all_reflections_symmetry(spec) == (False, ("reflection", 0))
+
+    @given(symmetry_specs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_all_reflections_reference(self, spec):
+        report = validate(spec)
+        assert (report.symmetry_ok, report.symmetry_witness) == all_reflections_symmetry(spec)
 
 
 class TestAdjacencies:

@@ -11,8 +11,8 @@ from snfglp.glp import (
     slice_subspec,
     slices,
 )
-from snfglp.model import catalog, make_spec, validate
-from snfglp.cyclotomic import zero, zeta
+from snfglp.model import SpecError, catalog, make_spec, validate
+from snfglp.cyclotomic import cyc_add, zero, zeta
 
 
 class TestSliceAssignment:
@@ -137,6 +137,25 @@ class TestViaSlices:
         assert not validate(spec).valid
         assert glp_via_slices(spec).serialize() == "GLP\noffset 0 0\n"
         assert glp_via_slices(spec).serialize() == decide_glp(spec).serialize()
+
+    @staticmethod
+    def _edge_sharing_k8():
+        # the k = 8 ring plus a cell across an edge of ring cell 4, outside slice 1
+        ring = [c.barycenter for c in generate_glp_example(8).cells]
+        return make_spec(8, ring + [cyc_add(ring[4], cyc_add(zeta(8, 4), zeta(8, 5)))])
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_spec(6, [(0,) * 6, (0, 0, 0, 0, -1, 1), (0, 0, -1, 0, 0, 1)]),
+        lambda: TestViaSlices._edge_sharing_k8(),
+    ], ids=["k6-central", "k8-ring"])
+    def test_nesting_violation_raises_like_general(self, build):
+        spec = build()
+        assert not validate(spec).nesting_ok
+        with pytest.raises(SpecError) as general:
+            decide_glp(spec)
+        with pytest.raises(SpecError) as via:
+            glp_via_slices(spec)
+        assert str(via.value) == str(general.value)
 
     def test_k6_central_spec_no_by_both_paths(self):
         spec = catalog("lindstrom-snowflake")
