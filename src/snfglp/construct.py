@@ -12,11 +12,13 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
-from itertools import product
 from operator import add
 
 from .cyclotomic import (
     CycInt,
+    _canonical,
+    _cyclic_product,
+    _preset,
     cyc_add,
     cyc_conj,
     cyc_div_int,
@@ -39,9 +41,9 @@ from .model import (
     FractalSpec,
     ScalingError,
     SpecError,
+    _scaled_points,
     cells_conflict,
     derive_scaling,
-    global_barycenter,
     make_spec,
 )
 
@@ -145,36 +147,47 @@ def expand(spec: FractalSpec, level: int) -> FractalSpec:
     """All depth-`level` cells of the substitution: sums of L^j-scaled offsets.
 
     The spec is recentred exactly; positions are sums over every choice
-    of one level-1 offset per depth.  Duplicates are an error.
+    of one level-1 offset per depth.  Duplicates are an error.  Offsets
+    and their sums are kept as (coefficients, canonical key) pairs of
+    Python ints, summed key by key, and each output cell is the one value
+    built from its pair.
     """
     if level not in (1, 2, 3):
         raise ValueError("level must be 1, 2 or 3")
+    k = spec.k
     n = spec.n
     if n**level > 100_000:
         raise ValueError(f"{n}^{level} cells exceed the size cap")
     scaling = derive_scaling(spec)
-    total, count = global_barycenter(spec)
+    # the offset b - mean is the scaled position divided by n; like
+    # cyc_div_int, its coefficients are the reduced quotient, its own key
     offsets = []
-    for cell in spec.cells:
-        t = cyc_div_int(cyc_sub(cyc_scale(cell.barycenter, count), total), count)
-        if t is None:
+    for key in _scaled_points(spec)[1]:
+        if any(c % n for c in key):
             raise ScalingError("spec cannot be recentred exactly")
-        offsets.append(t)
-    scaled: list[list[CycInt]] = [offsets]
+        quot = tuple(c // n for c in key)
+        offsets.append((quot + (0,) * (k - len(quot)), quot))
+    scaled = [offsets]
     for _ in range(1, level):
-        scaled.append([cyc_mul(scaling, t) for t in scaled[-1]])
-    positions: list[CycInt] = []
+        products = [_cyclic_product(scaling.coeffs, t) for t, _ in scaled[-1]]
+        scaled.append([(t, _canonical(k, t)) for t in products])
+    # one entry per choice of offsets, in the order of product(range(n), repeat=level)
+    points = [((0,) * k, (0,) * len(offsets[0][1]))]
+    for layer in scaled:
+        points = [
+            (tuple(map(add, c, tc)), tuple(map(add, key, tk)))
+            for c, key in points
+            for tc, tk in layer
+        ]
+    cells: list[CycInt] = []
     seen: set[tuple[int, ...]] = set()
-    for choice in product(range(n), repeat=level):
-        pos = zero(spec.k)
-        for depth, i in enumerate(choice):
-            pos = cyc_add(pos, scaled[depth][i])
-        key = pos.canonical_key()
+    for idx, (coeffs, key) in enumerate(points):
         if key in seen:
+            choice = tuple(idx // n ** (level - 1 - d) % n for d in range(level))
             raise SpecError(f"duplicate cell produced by offset choice {choice}")
         seen.add(key)
-        positions.append(pos)
-    return make_spec(spec.k, positions, partial=True)
+        cells.append(_preset(k, coeffs, key))
+    return make_spec(k, cells, partial=True)
 
 
 def _legal_steps(k: int) -> list[CycInt]:

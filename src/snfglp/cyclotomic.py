@@ -238,14 +238,19 @@ def cyc_neg(a: CycInt) -> CycInt:
 def cyc_mul(a: CycInt, b: CycInt) -> CycInt:
     """Polynomial product reduced modulo x^k - 1 (cyclic convolution)."""
     _require_same_order(a, b)
-    k = a.order
+    return CycInt(a.order, _cyclic_product(a.coeffs, b.coeffs))
+
+
+def _cyclic_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The coefficients of cyc_mul for two coefficient vectors of one length."""
+    k = len(a)
     out = [0] * k
-    for i, x in enumerate(a.coeffs):
+    for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b.coeffs):
+            for j, y in enumerate(b):
                 if y:
                     out[(i + j) % k] += x * y
-    return CycInt(k, tuple(out))
+    return tuple(out)
 
 
 def cyc_scale(a: CycInt, n: int) -> CycInt:
@@ -287,16 +292,16 @@ def _permuted(seq: tuple[int, ...], shift: int, sign: int) -> tuple[int, ...]:
     return seq[-s:] + seq[:-s]
 
 
-def _mapped_key(a: CycInt, shift: int, sign: int) -> tuple[int, ...]:
-    """Canonical key of the image of a under zeta^i -> zeta^(shift + sign * i).
+def _mapped_key(k: int, key: tuple[int, ...], shift: int, sign: int) -> tuple[int, ...]:
+    """Canonical key of the image under zeta^i -> zeta^(shift + sign * i) of
+    the order-k point with canonical key `key`.
 
     Rotation and reflection are well defined on Z[zeta_k], so the image's
-    key is the reduction of a's permuted key.  Entries landing below
+    key is the reduction of the permuted key.  Entries landing below
     deg = phi(k) are already reduced; only the rest add multiples of
-    their (sparse) reduction rows.
+    their (sparse) reduction rows.  No value is built, so the key may hold
+    coefficients of any size.
     """
-    k = a.order
-    key = a.canonical_key()
     deg = len(key)
     spread = _permuted(key + (0,) * (k - deg), shift, sign)
     out = list(spread[:deg])
@@ -310,7 +315,8 @@ def _mapped_key(a: CycInt, shift: int, sign: int) -> tuple[int, ...]:
 
 
 def _mapped(a: CycInt, shift: int, sign: int) -> CycInt:
-    return _preset(a.order, _permuted(a.coeffs, shift, sign), _mapped_key(a, shift, sign))
+    key = _mapped_key(a.order, a.canonical_key(), shift, sign)
+    return _preset(a.order, _permuted(a.coeffs, shift, sign), key)
 
 
 def cyc_rotate(a: CycInt, j: int) -> CycInt:
@@ -320,7 +326,7 @@ def cyc_rotate(a: CycInt, j: int) -> CycInt:
 
 def cyc_rotate_key(a: CycInt, j: int) -> tuple[int, ...]:
     """canonical_key of cyc_rotate(a, j), without building the rotated value."""
-    return _mapped_key(a, j, 1)
+    return _mapped_key(a.order, a.canonical_key(), j, 1)
 
 
 def cyc_conj(a: CycInt) -> CycInt:
@@ -338,7 +344,7 @@ def cyc_reflect(a: CycInt, m: int) -> CycInt:
 
 def cyc_reflect_key(a: CycInt, m: int) -> tuple[int, ...]:
     """canonical_key of cyc_reflect(a, m), without building the reflected value."""
-    return _mapped_key(a, m, -1)
+    return _mapped_key(a.order, a.canonical_key(), m, -1)
 
 
 def cyc_unit_translate_keys(a: CycInt) -> list[tuple[int, ...]]:
@@ -400,6 +406,22 @@ def _embed(order: int, coeffs: tuple[int, ...]) -> tuple[float, float]:
     return (x, y)
 
 
+def _embed_error(order: int, coeffs: tuple[int, ...]) -> float:
+    """A bound on the error of each coordinate of `_embed(order, coeffs)`:
+    (order + 24) * ||coeffs||_1 * 2^-52.
+
+    With u = 2^-53: the angle 2*pi*j/order is computed from math.pi
+    (off by <= 2^-52) with two roundings, so it is off by <= 17u, and
+    math.cos/sin add <= 2u, so each tabulated cos or sin is within 19u of
+    the exact one.  Converting c to a float and multiplying each add a
+    relative u, so a term is within 21.1u * |c| of c * cos.  Summing at
+    most order terms adds <= (order - 1) * u * 1.001 * ||c||_1.  The total
+    is below (order + 24) * u * ||c||_1; the stated bound doubles that,
+    which also covers the rounding of the bound itself.
+    """
+    return (order + 24) * sum(map(abs, coeffs)) * 2.0**-52
+
+
 _cartesian = lru_cache(maxsize=1 << 16)(_embed)
 
 
@@ -413,5 +435,14 @@ def to_cartesian(a: CycInt) -> tuple[float, float]:
     the corner search (`model._find_corner`) and the growth radius in
     `construct.random_valid_spec`.  No error bound certifies those answers
     for large coefficients yet (ROADMAP item 1).
+
+    One float answer is certified: the vertex ray of a slice position
+    (`glp._sectors`).  Each coordinate of the embedding is within
+    `_embed_error` of the exact point, so when the point is farther than
+    2 * k * `_embed_error` from the origin its float angle is within
+    pi/(2k) of the true one, a quarter of the spacing of the rays.  The
+    ray nearest that angle is then the only candidate, and the exact
+    reflection test on its line decides it.  Closer points fall back to
+    testing every ray.
     """
     return _cartesian(a.order, a.coeffs)

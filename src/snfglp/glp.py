@@ -30,11 +30,11 @@ from functools import cached_property
 
 from .cyclotomic import (
     CycInt,
-    cyc_is_zero,
-    cyc_reflect_key,
+    _embed,
+    _embed_error,
+    _mapped_key,
     cyc_unit_translate_keys,
     cyc_unit_translates,
-    to_cartesian,
 )
 from .model import (
     Adjacency,
@@ -43,7 +43,7 @@ from .model import (
     SpecError,
     _forest,
     _rotation_class,
-    _scaled_positions,
+    _scaled_points,
     find_adjacencies,
 )
 
@@ -406,18 +406,16 @@ class SliceAssignment:
         return [idx for idx, s in enumerate(self.sector) if s is None]
 
 
-def _on_axis_ray(p: CycInt, k: int) -> int | None:
-    """Vertex-ray index j if p lies on the open ray through zeta^j, else None.
+def _ray_scan(k: int, key: tuple[int, ...], x: float, y: float) -> int | None:
+    """Vertex-ray index j if the nonzero point with canonical key `key` and
+    float embedding (x, y) lies on the open ray through zeta^j, else None.
 
     Membership on the full line is exact (fixed by the reflection across
-    the axis); the ray side is a clean float sign test.
+    it); the side is a float sign test.  `_sectors` uses it only for
+    points too close to the origin for their float angle to be certain.
     """
-    if cyc_is_zero(p):
-        return None
-    key = p.canonical_key()
-    x, y = to_cartesian(p)
     for j in range(k):
-        if cyc_reflect_key(p, 2 * j) == key:
+        if _mapped_key(k, key, 2 * j, -1) == key:
             ang = 2.0 * math.pi * j / k
             if x * math.cos(ang) + y * math.sin(ang) > 0:
                 return j
@@ -434,21 +432,31 @@ def _sectors(spec: FractalSpec) -> _Sectors:
     on a vertex ray belongs to the sector whose counter-clockwise edge
     that ray is.  The central cell (barycenter at the global barycenter)
     belongs to no sector and lies on no ray.
+
+    A cell's position p is its `_scaled_points` entry.  Beyond
+    2 * k * `_embed_error` from the origin the float angle of p is certain
+    to within pi/(2k) (see `to_cartesian`): the nearest ray j is the only
+    one p can lie on, on its side of the line, and p is on it exactly
+    when reflection 2j fixes it.  Closer points go through `_ray_scan`.
     """
     k = spec.k
+    tau = 2.0 * math.pi
     sector: list[int | None] = []
     rays: list[int | None] = []
-    for p in _scaled_positions(spec):
-        ray = _on_axis_ray(p, k)
-        rays.append(ray)
-        if ray is not None:
-            sector.append((ray - 1) % k + 1)
-        elif cyc_is_zero(p):
+    for coeffs, key in zip(*_scaled_points(spec)):
+        if not any(key):
             sector.append(None)
+            rays.append(None)
+            continue
+        x, y = _embed(k, coeffs)
+        theta = math.atan2(y, x) % tau
+        if math.hypot(x, y) > 2 * k * _embed_error(k, coeffs):
+            j = round(theta * k / tau) % k
+            ray = j if _mapped_key(k, key, 2 * j, -1) == key else None
         else:
-            x, y = to_cartesian(p)
-            theta = math.atan2(y, x) % (2.0 * math.pi)
-            sector.append(int(theta * k / (2.0 * math.pi)) + 1)
+            ray = _ray_scan(k, key, x, y)
+        rays.append(ray)
+        sector.append(int(theta * k / tau) + 1 if ray is None else (ray - 1) % k + 1)
     return sector, rays
 
 
@@ -555,6 +563,8 @@ def glp_via_slices(spec: FractalSpec) -> Verdict:
     if spec.partial:
         raise ValueError("glp_via_slices requires a non-partial spec")
     k = spec.k
+    if k in (3, 4, 5):
+        return decide_glp(spec)
     # a slice verdict says nothing about nesting outside the slice
     edges = _nested_adjacencies(spec)
     sectors = _sectors(spec)
@@ -565,8 +575,6 @@ def glp_via_slices(spec: FractalSpec) -> Verdict:
             return Verdict(glp=False, witness=cyc)
         # reachable: a spec validate rejects, e.g. the lone central cell of
         # `snf k=6` / `cell 0 0 0 0 0 0`, has no 3-cycle and no slice cells
-        return decide_glp(spec)
-    if k in (3, 4, 5):
         return decide_glp(spec)
     if k % 2 == 0:
         chosen = _chosen_cells(k, [1], True, sectors)

@@ -13,19 +13,18 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import sub
+from operator import add, sub
 
 from .cyclotomic import (
     CycInt,
+    _embed,
+    _mapped_key,
+    _preset,
+    _reduction_rows,
     cyc_add,
-    cyc_conj,
-    cyc_div_int,
-    cyc_eq,
     cyc_is_zero,
     cyc_reflect_key,
     cyc_rotate,
-    cyc_rotate_key,
-    cyc_scale,
     cyc_sub,
     cyc_unit_translates,
     from_coeffs,
@@ -191,10 +190,23 @@ def global_barycenter(spec: FractalSpec) -> tuple[CycInt, int]:
     return total, spec.n
 
 
-def _scaled_positions(spec: FractalSpec) -> list[CycInt]:
-    """n * (barycenter - global barycenter) for every cell; exact and integral."""
-    total, n = global_barycenter(spec)
-    return [cyc_sub(cyc_scale(c.barycenter, n), total) for c in spec.cells]
+def _scaled_points(
+    spec: FractalSpec,
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """n * (barycenter - global barycenter) for every cell, exact and integral,
+    as (coefficient vectors, canonical keys); no CycInt is built.
+
+    The coefficients n*b - sum(b) are Python ints, so they have no range
+    limit.  Reduction is linear, so the keys are n*key(b) - sum(key(b)).
+    """
+    n = spec.n
+    coeffs = [c.barycenter.coeffs for c in spec.cells]
+    keys = [c.barycenter.canonical_key() for c in spec.cells]
+    out = []
+    for rows in (coeffs, keys):
+        total = [sum(col) for col in zip(*rows)]
+        out.append([tuple([n * c - t for c, t in zip(row, total)]) for row in rows])
+    return out[0], out[1]
 
 
 @dataclass(frozen=True)
@@ -321,32 +333,32 @@ def _rotation_class(e: Adjacency, k: int) -> int | None:
     return None
 
 
-def _find_corner(spec: FractalSpec, positions: list[CycInt]) -> int | None:
+def _find_corner(
+    spec: FractalSpec, coeffs: list[tuple[int, ...]], keys: list[tuple[int, ...]]
+) -> int | None:
     """Index of the corner cell on the positive real axis, if any.
 
-    A corner cell sits at (L-1) * zeta^0 relative to the global
-    barycenter and its outward vertex is a vertex of no other cell (it
-    is an essential fixed point image).  Corner cells need not be the
-    outermost cells of the configuration.
+    `coeffs` and `keys` are the `_scaled_points` of the spec.  A corner
+    cell sits at (L-1) * zeta^0 relative to the global barycenter and its
+    outward vertex is a vertex of no other cell (it is an essential fixed
+    point image).  Corner cells need not be the outermost cells of the
+    configuration.
     """
     k = spec.k
     n = spec.n
-    index_of = {p.canonical_key(): i for i, p in enumerate(positions)}
+    index_of = {key: i for i, key in enumerate(keys)}
+    rows = _reduction_rows(k)
+    # scaled by n, the tip of cell p is p + n and cell jb shares it when it
+    # sits at p + n - n * zeta^jb
+    steps = [tuple(n * (a - b) for a, b in zip(rows[0], rows[jb])) for jb in range(1, k)]
     best: tuple[float, int] | None = None
-    for i, p in enumerate(positions):
-        if not cyc_eq(p, cyc_conj(p)):
+    for i, key in enumerate(keys):
+        if _mapped_key(k, key, 0, -1) != key:
             continue
-        x, _ = to_cartesian(p)
+        x, _ = _embed(k, coeffs[i])
         if x <= 1e-9:
             continue
-        tip = cyc_add(p, zeta(k, 0, n))
-        shared = False
-        for jb in range(1, k):
-            other = index_of.get(cyc_sub(tip, zeta(k, jb, n)).canonical_key())
-            if other is not None and other != i:
-                shared = True
-                break
-        if shared:
+        if any(index_of.get(tuple(map(add, key, step)), i) != i for step in steps):
             continue
         if best is None or x > best[0]:
             best = (x, i)
@@ -429,8 +441,8 @@ def validate(spec: FractalSpec) -> ValidationReport:
     component_count = max(_forest(n, edges)[0]) + 1
     connectivity_ok = component_count == 1
 
-    positions = _scaled_positions(spec)
-    keys = sorted(p.canonical_key() for p in positions)
+    coeffs, keys = _scaled_points(spec)
+    sorted_keys = sorted(keys)
 
     symmetry_ok = True
     symmetry_witness: tuple[str, int] | None = None
@@ -438,33 +450,32 @@ def validate(spec: FractalSpec) -> ValidationReport:
     corner_witness: int | None = None
     vertex_at_center: int | None = None
     if not spec.partial:
-        rotated = sorted(cyc_rotate_key(p, 1) for p in positions)
-        if rotated != keys:
+        if sorted(_mapped_key(k, key, 1, 1) for key in keys) != sorted_keys:
             symmetry_ok = False
             symmetry_witness = ("rotation", 1)
         # on a zeta-invariant set reflection m is zeta^m after reflection 0
-        elif sorted(cyc_reflect_key(p, 0) for p in positions) != keys:
+        elif sorted(_mapped_key(k, key, 0, -1) for key in keys) != sorted_keys:
             symmetry_ok = False
             symmetry_witness = ("reflection", 0)
 
         key_set = set(keys)
-        corner = _find_corner(spec, positions)
+        corner = _find_corner(spec, coeffs, keys)
         if corner is None:
             corner_ok = False
             corner_witness = 0
         else:
             for j in range(1, k):
-                if cyc_rotate_key(positions[corner], j) not in key_set:
+                if _mapped_key(k, keys[corner], j, 1) not in key_set:
                     corner_ok = False
                     corner_witness = j
                     break
 
         if k > 3:
-            # p + n * zeta^j = 0 exactly when key(p) = key(-n * zeta^j)
-            at_center = {zeta(k, j, -n).canonical_key() for j in range(k)}
-            for cell, p in zip(spec.cells, positions):
-                if p.canonical_key() in at_center:
-                    vertex_at_center = cell.index
+            # p + n * zeta^j = 0 exactly when key(p) = -n * row_j
+            at_center = {tuple(-n * r for r in row) for row in _reduction_rows(k)}
+            for i, key in enumerate(keys):
+                if key in at_center:
+                    vertex_at_center = i
                     break
 
     odd_adjacency_ok = True
@@ -477,8 +488,8 @@ def validate(spec: FractalSpec) -> ValidationReport:
                 break
 
     central_cell: int | None = None
-    for i, p in enumerate(positions):
-        if cyc_is_zero(p):
+    for i, key in enumerate(keys):
+        if not any(key):
             central_cell = i
             break
     central_ok = spec.partial or (
@@ -511,15 +522,22 @@ def derive_scaling(spec: FractalSpec) -> CycInt:
     """
     if spec.partial:
         raise ScalingError("scaling factor is defined for non-partial specs only")
-    positions = _scaled_positions(spec)
-    corner = _find_corner(spec, positions)
+    k = spec.k
+    n = spec.n
+    coeffs, keys = _scaled_points(spec)
+    corner = _find_corner(spec, coeffs, keys)
     if corner is None:
         raise ScalingError("no corner cell on the positive real axis")
-    b = cyc_div_int(positions[corner], spec.n)
-    if b is None:
+    if any(c % n for c in keys[corner]):
         raise ScalingError("corner barycenter is not integral after recentring")
-    scaling = cyc_add(b, zeta(spec.k, 0))
-    if not cyc_eq(scaling, cyc_conj(scaling)):
+    # b = p / n has the reduced quotient as its coefficients (as cyc_div_int
+    # gives them), and L = b + 1; the keys follow by linearity
+    quot = [c // n for c in keys[corner]]
+    key = tuple(map(add, quot, _reduction_rows(k)[0]))
+    quot += [0] * (k - len(quot))
+    quot[0] += 1
+    scaling = _preset(k, tuple(quot), key)
+    if cyc_reflect_key(scaling, 0) != key:
         raise ScalingError("scaling factor is not real")
     if to_cartesian(scaling)[0] <= 1.0:
         raise ScalingError("scaling factor must exceed 1")

@@ -22,6 +22,20 @@ def hexagon_file(tmp_path):
 
 
 @pytest.fixture
+def shifted_gasket_file(tmp_path):
+    # the gasket moved by 2^30 * (1 + zeta + zeta^2), which is 0; n * b - sum(b)
+    # passes through coefficients beyond 2^31 before it cancels
+    path = tmp_path / "gasket-shift.snf"
+    path.write_text(
+        "snf k=3\n"
+        "cell 1073741825 1073741824 1073741824\n"
+        "cell 1073741824 1073741825 1073741824\n"
+        "cell 1073741824 1073741824 1073741825\n"
+    )
+    return str(path)
+
+
+@pytest.fixture
 def snowflake_file(tmp_path):
     path = tmp_path / "snowflake.snf"
     path.write_text(serialize(catalog("lindstrom-snowflake")))
@@ -76,6 +90,13 @@ class TestDecide:
         assert run(["decide", str(path)]) == 0
         assert capsys.readouterr().out == "GLP\noffset 0 0\n"
 
+    def test_slices_on_shifted_gasket(self, shifted_gasket_file, capsys):
+        assert run(["decide", shifted_gasket_file, "--method", "general"]) == 0
+        general = capsys.readouterr()
+        assert run(["decide", shifted_gasket_file, "--method", "slices"]) == 0
+        assert capsys.readouterr() == general
+        assert general.out == "GLP\noffset 0 0\noffset 1 1\noffset 2 2\n"
+
     def test_bad_flag(self, hexagon_file):
         assert run(["decide", hexagon_file, "--method", "psychic"]) == 3
 
@@ -115,6 +136,10 @@ class TestValidate:
         path.write_text("\n".join(lines) + "\n")
         assert run(["validate", str(path)]) == 1
         assert "valid: no" in capsys.readouterr().out
+
+    def test_shifted_gasket(self, shifted_gasket_file, capsys):
+        assert run(["validate", shifted_gasket_file]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "valid: yes"
 
     def test_unparseable(self, tmp_path):
         path = tmp_path / "garbage.snf"

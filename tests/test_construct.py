@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -19,21 +20,30 @@ from snfglp.construct import (
     random_valid_spec,
 )
 from snfglp.cyclotomic import (
+    CycInt,
     cyc_add,
+    cyc_conj,
+    cyc_div_int,
     cyc_eq,
     cyc_is_zero,
+    cyc_mul,
     cyc_reflect,
     cyc_rotate,
+    cyc_scale,
     cyc_sub,
     to_cartesian,
     zero,
+    zeta,
 )
-from snfglp.glp import build_constraint_graph, decide_glp, fundamental_cycles
+from snfglp.glp import build_constraint_graph, decide_glp, fundamental_cycles, glp_via_slices
 from snfglp.model import (
     Cell,
+    ScalingError,
+    SpecError,
     catalog,
     cells_conflict,
     derive_scaling,
+    global_barycenter,
     make_spec,
     serialize,
     validate,
@@ -183,6 +193,101 @@ class TestExpand:
 
         with pytest.raises(ScalingError):
             expand(generate_counterexample(9), 2)
+
+
+def reference_scaling(spec):
+    """Reference: the scaling factor from CycInt values, corner by float x."""
+    k, n = spec.k, spec.n
+    total, _ = global_barycenter(spec)
+    positions = [cyc_sub(cyc_scale(c.barycenter, n), total) for c in spec.cells]
+    index_of = {p.canonical_key(): i for i, p in enumerate(positions)}
+    best = None
+    for i, p in enumerate(positions):
+        x = to_cartesian(p)[0]
+        if not cyc_eq(p, cyc_conj(p)) or x <= 1e-9:
+            continue
+        tip = cyc_add(p, zeta(k, 0, n))
+        if any(index_of.get(cyc_sub(tip, zeta(k, j, n)).canonical_key(), i) != i for j in range(1, k)):
+            continue
+        if best is None or x > best[0]:
+            best = (x, i)
+    return cyc_add(cyc_div_int(positions[best[1]], n), zeta(k, 0))
+
+
+def reference_expand(spec, level):
+    """Reference: expand with CycInt values, summed choice by choice."""
+    scaling = reference_scaling(spec)
+    total, count = global_barycenter(spec)
+    offsets = [
+        cyc_div_int(cyc_sub(cyc_scale(c.barycenter, count), total), count) for c in spec.cells
+    ]
+    scaled = [offsets]
+    for _ in range(1, level):
+        scaled.append([cyc_mul(scaling, t) for t in scaled[-1]])
+    positions = []
+    seen = set()
+    for choice in product(range(spec.n), repeat=level):
+        pos = zero(spec.k)
+        for depth, i in enumerate(choice):
+            pos = cyc_add(pos, scaled[depth][i])
+        if pos.canonical_key() in seen:
+            raise SpecError(f"duplicate cell produced by offset choice {choice}")
+        seen.add(pos.canonical_key())
+        positions.append(pos)
+    return make_spec(spec.k, positions, partial=True)
+
+
+class TestExpandReference:
+    @pytest.mark.parametrize("k", range(3, 37))
+    def test_example_ring_level2(self, k):
+        spec = generate_glp_example(k)  # n <= 72, so n^2 is far below the cap
+        scaling, expected = derive_scaling(spec), reference_scaling(spec)
+        assert scaling.coeffs == expected.coeffs
+        assert scaling.canonical_key() == expected.canonical_key()
+        got, reference = expand(spec, 2), reference_expand(spec, 2)
+        assert serialize(got) == serialize(reference)
+        assert [c.barycenter.canonical_key() for c in got.cells] == [
+            c.barycenter.canonical_key() for c in reference.cells
+        ]
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_duplicate_names_first_repeated_choice(self, level):
+        # unit hexagons around a central one: level-2 sums repeat
+        spec = make_spec(6, [zeta(6, j) for j in range(6)] + [zero(6)])
+        with pytest.raises(SpecError) as reference:
+            reference_expand(spec, level)
+        with pytest.raises(SpecError) as got:
+            expand(spec, level)
+        assert str(got.value) == str(reference.value)
+
+
+class TestConstructionBudget:
+    """Derived points stay integer tuples: only cells a caller receives are built."""
+
+    def test_values_built_by_validate_slices_and_expand(self, monkeypatch):
+        spec = generate_glp_example(12)
+        # per-k tables (step keys, support normals) are built on first use; build them now
+        validate(spec)
+        glp_via_slices(spec)
+        expand(spec, 2)
+        built = {"validate": 0, "glp_via_slices": 0, "expand": 0}
+        phase = ["validate"]
+        init = CycInt.__init__
+
+        def counting(self, *args, **kwargs):
+            built[phase[0]] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CycInt, "__init__", counting)
+        assert validate(spec).valid
+        phase[0] = "glp_via_slices"
+        assert glp_via_slices(spec).glp
+        phase[0] = "expand"
+        expanded = expand(spec, 2)
+        monkeypatch.undo()
+        # expand builds its output cells and the scaling factor L; k values
+        # are the allowance for per-k constants
+        assert sum(built.values()) <= expanded.n + spec.k, built
 
 
 def reference_conflict_free(cand, accepted):

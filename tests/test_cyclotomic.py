@@ -8,6 +8,7 @@ import random
 import sys
 import threading
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,8 @@ from snfglp.cyclotomic import (
     CoefficientOverflow,
     CycInt,
     _canonical,
+    _embed,
+    _embed_error,
     IntPolynomial,
     OrderMismatch,
     cyc_add,
@@ -248,6 +251,43 @@ class TestAlgebraProperties:
             folded[i % k] += c
         b = cyc_add(a, from_coeffs(k, folded))
         assert a == b and hash(a) == hash(b)
+
+
+@st.composite
+def embed_vectors(draw):
+    """(k, coefficients) with |c| <= 2^40: arbitrary, sparse, or a small
+    point plus a large folded multiple of Phi_k, whose floats cancel."""
+    k = draw(st.integers(3, 36))
+    big = st.integers(-(2**40), 2**40)
+    shape = draw(st.sampled_from(["dense", "sparse", "folded"]))
+    if shape == "dense":
+        return k, draw(st.lists(big, min_size=k, max_size=k))
+    if shape == "sparse":
+        return k, draw(st.lists(st.one_of(st.just(0), big), min_size=k, max_size=k))
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k))
+    m, j = draw(st.integers(-(2**40) + 5, 2**40 - 5)), draw(st.integers(0, k - 1))
+    for d, c in enumerate(cyclotomic_polynomial(k).coeffs):
+        coeffs[(d + j) % k] += m * c
+    return k, coeffs
+
+
+class TestEmbedError:
+    @given(embed_vectors())
+    @settings(max_examples=300, deadline=None)
+    def test_bound_holds_against_mpmath(self, kc):
+        k, coeffs = kc
+        coeffs = tuple(coeffs)
+        x, y = _embed(k, coeffs)
+        bound = _embed_error(k, coeffs)
+        with mpmath.workdps(60):
+            angles = [2 * mpmath.pi * j / k for j in range(k)]
+            exact_x = mpmath.fsum(c * mpmath.cos(a) for c, a in zip(coeffs, angles))
+            exact_y = mpmath.fsum(c * mpmath.sin(a) for c, a in zip(coeffs, angles))
+            assert abs(x - exact_x) <= bound
+            assert abs(y - exact_y) <= bound
+
+    def test_zero_vector_is_exact(self):
+        assert _embed_error(12, (0,) * 12) == 0.0 and _embed(12, (0,) * 12) == (0.0, 0.0)
 
 
 def fresh_key(a: CycInt) -> tuple[int, ...]:

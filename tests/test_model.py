@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from snfglp.cyclotomic import (
     COEFF_LIMIT,
+    CycInt,
     CoefficientOverflow,
     cyc_add,
     cyc_conj,
@@ -29,10 +30,10 @@ from snfglp.model import (
     HULL_EPS,
     Cell,
     ParseError,
+    FractalSpec,
     ScalingError,
     SpecError,
     _hulls_overlap,
-    _scaled_positions,
     _step_table,
     catalog,
     cells_conflict,
@@ -318,6 +319,18 @@ class TestScaling:
         with pytest.raises(ScalingError):
             derive_scaling(spec)
 
+    @pytest.mark.parametrize("jb", [1, 3])
+    def test_real_cell_with_shared_tip_is_no_corner(self, jb):
+        # rotations of 2 and of 3 - zeta^jb: the only real cell, 2, has its
+        # tip 3 on vertex jb of the cell 3 - zeta^jb
+        other = cyc_sub(zeta(4, 0, 3), zeta(4, jb))
+        cells = [zero(4)] + [cyc_rotate(b, j) for b in (zeta(4, 0, 2), other) for j in range(4)]
+        spec = make_spec(4, cells)
+        report = validate(spec)
+        assert (report.corner_ok, report.corner_witness) == (False, 0)
+        with pytest.raises(ScalingError, match="no corner cell"):
+            derive_scaling(spec)
+
 
 class TestValidate:
     def test_snowflake_valid_with_central_cell(self):
@@ -376,6 +389,20 @@ class TestValidate:
         with pytest.raises(SpecError):
             make_spec(3, [(1, 0, 0), (1, 0, 0), (0, 1, 0)])
 
+    def test_shift_past_coefficient_range_of_running_sum(self):
+        # the sum of the barycenters has coefficients past COEFF_LIMIT; the
+        # scaled positions are formed from Python ints, so nothing overflows
+        from snfglp.construct import generate_glp_example
+
+        ring = generate_glp_example(4)
+        shift = cyc_scale(from_coeffs(4, (1, 1, 0, 0)), 2**28)
+        shifted = make_spec(4, [cyc_add(c.barycenter, shift) for c in ring.cells])
+        lines, plain = validate(shifted).lines(), validate(ring).lines()
+        for axiom in ("symmetry:", "central-cell:"):
+            assert [x for x in lines if x.startswith(axiom)] == [
+                x for x in plain if x.startswith(axiom)
+            ]
+
     def test_vertex_at_center_rejected(self):
         # symmetric orbit of cells whose vertices land exactly on the barycenter
         from snfglp.construct import generate_glp_example
@@ -386,6 +413,12 @@ class TestValidate:
         report = validate(spec)
         assert report.vertex_at_center == 8
         assert not report.central_ok
+
+
+def _scaled_positions(spec: FractalSpec) -> list[CycInt]:
+    """n * (barycenter - global barycenter) for every cell; exact and integral."""
+    total, n = global_barycenter(spec)
+    return [cyc_sub(cyc_scale(c.barycenter, n), total) for c in spec.cells]
 
 
 def per_j_vertex_at_center(spec) -> int | None:

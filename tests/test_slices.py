@@ -1,9 +1,15 @@
 """Angular slices, closed slices, subspec extraction, slice-based deciding."""
 from __future__ import annotations
 
-import pytest
+import math
+from unittest import mock
 
-from snfglp.construct import generate_glp_example, random_valid_spec
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from snfglp import glp
+from snfglp.construct import generate_counterexample, generate_glp_example, random_valid_spec
 from snfglp.glp import (
     closed_slices,
     decide_glp,
@@ -11,8 +17,23 @@ from snfglp.glp import (
     slice_subspec,
     slices,
 )
-from snfglp.model import SpecError, catalog, make_spec, validate
-from snfglp.cyclotomic import cyc_add, zero, zeta
+from snfglp.model import CATALOG_NAMES, SpecError, catalog, make_spec, validate
+from snfglp.cyclotomic import (
+    _canonical,
+    _embed,
+    cyc_add,
+    cyc_div_int,
+    cyc_mul,
+    cyc_rotate,
+    cyc_scale,
+    cyc_sub,
+    cyclotomic_polynomial,
+    from_coeffs,
+    integer,
+    to_cartesian,
+    zero,
+    zeta,
+)
 
 
 class TestSliceAssignment:
@@ -157,7 +178,180 @@ class TestViaSlices:
             glp_via_slices(spec)
         assert str(via.value) == str(general.value)
 
+    @pytest.mark.parametrize("name", ["sierpinski-gasket", "vicsek-cross", "pentagon-ring"])
+    def test_small_k_runs_one_adjacency_search(self, name):
+        spec = catalog(name)
+        calls = []
+        find_adjacencies = glp.find_adjacencies
+
+        def counting(s):
+            calls.append(s)
+            return find_adjacencies(s)
+
+        with mock.patch.object(glp, "find_adjacencies", counting):
+            verdict = glp_via_slices(spec)
+        assert len(calls) == 1
+        assert verdict.serialize() == decide_glp(spec).serialize()
+
     def test_k6_central_spec_no_by_both_paths(self):
         spec = catalog("lindstrom-snowflake")
         assert not decide_glp(spec).glp
         assert not glp_via_slices(spec).glp
+
+
+def kscan_sectors(spec):
+    """Reference for glp._sectors: every vertex ray tested on every cell.
+
+    Positions are n * b - sum(b) in Python ints, reduced afresh; a point is
+    on the line of ray j when its reflection across that line, permuted
+    on the coefficients and reduced again, has the same key, and on the ray
+    when its float point has a positive component along zeta^j.
+    """
+    k, n = spec.k, spec.n
+    rows = [c.barycenter.coeffs for c in spec.cells]
+    total = [sum(col) for col in zip(*rows)]
+    sector, rays = [], []
+    for row in rows:
+        coeffs = tuple(n * c - t for c, t in zip(row, total))
+        key = _canonical.__wrapped__(k, coeffs)
+        if not any(key):
+            sector.append(None)
+            rays.append(None)
+            continue
+        x, y = _embed(k, coeffs)
+        ray = None
+        for j in range(k):
+            mirrored = tuple(coeffs[(2 * j - i) % k] for i in range(k))
+            if _canonical.__wrapped__(k, mirrored) == key:
+                ang = 2.0 * math.pi * j / k
+                if x * math.cos(ang) + y * math.sin(ang) > 0:
+                    ray = j
+                    break
+        rays.append(ray)
+        if ray is not None:
+            sector.append((ray - 1) % k + 1)
+        else:
+            theta = math.atan2(y, x) % (2.0 * math.pi)
+            sector.append(int(theta * k / (2.0 * math.pi)) + 1)
+    return sector, rays
+
+
+def small_real(k):
+    """A real point of Z[zeta_k] with 0 < |u| <= 1/2: 2 cos(2 pi a / k) minus its
+    nearest integer, for the first a where that is not an integer (None for
+    k = 3, 4, 6, whose real points are all integers)."""
+    for a in range(1, k // 2 + 1):
+        c = 2.0 * math.cos(2.0 * math.pi * a / k)
+        if abs(c - round(c)) > 1e-6:
+            return cyc_sub(cyc_add(zeta(k, a), zeta(k, -a)), integer(k, round(c)))
+    return None
+
+
+def tiny_on_ray(k, j):
+    """zeta^j * u^e for the last power e of small_real(k) with coefficients
+    within 2^26: a point on a vertex line, far closer to the origin than
+    the float error of its coefficients."""
+    u = small_real(k)
+    w = u
+    while max(map(abs, cyc_mul(w, u).coeffs)) <= 2**26:
+        w = cyc_mul(w, u)
+    return cyc_rotate(w, j)
+
+
+@st.composite
+def sector_cases(draw):
+    """(spec, variant): a catalog, generated or grown spec, as it is
+    ('plain'), with a folded multiple of Phi_k of up to 2^30 added to
+    every cell ('shift'), or with two cells at mean +- a tiny point on a
+    vertex line ('tiny'), which only the fallback can place."""
+    kind = draw(st.sampled_from(["catalog", "example", "counterexample", "plain", "symmetrized"]))
+    if kind == "catalog":
+        base = catalog(draw(st.sampled_from(CATALOG_NAMES)))
+    elif kind in ("example", "counterexample"):
+        k = draw(st.integers(3, 36))
+        composite = not glp.classify_k(k).always_glp
+        base = generate_counterexample(k) if kind == "counterexample" and composite else generate_glp_example(k)
+    else:
+        k = draw(st.integers(3, 12))
+        seed = draw(st.integers(0, 10_000))
+        base = random_valid_spec(k, draw(st.integers(2, 30)), seed, symmetrize=kind == "symmetrized")
+    k = base.k
+    cells = [c.barycenter for c in base.cells]
+    variant = draw(st.sampled_from(["plain", "shift", "tiny"]))
+    if variant == "tiny" and small_real(k) is None:
+        variant = "plain"
+    if variant == "shift":
+        phi = cyclotomic_polynomial(k).coeffs
+        bound = 2**30 - max(abs(c) for b in cells for c in b.coeffs)
+        shifted = []
+        for b in cells:
+            m, j = draw(st.integers(-bound, bound)), draw(st.integers(0, k - 1))
+            row = list(b.coeffs)
+            for d, c in enumerate(phi):
+                row[(d + j) % k] += m * c
+            shifted.append(from_coeffs(k, row))
+        cells = shifted
+    elif variant == "tiny":
+        total = zero(k)
+        for b in cells:
+            total = cyc_add(total, b)
+        mean = cyc_div_int(total, len(cells))
+        if mean is None:  # scale the spec so that its mean is integral
+            cells = [cyc_scale(b, len(cells)) for b in cells]
+            mean = total
+        w = tiny_on_ray(k, draw(st.integers(0, k - 1)))
+        cells += [cyc_add(mean, w), cyc_sub(mean, w)]
+    assume(len({b.canonical_key() for b in cells}) == len(cells))
+    return make_spec(k, cells, partial=base.partial), variant
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, SpecError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestSectorsReference:
+    @given(sector_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_kscan_reference(self, case):
+        spec, variant = case
+        scans = []
+        ray_scan = glp._ray_scan
+
+        def counting(*args):
+            scans.append(args)
+            return ray_scan(*args)
+
+        reference = kscan_sectors(spec)
+        with mock.patch.object(glp, "_ray_scan", counting):
+            got = slices(spec)
+            closed = closed_slices(spec)
+            whole = make_spec(spec.k, [c.barycenter for c in spec.cells])
+            via = outcome(lambda s: glp_via_slices(s).serialize(), whole)
+        sector, rays = reference
+        assert got.sector == tuple(sector)
+        assert closed == [
+            frozenset(i for i, (s, r) in enumerate(zip(sector, rays)) if s == m + 1 or r == m)
+            for m in range(spec.k)
+        ]
+        with mock.patch.object(glp, "_sectors", kscan_sectors):
+            assert via == outcome(lambda s: glp_via_slices(s).serialize(), whole)
+        if variant == "plain":
+            assert not scans
+        elif variant == "tiny":
+            # both tiny cells take the fallback in slices and closed_slices
+            assert len(scans) >= 4
+
+    def test_far_points_certain(self):
+        # the hexagon's cells sit on the rays, 6 * 2 from the centre
+        scans = []
+        with mock.patch.object(glp, "_ray_scan", lambda *a: scans.append(a)):
+            assert slices(catalog("sierpinski-hexagon")).sector == (6, 1, 2, 3, 4, 5)
+        assert not scans
+
+    def test_tiny_point_is_tiny(self):
+        w = tiny_on_ray(8, 3)
+        assert math.hypot(*to_cartesian(w)) < 1e-6
+        assert max(map(abs, w.coeffs)) > 2**20
