@@ -297,7 +297,7 @@ def random_valid_spec(
             key = tuple(map(add, base.canonical_key(), step_keys[i]))
             if key in accepted:
                 continue
-            cand = cyc_add(base, steps[i])
+            cand = _preset(k, tuple(map(add, base.coeffs, steps[i].coeffs)), key)
             entry = _entry(cand)
             if not index.clear(entry):
                 continue
@@ -326,7 +326,7 @@ def random_valid_spec(
         key = tuple(map(add, base.canonical_key(), step_keys[i]))
         if key in accepted:
             continue
-        cand = cyc_add(base, steps[i])
+        cand = _preset(k, tuple(map(add, base.coeffs, steps[i].coeffs)), key)
         if not any(key):
             if k not in (3, 4, 6):
                 continue  # central cell only legal for triangles, squares, hexagons

@@ -127,17 +127,25 @@ def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=None)
+def _sparse_rows(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The reduction rows as their nonzero (index, coefficient) pairs."""
+    return tuple(
+        tuple((t, r) for t, r in enumerate(row) if r) for row in _reduction_rows(order)
+    )
+
+
 def _canonical(order: int, coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    """Remainder of the coefficient vector modulo Phi_order (degree < phi(order))."""
-    rows = _reduction_rows(order)
-    deg = len(rows[0])
-    out = [0] * deg
-    for j, c in enumerate(coeffs):
+    """Remainder of the coefficient vector modulo Phi_order (degree < phi(order)), uncached:
+    entries below phi(order) stay, and each later entry c adds c times its sparse row."""
+    deg = len(_reduction_rows(order)[0])
+    rows = _sparse_rows(order)
+    out = list(coeffs[:deg])
+    for m in range(deg, order):
+        c = coeffs[m]
         if c:
-            row = rows[j]
-            for i in range(deg):
-                out[i] += c * row[i]
+            for t, r in rows[m]:
+                out[t] += c * r
     return tuple(out)
 
 
@@ -147,14 +155,15 @@ class CycInt:
 
     Equality and hashing are mathematical (two vectors representing the
     same complex number compare equal).  Values are immutable: the
-    canonical key is computed lazily and cached on the instance, written
-    at most once per value (every writer stores the same tuple), so a
-    CycInt can be shared across threads.
+    canonical key and float point are computed lazily and cached on the
+    instance, each written at most once (every writer stores the same
+    tuple), so a CycInt can be shared across threads.
     """
 
     order: int
     coeffs: tuple[int, ...]
     _key: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    _xy: tuple[float, float] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.order <= MAX_ORDER:
@@ -275,14 +284,6 @@ def _preset(order: int, coeffs: tuple[int, ...], key: tuple[int, ...]) -> CycInt
     return out
 
 
-@lru_cache(maxsize=None)
-def _sparse_rows(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The reduction rows as their nonzero (index, coefficient) pairs."""
-    return tuple(
-        tuple((t, r) for t, r in enumerate(row) if r) for row in _reduction_rows(order)
-    )
-
-
 def _permuted(seq: tuple[int, ...], shift: int, sign: int) -> tuple[int, ...]:
     """seq with entry i moved to index (shift + sign * i) mod len(seq), for sign = +-1."""
     if sign < 0:
@@ -297,21 +298,10 @@ def _mapped_key(k: int, key: tuple[int, ...], shift: int, sign: int) -> tuple[in
     the order-k point with canonical key `key`.
 
     Rotation and reflection are well defined on Z[zeta_k], so the image's
-    key is the reduction of the permuted key.  Entries landing below
-    deg = phi(k) are already reduced; only the rest add multiples of
-    their (sparse) reduction rows.  No value is built, so the key may hold
-    coefficients of any size.
+    key is the reduction of the permuted key.  No value is built, so the
+    key may hold coefficients of any size.
     """
-    deg = len(key)
-    spread = _permuted(key + (0,) * (k - deg), shift, sign)
-    out = list(spread[:deg])
-    rows = _sparse_rows(k)
-    for m in range(deg, k):
-        c = spread[m]
-        if c:
-            for t, r in rows[m]:
-                out[t] += c * r
-    return tuple(out)
+    return _canonical(k, _permuted(key + (0,) * (k - len(key)), shift, sign))
 
 
 def _mapped(a: CycInt, shift: int, sign: int) -> CycInt:
@@ -396,7 +386,7 @@ def _unit_circle(order: int) -> tuple[tuple[float, float], ...]:
 
 
 def _embed(order: int, coeffs: tuple[int, ...]) -> tuple[float, float]:
-    """The float point of a coefficient vector, uncached (for points seen once)."""
+    """The float point of a coefficient vector, uncached (`to_cartesian` caches a value's)."""
     x = 0.0
     y = 0.0
     for c, (cos, sin) in zip(coeffs, _unit_circle(order)):
@@ -422,11 +412,8 @@ def _embed_error(order: int, coeffs: tuple[int, ...]) -> float:
     return (order + 24) * sum(map(abs, coeffs)) * 2.0**-52
 
 
-_cartesian = lru_cache(maxsize=1 << 16)(_embed)
-
-
 def to_cartesian(a: CycInt) -> tuple[float, float]:
-    """Double-precision embedding of a as the point (x, y).
+    """Double-precision embedding of a as the point (x, y), cached on a like its key.
 
     Besides rendering and slice angle bucketing, these floats also decide
     geometric questions outright: hull overlap and its distance exit
@@ -445,4 +432,6 @@ def to_cartesian(a: CycInt) -> tuple[float, float]:
     reflection test on its line decides it.  Closer points fall back to
     testing every ray.
     """
-    return _cartesian(a.order, a.coeffs)
+    if a._xy is None:
+        object.__setattr__(a, "_xy", _embed(a.order, a.coeffs))
+    return a._xy

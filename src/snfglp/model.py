@@ -334,11 +334,15 @@ def _rotation_class(e: Adjacency, k: int) -> int | None:
 
 
 def _find_corner(
-    spec: FractalSpec, coeffs: list[tuple[int, ...]], keys: list[tuple[int, ...]]
+    spec: FractalSpec,
+    coeffs: list[tuple[int, ...]],
+    keys: list[tuple[int, ...]],
+    mirrored: list[tuple[int, ...]],
 ) -> int | None:
     """Index of the corner cell on the positive real axis, if any.
 
-    `coeffs` and `keys` are the `_scaled_points` of the spec.  A corner
+    `coeffs` and `keys` are the `_scaled_points` of the spec, and
+    `mirrored` holds the keys reflected across the real axis.  A corner
     cell sits at (L-1) * zeta^0 relative to the global barycenter and its
     outward vertex is a vertex of no other cell (it is an essential fixed
     point image).  Corner cells need not be the outermost cells of the
@@ -353,7 +357,7 @@ def _find_corner(
     steps = [tuple(n * (a - b) for a, b in zip(rows[0], rows[jb])) for jb in range(1, k)]
     best: tuple[float, int] | None = None
     for i, key in enumerate(keys):
-        if _mapped_key(k, key, 0, -1) != key:
+        if mirrored[i] != key:
             continue
         x, _ = _embed(k, coeffs[i])
         if x <= 1e-9:
@@ -450,16 +454,17 @@ def validate(spec: FractalSpec) -> ValidationReport:
     corner_witness: int | None = None
     vertex_at_center: int | None = None
     if not spec.partial:
+        mirrored = [_mapped_key(k, key, 0, -1) for key in keys]
         if sorted(_mapped_key(k, key, 1, 1) for key in keys) != sorted_keys:
             symmetry_ok = False
             symmetry_witness = ("rotation", 1)
         # on a zeta-invariant set reflection m is zeta^m after reflection 0
-        elif sorted(_mapped_key(k, key, 0, -1) for key in keys) != sorted_keys:
+        elif sorted(mirrored) != sorted_keys:
             symmetry_ok = False
             symmetry_witness = ("reflection", 0)
 
         key_set = set(keys)
-        corner = _find_corner(spec, coeffs, keys)
+        corner = _find_corner(spec, coeffs, keys, mirrored)
         if corner is None:
             corner_ok = False
             corner_witness = 0
@@ -525,7 +530,8 @@ def derive_scaling(spec: FractalSpec) -> CycInt:
     k = spec.k
     n = spec.n
     coeffs, keys = _scaled_points(spec)
-    corner = _find_corner(spec, coeffs, keys)
+    mirrored = [_mapped_key(k, key, 0, -1) for key in keys]
+    corner = _find_corner(spec, coeffs, keys, mirrored)
     if corner is None:
         raise ScalingError("no corner cell on the positive real axis")
     if any(c % n for c in keys[corner]):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import _embed, cyc_unit_translate_keys, to_cartesian
 from .glp import Labeling, Verdict, _labels_by_key
-from .model import FractalSpec, global_barycenter
+from .model import FractalSpec
 
 _FILL = "#d3d3d3"
 _FILL_ALT = "#a9a9a9"
@@ -126,9 +126,10 @@ def render_svg(
         )
 
     if opt.show_slices:
-        total, n = global_barycenter(spec)
-        bx, by = to_cartesian(total)
-        bx, by = bx / n, by / n
+        # the coefficients of global_barycenter's sum, as Python ints
+        total = tuple(sum(col) for col in zip(*(cell.barycenter.coeffs for cell in spec.cells)))
+        bx, by = _embed(k, total)
+        bx, by = bx / spec.n, by / spec.n
         reach = max(math.hypot(x - bx, y - by) for poly in polys for x, y in poly) + opt.margin
         for j in range(k):
             ang = 2.0 * math.pi * j / k

@@ -3,10 +3,19 @@ from __future__ import annotations
 
 import itertools
 
+from snfglp.cyclotomic import IntPolynomial, cyclotomic_polynomial
 from snfglp.glp import build_constraint_graph, edge_weight
 from snfglp.model import FractalSpec
 
 PLAIN_ENUM_CAP = 200_000
+
+
+def remainder_key(k: int, coeffs) -> tuple[int, ...]:
+    """The canonical key by long division: the remainder of the coefficient
+    polynomial modulo Phi_k, padded to phi(k) entries."""
+    phi = cyclotomic_polynomial(k)
+    rem = IntPolynomial(*coeffs).divmod_exact(phi)[1].coeffs
+    return rem + (0,) * (phi.degree() - len(rem))
 
 
 def brute_force_glp(spec: FractalSpec) -> bool:

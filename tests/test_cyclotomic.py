@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import remainder_key
 from snfglp.cyclotomic import (
     COEFF_LIMIT,
     CoefficientOverflow,
@@ -252,6 +253,19 @@ class TestAlgebraProperties:
         b = cyc_add(a, from_coeffs(k, folded))
         assert a == b and hash(a) == hash(b)
 
+    @given(
+        st.integers(1, 36).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.lists(st.integers(-COEFF_LIMIT, COEFF_LIMIT), min_size=k, max_size=k),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_canonical_is_remainder_mod_phi(self, kv):
+        k, coeffs = kv
+        assert _canonical(k, tuple(coeffs)) == remainder_key(k, coeffs)
+
 
 @st.composite
 def embed_vectors(draw):
@@ -291,8 +305,8 @@ class TestEmbedError:
 
 
 def fresh_key(a: CycInt) -> tuple[int, ...]:
-    """Reference: reduce a's raw coefficients, bypassing the LRU and any cached key."""
-    return _canonical.__wrapped__(a.order, a.coeffs)
+    """Reference: divide a's raw coefficients by Phi_k, ignoring any cached key."""
+    return remainder_key(a.order, a.coeffs)
 
 
 wide_vectors = st.integers(3, 36).flatmap(
@@ -335,7 +349,8 @@ class TestDerivedKeys:
 
     def test_threads_share_fresh_values(self):
         # more threads than cores and a short switch interval, so writes of
-        # the lazily cached key interleave; every key must still be exact
+        # the lazily cached key and float point interleave; every key must
+        # still be exact and every point the uncached embedding
         rng = random.Random(5)
         values = [
             from_coeffs(k, [rng.randint(-COEFF_LIMIT, COEFF_LIMIT) for _ in range(k)])
@@ -353,7 +368,7 @@ class TestDerivedKeys:
             out = {}
             for i in order:
                 v = values[i]
-                out[i] = (hash(v), v.canonical_key(), cyc_rotate_key(v, 1))
+                out[i] = (hash(v), v.canonical_key(), cyc_rotate_key(v, 1), to_cartesian(v))
             seen[slot] = out
 
         threads = [threading.Thread(target=work, args=(slot,)) for slot in range(n_threads)]
@@ -369,6 +384,7 @@ class TestDerivedKeys:
         assert not any(t.is_alive() for t in threads)
         for i, v in enumerate(values):
             key = fresh_key(v)
-            want = (hash((v.order, key)), key, fresh_key(cyc_rotate(v, 1)))
-            assert v.canonical_key() == key
+            xy = _embed(v.order, v.coeffs)
+            want = (hash((v.order, key)), key, fresh_key(cyc_rotate(v, 1)), xy)
+            assert v.canonical_key() == key and to_cartesian(v) == xy
             assert all(out is not None and out[i] == want for out in seen)

@@ -403,6 +403,28 @@ class TestValidate:
                 x for x in plain if x.startswith(axiom)
             ]
 
+    def test_each_key_reflected_once(self, monkeypatch):
+        # the symmetry test and the corner search share one reflection per
+        # scaled key; rotation maps every key once more and the corner's
+        # orbit k - 1 times
+        from snfglp import model
+        from snfglp.construct import expand, generate_glp_example
+
+        level2 = expand(generate_glp_example(12), 2)
+        spec = make_spec(12, [c.barycenter for c in level2.cells])
+        mapped = model._mapped_key
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2:])
+            return mapped(*args)
+
+        monkeypatch.setattr(model, "_mapped_key", counting)
+        assert validate(spec).valid
+        assert spec.n == 576
+        assert calls.count((0, -1)) == spec.n
+        assert len(calls) == 2 * spec.n + 11
+
     def test_vertex_at_center_rejected(self):
         # symmetric orbit of cells whose vertices land exactly on the barycenter
         from snfglp.construct import generate_glp_example

@@ -204,3 +204,22 @@ class TestCoefficientLimit:
         assert len(root.findall(f"{NS}polygon")) == 1
         assert len(root.findall(f"{NS}circle")) == 3
         assert sorted(t.text for t in root.findall(f"{NS}text")) == ["A", "B", "C"]
+
+    def test_shifted_gasket_slice_rays(self):
+        # every coefficient shifted by 2^30 (1 + zeta + zeta^2 = 0, so the
+        # cells are the gasket's): the sum of the barycenters has coefficients
+        # past COEFF_LIMIT, and the slice rays are still centred on its mean
+        shifted = parse(
+            "snf k=3\n"
+            "cell 1073741825 1073741824 1073741824\n"
+            "cell 1073741824 1073741825 1073741824\n"
+            "cell 1073741824 1073741824 1073741825\n"
+        )
+        plain = catalog("sierpinski-gasket")
+        got = parsed(render_svg(shifted, decide_glp(shifted), ALL_LAYERS))
+        want = parsed(render_svg(plain, decide_glp(plain), ALL_LAYERS))
+        assert [e.tag for e in got] == [e.tag for e in want]
+        assert len(got.findall(f"{NS}line")) == 3
+        for a, b in zip(got.findall(f"{NS}line"), want.findall(f"{NS}line")):
+            for attr in ("x1", "y1", "x2", "y2"):
+                assert float(a.get(attr)) == pytest.approx(float(b.get(attr)), abs=1e-3)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import remainder_key
 from snfglp import glp
 from snfglp.construct import generate_counterexample, generate_glp_example, random_valid_spec
 from snfglp.glp import (
@@ -19,7 +20,6 @@ from snfglp.glp import (
 )
 from snfglp.model import CATALOG_NAMES, SpecError, catalog, make_spec, validate
 from snfglp.cyclotomic import (
-    _canonical,
     _embed,
     cyc_add,
     cyc_div_int,
@@ -202,10 +202,11 @@ class TestViaSlices:
 def kscan_sectors(spec):
     """Reference for glp._sectors: every vertex ray tested on every cell.
 
-    Positions are n * b - sum(b) in Python ints, reduced afresh; a point is
-    on the line of ray j when its reflection across that line, permuted
-    on the coefficients and reduced again, has the same key, and on the ray
-    when its float point has a positive component along zeta^j.
+    Positions are n * b - sum(b) in Python ints, reduced afresh by long
+    division (`remainder_key`); a point is on the line of ray j when its
+    reflection across that line, permuted on the coefficients and reduced
+    again, has the same key, and on the ray when its float point has a
+    positive component along zeta^j.
     """
     k, n = spec.k, spec.n
     rows = [c.barycenter.coeffs for c in spec.cells]
@@ -213,7 +214,7 @@ def kscan_sectors(spec):
     sector, rays = [], []
     for row in rows:
         coeffs = tuple(n * c - t for c, t in zip(row, total))
-        key = _canonical.__wrapped__(k, coeffs)
+        key = remainder_key(k, coeffs)
         if not any(key):
             sector.append(None)
             rays.append(None)
@@ -222,7 +223,7 @@ def kscan_sectors(spec):
         ray = None
         for j in range(k):
             mirrored = tuple(coeffs[(2 * j - i) % k] for i in range(k))
-            if _canonical.__wrapped__(k, mirrored) == key:
+            if remainder_key(k, mirrored) == key:
                 ang = 2.0 * math.pi * j / k
                 if x * math.cos(ang) + y * math.sin(ang) > 0:
                     ray = j
