@@ -41,8 +41,8 @@ from .model import (
     FractalSpec,
     ScalingError,
     SpecError,
+    _Grid,
     _scaled_points,
-    cells_conflict,
     derive_scaling,
     make_spec,
 )
@@ -200,54 +200,6 @@ def _legal_steps(k: int) -> list[CycInt]:
     return out
 
 
-_Entry = tuple[float, float, Cell]  # a cell with its float barycenter (x, y, cell)
-
-
-def _entry(pos: CycInt) -> _Entry:
-    """A candidate or accepted cell with its float barycenter."""
-    x, y = to_cartesian(pos)
-    return x, y, Cell(pos, 0)
-
-
-def _clear_of(entry: _Entry, others) -> bool:
-    """The entry's cell conflicts with no cell among the `others` entries."""
-    x, y, cell = entry
-    for ox, oy, other in others:
-        if (x - ox) ** 2 + (y - oy) ** 2 >= 4.0:
-            continue
-        if cells_conflict(cell, other):
-            return False
-    return True
-
-
-class _CellIndex:
-    """Accepted cells bucketed by float barycenter in 2 x 2 squares.
-
-    Cells whose buckets are two apart on either axis differ by more than 2
-    in that float coordinate, so the `d2 >= 4.0` exit clears them anyway;
-    a candidate scans only its 3 x 3 neighbourhood and gets the verdict a
-    scan of every accepted cell would give.
-    """
-
-    def __init__(self) -> None:
-        self._buckets: dict[tuple[int, int], list[_Entry]] = {}
-
-    def add(self, entry: _Entry) -> None:
-        x, y, _ = entry
-        self._buckets.setdefault((math.floor(x / 2.0), math.floor(y / 2.0)), []).append(entry)
-
-    def clear(self, entry: _Entry) -> bool:
-        """The entry's cell conflicts with no accepted cell."""
-        gx, gy = math.floor(entry[0] / 2.0), math.floor(entry[1] / 2.0)
-        buckets = self._buckets
-        for bx in (gx - 1, gx, gx + 1):
-            for by in (gy - 1, gy, gy + 1):
-                others = buckets.get((bx, by))
-                if others is not None and not _clear_of(entry, others):
-                    return False
-        return True
-
-
 @lru_cache(maxsize=None)
 def _growth_base(k: int, expanded: bool) -> tuple[tuple[CycInt, ...], float]:
     """Barycenters and corner radius of a symmetrized growth base: the
@@ -286,8 +238,8 @@ def random_valid_spec(
     if not symmetrize:
         start = zero(k)
         accepted = {start.canonical_key()}
-        index = _CellIndex()
-        index.add(_entry(start))
+        grid = _Grid()
+        grid.add(Cell(start, 0))
         order = [start]
         budget = 400 * target_cells
         while len(order) < target_cells and budget > 0:
@@ -297,13 +249,12 @@ def random_valid_spec(
             key = tuple(map(add, base.canonical_key(), step_keys[i]))
             if key in accepted:
                 continue
-            cand = _preset(k, tuple(map(add, base.coeffs, steps[i].coeffs)), key)
-            entry = _entry(cand)
-            if not index.clear(entry):
+            cand = Cell(_preset(k, tuple(map(add, base.coeffs, steps[i].coeffs)), key), 0)
+            if not grid.clear(cand):
                 continue
             accepted.add(key)
-            index.add(entry)
-            order.append(cand)
+            grid.add(cand)
+            order.append(cand.barycenter)
         if len(order) < target_cells:
             raise GenerationError("growth stalled before reaching the target size")
         return make_spec(k, order, partial=True)
@@ -313,9 +264,9 @@ def random_valid_spec(
         base, corner_radius = _growth_base(k, True)
     order = list(base)
     accepted = {pos.canonical_key() for pos in order}
-    index = _CellIndex()
+    grid = _Grid()
     for pos in order:
-        index.add(_entry(pos))
+        grid.add(Cell(pos, 0))
     budget = 40 * target_cells
     stale = 0
     while len(order) < target_cells and budget > 0 and stale < 300:
@@ -333,7 +284,7 @@ def random_valid_spec(
         elif math.hypot(*to_cartesian(cand)) > corner_radius - 0.05:
             continue
         # cand is in its own orbit: test it against the accepted cells first
-        if not index.clear(_entry(cand)):
+        if not grid.clear(Cell(cand, 0)):
             continue
         # orbit key -> (shift, sign): cyc_rotate(cand, shift) for sign 1 and
         # cyc_reflect(cand, shift) for sign -1, which has the coefficients of
@@ -345,12 +296,14 @@ def random_valid_spec(
             orbit[cyc_reflect_key(cand, -j)] = (-j, -1)
         # no image of cand can be accepted: the accepted set is dihedral-closed
         # and cand's own key is not in it
-        members: list[_Entry] = []
+        members: list[Cell] = []
+        orbit_grid = _Grid()
         for okey, (shift, sign) in sorted(orbit.items()):
-            entry = _entry(cyc_rotate(cand, shift) if sign > 0 else cyc_reflect(cand, shift))
-            if (okey != key and not index.clear(entry)) or not _clear_of(entry, members):
+            member = Cell(cyc_rotate(cand, shift) if sign > 0 else cyc_reflect(cand, shift), 0)
+            if (okey != key and not grid.clear(member)) or not orbit_grid.clear(member):
                 break
-            members.append(entry)
+            members.append(member)
+            orbit_grid.add(member)
         if len(members) < len(orbit):
             continue
         # every orbit cell must touch the previously accepted configuration;
@@ -360,10 +313,9 @@ def random_valid_spec(
             for okey in orbit
         ):
             continue
-        for entry in members:
-            pos = entry[2].barycenter
-            accepted.add(pos.canonical_key())
-            index.add(entry)
-            order.append(pos)
+        for member in members:
+            accepted.add(member.barycenter.canonical_key())
+            grid.add(member)
+            order.append(member.barycenter)
         stale = 0
     return make_spec(k, order, partial=False)

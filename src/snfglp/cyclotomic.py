@@ -415,22 +415,16 @@ def _embed_error(order: int, coeffs: tuple[int, ...]) -> float:
 def to_cartesian(a: CycInt) -> tuple[float, float]:
     """Double-precision embedding of a as the point (x, y), cached on a like its key.
 
-    Besides rendering and slice angle bucketing, these floats also decide
-    geometric questions outright: hull overlap and its distance exit
-    (`model.cells_conflict`, also bucketed and prefiltered in
-    `construct._CellIndex`), the `model._close_pairs` adjacency prefilter,
-    the corner search (`model._find_corner`) and the growth radius in
-    `construct.random_valid_spec`.  No error bound certifies those answers
-    for large coefficients yet (ROADMAP item 1).
-
-    One float answer is certified: the vertex ray of a slice position
-    (`glp._sectors`).  Each coordinate of the embedding is within
-    `_embed_error` of the exact point, so when the point is farther than
-    2 * k * `_embed_error` from the origin its float angle is within
-    pi/(2k) of the true one, a quarter of the spacing of the rays.  The
-    ray nearest that angle is then the only candidate, and the exact
-    reflection test on its line decides it.  Closer points fall back to
-    testing every ray.
+    Each coordinate is within `_embed_error` of the exact point, which
+    certifies two float decisions: the near-cell grid (`model._Grid`, for
+    adjacency, validation and growth), whose cut-off `model._NEAR` covers
+    that error for every value that can be built; and the vertex ray of a
+    slice position (`glp._sectors`), whose float angle is within pi/(2k)
+    of the true one beyond 2 * k * `_embed_error` from the origin, so only
+    the nearest ray is tested, exactly.  `model.cells_conflict` embeds the
+    exact key difference of two cells, never two large points.  Not yet
+    certified: a hull gap within the error of a large difference, the
+    corner search (`model._find_corner`) and the growth radius.
     """
     if a._xy is None:
         object.__setattr__(a, "_xy", _embed(a.order, a.coeffs))

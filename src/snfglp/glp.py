@@ -559,6 +559,12 @@ def glp_via_slices(spec: FractalSpec) -> Verdict:
     always can; otherwise the verdict of one closed slice (even k, and
     k = 6 without central cell) or of two neighboring open slices
     (odd k) transfers to the whole configuration.
+
+    Known defect: the transfer can fail on symmetrized growth.
+    `random_valid_spec(12, 40, 403123852, symmetrize=True)` passes
+    `validate`, yet `decide_glp` finds the weight-6 cycle
+    4 3 2 1 0 34 47 43 30 across sectors 12, 1 and 2, which closed
+    slice 1 does not hold, and this route answers GLP.
     """
     if spec.partial:
         raise ValueError("glp_via_slices requires a non-partial spec")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
@@ -21,6 +22,7 @@ from .cyclotomic import (
     _mapped_key,
     _preset,
     _reduction_rows,
+    _unit_circle,
     cyc_add,
     cyc_is_zero,
     cyc_reflect_key,
@@ -122,13 +124,16 @@ def _step_table(k: int) -> dict[tuple[int, ...], tuple[tuple[int, int], ...]]:
     return {key: tuple(pairs) for key, pairs in table.items()}
 
 
-def shared_vertices(a: Cell, b: Cell) -> list[tuple[int, int]]:
-    """Index pairs (j_a, j_b) with a.barycenter + zeta^j_a == b.barycenter + zeta^j_b."""
+def _key_difference(a: Cell, b: Cell) -> tuple[int, ...]:
+    """key(b) - key(a): reduction is linear, so no difference value is built."""
     if a.barycenter.order != b.barycenter.order:
         raise SpecError("cells of different order")
-    # reduction is linear, so key(b - a) = key(b) - key(a); no difference is built
-    delta = tuple(map(sub, b.barycenter.canonical_key(), a.barycenter.canonical_key()))
-    return list(_step_table(a.barycenter.order).get(delta, ()))
+    return tuple(map(sub, b.barycenter.canonical_key(), a.barycenter.canonical_key()))
+
+
+def shared_vertices(a: Cell, b: Cell) -> list[tuple[int, int]]:
+    """Index pairs (j_a, j_b) with a.barycenter + zeta^j_a == b.barycenter + zeta^j_b."""
+    return list(_step_table(a.barycenter.order).get(_key_difference(a, b), ()))
 
 
 @lru_cache(maxsize=None)
@@ -165,21 +170,31 @@ def _hulls_overlap(k: int, dx: float, dy: float) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _conflict_steps(k: int) -> frozenset[tuple[int, ...]]:
+    """The `_step_table` keys of conflicting cells: two or more shared vertices,
+    or one pair (ja, jb) whose small offset zeta^ja - zeta^jb overlaps the hulls."""
+    circle = _unit_circle(k)
+    return frozenset(
+        step
+        for step, ((ja, jb), *more) in _step_table(k).items()
+        if more or _hulls_overlap(k, *map(sub, circle[ja], circle[jb]))
+    )
+
+
 def cells_conflict(a: Cell, b: Cell) -> bool:
     """True iff the cells share >= 2 vertices or their hull interiors overlap.
 
-    Overlap is decided on the float barycenter difference alone, by the
-    O(k) support test of `_hulls_overlap`; no vertex is built.
+    Decided on the exact key difference delta = key(b) - key(a), never on two
+    large floats: a vertex step is looked up in `_conflict_steps`, any other
+    delta is embedded alone for the distance and `_hulls_overlap` tests.
     """
-    shared = shared_vertices(a, b)
-    if len(shared) >= 2:
-        return True
-    ax, ay = to_cartesian(a.barycenter)
-    bx, by = to_cartesian(b.barycenter)
-    d2 = (ax - bx) ** 2 + (ay - by) ** 2
-    if d2 >= 4.0:
-        return False
-    return _hulls_overlap(a.barycenter.order, bx - ax, by - ay)
+    k = a.barycenter.order
+    delta = _key_difference(a, b)
+    if delta in _step_table(k):
+        return delta in _conflict_steps(k)
+    dx, dy = _embed(k, delta)
+    return dx * dx + dy * dy < 4.0 and _hulls_overlap(k, dx, dy)
 
 
 def global_barycenter(spec: FractalSpec) -> tuple[CycInt, int]:
@@ -219,34 +234,52 @@ class Adjacency:
     jb: int
 
 
-def _close_pairs(spec: FractalSpec) -> list[tuple[int, int]]:
-    """Cell index pairs with barycenter distance <= 2 (+ float slack).
+# Cells at exact distance <= 2 are less than _NEAR apart in floats: every
+# value that can be built (k <= 36, |c| <= 2^31) embeds within
+# _embed_error(36, (2**31,) * 36) < 2^-9.9 per coordinate, so a float
+# distance is off by at most 2 * sqrt(2) * 2^-9.9 = 2^-8.4.  The margin
+# left, over 2^-11, dwarfs the rounding of d^2 and of x / _NEAR (< 2^-17).
+_NEAR = 2 + 2**-8
 
-    Bucket size 2.5 guarantees such pairs sit in the same or adjacent
-    buckets even when a distance-2 pair straddles bucket boundaries.
-    """
-    coords = [to_cartesian(c.barycenter) for c in spec.cells]
-    grid: dict[tuple[int, int], list[int]] = {}
-    for i, (x, y) in enumerate(coords):
-        grid.setdefault((math.floor(x / 2.5), math.floor(y / 2.5)), []).append(i)
+
+class _Grid:
+    """Cells bucketed by float barycenter in _NEAR x _NEAR squares, the one
+    index of near cells: two cells at exact distance <= 2 sit in the same or
+    neighbouring buckets (see _NEAR), so `near` scans 3 x 3 buckets."""
+
+    def __init__(self) -> None:
+        self._buckets: dict[tuple[int, int], list[tuple[float, float, Cell]]] = {}
+
+    def add(self, cell: Cell) -> None:
+        x, y = to_cartesian(cell.barycenter)
+        key = (math.floor(x / _NEAR), math.floor(y / _NEAR))
+        self._buckets.setdefault(key, []).append((x, y, cell))
+
+    def near(self, cell: Cell) -> Iterator[Cell]:
+        """The added cells less than _NEAR from the cell in floats, among them
+        every added cell at exact distance <= 2."""
+        x, y = to_cartesian(cell.barycenter)
+        gx, gy = math.floor(x / _NEAR), math.floor(y / _NEAR)
+        for bx in (gx - 1, gx, gx + 1):
+            for by in (gy - 1, gy, gy + 1):
+                for ox, oy, other in self._buckets.get((bx, by), ()):
+                    if (x - ox) ** 2 + (y - oy) ** 2 < _NEAR * _NEAR:
+                        yield other
+
+    def clear(self, cell: Cell) -> bool:
+        """The cell conflicts with no added cell."""
+        return not any(cells_conflict(cell, other) for other in self.near(cell))
+
+
+def _close_pairs(spec: FractalSpec) -> list[tuple[int, int]]:
+    """Sorted index pairs (i, j), i < j, of cells less than _NEAR apart in
+    floats: every pair that can share a vertex or conflict."""
+    grid = _Grid()
     pairs = []
-    for (gx, gy), members in grid.items():
-        for dx in (0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy < 0:
-                    continue
-                other = grid.get((gx + dx, gy + dy))
-                if other is None:
-                    continue
-                for i in members:
-                    for j in other:
-                        if (dx, dy) == (0, 0) and j <= i:
-                            continue
-                        xi, yi = coords[i]
-                        xj, yj = coords[j]
-                        if (xi - xj) ** 2 + (yi - yj) ** 2 < 4.0 + 1e-9:
-                            pairs.append((min(i, j), max(i, j)))
-    return sorted(set(pairs))
+    for cell in spec.cells:
+        pairs += [(other.index, cell.index) for other in grid.near(cell)]
+        grid.add(cell)
+    return sorted(pairs)
 
 
 def find_adjacencies(spec: FractalSpec) -> tuple[list[Adjacency], tuple[int, int] | None]:

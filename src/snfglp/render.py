@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cyclotomic import _embed, cyc_unit_translate_keys, to_cartesian
+from .cyclotomic import _embed, _unit_circle, cyc_unit_translate_keys, to_cartesian
 from .glp import Labeling, Verdict, _labels_by_key
 from .model import FractalSpec
 
@@ -41,12 +41,26 @@ def _label_text(lab: int, k: int) -> str:
 
 
 def _polygon(k: int, barycenter: tuple[int, ...]) -> list[tuple[float, float]]:
-    """The float vertices barycenter + zeta^j, j = 0..k-1, each embedded once (no cache)."""
+    """The float vertices barycenter + zeta^j, j = 0..k-1, bit-identical to `_embed`
+    with one added at index j: it adds nonzero terms in index order, so the terms
+    below j are summed once and each vertex adds its own and the nonzero ones above."""
+    circle = _unit_circle(k)
+    terms = [(c * cos, c * sin) for c, (cos, sin) in zip(barycenter, circle) if c]
     poly = []
-    for j in range(k):
-        coeffs = list(barycenter)
-        coeffs[j] += 1
-        poly.append(_embed(k, coeffs))
+    x = y = 0.0  # the nonzero terms below index j, popped from terms
+    for c, (cos, sin) in zip(barycenter, circle):
+        vx, vy = x, y
+        if c + 1:
+            vx += (c + 1) * cos
+            vy += (c + 1) * sin
+        if c:
+            tx, ty = terms.pop(0)
+            x += tx
+            y += ty
+        for tx, ty in terms:
+            vx += tx
+            vy += ty
+        poly.append((vx, vy))
     return poly
 
 

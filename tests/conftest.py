@@ -18,6 +18,15 @@ def remainder_key(k: int, coeffs) -> tuple[int, ...]:
     return rem + (0,) * (phi.degree() - len(rem))
 
 
+def fold(k: int, coeffs, j: int, m: int) -> tuple[int, ...]:
+    """The same point of Z[zeta_k] with m * zeta^j * Phi_k (which is 0) added
+    to its coefficients."""
+    row = list(coeffs)
+    for d, c in enumerate(cyclotomic_polynomial(k).coeffs):
+        row[(d + j) % k] += m * c
+    return tuple(row)
+
+
 def brute_force_glp(spec: FractalSpec) -> bool:
     """Exhaustive search over per-cell rotation assignments.
 

@@ -36,6 +36,23 @@ def shifted_gasket_file(tmp_path):
 
 
 @pytest.fixture
+def folded_snowflake_file(tmp_path):
+    # the Lindstrom snowflake, each cell plus a multiple of a fold of Phi_6 (0)
+    path = tmp_path / "snowflake-folded.snf"
+    path.write_text(
+        "snf k=6 partial\n"
+        "cell -19411101 19411103 -19411103 0 0 0\n"
+        "cell -105632175 105632177 -105632175 0 0 0\n"
+        "cell 150255908 -150255908 150255910 0 0 0\n"
+        "cell -252171772 252171772 -252171772 2 0 0\n"
+        "cell -199682220 199682220 -199682220 0 2 0\n"
+        "cell -97281079 97281079 -97281079 0 0 2\n"
+        "cell -222491084 222491084 -222491084 0 0 0\n"
+    )
+    return str(path)
+
+
+@pytest.fixture
 def snowflake_file(tmp_path):
     path = tmp_path / "snowflake.snf"
     path.write_text(serialize(catalog("lindstrom-snowflake")))
@@ -100,6 +117,11 @@ class TestDecide:
     def test_bad_flag(self, hexagon_file):
         assert run(["decide", hexagon_file, "--method", "psychic"]) == 3
 
+    def test_folded_snowflake(self, folded_snowflake_file, capsys):
+        assert run(["decide", folded_snowflake_file]) == 1
+        assert capsys.readouterr().out == "NOGLP\ncycle 1 0 6\n"
+        assert run(["decide", folded_snowflake_file, "--method", "even"]) == 1
+
     def test_no_command(self):
         assert run([]) == 3
 
@@ -140,6 +162,11 @@ class TestValidate:
     def test_shifted_gasket(self, shifted_gasket_file, capsys):
         assert run(["validate", shifted_gasket_file]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "valid: yes"
+
+    def test_folded_snowflake(self, folded_snowflake_file, capsys):
+        assert run(["validate", folded_snowflake_file]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "connectivity: ok (1 component)" and out[-1] == "valid: yes"
 
     def test_unparseable(self, tmp_path):
         path = tmp_path / "garbage.snf"

@@ -7,10 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import fold
 from snfglp.cyclotomic import (
     COEFF_LIMIT,
     CycInt,
     CoefficientOverflow,
+    _embed,
+    _embed_error,
+    _unit_circle,
     cyc_add,
     cyc_conj,
     cyc_eq,
@@ -33,8 +37,12 @@ from snfglp.model import (
     FractalSpec,
     ScalingError,
     SpecError,
+    _NEAR,
+    _Grid,
+    _conflict_steps,
     _hulls_overlap,
     _step_table,
+    _support_table,
     catalog,
     cells_conflict,
     derive_scaling,
@@ -281,6 +289,67 @@ class TestConflicts:
         assert shared_vertices(b, a) == difference_shared(b, a)
         assert cells_conflict(a, b) == difference_conflict(a, b)
         assert cells_conflict(b, a) == difference_conflict(b, a)
+
+
+def fold_cell(cell_, j, m):
+    k = cell_.barycenter.order
+    return Cell(from_coeffs(k, fold(k, cell_.barycenter.coeffs, j, m)), cell_.index)
+
+
+class TestExactConflicts:
+    @given(cell_pairs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_coefficients_do_not_matter(self, pair, data):
+        # the answer depends on the points only, also when their float
+        # embeddings come from coefficients near 2^30
+        a, b = pair
+        k = a.barycenter.order
+        folds = st.tuples(st.integers(0, k - 1), st.integers(-(2**30) + 4, 2**30 - 4))
+        fa, fb = fold_cell(a, *data.draw(folds)), fold_cell(b, *data.draw(folds))
+        assert cells_conflict(fa, fb) == cells_conflict(a, b)
+        assert cells_conflict(fb, fa) == cells_conflict(b, a)
+
+    @pytest.mark.parametrize("k", range(3, 37))
+    def test_one_vertex_steps_are_far_from_the_cut(self, k):
+        # float rounding of a small offset zeta^ja - zeta^jb cannot flip its
+        # `_conflict_steps` entry: the hulls touch (gap 0) or clearly overlap
+        circle = _unit_circle(k)
+        for step, pairs in _step_table(k).items():
+            if len(pairs) > 1:
+                assert step in _conflict_steps(k)
+                continue
+            (ja, jb), = pairs
+            dx, dy = circle[ja][0] - circle[jb][0], circle[ja][1] - circle[jb][1]
+            gap = min(w - abs(nx * dx + ny * dy) for nx, ny, w in _support_table(k))
+            assert abs(gap) < 1e-12 or gap > 1e-3
+            assert (step in _conflict_steps(k)) == (gap > 1e-3)
+
+
+class TestNearGrid:
+    def test_slack_covers_the_embedding_error(self):
+        worst = max(_embed_error(k, (COEFF_LIMIT,) * k) for k in range(3, 37))
+        assert worst == _embed_error(36, (COEFF_LIMIT,) * 36) < 2**-9.9
+        # two points at exact distance 2 are within 2 * sqrt(2) * worst of it in
+        # floats; the margin left covers rounding of d^2 and of x / _NEAR
+        assert 2 + 2 * math.sqrt(2) * 2**-9.9 + 2**-11 < _NEAR
+        assert 36 * COEFF_LIMIT / _NEAR < 2**36  # bucket rounding below 2^-17
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_finds_every_pair_at_distance_two(self, data):
+        k = data.draw(st.integers(3, 36))
+        big = st.integers(-(2**30), 2**30)
+        base = Cell(from_coeffs(k, data.draw(st.lists(big, min_size=k, max_size=k))), 0)
+        ja, jb = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+        step = [0] * k
+        step[ja] += 1
+        step[jb] -= 1
+        other = Cell(cyc_add(base.barycenter, from_coeffs(k, step)), 1)
+        folds = st.tuples(st.integers(0, k - 1), st.integers(-(2**30) + 2, 2**30 - 2))
+        other = fold_cell(other, *data.draw(folds))
+        grid = _Grid()
+        grid.add(base)
+        assert any(c is base for c in grid.near(other))
 
 
 class TestBarycenter:

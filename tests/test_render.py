@@ -5,12 +5,14 @@ import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snfglp.construct import generate_counterexample, generate_glp_example
-from snfglp.cyclotomic import CycInt, zeta
+from snfglp.cyclotomic import COEFF_LIMIT, CycInt, _embed, zeta
 from snfglp.glp import Labeling, Verdict, decide_glp, decide_glp_even
 from snfglp.model import CATALOG_NAMES, catalog, parse, vertices
-from snfglp.render import RenderOptions, render_svg
+from snfglp.render import RenderOptions, _polygon, render_svg
 
 NS = "{http://www.w3.org/2000/svg}"
 
@@ -223,3 +225,27 @@ class TestCoefficientLimit:
         for a, b in zip(got.findall(f"{NS}line"), want.findall(f"{NS}line")):
             for attr in ("x1", "y1", "x2", "y2"):
                 assert float(a.get(attr)) == pytest.approx(float(b.get(attr)), abs=1e-3)
+
+
+@st.composite
+def barycenters(draw):
+    """k in 3..36 and a coefficient vector with |c| <= 2^31, dense or mostly zero."""
+    k = draw(st.integers(3, 36))
+    big = st.integers(-COEFF_LIMIT, COEFF_LIMIT)
+    small = st.sampled_from((-2, -1, 0, 1, 2))
+    if draw(st.booleans()):
+        coeffs = st.one_of(big, small)
+    else:
+        coeffs = st.one_of(st.just(0), st.just(0), st.just(0), st.just(-1), big)
+    return k, tuple(draw(st.lists(coeffs, min_size=k, max_size=k)))
+
+
+class TestPolygon:
+    @given(barycenters())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_embedding_of_each_vertex(self, case):
+        k, b = case
+        want = [_embed(k, tuple(c + (i == j) for i, c in enumerate(b))) for j in range(k)]
+        got = _polygon(k, b)
+        # bit-identical floats, so the SVG text does not move
+        assert [tuple(map(float.hex, p)) for p in got] == [tuple(map(float.hex, p)) for p in want]
