@@ -129,9 +129,9 @@ def _cmd_slices(args) -> int:
         for s, members in enumerate(sets, start=1):
             for i in members:
                 membership[i].append(s)
-        central = set(glp.slices(spec).central_cells)
+        # every other cell lies in its own sector's closed slice
         for i in range(spec.n):
-            tag = "central" if i in central else ",".join(str(s) for s in membership[i])
+            tag = ",".join(str(s) for s in membership[i]) or "central"
             print(f"cell {i} {tag}")
     else:
         assignment = glp.slices(spec)

@@ -234,6 +234,9 @@ def random_valid_spec(
     rng = random.Random(seed)
     steps = _legal_steps(k)
     step_keys = [s.canonical_key() for s in steps]
+    # keys whose rejection cannot be undone as the accepted set grows; the
+    # draws are made before the check, so skipping them changes no output
+    rejected: set[tuple[int, ...]] = set()
 
     if not symmetrize:
         start = zero(k)
@@ -247,10 +250,11 @@ def random_valid_spec(
             base = order[rng.randrange(len(order))]
             i = rng.randrange(len(steps))
             key = tuple(map(add, base.canonical_key(), step_keys[i]))
-            if key in accepted:
+            if key in accepted or key in rejected:
                 continue
             cand = Cell(_preset(k, tuple(map(add, base.coeffs, steps[i].coeffs)), key), 0)
             if not grid.clear(cand):
+                rejected.add(key)
                 continue
             accepted.add(key)
             grid.add(cand)
@@ -275,16 +279,18 @@ def random_valid_spec(
         base = order[rng.randrange(len(order))]
         i = rng.randrange(len(steps))
         key = tuple(map(add, base.canonical_key(), step_keys[i]))
-        if key in accepted:
+        if key in accepted or key in rejected:
             continue
         cand = _preset(k, tuple(map(add, base.coeffs, steps[i].coeffs)), key)
         if not any(key):
-            if k not in (3, 4, 6):
-                continue  # central cell only legal for triangles, squares, hexagons
-        elif math.hypot(*to_cartesian(cand)) > corner_radius - 0.05:
-            continue
+            ok = k in (3, 4, 6)  # central cell only legal for triangles, squares, hexagons
+        else:
+            # a float test on the first coefficients drawn for the key; others
+            # could answer differently only within float error of the margin
+            ok = math.hypot(*to_cartesian(cand)) <= corner_radius - 0.05
         # cand is in its own orbit: test it against the accepted cells first
-        if not grid.clear(Cell(cand, 0)):
+        if not ok or not grid.clear(Cell(cand, 0)):
+            rejected.add(key)
             continue
         # orbit key -> (shift, sign): cyc_rotate(cand, shift) for sign 1 and
         # cyc_reflect(cand, shift) for sign -1, which has the coefficients of
@@ -305,8 +311,10 @@ def random_valid_spec(
             members.append(member)
             orbit_grid.add(member)
         if len(members) < len(orbit):
+            rejected.add(key)
             continue
-        # every orbit cell must touch the previously accepted configuration;
+        # every orbit cell must touch the previously accepted configuration,
+        # which can change as cells are accepted, so the key is not rejected;
         # key(pos + s) = key(pos) + key(s), so no sum is built
         if not all(
             any(tuple(map(add, okey, skey)) in accepted for skey in step_keys)

@@ -17,9 +17,11 @@ The three forest deciders share one kernel and differ only in the edge
 map (Z_k weight, parity, or +-1 rotation class); the odd decider derives
 its offsets from the rotation counts.
 
-A labeling is fixed by its offsets.  `make_labeling` checks the vertex
-labels for consistency and stores them by canonical key (the key CycInt
-equality uses); vertex values are built only when the labels are iterated.
+A labeling is fixed by its offsets.  Its vertex labels are stored by
+canonical key (the key CycInt equality uses) and checked for consistency
+as they are stored: at once by `make_labeling`, on first read for the
+labeling a decider returns, which a caller that needs only the offsets
+never reads.  Vertex values are built only when the labels are iterated.
 """
 from __future__ import annotations
 
@@ -86,10 +88,10 @@ class ConstraintGraph:
 class Labeling:
     """Per-cell offsets and the vertex labels they induce.
 
-    `labels` may be a plain dict.  From `make_labeling` it is a read-only
-    mapping stored by canonical key: lookups build nothing, and iterating
-    it builds the vertex values, so on a spec with a coefficient of
-    +-2^31 iteration raises CoefficientOverflow (ROADMAP item 2).
+    `labels` may be a plain dict.  From `make_labeling` or a decider it is
+    a read-only mapping stored by canonical key: lookups build nothing, and
+    iterating it builds the vertex values, so on a spec with a coefficient
+    of +-2^31 iteration raises CoefficientOverflow (ROADMAP item 3).
     """
 
     k: int
@@ -98,20 +100,42 @@ class Labeling:
 
 
 class _VertexLabels(Mapping[CycInt, int]):
-    """Labels of the vertices of `cells`, stored by canonical key.
+    """Labels of the vertices of `cells` under per-cell `offsets` (indexed
+    by cell index), stored by canonical key.
 
-    An order-k CycInt is looked up by its key; iteration builds each vertex
-    value when first seen in cell order, which is the order `make_labeling`
-    stored them in.  Nothing is cached, so the mapping can be shared
-    across threads.
+    The store is built when first read and written at most once with
+    equal contents, so the mapping can be shared across threads.  An
+    order-k CycInt is looked up by its key; iteration builds each vertex
+    value when first seen in cell order, which is the order the store was
+    filled in.
     """
 
-    __slots__ = ("_k", "_cells", "_by_key")
+    __slots__ = ("_k", "_cells", "_offsets", "_store")
 
-    def __init__(self, k: int, cells: tuple[Cell, ...], by_key: dict[tuple[int, ...], int]):
+    def __init__(self, k: int, cells: tuple[Cell, ...], offsets: Mapping[int, int] | list[int]):
         self._k = k
         self._cells = cells
-        self._by_key = by_key
+        self._offsets = offsets
+        self._store: dict[tuple[int, ...], int] | None = None
+
+    @property
+    def _by_key(self) -> dict[tuple[int, ...], int]:
+        """Label (j + r) mod k of vertex j of each cell with offset r, by
+        vertex key key(b) + row_j, so no vertex value is built.  Raises
+        SpecError where two cells give one vertex different labels."""
+        store = self._store
+        if store is None:
+            k = self._k
+            store = {}
+            for cell in self._cells:
+                i = cell.index
+                r = self._offsets[i]
+                for j, key in enumerate(cyc_unit_translate_keys(cell.barycenter)):
+                    lab = (j + r) % k
+                    if store.setdefault(key, lab) != lab:
+                        raise SpecError(f"offsets disagree at a shared vertex of cell {i}")
+            self._store = store
+        return store
 
     def __getitem__(self, v: CycInt) -> int:
         if isinstance(v, CycInt) and v.order == self._k:
@@ -122,6 +146,7 @@ class _VertexLabels(Mapping[CycInt, int]):
         return len(self._by_key)
 
     def __iter__(self) -> Iterator[CycInt]:
+        self._by_key  # offsets that disagree raise here, as on any read
         seen: set[tuple[int, ...]] = set()
         for cell in self._cells:
             for v in cyc_unit_translates(cell.barycenter):
@@ -247,18 +272,17 @@ def cycle_weight(spec: FractalSpec, cycle: tuple[int, ...]) -> int:
 def make_labeling(spec: FractalSpec, offsets: dict[int, int]) -> Labeling:
     """Vertex labels induced by per-cell offsets: vertex j gets (j + r) mod k.
 
-    Vertices are told apart by their keys key(b) + row_j, so no vertex
-    value is built here.
+    The labels are built and checked here, not on first read.
     """
-    k = spec.k
-    by_key: dict[tuple[int, ...], int] = {}
-    for cell in spec.cells:
-        r = offsets[cell.index]
-        for j, key in enumerate(cyc_unit_translate_keys(cell.barycenter)):
-            lab = (j + r) % k
-            if by_key.setdefault(key, lab) != lab:
-                raise SpecError(f"offsets disagree at a shared vertex of cell {cell.index}")
-    return Labeling(k, dict(offsets), _VertexLabels(k, spec.cells, by_key))
+    offsets = dict(offsets)
+    labels = _VertexLabels(spec.k, spec.cells, offsets)
+    labels._by_key
+    return Labeling(spec.k, offsets, labels)
+
+
+def _decided_labeling(spec: FractalSpec, offsets: list[int]) -> Labeling:
+    """A decider's labeling, one offset per cell; labels built on first read."""
+    return Labeling(spec.k, dict(enumerate(offsets)), _VertexLabels(spec.k, spec.cells, offsets))
 
 
 def _require_connected(spec: FractalSpec, graph: ConstraintGraph) -> None:
@@ -303,8 +327,7 @@ def decide_glp(spec: FractalSpec) -> Verdict:
     r, witness = _forest_sums(spec, k, lambda e: edge_weight(e, k))
     if witness is not None:
         return Verdict(glp=False, witness=witness)
-    offsets = dict(enumerate(r))
-    return Verdict(glp=True, labeling=make_labeling(spec, offsets))
+    return Verdict(glp=True, labeling=_decided_labeling(spec, r))
 
 
 def decide_glp_even(spec: FractalSpec) -> Verdict:
@@ -327,9 +350,9 @@ def decide_glp_even(spec: FractalSpec) -> Verdict:
     color, witness = _forest_sums(spec, 2, parity)
     if witness is not None:
         return Verdict(glp=False, witness=witness)
-    offsets = {i: c * (k // 2) for i, c in enumerate(color)}
+    offsets = [c * (k // 2) for c in color]
     classes = {i: c + 1 for i, c in enumerate(color)}
-    return Verdict(glp=True, labeling=make_labeling(spec, offsets), classes=classes)
+    return Verdict(glp=True, labeling=_decided_labeling(spec, offsets), classes=classes)
 
 
 def decide_glp_odd(spec: FractalSpec) -> Verdict:
@@ -355,8 +378,8 @@ def decide_glp_odd(spec: FractalSpec) -> Verdict:
     rho, witness = _forest_sums(spec, k, rotation_class)
     if witness is not None:
         return Verdict(glp=False, witness=witness)
-    offsets = {i: -((k + 1) // 2) * c % k for i, c in enumerate(rho)}
-    return Verdict(glp=True, labeling=make_labeling(spec, offsets))
+    offsets = [-((k + 1) // 2) * c % k for c in rho]
+    return Verdict(glp=True, labeling=_decided_labeling(spec, offsets))
 
 
 @dataclass(frozen=True)

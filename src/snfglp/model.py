@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add, sub
 
@@ -66,9 +66,13 @@ class Cell:
 
 @dataclass(frozen=True, eq=False)
 class FractalSpec:
+    """A configuration; immutable, its `_near_pairs` memo written at most
+    once with equal values, so a spec can be shared across threads."""
+
     k: int
     cells: tuple[Cell, ...]
     partial: bool = False
+    _near: _NearPairs | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k < 3:
@@ -183,14 +187,15 @@ def _conflict_steps(k: int) -> frozenset[tuple[int, ...]]:
 
 
 def cells_conflict(a: Cell, b: Cell) -> bool:
-    """True iff the cells share >= 2 vertices or their hull interiors overlap.
+    """True iff the cells share >= 2 vertices or their hull interiors overlap."""
+    return _conflicting(a.barycenter.order, _key_difference(a, b))
 
-    Decided on the exact key difference delta = key(b) - key(a), never on two
-    large floats: a vertex step is looked up in `_conflict_steps`, any other
-    delta is embedded alone for the distance and `_hulls_overlap` tests.
-    """
-    k = a.barycenter.order
-    delta = _key_difference(a, b)
+
+def _conflicting(k: int, delta: tuple[int, ...]) -> bool:
+    """`cells_conflict` on the exact key difference delta = key(b) - key(a),
+    never on two large floats: a vertex step is looked up in
+    `_conflict_steps`, any other delta is embedded alone for the distance
+    and `_hulls_overlap` tests."""
     if delta in _step_table(k):
         return delta in _conflict_steps(k)
     dx, dy = _embed(k, delta)
@@ -282,37 +287,47 @@ def _close_pairs(spec: FractalSpec) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
+_NearPairs = tuple[tuple[Adjacency, ...], tuple[int, int] | None, tuple[int, int] | None]
+
+
+def _near_pairs(spec: FractalSpec) -> _NearPairs:
+    """(edges, first pair sharing >= 2 vertices, first conflicting pair) from
+    one pass over `_close_pairs(spec)`, memoized on the spec.
+
+    Shared vertices and conflicts force barycenter distance <= 2, so only
+    close pairs qualify; they come sorted, so the edges are in (a, b) order.
+    Each pair's delta = key(j) - key(i) is formed once.
+    """
+    near = spec._near
+    if near is None:
+        k = spec.k
+        table = _step_table(k)
+        keys = [c.barycenter.canonical_key() for c in spec.cells]
+        edges: list[Adjacency] = []
+        violation = conflict = None
+        for i, j in _close_pairs(spec):
+            delta = tuple(map(sub, keys[j], keys[i]))
+            if conflict is None and _conflicting(k, delta):
+                conflict = (i, j)
+            pairs = table.get(delta, ())
+            if len(pairs) == 1:
+                # delta = b_j - b_i = zeta^ja - zeta^jb with ja indexing cell i.
+                edges.append(Adjacency(i, j, *pairs[0]))
+            elif pairs and violation is None:
+                violation = (i, j)
+        near = (tuple(edges), violation, conflict)
+        object.__setattr__(spec, "_near", near)
+    return near
+
+
 def find_adjacencies(spec: FractalSpec) -> tuple[list[Adjacency], tuple[int, int] | None]:
     """All single-shared-vertex pairs, plus the first nesting violation if any.
 
     A pair sharing two or more vertices violates nesting and is reported
-    as a witness rather than as an edge.
+    as a witness rather than as an edge.  The list is new on every call.
     """
-    return _adjacencies(spec, _close_pairs(spec))
-
-
-def _adjacencies(
-    spec: FractalSpec, close: list[tuple[int, int]]
-) -> tuple[list[Adjacency], tuple[int, int] | None]:
-    """`find_adjacencies` over the given `_close_pairs(spec)`."""
-    table = _step_table(spec.k)
-    keys = [c.barycenter.canonical_key() for c in spec.cells]
-    edges: list[Adjacency] = []
-    violation: tuple[int, int] | None = None
-    # shared vertices force barycenter distance <= 2, so only close pairs qualify
-    for i, j in close:
-        pairs = table.get(tuple(map(sub, keys[j], keys[i])))
-        if pairs is None:
-            continue
-        if len(pairs) > 1:
-            if violation is None or (i, j) < violation:
-                violation = (i, j)
-            continue
-        ja, jb = pairs[0]
-        # delta = b_j - b_i = zeta^ja - zeta^jb with ja indexing cell i.
-        edges.append(Adjacency(i, j, ja, jb))
-    edges.sort(key=lambda e: (e.a, e.b))
-    return edges, violation
+    edges, violation, _ = _near_pairs(spec)
+    return list(edges), violation
 
 
 def _forest(
@@ -464,15 +479,9 @@ def validate(spec: FractalSpec) -> ValidationReport:
     """
     k = spec.k
     n = spec.n
-    close = _close_pairs(spec)
-    edges, nesting_witness = _adjacencies(spec, close)
-
-    # Hull overlaps without shared vertices (or despite one shared vertex).
-    if nesting_witness is None:
-        for i, j in close:
-            if cells_conflict(spec.cells[i], spec.cells[j]):
-                nesting_witness = (i, j)
-                break
+    edges, violation, conflict = _near_pairs(spec)
+    # hull overlaps without shared vertices (or despite one) fail nesting too
+    nesting_witness = violation or conflict
     nesting_ok = nesting_witness is None
 
     component_count = max(_forest(n, edges)[0]) + 1

@@ -208,6 +208,13 @@ class TestSlices:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "cell 0 1,6"  # on-axis cell sits in two closed slices
 
+    def test_closed_listing_tags_central_cell(self, snowflake_file, capsys):
+        assert run(["slices", snowflake_file, "--closed"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 7
+        assert out[0] == "cell 0 1,6"
+        assert out[6] == "cell 6 central"
+
     def test_subspec_extraction(self, hexagon_file, capsys):
         assert run(["slices", hexagon_file, "--index", "1", "--closed"]) == 0
         sub = parse(capsys.readouterr().out)

@@ -1,6 +1,7 @@
 """Generators and substitution expansion."""
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from itertools import product
@@ -398,6 +399,26 @@ class TestRandomSpecs:
         seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
         got = grown_or_error(random_valid_spec, k, target, seed, symmetrize)
         assert got == grown_or_error(reference_growth, k, target, seed, symmetrize)
+
+    # SHA-256 over the serialized specs of every (k, target, seed) below, as
+    # grown before growth remembered rejected keys; a stall hashes its message
+    PINNED_CASES = [(2, 5), (10, 1), (25, 7), (40, 403123852), (60, 20261018), (100, 3)]
+    PINNED = {
+        True: "73c638904a8d84b1422f374a9c9db1d92773508e429affeb6c9e5536c0d803b1",
+        False: "3c57e97f518105a8e96e87b0e8caa50b9dce137dc0f85a7bb045c6044d7c6d0d",
+    }
+
+    @pytest.mark.parametrize("symmetrize", [True, False], ids=["symmetrize", "plain"])
+    def test_pinned_outputs(self, symmetrize):
+        digest = hashlib.sha256()
+        for k in range(3, 13 if symmetrize else 17):
+            for target, seed in self.PINNED_CASES:
+                try:
+                    text = serialize(random_valid_spec(k, target, seed, symmetrize=symmetrize))
+                except GenerationError as exc:
+                    text = f"stalled: {exc}\n"
+                digest.update(text.encode())
+        assert digest.hexdigest() == self.PINNED[symmetrize]
 
     def test_repeatability(self):
         a = serialize(random_valid_spec(7, 30, seed=42))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_glp
+from test_invariance import moved_specs
 from snfglp.cyclotomic import CycInt, cyc_add, cyc_sub, cyclotomic_polynomial, euler_phi, zeta
 from snfglp.glp import (
     DisconnectedSpec,
@@ -26,6 +27,7 @@ from snfglp.glp import (
     edge_weight,
     fundamental_cycles,
     glp_via_slices,
+    _subspec,
     make_labeling,
     odd_cycle_scan,
 )
@@ -535,6 +537,39 @@ class TestKeyedLabels:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert seen == [True] * n_threads
+
+
+@st.composite
+def any_route_specs(draw):
+    """A catalog, generated or grown spec (`keyed_label_cases`), or one of
+    `moved_specs`: translated, or with Phi_k folded into its coefficients."""
+    if draw(st.booleans()):
+        return draw(keyed_label_cases())[0]
+    return draw(st.sampled_from(draw(moved_specs())))
+
+
+class TestLazyLabels:
+    @given(any_route_specs())
+    @settings(max_examples=150, deadline=None)
+    def test_every_route_matches_make_labeling(self, spec):
+        routes = [decide_glp, decide_glp_even if spec.k % 2 == 0 else decide_glp_odd]
+        if not spec.partial:
+            routes.append(glp_via_slices)
+        for route in routes:
+            try:
+                verdict = route(spec)
+            except (SpecError, DisconnectedSpec):
+                continue  # the route does not accept the spec
+            if not verdict.glp:
+                continue
+            offsets = verdict.labeling.offsets
+            labels = verdict.labeling.labels
+            assert labels._store is None  # nothing built before the first read
+            # the slice route labels the cells of its slice subspec
+            chosen = tuple(sorted(offsets))
+            sub = spec if len(chosen) == spec.n else _subspec(spec, chosen)
+            eager = make_labeling(sub, {new: offsets[old] for new, old in enumerate(chosen)})
+            assert list(labels._by_key.items()) == list(eager.labels._by_key.items())
 
 
 class TestBruteForceOracle:

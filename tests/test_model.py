@@ -2,12 +2,18 @@
 from __future__ import annotations
 
 import math
+import os
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import fold
+from snfglp import model
+from snfglp.construct import random_valid_spec
 from snfglp.cyclotomic import (
     COEFF_LIMIT,
     CycInt,
@@ -30,6 +36,7 @@ from snfglp.cyclotomic import (
     zero,
     zeta,
 )
+from snfglp.glp import decide_glp, decide_glp_even, decide_glp_odd, glp_via_slices
 from snfglp.model import (
     HULL_EPS,
     Cell,
@@ -636,6 +643,90 @@ class TestAdjacencies:
         spec = make_spec(4, [a, b], partial=True)
         edges, violation = find_adjacencies(spec)
         assert edges == [] and violation == (0, 1)
+
+
+def _fresh_copy(spec):
+    """The same configuration with every value built anew, so nothing is cached."""
+    return make_spec(spec.k, [c.barycenter.coeffs for c in spec.cells], spec.partial)
+
+
+class TestNearPairMemo:
+    SPECS = [
+        lambda: catalog("lindstrom-snowflake"),
+        lambda: catalog("pentagon-ring"),
+        lambda: random_valid_spec(9, 30, 2, symmetrize=True),
+        lambda: random_valid_spec(12, 40, 6, symmetrize=True),
+    ]
+
+    @pytest.mark.parametrize("build", SPECS, ids=["snowflake", "pentagon", "sym-k9", "sym-k12"])
+    def test_one_close_pair_pass_per_spec(self, build, monkeypatch):
+        spec = _fresh_copy(build())
+        seen = []
+        close_pairs = model._close_pairs
+
+        def counting(s):
+            seen.append(s)
+            return close_pairs(s)
+
+        monkeypatch.setattr(model, "_close_pairs", counting)
+        validate(spec)
+        decide_glp(spec)
+        (decide_glp_even if spec.k % 2 == 0 else decide_glp_odd)(spec)
+        glp_via_slices(spec)
+        find_adjacencies(spec)
+        # the slice route may decide a subspec, a spec of its own
+        assert sum(s is spec for s in seen) == 1
+        assert len(seen) == len({id(s) for s in seen}) <= 2
+
+    def test_returned_edges_are_a_copy(self):
+        spec = catalog("sierpinski-hexagon")
+        edges, violation = find_adjacencies(spec)
+        want = list(edges)
+        edges.clear()
+        assert find_adjacencies(spec) == (want, violation)
+        assert len(want) == 6
+
+    def test_threads_share_fresh_spec(self):
+        # more threads than cores and a short switch interval, so first
+        # writes of the memoized pass and of the lazy labels interleave
+        base = random_valid_spec(10, 60, 1, symmetrize=True)
+        want = {
+            "validate": validate(base),
+            "adjacencies": find_adjacencies(base),
+            "verdict": decide_glp(base).serialize(),
+            "labels": [(v.coeffs, lab) for v, lab in decide_glp(base).labeling.labels.items()],
+        }
+        spec = _fresh_copy(base)
+        verdict = decide_glp(_fresh_copy(base))
+        assert verdict.glp and spec._near is None and verdict.labeling.labels._store is None
+        calls = {
+            "validate": lambda: validate(spec),
+            "adjacencies": lambda: find_adjacencies(spec),
+            "verdict": lambda: decide_glp(spec).serialize(),
+            "labels": lambda: [(v.coeffs, lab) for v, lab in verdict.labeling.labels.items()],
+        }
+        n_threads = (os.cpu_count() or 1) + 3
+        barrier = threading.Barrier(n_threads)
+        seen: list[dict | None] = [None] * n_threads
+
+        def work(slot: int) -> None:
+            names = sorted(calls)
+            random.Random(slot).shuffle(names)
+            barrier.wait(timeout=30)
+            seen[slot] = {name: calls[name]() for name in names}
+
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(out == want for out in seen)
 
 
 class TestFormat:
