@@ -313,14 +313,11 @@ def random_valid_spec(
         if len(members) < len(orbit):
             rejected.add(key)
             continue
-        # every orbit cell must touch the previously accepted configuration,
-        # which can change as cells are accepted, so the key is not rejected;
-        # key(pos + s) = key(pos) + key(s), so no sum is built
-        if not all(
-            any(tuple(map(add, okey, skey)) in accepted for skey in step_keys)
-            for okey in orbit
-        ):
-            continue
+        # every orbit cell touches the accepted configuration, so that is not
+        # tested: cand = base + step with base accepted, and an image g(cand)
+        # is g(base) + g(step), where g(base) is accepted (the accepted set is
+        # dihedral-closed) and g(step) is a legal step (the steps are closed
+        # under negation and the dihedral group)
         for member in members:
             accepted.add(member.barycenter.canonical_key())
             grid.add(member)

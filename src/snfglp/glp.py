@@ -30,14 +30,7 @@ from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cyclotomic import (
-    CycInt,
-    _embed,
-    _embed_error,
-    _mapped_key,
-    cyc_unit_translate_keys,
-    cyc_unit_translates,
-)
+from .cyclotomic import CycInt, _embed, _embed_error, _mapped_key, cyc_unit_translates
 from .model import (
     Adjacency,
     Cell,
@@ -46,6 +39,7 @@ from .model import (
     _forest,
     _rotation_class,
     _scaled_points,
+    _vertex_keys,
     find_adjacencies,
 )
 
@@ -100,7 +94,7 @@ class Labeling:
 
 
 class _VertexLabels(Mapping[CycInt, int]):
-    """Labels of the vertices of `cells` under per-cell `offsets` (indexed
+    """Labels of the vertices of `spec` under per-cell `offsets` (indexed
     by cell index), stored by canonical key.
 
     The store is built when first read and written at most once with
@@ -110,27 +104,25 @@ class _VertexLabels(Mapping[CycInt, int]):
     filled in.
     """
 
-    __slots__ = ("_k", "_cells", "_offsets", "_store")
+    __slots__ = ("_spec", "_offsets", "_store")
 
-    def __init__(self, k: int, cells: tuple[Cell, ...], offsets: Mapping[int, int] | list[int]):
-        self._k = k
-        self._cells = cells
+    def __init__(self, spec: FractalSpec, offsets: Mapping[int, int] | list[int]):
+        self._spec = spec
         self._offsets = offsets
         self._store: dict[tuple[int, ...], int] | None = None
 
     @property
     def _by_key(self) -> dict[tuple[int, ...], int]:
         """Label (j + r) mod k of vertex j of each cell with offset r, by
-        vertex key key(b) + row_j, so no vertex value is built.  Raises
+        vertex key (`_vertex_keys`), so no vertex value is built.  Raises
         SpecError where two cells give one vertex different labels."""
         store = self._store
         if store is None:
-            k = self._k
+            k = self._spec.k
             store = {}
-            for cell in self._cells:
-                i = cell.index
+            for i, keys in enumerate(_vertex_keys(self._spec)):
                 r = self._offsets[i]
-                for j, key in enumerate(cyc_unit_translate_keys(cell.barycenter)):
+                for j, key in enumerate(keys):
                     lab = (j + r) % k
                     if store.setdefault(key, lab) != lab:
                         raise SpecError(f"offsets disagree at a shared vertex of cell {i}")
@@ -138,7 +130,7 @@ class _VertexLabels(Mapping[CycInt, int]):
         return store
 
     def __getitem__(self, v: CycInt) -> int:
-        if isinstance(v, CycInt) and v.order == self._k:
+        if isinstance(v, CycInt) and v.order == self._spec.k:
             return self._by_key[v.canonical_key()]
         raise KeyError(v)
 
@@ -148,7 +140,7 @@ class _VertexLabels(Mapping[CycInt, int]):
     def __iter__(self) -> Iterator[CycInt]:
         self._by_key  # offsets that disagree raise here, as on any read
         seen: set[tuple[int, ...]] = set()
-        for cell in self._cells:
+        for cell in self._spec.cells:
             for v in cyc_unit_translates(cell.barycenter):
                 key = v.canonical_key()
                 if key not in seen:
@@ -275,14 +267,14 @@ def make_labeling(spec: FractalSpec, offsets: dict[int, int]) -> Labeling:
     The labels are built and checked here, not on first read.
     """
     offsets = dict(offsets)
-    labels = _VertexLabels(spec.k, spec.cells, offsets)
+    labels = _VertexLabels(spec, offsets)
     labels._by_key
     return Labeling(spec.k, offsets, labels)
 
 
 def _decided_labeling(spec: FractalSpec, offsets: list[int]) -> Labeling:
     """A decider's labeling, one offset per cell; labels built on first read."""
-    return Labeling(spec.k, dict(enumerate(offsets)), _VertexLabels(spec.k, spec.cells, offsets))
+    return Labeling(spec.k, dict(enumerate(offsets)), _VertexLabels(spec, offsets))
 
 
 def _require_connected(spec: FractalSpec, graph: ConstraintGraph) -> None:
@@ -621,7 +613,7 @@ def _labels_by_key(labeling: Labeling, k: int) -> dict[tuple[int, ...], int]:
     are stored that way already.
     """
     labels = labeling.labels
-    if isinstance(labels, _VertexLabels) and labels._k == k:
+    if isinstance(labels, _VertexLabels) and labels._spec.k == k:
         return labels._by_key
     return {v.canonical_key(): lab for v, lab in labels.items() if v.order == k}
 
@@ -634,12 +626,12 @@ def check_labeling(spec: FractalSpec, labeling: Labeling) -> bool:
     """
     k = spec.k
     labels = _labels_by_key(labeling, k)
-    for cell in spec.cells:
+    for i, keys in enumerate(_vertex_keys(spec)):
         labs = []
-        for key in cyc_unit_translate_keys(cell.barycenter):
+        for key in keys:
             lab = labels.get(key)
             if lab is None:
-                raise LabelingError(f"vertex of cell {cell.index} has no label")
+                raise LabelingError(f"vertex of cell {i} has no label")
             labs.append(lab)
         r = (labs[0] - 0) % k
         if any((labs[j] - j) % k != r for j in range(k)):

@@ -28,6 +28,7 @@ from .cyclotomic import (
     cyc_reflect_key,
     cyc_rotate,
     cyc_sub,
+    cyc_unit_translate_keys,
     cyc_unit_translates,
     from_coeffs,
     to_cartesian,
@@ -66,13 +67,17 @@ class Cell:
 
 @dataclass(frozen=True, eq=False)
 class FractalSpec:
-    """A configuration; immutable, its `_near_pairs` memo written at most
-    once with equal values, so a spec can be shared across threads."""
+    """A configuration; immutable, its `_near_pairs` and `_vertex_keys` memos
+    each written at most once with equal values, so a spec can be shared
+    across threads."""
 
     k: int
     cells: tuple[Cell, ...]
     partial: bool = False
     _near: _NearPairs | None = field(default=None, init=False, repr=False, compare=False)
+    _vkeys: tuple[list[tuple[int, ...]], ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.k < 3:
@@ -116,15 +121,28 @@ def vertices(cell: Cell) -> list[CycInt]:
     return cyc_unit_translates(cell.barycenter)
 
 
+def _vertex_keys(spec: FractalSpec) -> tuple[list[tuple[int, ...]], ...]:
+    """Per cell, the canonical keys key(b) + row_j of its vertices in order,
+    built once per spec and memoized on it like `_near_pairs`."""
+    keys = spec._vkeys
+    if keys is None:
+        keys = tuple(cyc_unit_translate_keys(cell.barycenter) for cell in spec.cells)
+        object.__setattr__(spec, "_vkeys", keys)
+    return keys
+
+
 @lru_cache(maxsize=None)
 def _step_table(k: int) -> dict[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Map canonical(zeta^ja - zeta^jb) -> all index pairs (ja, jb) producing it."""
+    """Map canonical(zeta^ja - zeta^jb) -> all index pairs (ja, jb) producing it.
+
+    Reduction is linear, so the key is row[ja] - row[jb] of `_reduction_rows`.
+    """
+    rows = _reduction_rows(k)
     table: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for ja in range(k):
-        for jb in range(k):
+    for ja, row_a in enumerate(rows):
+        for jb, row_b in enumerate(rows):
             if ja != jb:
-                key = cyc_sub(zeta(k, ja), zeta(k, jb)).canonical_key()
-                table.setdefault(key, []).append((ja, jb))
+                table.setdefault(tuple(map(sub, row_a, row_b)), []).append((ja, jb))
     return {key: tuple(pairs) for key, pairs in table.items()}
 
 
@@ -177,12 +195,18 @@ def _hulls_overlap(k: int, dx: float, dy: float) -> bool:
 @lru_cache(maxsize=None)
 def _conflict_steps(k: int) -> frozenset[tuple[int, ...]]:
     """The `_step_table` keys of conflicting cells: two or more shared vertices,
-    or one pair (ja, jb) whose small offset zeta^ja - zeta^jb overlaps the hulls."""
+    or one pair (ja, jb) whose small offset zeta^ja - zeta^jb overlaps the hulls.
+
+    That offset is zeta^jb * (zeta^d - 1) with d = ja - jb, and rotation by
+    2*pi/k maps the k-gon to itself, so one hull test per d answers every
+    pair; each answer is far from the cut (test_one_vertex_steps_are_far_from_the_cut).
+    """
     circle = _unit_circle(k)
+    overlap = [_hulls_overlap(k, *map(sub, circle[d], circle[0])) for d in range(k)]
     return frozenset(
         step
         for step, ((ja, jb), *more) in _step_table(k).items()
-        if more or _hulls_overlap(k, *map(sub, circle[ja], circle[jb]))
+        if more or overlap[(ja - jb) % k]
     )
 
 
@@ -287,37 +311,66 @@ def _close_pairs(spec: FractalSpec) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-_NearPairs = tuple[tuple[Adjacency, ...], tuple[int, int] | None, tuple[int, int] | None]
+_NearPairs = tuple[
+    tuple[Adjacency, ...],
+    tuple[int, int] | None,
+    tuple[int, int] | None,
+    tuple[tuple[int, int], ...],
+]
 
 
 def _near_pairs(spec: FractalSpec) -> _NearPairs:
-    """(edges, first pair sharing >= 2 vertices, first conflicting pair) from
-    one pass over `_close_pairs(spec)`, memoized on the spec.
+    """(edges, first pair sharing >= 2 vertices, first pair whose key
+    difference is a conflicting vertex step, the close pairs whose key
+    difference is no vertex step) from one pass over `_close_pairs(spec)`,
+    memoized on the spec.
 
     Shared vertices and conflicts force barycenter distance <= 2, so only
     close pairs qualify; they come sorted, so the edges are in (a, b) order.
-    Each pair's delta = key(j) - key(i) is formed once.
+    Each pair's delta = key(j) - key(i) is formed once and only looked up:
+    a pair that is no vertex step is embedded by `_first_conflict` alone.
     """
     near = spec._near
     if near is None:
         k = spec.k
         table = _step_table(k)
+        conflict_steps = _conflict_steps(k)
         keys = [c.barycenter.canonical_key() for c in spec.cells]
         edges: list[Adjacency] = []
+        others: list[tuple[int, int]] = []
         violation = conflict = None
         for i, j in _close_pairs(spec):
             delta = tuple(map(sub, keys[j], keys[i]))
-            if conflict is None and _conflicting(k, delta):
+            pairs = table.get(delta)
+            if pairs is None:
+                others.append((i, j))
+                continue
+            if conflict is None and delta in conflict_steps:
                 conflict = (i, j)
-            pairs = table.get(delta, ())
             if len(pairs) == 1:
                 # delta = b_j - b_i = zeta^ja - zeta^jb with ja indexing cell i.
                 edges.append(Adjacency(i, j, *pairs[0]))
-            elif pairs and violation is None:
+            elif violation is None:
                 violation = (i, j)
-        near = (tuple(edges), violation, conflict)
+        near = (tuple(edges), violation, conflict, tuple(others))
         object.__setattr__(spec, "_near", near)
     return near
+
+
+def _first_conflict(spec: FractalSpec) -> tuple[int, int] | None:
+    """The first close pair, in pair order, whose cells conflict.
+
+    Pairs that are no vertex step are embedded here, on demand, and only
+    those that come before the first conflicting step.
+    """
+    _, _, conflict, others = _near_pairs(spec)
+    k = spec.k
+    for i, j in others:
+        if conflict is not None and (i, j) > conflict:
+            break
+        if _conflicting(k, _key_difference(spec.cells[i], spec.cells[j])):
+            return (i, j)
+    return conflict
 
 
 def find_adjacencies(spec: FractalSpec) -> tuple[list[Adjacency], tuple[int, int] | None]:
@@ -326,7 +379,7 @@ def find_adjacencies(spec: FractalSpec) -> tuple[list[Adjacency], tuple[int, int
     A pair sharing two or more vertices violates nesting and is reported
     as a witness rather than as an edge.  The list is new on every call.
     """
-    edges, violation, _ = _near_pairs(spec)
+    edges, violation, _, _ = _near_pairs(spec)
     return list(edges), violation
 
 
@@ -479,9 +532,10 @@ def validate(spec: FractalSpec) -> ValidationReport:
     """
     k = spec.k
     n = spec.n
-    edges, violation, conflict = _near_pairs(spec)
-    # hull overlaps without shared vertices (or despite one) fail nesting too
-    nesting_witness = violation or conflict
+    edges, violation, _, _ = _near_pairs(spec)
+    # hull overlaps without shared vertices (or despite one) fail nesting too;
+    # the first of them is sought only when no pair shares two vertices
+    nesting_witness = violation or _first_conflict(spec)
     nesting_ok = nesting_witness is None
 
     component_count = max(_forest(n, edges)[0]) + 1
@@ -595,7 +649,7 @@ def derive_scaling(spec: FractalSpec) -> CycInt:
 def parse(text: str) -> FractalSpec:
     """Read the plain text format: `snf k=<int>[ partial]` then `cell c0 .. c{k-1}` lines."""
     header: str | None = None
-    cell_rows: list[list[int]] = []
+    cell_rows: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -607,7 +661,7 @@ def parse(text: str) -> FractalSpec:
         if parts[0] != "cell":
             raise ParseError(f"line {lineno}: expected a cell line, got {line!r}")
         try:
-            cell_rows.append([int(p) for p in parts[1:]])
+            cell_rows.append(tuple(map(int, parts[1:])))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad integer in {line!r}") from exc
     if header is None:
@@ -632,7 +686,7 @@ def parse(text: str) -> FractalSpec:
         if len(row) != k:
             raise ParseError(f"expected {k} coefficients per cell, got {len(row)}")
     try:
-        return make_spec(k, cell_rows, partial)
+        return make_spec(k, [CycInt(k, row) for row in cell_rows], partial)
     except SpecError as exc:
         raise ParseError(str(exc)) from exc
 

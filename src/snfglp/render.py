@@ -7,14 +7,21 @@ counter-clockwise in the plane is counter-clockwise on screen.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import repeat
 
-from .cyclotomic import _embed, _unit_circle, cyc_unit_translate_keys, to_cartesian
+from .cyclotomic import _embed, _unit_circle, to_cartesian
 from .glp import Labeling, Verdict, _labels_by_key
-from .model import FractalSpec
+from .model import FractalSpec, _vertex_keys
 
 _FILL = "#d3d3d3"
 _FILL_ALT = "#a9a9a9"
+_DOT = '<circle cx="%.6f" cy="%.6f" r="2.5" fill="black"/>'
+_GLYPH = (
+    '<text x="%.6f" y="%.6f" font-family="sans-serif" '
+    'font-size="12" text-anchor="middle" dominant-baseline="middle">%s</text>'
+)
 
 
 @dataclass(frozen=True)
@@ -66,19 +73,20 @@ def _polygon(k: int, barycenter: tuple[int, ...]) -> list[tuple[float, float]]:
 
 def _label_glyphs(
     spec: FractalSpec, polys: list[list[tuple[float, float]]], labeling: Labeling
-) -> list[tuple[float, float, str]]:
-    """One glyph per labeled point, nudged outward from its first owning cell's center.
+) -> Iterator[list[tuple[float, float, str]]]:
+    """Per cell, one glyph per labeled point first seen on that cell, nudged
+    outward from the cell's center.
 
-    Points are told apart by vertex key, so no vertex value is built; the
-    key view and the seen set die here, before the SVG text is built.
+    Points are told apart by vertex key (`_vertex_keys`), so no vertex value
+    is built; the seen set dies with the iterator.
     """
     k = spec.k
     labels = _labels_by_key(labeling, k)
-    glyphs: list[tuple[float, float, str]] = []
     seen: set[tuple[int, ...]] = set()
-    for cell, poly in zip(spec.cells, polys):
+    for cell, poly, keys in zip(spec.cells, polys, _vertex_keys(spec)):
         cx, cy = to_cartesian(cell.barycenter)
-        for key, (x, y) in zip(cyc_unit_translate_keys(cell.barycenter), poly):
+        glyphs = []
+        for key, (x, y) in zip(keys, poly):
             if key in seen:
                 continue
             seen.add(key)
@@ -87,7 +95,13 @@ def _label_glyphs(
                 dx, dy = x - cx, y - cy
                 norm = math.hypot(dx, dy) or 1.0
                 glyphs.append((x + 0.22 * dx / norm, y + 0.22 * dy / norm, _label_text(lab, k)))
-    return glyphs
+        yield glyphs
+
+
+def _printed(block: str) -> str:
+    """A block of %.6f numbers as `_fmt` prints each: a negative number that
+    rounds to zero prints as -0.000000, and no other number contains that text."""
+    return block.replace("-0.000000", "0.000000")
 
 
 def render_svg(
@@ -95,23 +109,27 @@ def render_svg(
     verdict: Verdict | None = None,
     options: RenderOptions | None = None,
 ) -> str:
-    """One polygon per cell, vertex dots, optional labels/classes/slices/witness."""
+    """One polygon per cell, vertex dots, optional labels/classes/slices/witness.
+
+    Each cell's vertices are mapped to the screen once and printed by one
+    template for its polygon, one for its dots and one for its glyphs.
+    """
     opt = options or RenderOptions()
     k = spec.k
     labeling = (
         verdict.labeling if (opt.show_labels and verdict is not None and verdict.glp) else None
     )
     polys = [_polygon(k, cell.barycenter.coeffs) for cell in spec.cells]
-    glyphs = [] if labeling is None else _label_glyphs(spec, polys, labeling)
     xs = [x for poly in polys for x, _ in poly]
     ys = [y for poly in polys for _, y in poly]
     xmin, xmax = min(xs) - opt.margin, max(xs) + opt.margin
     ymin, ymax = min(ys) - opt.margin, max(ys) + opt.margin
-    width = (xmax - xmin) * opt.scale
-    height = (ymax - ymin) * opt.scale
+    scale = opt.scale
+    width = (xmax - xmin) * scale
+    height = (ymax - ymin) * scale
 
     def px(p: tuple[float, float]) -> tuple[float, float]:
-        return ((p[0] - xmin) * opt.scale, (ymax - p[1]) * opt.scale)
+        return ((p[0] - xmin) * scale, (ymax - p[1]) * scale)
 
     out: list[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8" standalone="no"?>')
@@ -127,17 +145,29 @@ def render_svg(
 
     classes = verdict.classes if (opt.show_classes and verdict is not None) else None
 
-    for cell, poly in zip(spec.cells, polys):
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (px(p) for p in poly))
+    polygon = (
+        f'<polygon points="{" ".join(["%.6f,%.6f"] * k)}" '
+        f'fill="%s" stroke="%s" stroke-width="%s"/>'
+    )
+    dot_block = "\n".join([_DOT] * k)
+    glyph_blocks = ["\n".join([_GLYPH] * count) for count in range(k + 1)]
+    dots: list[str] = []
+    texts: list[str] = []
+    glyph_rows = repeat(()) if labeling is None else _label_glyphs(spec, polys, labeling)
+    for cell, poly, glyphs in zip(spec.cells, polys, glyph_rows):
+        screen = [0.0] * (2 * k)  # x0, y0, x1, y1, ... as px maps them
+        screen[0::2] = [(x - xmin) * scale for x, _ in poly]
+        screen[1::2] = [(ymax - y) * scale for _, y in poly]
         fill = _FILL
         if classes is not None and classes.get(cell.index) == 2:
             fill = _FILL_ALT
         stroke = "red" if cell.index in highlight else "black"
         stroke_w = "2.5" if cell.index in highlight else "1"
-        out.append(
-            f'<polygon points="{pts}" fill="{fill}" stroke="{stroke}" '
-            f'stroke-width="{stroke_w}"/>'
-        )
+        out.append(_printed(polygon % (*screen, fill, stroke, stroke_w)))
+        dots.append(_printed(dot_block % tuple(screen)))
+        if glyphs:
+            row = [v for x, y, text in glyphs for v in ((x - xmin) * scale, (ymax - y) * scale, text)]
+            texts.append(_printed(glyph_blocks[len(glyphs)] % tuple(row)))
 
     if opt.show_slices:
         # the coefficients of global_barycenter's sum, as Python ints
@@ -166,17 +196,9 @@ def render_svg(
             f'<polyline points="{pts}" fill="none" stroke="red" stroke-width="2"/>'
         )
 
-    # one dot per cell vertex (shared points coincide)
-    for poly in polys:
-        for p in poly:
-            x, y = px(p)
-            out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.5" fill="black"/>')
-    for gx, gy, text in glyphs:
-        x, y = px((gx, gy))
-        out.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
-            f'font-size="12" text-anchor="middle" dominant-baseline="middle">{text}</text>'
-        )
+    # one dot per cell vertex (shared points coincide), then the labels
+    out += dots
+    out += texts
 
     if classes is not None:
         for cell in spec.cells:

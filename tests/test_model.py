@@ -1,11 +1,13 @@
 """Configuration geometry, axiom validation, file format, catalog."""
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
 import sys
 import threading
+from operator import sub
 
 import pytest
 from hypothesis import assume, given, settings
@@ -36,7 +38,15 @@ from snfglp.cyclotomic import (
     zero,
     zeta,
 )
-from snfglp.glp import decide_glp, decide_glp_even, decide_glp_odd, glp_via_slices
+from snfglp.glp import (
+    check_labeling,
+    decide_glp,
+    decide_glp_even,
+    decide_glp_odd,
+    glp_via_slices,
+    make_labeling,
+    slices,
+)
 from snfglp.model import (
     HULL_EPS,
     Cell,
@@ -50,6 +60,7 @@ from snfglp.model import (
     _hulls_overlap,
     _step_table,
     _support_table,
+    _vertex_keys,
     catalog,
     cells_conflict,
     derive_scaling,
@@ -62,6 +73,7 @@ from snfglp.model import (
     validate,
     vertices,
 )
+from snfglp.render import RenderOptions, render_svg
 
 GASKET_TEXT = "snf k=3\ncell 1 0 0\ncell 0 1 0\ncell 0 0 1\n"
 
@@ -690,20 +702,30 @@ class TestNearPairMemo:
         # more threads than cores and a short switch interval, so first
         # writes of the memoized pass and of the lazy labels interleave
         base = random_valid_spec(10, 60, 1, symmetrize=True)
+        labeled = RenderOptions(show_labels=True)
+        base_verdict = decide_glp(base)
         want = {
             "validate": validate(base),
             "adjacencies": find_adjacencies(base),
-            "verdict": decide_glp(base).serialize(),
-            "labels": [(v.coeffs, lab) for v, lab in decide_glp(base).labeling.labels.items()],
+            "verdict": base_verdict.serialize(),
+            "labels": [(v.coeffs, lab) for v, lab in base_verdict.labeling.labels.items()],
+            "vertex_keys": _vertex_keys(base),
+            "checked": check_labeling(base, base_verdict.labeling),
+            "svg": render_svg(base, base_verdict, labeled),
         }
         spec = _fresh_copy(base)
         verdict = decide_glp(_fresh_copy(base))
-        assert verdict.glp and spec._near is None and verdict.labeling.labels._store is None
+        labels = verdict.labeling.labels
+        assert verdict.glp and spec._near is None and labels._store is None
+        assert spec._vkeys is None and labels._spec._vkeys is None
         calls = {
             "validate": lambda: validate(spec),
             "adjacencies": lambda: find_adjacencies(spec),
             "verdict": lambda: decide_glp(spec).serialize(),
-            "labels": lambda: [(v.coeffs, lab) for v, lab in verdict.labeling.labels.items()],
+            "labels": lambda: [(v.coeffs, lab) for v, lab in labels.items()],
+            "vertex_keys": lambda: _vertex_keys(spec),
+            "checked": lambda: check_labeling(spec, verdict.labeling),
+            "svg": lambda: render_svg(spec, verdict, labeled),
         }
         n_threads = (os.cpu_count() or 1) + 3
         barrier = threading.Barrier(n_threads)
@@ -727,6 +749,126 @@ class TestNearPairMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert all(out == want for out in seen)
+
+
+class TestVertexKeyMemo:
+    def test_keys_of_each_vertex(self):
+        spec = random_valid_spec(9, 30, 2, symmetrize=True)
+        keys = _vertex_keys(spec)
+        assert _vertex_keys(spec) is keys
+        assert keys == tuple([v.canonical_key() for v in vertices(c)] for c in spec.cells)
+
+    @pytest.mark.parametrize("decided", [False, True], ids=["make_labeling", "decider"])
+    def test_built_once_per_spec(self, decided, monkeypatch):
+        spec = _fresh_copy(random_valid_spec(10, 60, 1, symmetrize=True))
+        built = []
+        translate_keys = model.cyc_unit_translate_keys
+
+        def counting(b):
+            built.append(b)
+            return translate_keys(b)
+
+        monkeypatch.setattr(model, "cyc_unit_translate_keys", counting)
+        verdict = decide_glp(spec)
+        assert verdict.glp and not built
+        labeling = verdict.labeling if decided else make_labeling(spec, verdict.labeling.offsets)
+        assert check_labeling(spec, labeling)
+        render_svg(spec, verdict, RenderOptions(show_labels=True))
+        assert built == [c.barycenter for c in spec.cells]
+
+
+def _old_step_table(k):
+    """Reference: the table built from the CycInt differences zeta^ja - zeta^jb."""
+    table = {}
+    for ja in range(k):
+        for jb in range(k):
+            if ja != jb:
+                key = cyc_sub(zeta(k, ja), zeta(k, jb)).canonical_key()
+                table.setdefault(key, []).append((ja, jb))
+    return {key: tuple(pairs) for key, pairs in table.items()}
+
+
+def _old_conflict_steps(k):
+    """Reference: one hull test per index pair (ja, jb)."""
+    circle = _unit_circle(k)
+    return frozenset(
+        step
+        for step, ((ja, jb), *more) in _old_step_table(k).items()
+        if more or _hulls_overlap(k, *map(sub, circle[ja], circle[jb]))
+    )
+
+
+class TestPerKTables:
+    @pytest.mark.parametrize("k", range(3, 37))
+    def test_step_table_matches_values(self, k):
+        assert list(_step_table(k).items()) == list(_old_step_table(k).items())
+
+    @pytest.mark.parametrize("k", range(3, 37))
+    def test_conflict_steps_match_per_pair_tests(self, k):
+        assert _conflict_steps(k) == _old_conflict_steps(k)
+
+
+def all_pairs_nesting_witness(spec):
+    """Reference: every pair in (i, j) order, tested with shared_vertices and cells_conflict."""
+    pairs = list(itertools.combinations(range(spec.n), 2))
+    cells = spec.cells
+    violation = next((p for p in pairs if len(shared_vertices(*map(cells.__getitem__, p))) >= 2), None)
+    conflict = next((p for p in pairs if cells_conflict(*map(cells.__getitem__, p))), None)
+    return violation or conflict
+
+
+@st.composite
+def cluttered_specs(draw):
+    """Partial specs of a few cells with small coefficients: many close pairs
+    that are no vertex step, many conflicts of both kinds."""
+    k = draw(st.integers(3, 8))
+    coeffs = st.lists(st.sampled_from((-1, 0, 0, 1, 2)), min_size=k, max_size=k)
+    rows = draw(st.lists(coeffs, min_size=2, max_size=8))
+    keys = [from_coeffs(k, r).canonical_key() for r in rows]
+    assume(len(set(keys)) == len(keys))
+    return make_spec(k, rows, partial=True)
+
+
+class TestLazyConflictWitness:
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        conflicting = model._conflicting
+
+        def counting(k, delta):
+            calls.append(delta)
+            return conflicting(k, delta)
+
+        monkeypatch.setattr(model, "_conflicting", counting)
+        return calls
+
+    @given(cluttered_specs())
+    @settings(max_examples=300, deadline=None)
+    def test_witness_matches_all_pairs_reference(self, spec):
+        assert validate(spec).nesting_witness == all_pairs_nesting_witness(spec)
+
+    def test_only_validate_embeds(self, monkeypatch):
+        # the pair is close (distance 2) but no vertex step, and does not conflict
+        spec = make_spec(3, [(0, 0, 0), (-1, 1, -1)], partial=True)
+        calls = self._counting(monkeypatch)
+        decide_glp(spec)
+        decide_glp_odd(spec)
+        slices(spec)
+        render_svg(spec, decide_glp(spec), RenderOptions(show_labels=True))
+        assert find_adjacencies(spec) == ([], None) and calls == []
+        assert validate(spec).nesting_ok and len(calls) == 1
+
+    def test_stops_at_the_first_step_conflict(self, monkeypatch):
+        k = 5
+        step = next(s for s, pairs in _step_table(k).items() if s in _conflict_steps(k))
+        near = (-1, -1, -1, 0, 0)  # 1.618 from the origin, no vertex step, conflicting
+        assert tuple(near[:4]) not in _step_table(k) and cells_conflict(cell(k, (0,) * k), cell(k, near))
+        step_cell = tuple(step) + (0,)
+        calls = self._counting(monkeypatch)
+        assert validate(make_spec(k, [(0,) * k, step_cell, near], partial=True)).nesting_witness == (0, 1)
+        assert calls == []
+        assert validate(make_spec(k, [(0,) * k, near, step_cell], partial=True)).nesting_witness == (0, 1)
+        assert len(calls) == 1
 
 
 class TestFormat:

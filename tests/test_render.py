@@ -12,7 +12,7 @@ from snfglp.construct import generate_counterexample, generate_glp_example
 from snfglp.cyclotomic import COEFF_LIMIT, CycInt, _embed, zeta
 from snfglp.glp import Labeling, Verdict, decide_glp, decide_glp_even
 from snfglp.model import CATALOG_NAMES, catalog, parse, vertices
-from snfglp.render import RenderOptions, _polygon, render_svg
+from snfglp.render import RenderOptions, _label_glyphs, _polygon, render_svg
 
 NS = "{http://www.w3.org/2000/svg}"
 
@@ -249,3 +249,46 @@ class TestPolygon:
         got = _polygon(k, b)
         # bit-identical floats, so the SVG text does not move
         assert [tuple(map(float.hex, p)) for p in got] == [tuple(map(float.hex, p)) for p in want]
+
+
+def _each(v: float) -> str:
+    """One number as the renderer printed it one at a time."""
+    out = f"{v:.6f}"
+    return "0.000000" if out == "-0.000000" else out
+
+
+class TestBlockFormatting:
+    # with a margin in (-5e-7 / scale, 0) the extreme vertices map to screen
+    # coordinates in (-5e-7, 0), which %.6f prints as -0.000000
+    @pytest.mark.parametrize(
+        "name, margin, scale",
+        [
+            ("sierpinski-gasket", -1e-7, 1.0),
+            ("sierpinski-gasket", -4.9e-7, 1.0),
+            ("sierpinski-hexagon", -1e-9, 60.0),
+            ("pentagon-ring", -2e-7, 1.0),
+            ("vicsek-cross", 0.0, 60.0),
+        ],
+    )
+    def test_numbers_print_one_at_a_time(self, name, margin, scale):
+        spec = catalog(name)
+        verdict = decide_glp(spec)
+        svg = render_svg(spec, verdict, RenderOptions(show_labels=True, margin=margin, scale=scale))
+        polys = [_polygon(spec.k, c.barycenter.coeffs) for c in spec.cells]
+        xmin = min(x for poly in polys for x, _ in poly) - margin
+        ymax = max(y for poly in polys for _, y in poly) + margin
+        screen = [((x - xmin) * scale, (ymax - y) * scale) for poly in polys for x, y in poly]
+        assert any(-5e-7 < v < 0 for xy in screen for v in xy) == (margin < 0)
+        want = [[_each(x), _each(y)] for x, y in screen]
+        root = parsed(svg)
+        points = [
+            pair.split(",") for p in root.findall(f"{NS}polygon") for pair in p.get("points").split()
+        ]
+        dots = [[c.get("cx"), c.get("cy")] for c in root.findall(f"{NS}circle")]
+        assert points == want and dots == want
+        glyphs = [g for row in _label_glyphs(spec, polys, verdict.labeling) for g in row]
+        texts = [[t.get("x"), t.get("y"), t.text] for t in root.findall(f"{NS}text")]
+        assert texts == [
+            [_each((x - xmin) * scale), _each((ymax - y) * scale), text] for x, y, text in glyphs
+        ]
+        assert "-0.000000" not in svg
