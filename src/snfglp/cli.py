@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success (valid spec, GLP); 1 for an expected negative
 mathematical result (no GLP, axiom failure); 2 for unreadable or
-invalid input; 3 for usage errors.
+invalid input and for an output file that cannot be written; 3 for
+usage errors.
 """
 from __future__ import annotations
 
@@ -86,6 +87,14 @@ def _load(path: str) -> model.FractalSpec:
     return model.parse(text)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
 def _cmd_validate(args) -> int:
     report = model.validate(_load(args.file))
     for line in report.lines():
@@ -110,9 +119,7 @@ def _cmd_label(args) -> int:
     spec = _load(args.file)
     verdict = glp.decide_glp(spec)
     options = render.RenderOptions(show_labels=True)
-    svg = render.render_svg(spec, verdict, options)
-    with open(args.svg, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write(args.svg, render.render_svg(spec, verdict, options))
     sys.stdout.write(verdict.serialize())
     return EXIT_OK if verdict.glp else EXIT_NEGATIVE
 
@@ -153,8 +160,7 @@ def _cmd_generate(args) -> int:
         spec = construct.generate_counterexample(args.k)
     text = f"# generated kind={args.kind} k={args.k} n={spec.n}\n" + model.serialize(spec)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

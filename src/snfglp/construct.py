@@ -12,12 +12,14 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 
 from .cyclotomic import (
     CycInt,
     _canonical,
     _cyclic_product,
+    _mapped,
+    _mapped_key,
     _preset,
     cyc_add,
     cyc_conj,
@@ -25,10 +27,7 @@ from .cyclotomic import (
     cyc_eq,
     cyc_is_zero,
     cyc_mul,
-    cyc_reflect,
-    cyc_reflect_key,
     cyc_rotate,
-    cyc_rotate_key,
     cyc_scale,
     cyc_sub,
     to_cartesian,
@@ -41,6 +40,7 @@ from .model import (
     FractalSpec,
     ScalingError,
     SpecError,
+    _conflicting,
     _Grid,
     _scaled_points,
     derive_scaling,
@@ -288,39 +288,32 @@ def random_valid_spec(
             # a float test on the first coefficients drawn for the key; others
             # could answer differently only within float error of the margin
             ok = math.hypot(*to_cartesian(cand)) <= corner_radius - 0.05
-        # cand is in its own orbit: test it against the accepted cells first
+        # one test per orbit: a conflict is decided on the key difference, which
+        # each rotation or reflection g maps to a key difference, so g(cand)
+        # meets an accepted a as cand meets g^-1(a), accepted too (the accepted
+        # set is dihedral-closed), and meets h(cand) as cand meets g^-1 h(cand)
         if not ok or not grid.clear(Cell(cand, 0)):
             rejected.add(key)
             continue
-        # orbit key -> (shift, sign): cyc_rotate(cand, shift) for sign 1 and
-        # cyc_reflect(cand, shift) for sign -1, which has the coefficients of
-        # cyc_reflect(cyc_rotate(cand, -shift), 0); the image written last for
-        # a point is its member, built only when it is tested
+        # orbit key -> (shift, sign) of its member _mapped(cand, shift, sign):
+        # cyc_rotate(cand, j) is (j, 1) and cyc_reflect(cand, -j) is (-j, -1); the
+        # image written last for a point is its member, built only when accepted
         orbit: dict[tuple[int, ...], tuple[int, int]] = {}
         for j in range(k):
-            orbit[cyc_rotate_key(cand, j)] = (j, 1)
-            orbit[cyc_reflect_key(cand, -j)] = (-j, -1)
-        # no image of cand can be accepted: the accepted set is dihedral-closed
-        # and cand's own key is not in it
-        members: list[Cell] = []
-        orbit_grid = _Grid()
-        for okey, (shift, sign) in sorted(orbit.items()):
-            member = Cell(cyc_rotate(cand, shift) if sign > 0 else cyc_reflect(cand, shift), 0)
-            if (okey != key and not grid.clear(member)) or not orbit_grid.clear(member):
-                break
-            members.append(member)
-            orbit_grid.add(member)
-        if len(members) < len(orbit):
+            orbit[_mapped_key(k, key, j, 1)] = (j, 1)
+            orbit[_mapped_key(k, key, -j, -1)] = (-j, -1)
+        if any(_conflicting(k, tuple(map(sub, okey, key))) for okey in orbit if okey != key):
             rejected.add(key)
             continue
-        # every orbit cell touches the accepted configuration, so that is not
-        # tested: cand = base + step with base accepted, and an image g(cand)
-        # is g(base) + g(step), where g(base) is accepted (the accepted set is
-        # dihedral-closed) and g(step) is a legal step (the steps are closed
-        # under negation and the dihedral group)
-        for member in members:
-            accepted.add(member.barycenter.canonical_key())
-            grid.add(member)
-            order.append(member.barycenter)
+        # no image of cand is accepted already, as cand's own key is not, and
+        # every image touches the accepted configuration: cand = base + step
+        # with base accepted, and g(cand) = g(base) + g(step), where g(base) is
+        # accepted and g(step) is a legal step (the steps are closed under
+        # negation and the dihedral group)
+        for okey, (shift, sign) in sorted(orbit.items()):
+            member = _mapped(cand, shift, sign)
+            accepted.add(okey)
+            grid.add(Cell(member, 0))
+            order.append(member)
         stale = 0
     return make_spec(k, order, partial=False)

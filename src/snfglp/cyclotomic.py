@@ -295,7 +295,8 @@ def _permuted(seq: tuple[int, ...], shift: int, sign: int) -> tuple[int, ...]:
 
 def _mapped_key(k: int, key: tuple[int, ...], shift: int, sign: int) -> tuple[int, ...]:
     """Canonical key of the image under zeta^i -> zeta^(shift + sign * i) of
-    the order-k point with canonical key `key`.
+    the order-k point with canonical key `key`: the one dihedral action on
+    keys, a rotation for sign 1 and a reflection for sign -1.
 
     Rotation and reflection are well defined on Z[zeta_k], so the image's
     key is the reduction of the permuted key.  No value is built, so the
@@ -314,11 +315,6 @@ def cyc_rotate(a: CycInt, j: int) -> CycInt:
     return _mapped(a, j, 1)
 
 
-def cyc_rotate_key(a: CycInt, j: int) -> tuple[int, ...]:
-    """canonical_key of cyc_rotate(a, j), without building the rotated value."""
-    return _mapped_key(a.order, a.canonical_key(), j, 1)
-
-
 def cyc_conj(a: CycInt) -> CycInt:
     return cyc_reflect(a, 0)
 
@@ -330,11 +326,6 @@ def cyc_reflect(a: CycInt, m: int) -> CycInt:
     z -> zeta^m * conj(z).
     """
     return _mapped(a, m, -1)
-
-
-def cyc_reflect_key(a: CycInt, m: int) -> tuple[int, ...]:
-    """canonical_key of cyc_reflect(a, m), without building the reflected value."""
-    return _mapped_key(a.order, a.canonical_key(), m, -1)
 
 
 def cyc_unit_translate_keys(a: CycInt) -> list[tuple[int, ...]]:

@@ -57,7 +57,6 @@ class ConstraintGraph:
     k: int
     n: int
     edges: tuple[Adjacency, ...]
-    tree: tuple[Adjacency, ...]
     nontree: tuple[Adjacency, ...]
     component: tuple[int, ...]
     parent: tuple[int, ...]        # -1 at component roots
@@ -212,13 +211,11 @@ def build_constraint_graph(spec: FractalSpec) -> ConstraintGraph:
     edges = _nested_adjacencies(spec)
     component, parent, parent_edge, depth = _forest(spec.n, edges)
     tree_idx = set(parent_edge)
-    tree = tuple(e for i, e in enumerate(edges) if i in tree_idx)
     nontree = tuple(e for i, e in enumerate(edges) if i not in tree_idx)
     return ConstraintGraph(
         k=spec.k,
         n=spec.n,
         edges=tuple(edges),
-        tree=tree,
         nontree=nontree,
         component=tuple(component),
         parent=tuple(parent),

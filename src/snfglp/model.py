@@ -25,7 +25,6 @@ from .cyclotomic import (
     _unit_circle,
     cyc_add,
     cyc_is_zero,
-    cyc_reflect_key,
     cyc_rotate,
     cyc_sub,
     cyc_unit_translate_keys,
@@ -542,7 +541,6 @@ def validate(spec: FractalSpec) -> ValidationReport:
     connectivity_ok = component_count == 1
 
     coeffs, keys = _scaled_points(spec)
-    sorted_keys = sorted(keys)
 
     symmetry_ok = True
     symmetry_witness: tuple[str, int] | None = None
@@ -550,16 +548,18 @@ def validate(spec: FractalSpec) -> ValidationReport:
     corner_witness: int | None = None
     vertex_at_center: int | None = None
     if not spec.partial:
+        # the keys are distinct and each map is injective, so the set is
+        # invariant exactly when every image is a member
+        key_set = set(keys)
         mirrored = [_mapped_key(k, key, 0, -1) for key in keys]
-        if sorted(_mapped_key(k, key, 1, 1) for key in keys) != sorted_keys:
+        if any(_mapped_key(k, key, 1, 1) not in key_set for key in keys):
             symmetry_ok = False
             symmetry_witness = ("rotation", 1)
         # on a zeta-invariant set reflection m is zeta^m after reflection 0
-        elif sorted(mirrored) != sorted_keys:
+        elif any(key not in key_set for key in mirrored):
             symmetry_ok = False
             symmetry_witness = ("reflection", 0)
 
-        key_set = set(keys)
         corner = _find_corner(spec, coeffs, keys, mirrored)
         if corner is None:
             corner_ok = False
@@ -639,7 +639,7 @@ def derive_scaling(spec: FractalSpec) -> CycInt:
     quot += [0] * (k - len(quot))
     quot[0] += 1
     scaling = _preset(k, tuple(quot), key)
-    if cyc_reflect_key(scaling, 0) != key:
+    if _mapped_key(k, key, 0, -1) != key:
         raise ScalingError("scaling factor is not real")
     if to_cartesian(scaling)[0] <= 1.0:
         raise ScalingError("scaling factor must exceed 1")

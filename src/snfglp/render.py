@@ -22,6 +22,11 @@ _GLYPH = (
     '<text x="%.6f" y="%.6f" font-family="sans-serif" '
     'font-size="12" text-anchor="middle" dominant-baseline="middle">%s</text>'
 )
+_CLASS = _GLYPH.replace('font-size="12"', 'font-size="14"')
+_RAY = (
+    '<line x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f" '
+    'stroke="black" stroke-width="0.7" stroke-dasharray="6,4"/>'
+)
 
 
 @dataclass(frozen=True)
@@ -36,11 +41,6 @@ class RenderOptions:
     def __post_init__(self) -> None:
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-
-
-def _fmt(v: float) -> str:
-    out = f"{v:.6f}"
-    return "0.000000" if out == "-0.000000" else out
 
 
 def _label_text(lab: int, k: int) -> str:
@@ -99,8 +99,9 @@ def _label_glyphs(
 
 
 def _printed(block: str) -> str:
-    """A block of %.6f numbers as `_fmt` prints each: a negative number that
-    rounds to zero prints as -0.000000, and no other number contains that text."""
+    """A block of %.6f numbers with every minus zero printed as 0.000000: a
+    negative number that rounds to zero prints as -0.000000, and no other
+    number contains that text."""
     return block.replace("-0.000000", "0.000000")
 
 
@@ -128,16 +129,12 @@ def render_svg(
     width = (xmax - xmin) * scale
     height = (ymax - ymin) * scale
 
-    def px(p: tuple[float, float]) -> tuple[float, float]:
-        return ((p[0] - xmin) * scale, (ymax - p[1]) * scale)
-
     out: list[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8" standalone="no"?>')
-    out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
-    )
+    out.append(_printed(
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        'width="%.6f" height="%.6f" viewBox="0 0 %.6f %.6f">' % (width, height, width, height)
+    ))
 
     highlight = set(opt.highlight_cycle or ())
     if not highlight and verdict is not None and not verdict.glp and verdict.witness:
@@ -155,7 +152,7 @@ def render_svg(
     texts: list[str] = []
     glyph_rows = repeat(()) if labeling is None else _label_glyphs(spec, polys, labeling)
     for cell, poly, glyphs in zip(spec.cells, polys, glyph_rows):
-        screen = [0.0] * (2 * k)  # x0, y0, x1, y1, ... as px maps them
+        screen = [0.0] * (2 * k)  # x0, y0, x1, y1, ... mapped like every point
         screen[0::2] = [(x - xmin) * scale for x, _ in poly]
         screen[1::2] = [(ymax - y) * scale for _, y in poly]
         fill = _FILL
@@ -175,26 +172,24 @@ def render_svg(
         bx, by = _embed(k, total)
         bx, by = bx / spec.n, by / spec.n
         reach = max(math.hypot(x - bx, y - by) for poly in polys for x, y in poly) + opt.margin
+        x1, y1 = (bx - xmin) * scale, (ymax - by) * scale
         for j in range(k):
             ang = 2.0 * math.pi * j / k
-            end = (bx + reach * math.cos(ang), by + reach * math.sin(ang))
-            x1, y1 = px((bx, by))
-            x2, y2 = px(end)
-            out.append(
-                f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-                f'stroke="black" stroke-width="0.7" stroke-dasharray="6,4"/>'
-            )
+            ex, ey = bx + reach * math.cos(ang), by + reach * math.sin(ang)
+            out.append(_printed(_RAY % (x1, y1, (ex - xmin) * scale, (ymax - ey) * scale)))
 
     cycle = opt.highlight_cycle or (
         verdict.witness if verdict is not None and not verdict.glp else None
     )
     if cycle:
-        centers = [px(to_cartesian(spec.cells[i].barycenter)) for i in cycle]
-        centers.append(centers[0])
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in centers)
-        out.append(
-            f'<polyline points="{pts}" fill="none" stroke="red" stroke-width="2"/>'
-        )
+        row = []
+        for i in (*cycle, cycle[0]):
+            x, y = to_cartesian(spec.cells[i].barycenter)
+            row += ((x - xmin) * scale, (ymax - y) * scale)
+        pts = " ".join(["%.6f,%.6f"] * (len(cycle) + 1))
+        out.append(_printed(
+            f'<polyline points="{pts}" fill="none" stroke="red" stroke-width="2"/>' % tuple(row)
+        ))
 
     # one dot per cell vertex (shared points coincide), then the labels
     out += dots
@@ -202,12 +197,9 @@ def render_svg(
 
     if classes is not None:
         for cell in spec.cells:
-            cx, cy = px(to_cartesian(cell.barycenter))
-            out.append(
-                f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" font-family="sans-serif" '
-                f'font-size="14" text-anchor="middle" dominant-baseline="middle">'
-                f"{classes.get(cell.index, '?')}</text>"
-            )
+            x, y = to_cartesian(cell.barycenter)
+            label = classes.get(cell.index, "?")
+            out.append(_printed(_CLASS % ((x - xmin) * scale, (ymax - y) * scale, label)))
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -196,6 +196,23 @@ class TestLabel:
         assert ET.parse(out_svg).getroot().tag.endswith("svg")
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("target", ["missing-dir/out", "a-directory"])
+    @pytest.mark.parametrize("command", ["label", "generate"])
+    def test_exit_two(self, hexagon_file, tmp_path, capsys, command, target):
+        (tmp_path / "a-directory").mkdir()
+        out = str(tmp_path / target)
+        if command == "label":
+            argv = ["label", hexagon_file, "--svg", out]
+        else:
+            argv = ["generate", "--k", "6", "--kind", "glp", "--out", out]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestSlices:
     def test_assignment_listing(self, snowflake_file, capsys):
         assert run(["slices", snowflake_file]) == 0

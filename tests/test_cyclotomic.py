@@ -30,9 +30,7 @@ from snfglp.cyclotomic import (
     cyc_mul,
     cyc_neg,
     cyc_reflect,
-    cyc_reflect_key,
     cyc_rotate,
-    cyc_rotate_key,
     cyc_sub,
     cyc_unit_translates,
     cyclotomic_polynomial,
@@ -334,8 +332,6 @@ class TestDerivedKeys:
         assert reflected.coeffs == tuple(a.coeffs[(m - i) % k] for i in range(k))
         self.assert_preset(rotated)
         self.assert_preset(reflected)
-        assert cyc_rotate_key(a, m) == fresh_key(rotated)
-        assert cyc_reflect_key(a, m) == fresh_key(reflected)
         if max(a.coeffs) == COEFF_LIMIT:
             # vertex j of a cell at the limit has coefficient COEFF_LIMIT + 1
             with pytest.raises(CoefficientOverflow):
@@ -368,7 +364,7 @@ class TestDerivedKeys:
             out = {}
             for i in order:
                 v = values[i]
-                out[i] = (hash(v), v.canonical_key(), cyc_rotate_key(v, 1), to_cartesian(v))
+                out[i] = (hash(v), v.canonical_key(), cyc_rotate(v, 1).canonical_key(), to_cartesian(v))
             seen[slot] = out
 
         threads = [threading.Thread(target=work, args=(slot,)) for slot in range(n_threads)]

@@ -20,17 +20,18 @@ from snfglp.cyclotomic import (
     COEFF_LIMIT,
     CycInt,
     CoefficientOverflow,
+    _canonical,
     _embed,
     _embed_error,
+    _mapped_key,
     _unit_circle,
     cyc_add,
     cyc_conj,
     cyc_eq,
     cyc_is_zero,
     cyc_neg,
-    cyc_reflect_key,
+    cyc_reflect,
     cyc_rotate,
-    cyc_rotate_key,
     cyc_scale,
     cyc_sub,
     from_coeffs,
@@ -57,6 +58,7 @@ from snfglp.model import (
     _NEAR,
     _Grid,
     _conflict_steps,
+    _conflicting,
     _hulls_overlap,
     _step_table,
     _support_table,
@@ -343,6 +345,28 @@ class TestExactConflicts:
             assert abs(gap) < 1e-12 or gap > 1e-3
             assert (step in _conflict_steps(k)) == (gap > 1e-3)
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_dihedral_and_negation_invariant(self, data):
+        # symmetrized growth tests one cell per orbit on this: every element of
+        # D_k, and negation, keeps the answer on a vertex step or on any other
+        # key difference shorter than _NEAR
+        k = data.draw(st.integers(3, 36))
+        table = _step_table(k)
+        if data.draw(st.booleans()):
+            delta = data.draw(st.sampled_from(sorted(table)))
+        else:
+            coeffs = [0] * k
+            for _ in range(data.draw(st.integers(2, 4))):
+                coeffs[data.draw(st.integers(0, k - 1))] += data.draw(st.sampled_from((-1, 1)))
+            delta = _canonical(k, tuple(coeffs))
+            assume(any(delta) and delta not in table and math.hypot(*_embed(k, delta)) < _NEAR)
+        answer = _conflicting(k, delta)
+        assert _conflicting(k, tuple(-c for c in delta)) == answer
+        for shift in range(k):
+            for sign in (1, -1):
+                assert _conflicting(k, _mapped_key(k, delta, shift, sign)) == answer
+
 
 class TestNearGrid:
     def test_slack_covers_the_embedding_error(self):
@@ -590,10 +614,10 @@ def all_reflections_symmetry(spec) -> tuple[bool, tuple[str, int] | None]:
     """Reference: the symmetry verdict of a non-partial spec, testing all k reflections."""
     positions = _scaled_positions(spec)
     keys = sorted(p.canonical_key() for p in positions)
-    if sorted(cyc_rotate_key(p, 1) for p in positions) != keys:
+    if sorted(cyc_rotate(p, 1).canonical_key() for p in positions) != keys:
         return False, ("rotation", 1)
     for m in range(spec.k):
-        if sorted(cyc_reflect_key(p, m) for p in positions) != keys:
+        if sorted(cyc_reflect(p, m).canonical_key() for p in positions) != keys:
             return False, ("reflection", m)
     return True, None
 

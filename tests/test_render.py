@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snfglp.construct import generate_counterexample, generate_glp_example
-from snfglp.cyclotomic import COEFF_LIMIT, CycInt, _embed, zeta
+from snfglp.cyclotomic import COEFF_LIMIT, CycInt, _embed, to_cartesian, zeta
 from snfglp.glp import Labeling, Verdict, decide_glp, decide_glp_even
 from snfglp.model import CATALOG_NAMES, catalog, parse, vertices
 from snfglp.render import RenderOptions, _label_glyphs, _polygon, render_svg
@@ -291,4 +292,43 @@ class TestBlockFormatting:
         assert texts == [
             [_each((x - xmin) * scale), _each((ymax - y) * scale), text] for x, y, text in glyphs
         ]
+        assert "-0.000000" not in svg
+
+    def test_header_rays_witness_and_classes_print_one_at_a_time(self):
+        # the margin puts xmin just right of the leftmost barycenter, -2, so its
+        # witness point and class label map to x in (-5e-7, 0)
+        spec = catalog("vicsek-cross")
+        margin, scale, cycle = -(1 + 1e-9), 1.0, (0, 3, 2)
+        options = RenderOptions(
+            show_classes=True, show_slices=True, highlight_cycle=cycle, margin=margin, scale=scale
+        )
+        svg = render_svg(spec, decide_glp_even(spec), options)
+        polys = [_polygon(spec.k, c.barycenter.coeffs) for c in spec.cells]
+        xs = [x for poly in polys for x, _ in poly]
+        ys = [y for poly in polys for _, y in poly]
+        xmin, xmax = min(xs) - margin, max(xs) + margin
+        ymin, ymax = min(ys) - margin, max(ys) + margin
+
+        def screen(x, y):
+            return [_each((x - xmin) * scale), _each((ymax - y) * scale)]
+
+        root = parsed(svg)
+        width, height = _each((xmax - xmin) * scale), _each((ymax - ymin) * scale)
+        assert [root.get("width"), root.get("height")] == [width, height]
+        assert root.get("viewBox") == f"0 0 {width} {height}"
+        total = [sum(col) for col in zip(*(c.barycenter.coeffs for c in spec.cells))]
+        bx, by = (v / spec.n for v in _embed(spec.k, total))
+        reach = max(math.hypot(x - bx, y - by) for x, y in zip(xs, ys)) + margin
+        rays = [
+            screen(bx, by) + screen(bx + reach * math.cos(ang), by + reach * math.sin(ang))
+            for ang in (2.0 * math.pi * j / spec.k for j in range(spec.k))
+        ]
+        lines = root.findall(f"{NS}line")
+        assert [[line.get(a) for a in ("x1", "y1", "x2", "y2")] for line in lines] == rays
+        centers = [to_cartesian(c.barycenter) for c in spec.cells]
+        assert any(-5e-7 < (x - xmin) * scale < 0 for x, _ in centers)
+        points = root.find(f"{NS}polyline").get("points").split()
+        assert [p.split(",") for p in points] == [screen(*centers[i]) for i in (*cycle, cycle[0])]
+        labels = [[t.get("x"), t.get("y")] for t in root.findall(f"{NS}text")]
+        assert labels == [screen(*c) for c in centers]
         assert "-0.000000" not in svg
