@@ -44,12 +44,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __sub__(self, other: IntPolynomial) -> IntPolynomial:
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return IntPolynomial(*(x - y for x, y in zip(a, b)))
-
     def __mul__(self, other: IntPolynomial) -> IntPolynomial:
         if self.is_zero() or other.is_zero():
             return IntPolynomial()
@@ -412,10 +406,13 @@ def to_cartesian(a: CycInt) -> tuple[float, float]:
     that error for every value that can be built; and the vertex ray of a
     slice position (`glp._sectors`), whose float angle is within pi/(2k)
     of the true one beyond 2 * k * `_embed_error` from the origin, so only
-    the nearest ray is tested, exactly.  `model.cells_conflict` embeds the
-    exact key difference of two cells, never two large points.  Not yet
-    certified: a hull gap within the error of a large difference, the
-    corner search (`model._find_corner`) and the growth radius.
+    the nearest ray is tested, exactly.  `model.cells_conflict` decides a
+    vertex step by its indices and embeds any other exact key difference
+    of two cells alone, never two large points.  Not yet certified: a hull
+    gap within the error of a large difference that is no vertex step, the
+    side of a slice or corner position (`glp._sectors`,
+    `model._find_corner`) within the error of the origin, and the growth
+    radius.
     """
     if a._xy is None:
         object.__setattr__(a, "_xy", _embed(a.order, a.coeffs))

@@ -30,7 +30,7 @@ from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cyclotomic import CycInt, _embed, _embed_error, _mapped_key, cyc_unit_translates
+from .cyclotomic import CycInt, _embed, _embed_error, _mapped_key, _unit_circle, cyc_unit_translates
 from .model import (
     Adjacency,
     Cell,
@@ -418,22 +418,6 @@ class SliceAssignment:
         return [idx for idx, s in enumerate(self.sector) if s is None]
 
 
-def _ray_scan(k: int, key: tuple[int, ...], x: float, y: float) -> int | None:
-    """Vertex-ray index j if the nonzero point with canonical key `key` and
-    float embedding (x, y) lies on the open ray through zeta^j, else None.
-
-    Membership on the full line is exact (fixed by the reflection across
-    it); the side is a float sign test.  `_sectors` uses it only for
-    points too close to the origin for their float angle to be certain.
-    """
-    for j in range(k):
-        if _mapped_key(k, key, 2 * j, -1) == key:
-            ang = 2.0 * math.pi * j / k
-            if x * math.cos(ang) + y * math.sin(ang) > 0:
-                return j
-    return None
-
-
 _Sectors = tuple[list[int | None], list[int | None]]
 
 
@@ -445,14 +429,15 @@ def _sectors(spec: FractalSpec) -> _Sectors:
     that ray is.  The central cell (barycenter at the global barycenter)
     belongs to no sector and lies on no ray.
 
-    A cell's position p is its `_scaled_points` entry.  Beyond
-    2 * k * `_embed_error` from the origin the float angle of p is certain
-    to within pi/(2k) (see `to_cartesian`): the nearest ray j is the only
-    one p can lie on, on its side of the line, and p is on it exactly
-    when reflection 2j fixes it.  Closer points go through `_ray_scan`.
+    A cell's position p is its `_scaled_points` entry.  It lies on ray j
+    when reflection 2j fixes it (exactly) and its float point is on the
+    ray's side.  Beyond 2 * k * `_embed_error` from the origin the float
+    angle of p is certain to within pi/(2k) (see `to_cartesian`), so the
+    nearest ray is the only candidate; closer points try every ray.
     """
     k = spec.k
     tau = 2.0 * math.pi
+    circle = _unit_circle(k)
     sector: list[int | None] = []
     rays: list[int | None] = []
     for coeffs, key in zip(*_scaled_points(spec)):
@@ -463,10 +448,14 @@ def _sectors(spec: FractalSpec) -> _Sectors:
         x, y = _embed(k, coeffs)
         theta = math.atan2(y, x) % tau
         if math.hypot(x, y) > 2 * k * _embed_error(k, coeffs):
-            j = round(theta * k / tau) % k
-            ray = j if _mapped_key(k, key, 2 * j, -1) == key else None
+            candidates = [round(theta * k / tau) % k]
         else:
-            ray = _ray_scan(k, key, x, y)
+            candidates = range(k)
+        ray = None
+        for j in candidates:
+            if _mapped_key(k, key, 2 * j, -1) == key and x * circle[j][0] + y * circle[j][1] > 0:
+                ray = j
+                break
         rays.append(ray)
         sector.append(int(theta * k / tau) + 1 if ray is None else (ray - 1) % k + 1)
     return sector, rays
@@ -518,12 +507,6 @@ def _chosen_cells(k: int, ids: list[int], closed: bool, sectors: _Sectors) -> tu
     return tuple(sorted(chosen))
 
 
-def slice_cells(spec: FractalSpec, ids, closed: bool = False) -> tuple[int, ...]:
-    """Cell indices in the union of the chosen (closed) slices, ascending."""
-    ids = _slice_ids(spec.k, ids)
-    return _chosen_cells(spec.k, ids, closed, _sectors(spec))
-
-
 def _subspec(spec: FractalSpec, chosen: tuple[int, ...]) -> FractalSpec:
     cells = tuple(
         Cell(spec.cells[orig].barycenter, new) for new, orig in enumerate(chosen)
@@ -533,7 +516,8 @@ def _subspec(spec: FractalSpec, chosen: tuple[int, ...]) -> FractalSpec:
 
 def slice_subspec(spec: FractalSpec, ids, closed: bool = False) -> FractalSpec:
     """Partial spec of the chosen (closed) slices, cells in original order."""
-    return _subspec(spec, slice_cells(spec, ids, closed))
+    k = spec.k
+    return _subspec(spec, _chosen_cells(k, _slice_ids(k, ids), closed, _sectors(spec)))
 
 
 def _remap_verdict(sub: Verdict, mapping: tuple[int, ...]) -> Verdict:

@@ -22,7 +22,6 @@ from .cyclotomic import (
     _mapped_key,
     _preset,
     _reduction_rows,
-    _unit_circle,
     cyc_add,
     cyc_is_zero,
     cyc_rotate,
@@ -191,21 +190,27 @@ def _hulls_overlap(k: int, dx: float, dy: float) -> bool:
     return True
 
 
+def _overlap_at_vertex(k: int, ja: int, jb: int) -> bool:
+    """Do unit k-gons that share vertex ja of one and jb of the other overlap?
+
+    At the shared point each polygon fills a cone of angle pi - 2*pi/k
+    about its inward direction, -zeta^ja or -zeta^jb, and two convex
+    polygons meeting at a common vertex overlap exactly when their cones
+    do: when the angle 2*pi*min(d, k - d)/k between the axes, with
+    d = (ja - jb) mod k, is below the sum of the half-angles, pi - 2*pi/k.
+    """
+    d = (ja - jb) % k
+    return 2 * min(d, k - d) < k - 2
+
+
 @lru_cache(maxsize=None)
 def _conflict_steps(k: int) -> frozenset[tuple[int, ...]]:
     """The `_step_table` keys of conflicting cells: two or more shared vertices,
-    or one pair (ja, jb) whose small offset zeta^ja - zeta^jb overlaps the hulls.
-
-    That offset is zeta^jb * (zeta^d - 1) with d = ja - jb, and rotation by
-    2*pi/k maps the k-gon to itself, so one hull test per d answers every
-    pair; each answer is far from the cut (test_one_vertex_steps_are_far_from_the_cut).
-    """
-    circle = _unit_circle(k)
-    overlap = [_hulls_overlap(k, *map(sub, circle[d], circle[0])) for d in range(k)]
+    or one pair (ja, jb) whose polygons overlap (`_overlap_at_vertex`)."""
     return frozenset(
         step
         for step, ((ja, jb), *more) in _step_table(k).items()
-        if more or overlap[(ja - jb) % k]
+        if more or _overlap_at_vertex(k, ja, jb)
     )
 
 
@@ -223,14 +228,6 @@ def _conflicting(k: int, delta: tuple[int, ...]) -> bool:
         return delta in _conflict_steps(k)
     dx, dy = _embed(k, delta)
     return dx * dx + dy * dy < 4.0 and _hulls_overlap(k, dx, dy)
-
-
-def global_barycenter(spec: FractalSpec) -> tuple[CycInt, int]:
-    """Exact mean of the cell barycenters as (sum, count)."""
-    total = zero(spec.k)
-    for cell in spec.cells:
-        total = cyc_add(total, cell.barycenter)
-    return total, spec.n
 
 
 def _scaled_points(
@@ -313,14 +310,12 @@ def _close_pairs(spec: FractalSpec) -> list[tuple[int, int]]:
 _NearPairs = tuple[
     tuple[Adjacency, ...],
     tuple[int, int] | None,
-    tuple[int, int] | None,
     tuple[tuple[int, int], ...],
 ]
 
 
 def _near_pairs(spec: FractalSpec) -> _NearPairs:
-    """(edges, first pair sharing >= 2 vertices, first pair whose key
-    difference is a conflicting vertex step, the close pairs whose key
+    """(edges, first pair sharing >= 2 vertices, the close pairs whose key
     difference is no vertex step) from one pass over `_close_pairs(spec)`,
     memoized on the spec.
 
@@ -331,27 +326,21 @@ def _near_pairs(spec: FractalSpec) -> _NearPairs:
     """
     near = spec._near
     if near is None:
-        k = spec.k
-        table = _step_table(k)
-        conflict_steps = _conflict_steps(k)
+        table = _step_table(spec.k)
         keys = [c.barycenter.canonical_key() for c in spec.cells]
         edges: list[Adjacency] = []
         others: list[tuple[int, int]] = []
-        violation = conflict = None
+        violation = None
         for i, j in _close_pairs(spec):
-            delta = tuple(map(sub, keys[j], keys[i]))
-            pairs = table.get(delta)
+            pairs = table.get(tuple(map(sub, keys[j], keys[i])))
             if pairs is None:
                 others.append((i, j))
-                continue
-            if conflict is None and delta in conflict_steps:
-                conflict = (i, j)
-            if len(pairs) == 1:
+            elif len(pairs) == 1:
                 # delta = b_j - b_i = zeta^ja - zeta^jb with ja indexing cell i.
                 edges.append(Adjacency(i, j, *pairs[0]))
             elif violation is None:
                 violation = (i, j)
-        near = (tuple(edges), violation, conflict, tuple(others))
+        near = (tuple(edges), violation, tuple(others))
         object.__setattr__(spec, "_near", near)
     return near
 
@@ -359,11 +348,14 @@ def _near_pairs(spec: FractalSpec) -> _NearPairs:
 def _first_conflict(spec: FractalSpec) -> tuple[int, int] | None:
     """The first close pair, in pair order, whose cells conflict.
 
-    Pairs that are no vertex step are embedded here, on demand, and only
-    those that come before the first conflicting step.
+    Precondition: no pair shares two or more vertices.  Then the first
+    conflicting vertex step is the first edge (edges are in pair order)
+    whose polygons overlap at the shared vertex.  Pairs that are no vertex
+    step are embedded here, on demand, and only those that come before it.
     """
-    _, _, conflict, others = _near_pairs(spec)
+    edges, _, others = _near_pairs(spec)
     k = spec.k
+    conflict = next(((e.a, e.b) for e in edges if _overlap_at_vertex(k, e.ja, e.jb)), None)
     for i, j in others:
         if conflict is not None and (i, j) > conflict:
             break
@@ -378,7 +370,7 @@ def find_adjacencies(spec: FractalSpec) -> tuple[list[Adjacency], tuple[int, int
     A pair sharing two or more vertices violates nesting and is reported
     as a witness rather than as an edge.  The list is new on every call.
     """
-    edges, violation, _, _ = _near_pairs(spec)
+    edges, violation, _ = _near_pairs(spec)
     return list(edges), violation
 
 
@@ -447,6 +439,10 @@ def _find_corner(
     outward vertex is a vertex of no other cell (it is an essential fixed
     point image).  Corner cells need not be the outermost cells of the
     configuration.
+
+    The centre is excluded by its key and the side is the float sign of
+    x, which can be wrong only for a real point other than the centre
+    within `_embed_error` of the origin.
     """
     k = spec.k
     n = spec.n
@@ -457,10 +453,10 @@ def _find_corner(
     steps = [tuple(n * (a - b) for a, b in zip(rows[0], rows[jb])) for jb in range(1, k)]
     best: tuple[float, int] | None = None
     for i, key in enumerate(keys):
-        if mirrored[i] != key:
+        if mirrored[i] != key or not any(key):
             continue
         x, _ = _embed(k, coeffs[i])
-        if x <= 1e-9:
+        if x <= 0:
             continue
         if any(index_of.get(tuple(map(add, key, step)), i) != i for step in steps):
             continue
@@ -531,7 +527,7 @@ def validate(spec: FractalSpec) -> ValidationReport:
     """
     k = spec.k
     n = spec.n
-    edges, violation, _, _ = _near_pairs(spec)
+    edges, violation, _ = _near_pairs(spec)
     # hull overlaps without shared vertices (or despite one) fail nesting too;
     # the first of them is sought only when no pair shares two vertices
     nesting_witness = violation or _first_conflict(spec)

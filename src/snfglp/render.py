@@ -167,7 +167,7 @@ def render_svg(
             texts.append(_printed(glyph_blocks[len(glyphs)] % tuple(row)))
 
     if opt.show_slices:
-        # the coefficients of global_barycenter's sum, as Python ints
+        # the column sums of the barycenters' coefficients, as Python ints
         total = tuple(sum(col) for col in zip(*(cell.barycenter.coeffs for cell in spec.cells)))
         bx, by = _embed(k, total)
         bx, by = bx / spec.n, by / spec.n

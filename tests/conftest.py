@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import itertools
 
-from snfglp.cyclotomic import IntPolynomial, cyclotomic_polynomial
+from snfglp.cyclotomic import CycInt, IntPolynomial, cyc_add, cyclotomic_polynomial, zero
 from snfglp.glp import build_constraint_graph, edge_weight
 from snfglp.model import FractalSpec
 
@@ -16,6 +16,14 @@ def remainder_key(k: int, coeffs) -> tuple[int, ...]:
     phi = cyclotomic_polynomial(k)
     rem = IntPolynomial(*coeffs).divmod_exact(phi)[1].coeffs
     return rem + (0,) * (phi.degree() - len(rem))
+
+
+def cell_sum(spec: FractalSpec) -> CycInt:
+    """The exact sum of the cell barycenters, added one by one."""
+    total = zero(spec.k)
+    for cell in spec.cells:
+        total = cyc_add(total, cell.barycenter)
+    return total
 
 
 def fold(k: int, coeffs, j: int, m: int) -> tuple[int, ...]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_glp
+from conftest import brute_force_glp, cell_sum
 from snfglp.construct import (
     GenerationError,
     _legal_steps,
@@ -44,7 +44,6 @@ from snfglp.model import (
     catalog,
     cells_conflict,
     derive_scaling,
-    global_barycenter,
     make_spec,
     serialize,
     validate,
@@ -199,7 +198,7 @@ class TestExpand:
 def reference_scaling(spec):
     """Reference: the scaling factor from CycInt values, corner by float x."""
     k, n = spec.k, spec.n
-    total, _ = global_barycenter(spec)
+    total = cell_sum(spec)
     positions = [cyc_sub(cyc_scale(c.barycenter, n), total) for c in spec.cells]
     index_of = {p.canonical_key(): i for i, p in enumerate(positions)}
     best = None
@@ -218,7 +217,7 @@ def reference_scaling(spec):
 def reference_expand(spec, level):
     """Reference: expand with CycInt values, summed choice by choice."""
     scaling = reference_scaling(spec)
-    total, count = global_barycenter(spec)
+    total, count = cell_sum(spec), spec.n
     offsets = [
         cyc_div_int(cyc_sub(cyc_scale(c.barycenter, count), total), count) for c in spec.cells
     ]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fold
+from conftest import cell_sum, fold
 from snfglp import model
 from snfglp.construct import random_valid_spec
 from snfglp.cyclotomic import (
@@ -60,6 +60,8 @@ from snfglp.model import (
     _conflict_steps,
     _conflicting,
     _hulls_overlap,
+    _overlap_at_vertex,
+    _scaled_points,
     _step_table,
     _support_table,
     _vertex_keys,
@@ -67,7 +69,6 @@ from snfglp.model import (
     cells_conflict,
     derive_scaling,
     find_adjacencies,
-    global_barycenter,
     make_spec,
     parse,
     serialize,
@@ -332,18 +333,15 @@ class TestExactConflicts:
 
     @pytest.mark.parametrize("k", range(3, 37))
     def test_one_vertex_steps_are_far_from_the_cut(self, k):
-        # float rounding of a small offset zeta^ja - zeta^jb cannot flip its
-        # `_conflict_steps` entry: the hulls touch (gap 0) or clearly overlap
+        # the index rule `_overlap_at_vertex` agrees with the float hull test
+        # on every offset zeta^ja - zeta^jb, whose hulls touch (gap 0) or
+        # clearly overlap, so float rounding cannot flip that test either
         circle = _unit_circle(k)
-        for step, pairs in _step_table(k).items():
-            if len(pairs) > 1:
-                assert step in _conflict_steps(k)
-                continue
-            (ja, jb), = pairs
+        for ja, jb in itertools.product(range(k), repeat=2):
             dx, dy = circle[ja][0] - circle[jb][0], circle[ja][1] - circle[jb][1]
             gap = min(w - abs(nx * dx + ny * dy) for nx, ny, w in _support_table(k))
             assert abs(gap) < 1e-12 or gap > 1e-3
-            assert (step in _conflict_steps(k)) == (gap > 1e-3)
+            assert _overlap_at_vertex(k, ja, jb) == (gap > 1e-3) == _hulls_overlap(k, dx, dy)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -397,17 +395,14 @@ class TestNearGrid:
 
 class TestBarycenter:
     def test_hexagon_ring_centered(self):
-        total, n = global_barycenter(catalog("sierpinski-hexagon"))
-        assert n == 6 and cyc_is_zero(total)
+        assert cyc_is_zero(cell_sum(catalog("sierpinski-hexagon")))
 
     def test_single_cell(self):
         spec = make_spec(5, [(0, 0, 0, 0, 0)], partial=True)
-        total, n = global_barycenter(spec)
-        assert n == 1 and cyc_is_zero(total)
+        assert cyc_is_zero(cell_sum(spec))
 
     def test_gasket_centered(self):
-        total, n = global_barycenter(catalog("sierpinski-gasket"))
-        assert n == 3 and cyc_is_zero(total)
+        assert cyc_is_zero(cell_sum(catalog("sierpinski-gasket")))
 
 
 class TestScaling:
@@ -438,6 +433,17 @@ class TestScaling:
         other = cyc_sub(zeta(4, 0, 3), zeta(4, jb))
         cells = [zero(4)] + [cyc_rotate(b, j) for b in (zeta(4, 0, 2), other) for j in range(4)]
         spec = make_spec(4, cells)
+        report = validate(spec)
+        assert (report.corner_ok, report.corner_witness) == (False, 0)
+        with pytest.raises(ScalingError, match="no corner cell"):
+            derive_scaling(spec)
+
+    def test_central_cell_is_no_corner(self):
+        # a ring with no cell on the positive real axis, around a central
+        # cell 1 - zeta + zeta^2 = 0 whose scaled position embeds at x > 0
+        ring = [tuple(2 * ((i - j) % 6 in (0, 1)) for i in range(6)) for j in range(6)]
+        spec = make_spec(6, ring + [(1, -1, 1, 0, 0, 0)])
+        assert _embed(6, _scaled_points(spec)[0][6])[0] > 0
         report = validate(spec)
         assert (report.corner_ok, report.corner_witness) == (False, 0)
         with pytest.raises(ScalingError, match="no corner cell"):
@@ -551,8 +557,8 @@ class TestValidate:
 
 def _scaled_positions(spec: FractalSpec) -> list[CycInt]:
     """n * (barycenter - global barycenter) for every cell; exact and integral."""
-    total, n = global_barycenter(spec)
-    return [cyc_sub(cyc_scale(c.barycenter, n), total) for c in spec.cells]
+    total = cell_sum(spec)
+    return [cyc_sub(cyc_scale(c.barycenter, spec.n), total) for c in spec.cells]
 
 
 def per_j_vertex_at_center(spec) -> int | None:

@@ -318,19 +318,19 @@ class TestSectorsReference:
     @settings(max_examples=150, deadline=None)
     def test_matches_kscan_reference(self, case):
         spec, variant = case
-        scans = []
-        ray_scan = glp._ray_scan
+        tests = []
+        mapped_key = glp._mapped_key
 
         def counting(*args):
-            scans.append(args)
-            return ray_scan(*args)
+            tests.append(args)
+            return mapped_key(*args)
 
         reference = kscan_sectors(spec)
-        with mock.patch.object(glp, "_ray_scan", counting):
+        with mock.patch.object(glp, "_mapped_key", counting):
             got = slices(spec)
-            closed = closed_slices(spec)
-            whole = make_spec(spec.k, [c.barycenter for c in spec.cells])
-            via = outcome(lambda s: glp_via_slices(s).serialize(), whole)
+        closed = closed_slices(spec)
+        whole = make_spec(spec.k, [c.barycenter for c in spec.cells])
+        via = outcome(lambda s: glp_via_slices(s).serialize(), whole)
         sector, rays = reference
         assert got.sector == tuple(sector)
         assert closed == [
@@ -339,18 +339,27 @@ class TestSectorsReference:
         ]
         with mock.patch.object(glp, "_sectors", kscan_sectors):
             assert via == outcome(lambda s: glp_via_slices(s).serialize(), whole)
+        # one reflection test per cell whose float angle is certain; the two
+        # tiny cells are not, and test rays 0, 1, ... until one holds them
+        placed = sum(s is not None for s in sector)
         if variant == "plain":
-            assert not scans
+            assert len(tests) == placed
         elif variant == "tiny":
-            # both tiny cells take the fallback in slices and closed_slices
-            assert len(scans) >= 4
+            scanned = sum(spec.k if r is None else r + 1 for r in rays[-2:])
+            assert len(tests) == placed - 2 + scanned
 
     def test_far_points_certain(self):
         # the hexagon's cells sit on the rays, 6 * 2 from the centre
-        scans = []
-        with mock.patch.object(glp, "_ray_scan", lambda *a: scans.append(a)):
+        tests = []
+        mapped_key = glp._mapped_key
+
+        def counting(*args):
+            tests.append(args)
+            return mapped_key(*args)
+
+        with mock.patch.object(glp, "_mapped_key", counting):
             assert slices(catalog("sierpinski-hexagon")).sector == (6, 1, 2, 3, 4, 5)
-        assert not scans
+        assert len(tests) == 6
 
     def test_tiny_point_is_tiny(self):
         w = tiny_on_ray(8, 3)
