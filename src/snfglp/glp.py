@@ -17,11 +17,12 @@ The three forest deciders share one kernel and differ only in the edge
 map (Z_k weight, parity, or +-1 rotation class); the odd decider derives
 its offsets from the rotation counts.
 
-A labeling is fixed by its offsets.  Its vertex labels are stored by
-canonical key (the key CycInt equality uses) and checked for consistency
-as they are stored: at once by `make_labeling`, on first read for the
-labeling a decider returns, which a caller that needs only the offsets
-never reads.  Vertex values are built only when the labels are iterated.
+A labeling is fixed by its offsets.  Its vertex labels are stored in a
+list indexed by the spec's vertex ids (`model._vertex_ids`) and checked
+for consistency as they are stored: at once by `make_labeling`, on first
+read for the labeling a decider returns, which a caller that needs only
+the offsets never reads.  Vertex values are built only when the labels
+are iterated.
 """
 from __future__ import annotations
 
@@ -30,7 +31,14 @@ from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cyclotomic import CycInt, _embed, _embed_error, _mapped_key, _unit_circle, cyc_unit_translates
+from .cyclotomic import (
+    CycInt,
+    _embed,
+    _embed_error,
+    _mapped_key,
+    _unit_circle,
+    cyc_unit_translates,
+)
 from .model import (
     Adjacency,
     Cell,
@@ -39,7 +47,9 @@ from .model import (
     _forest,
     _rotation_class,
     _scaled_points,
-    _vertex_keys,
+    _symmetry_witness,
+    _vertex_ids,
+    _vertex_key_stream,
     find_adjacencies,
 )
 
@@ -82,9 +92,11 @@ class Labeling:
     """Per-cell offsets and the vertex labels they induce.
 
     `labels` may be a plain dict.  From `make_labeling` or a decider it is
-    a read-only mapping stored by canonical key: lookups build nothing, and
-    iterating it builds the vertex values, so on a spec with a coefficient
-    of +-2^31 iteration raises CoefficientOverflow (ROADMAP item 3).
+    a read-only mapping (`_VertexLabels`) that holds one label per vertex
+    id of its spec, a list of small ints: lookups build no vertex value,
+    and iterating it builds the vertex values, so on a spec with a
+    coefficient of +-2^31 iteration raises CoefficientOverflow (ROADMAP
+    item 3).
     """
 
     k: int
@@ -94,39 +106,56 @@ class Labeling:
 
 class _VertexLabels(Mapping[CycInt, int]):
     """Labels of the vertices of `spec` under per-cell `offsets` (indexed
-    by cell index), stored by canonical key.
+    by cell index), one per vertex id of the spec (`_vertex_ids`).
 
-    The store is built when first read and written at most once with
+    The label list is built when first read, and the key index a lookup by
+    value needs when first looked up; each is written at most once with
     equal contents, so the mapping can be shared across threads.  An
-    order-k CycInt is looked up by its key; iteration builds each vertex
-    value when first seen in cell order, which is the order the store was
-    filled in.
+    order-k CycInt is looked up by its canonical key; iteration builds each
+    vertex value when first seen in cell order, which is id order.
     """
 
-    __slots__ = ("_spec", "_offsets", "_store")
+    __slots__ = ("_spec", "_offsets", "_labels", "_index")
 
     def __init__(self, spec: FractalSpec, offsets: Mapping[int, int] | list[int]):
         self._spec = spec
         self._offsets = offsets
-        self._store: dict[tuple[int, ...], int] | None = None
+        self._labels: list[int] | None = None
+        self._index: dict[tuple[int, ...], int] | None = None
+
+    @property
+    def _by_id(self) -> list[int]:
+        """Label (j + r) mod k of vertex j of each cell with offset r, by
+        vertex id, so no vertex value or key is kept.  Raises SpecError
+        where two cells give one vertex different labels."""
+        labels = self._labels
+        if labels is None:
+            spec = self._spec
+            k = spec.k
+            ids, _ = _vertex_ids(spec)
+            labels = []
+            for i in range(spec.n):
+                r = self._offsets[i]
+                for j, v in enumerate(ids[i * k:(i + 1) * k]):
+                    lab = (j + r) % k
+                    if v == len(labels):  # first seen here
+                        labels.append(lab)
+                    elif labels[v] != lab:
+                        raise SpecError(f"offsets disagree at a shared vertex of cell {i}")
+            self._labels = labels
+        return labels
 
     @property
     def _by_key(self) -> dict[tuple[int, ...], int]:
-        """Label (j + r) mod k of vertex j of each cell with offset r, by
-        vertex key (`_vertex_keys`), so no vertex value is built.  Raises
-        SpecError where two cells give one vertex different labels."""
-        store = self._store
-        if store is None:
-            k = self._spec.k
-            store = {}
-            for i, keys in enumerate(_vertex_keys(self._spec)):
-                r = self._offsets[i]
-                for j, key in enumerate(keys):
-                    lab = (j + r) % k
-                    if store.setdefault(key, lab) != lab:
-                        raise SpecError(f"offsets disagree at a shared vertex of cell {i}")
-            self._store = store
-        return store
+        """Label by vertex key, for lookups by value and for another spec's
+        vertices (`_labels_by_id`); built on first use."""
+        index = self._index
+        if index is None:
+            labels = self._by_id
+            ids, _ = _vertex_ids(self._spec)
+            index = {key: labels[v] for v, key in zip(ids, _vertex_key_stream(self._spec))}
+            self._index = index
+        return index
 
     def __getitem__(self, v: CycInt) -> int:
         if isinstance(v, CycInt) and v.order == self._spec.k:
@@ -134,17 +163,18 @@ class _VertexLabels(Mapping[CycInt, int]):
         raise KeyError(v)
 
     def __len__(self) -> int:
-        return len(self._by_key)
+        return len(self._by_id)
 
     def __iter__(self) -> Iterator[CycInt]:
-        self._by_key  # offsets that disagree raise here, as on any read
-        seen: set[tuple[int, ...]] = set()
-        for cell in self._spec.cells:
-            for v in cyc_unit_translates(cell.barycenter):
-                key = v.canonical_key()
-                if key not in seen:
-                    seen.add(key)
-                    yield v
+        self._by_id  # offsets that disagree raise here, as on any read
+        k = self._spec.k
+        ids, _ = _vertex_ids(self._spec)
+        seen = 0
+        for i, cell in enumerate(self._spec.cells):
+            for v, value in zip(ids[i * k:(i + 1) * k], cyc_unit_translates(cell.barycenter)):
+                if v == seen:
+                    seen += 1
+                    yield value
 
     def __repr__(self) -> str:
         return repr(dict(self))
@@ -265,7 +295,7 @@ def make_labeling(spec: FractalSpec, offsets: dict[int, int]) -> Labeling:
     """
     offsets = dict(offsets)
     labels = _VertexLabels(spec, offsets)
-    labels._by_key
+    labels._by_id
     return Labeling(spec.k, offsets, labels)
 
 
@@ -391,20 +421,6 @@ def classify_k(k: int) -> KClassification:
     return KClassification(False, None)
 
 
-def odd_cycle_scan(spec: FractalSpec) -> list[tuple[int, ...]]:
-    """Fundamental cycles of odd length below k; each one certifies no GLP.
-
-    An empty result is inconclusive.
-    """
-    if spec.k % 2 != 1:
-        raise ValueError("odd_cycle_scan requires odd k")
-    graph = build_constraint_graph(spec)
-    return [
-        cyc for cyc in fundamental_cycles(graph)
-        if len(cyc) % 2 == 1 and len(cyc) < spec.k
-    ]
-
-
 @dataclass(frozen=True)
 class SliceAssignment:
     k: int
@@ -419,9 +435,10 @@ class SliceAssignment:
 
 
 _Sectors = tuple[list[int | None], list[int | None]]
+_Points = tuple[list[tuple[int, ...]], list[tuple[int, ...]]]
 
 
-def _sectors(spec: FractalSpec) -> _Sectors:
+def _sectors(k: int, points: _Points) -> _Sectors:
     """Per cell: its open sector, and the vertex ray it lies on (None for neither).
 
     Sector i covers angles in ((i-1) * 2pi/k, i * 2pi/k]; a cell exactly
@@ -429,18 +446,17 @@ def _sectors(spec: FractalSpec) -> _Sectors:
     that ray is.  The central cell (barycenter at the global barycenter)
     belongs to no sector and lies on no ray.
 
-    A cell's position p is its `_scaled_points` entry.  It lies on ray j
-    when reflection 2j fixes it (exactly) and its float point is on the
-    ray's side.  Beyond 2 * k * `_embed_error` from the origin the float
+    A cell's position p is its entry in `points`, the spec's
+    `_scaled_points`.  It lies on ray j when reflection 2j fixes it
+    (exactly) and its float point is on the ray's side.  Beyond 2 * k * `_embed_error` from the origin the float
     angle of p is certain to within pi/(2k) (see `to_cartesian`), so the
     nearest ray is the only candidate; closer points try every ray.
     """
-    k = spec.k
     tau = 2.0 * math.pi
     circle = _unit_circle(k)
     sector: list[int | None] = []
     rays: list[int | None] = []
-    for coeffs, key in zip(*_scaled_points(spec)):
+    for coeffs, key in zip(*points):
         if not any(key):
             sector.append(None)
             rays.append(None)
@@ -463,7 +479,7 @@ def _sectors(spec: FractalSpec) -> _Sectors:
 
 def slices(spec: FractalSpec) -> SliceAssignment:
     """Assign each cell to the angular sector holding its barycenter (see `_sectors`)."""
-    return SliceAssignment(spec.k, tuple(_sectors(spec)[0]))
+    return SliceAssignment(spec.k, tuple(_sectors(spec.k, _scaled_points(spec))[0]))
 
 
 def _closed_members(k: int, sectors: _Sectors) -> list[frozenset[int]]:
@@ -483,7 +499,7 @@ def closed_slices(spec: FractalSpec) -> list[frozenset[int]]:
     Entry i-1 holds closed slice i.  The central cell is in no closed
     slice.
     """
-    return _closed_members(spec.k, _sectors(spec))
+    return _closed_members(spec.k, _sectors(spec.k, _scaled_points(spec)))
 
 
 def _slice_ids(k: int, ids) -> list[int]:
@@ -517,7 +533,8 @@ def _subspec(spec: FractalSpec, chosen: tuple[int, ...]) -> FractalSpec:
 def slice_subspec(spec: FractalSpec, ids, closed: bool = False) -> FractalSpec:
     """Partial spec of the chosen (closed) slices, cells in original order."""
     k = spec.k
-    return _subspec(spec, _chosen_cells(k, _slice_ids(k, ids), closed, _sectors(spec)))
+    sectors = _sectors(k, _scaled_points(spec))
+    return _subspec(spec, _chosen_cells(k, _slice_ids(k, ids), closed, sectors))
 
 
 def _remap_verdict(sub: Verdict, mapping: tuple[int, ...]) -> Verdict:
@@ -556,6 +573,12 @@ def glp_via_slices(spec: FractalSpec) -> Verdict:
     k = 6 without central cell) or of two neighboring open slices
     (odd k) transfers to the whole configuration.
 
+    That transfer assumes D_k invariance, so for k >= 6 a spec that is not
+    invariant raises SpecError before any slice work, as a pair sharing
+    two or more vertices does; `decide_glp` decides such a spec.  The
+    invariance test is `validate`'s (rotation 1, then reflection 0, on
+    the scaled keys), on the same scaled points the slices are read from.
+
     Known defect: the transfer can fail on symmetrized growth.
     `random_valid_spec(12, 40, 403123852, symmetrize=True)` passes
     `validate`, yet `decide_glp` finds the weight-6 cycle
@@ -569,7 +592,12 @@ def glp_via_slices(spec: FractalSpec) -> Verdict:
         return decide_glp(spec)
     # a slice verdict says nothing about nesting outside the slice
     edges = _nested_adjacencies(spec)
-    sectors = _sectors(spec)
+    points = _scaled_points(spec)
+    keys = points[1]
+    asymmetry = _symmetry_witness(k, set(keys), [_mapped_key(k, key, 0, -1) for key in keys])
+    if asymmetry is not None:
+        raise SpecError(f"spec fails symmetry {asymmetry}; the slice reduction needs D_k invariance")
+    sectors = _sectors(k, points)
     central = [idx for idx, s in enumerate(sectors[0]) if s is None]
     if k == 6 and central:
         cyc = _central_cycle(spec.n, edges, central[0])
@@ -585,18 +613,29 @@ def glp_via_slices(spec: FractalSpec) -> Verdict:
     return _remap_verdict(decide_glp(_subspec(spec, chosen)), chosen)
 
 
-def _labels_by_key(labeling: Labeling, k: int) -> dict[tuple[int, ...], int]:
-    """The labels of order-k points, keyed by canonical key.
+def _labels_by_id(spec: FractalSpec, labeling: Labeling) -> list[int | None]:
+    """The label of each vertex id of `spec` (`_vertex_ids`), None where
+    the labeling has none.
 
-    A CycInt equals a vertex of order k exactly when it has order k and
-    the vertex's key, so a lookup here answers `labeling.labels.get(v)`
-    from the key of v without building v.  Labels from `make_labeling`
-    are stored that way already.
+    A decider's or `make_labeling`'s labels on this spec are that list
+    already.  Any other labeling is read through canonical keys: a CycInt
+    equals a vertex of order k exactly when it has order k and the
+    vertex's key, so entries of another order are dropped, and labels on
+    another spec (a slice subspec's) are keyed by their own vertices.
     """
     labels = labeling.labels
+    if isinstance(labels, _VertexLabels) and labels._spec is spec:
+        return labels._by_id
+    k = spec.k
     if isinstance(labels, _VertexLabels) and labels._spec.k == k:
-        return labels._by_key
-    return {v.canonical_key(): lab for v, lab in labels.items() if v.order == k}
+        by_key = labels._by_key
+    else:
+        by_key = {v.canonical_key(): lab for v, lab in labels.items() if v.order == k}
+    ids, count = _vertex_ids(spec)
+    out: list[int | None] = [None] * count
+    for v, key in zip(ids, _vertex_key_stream(spec)):
+        out[v] = by_key.get(key)
+    return out
 
 
 def check_labeling(spec: FractalSpec, labeling: Labeling) -> bool:
@@ -606,15 +645,13 @@ def check_labeling(spec: FractalSpec, labeling: Labeling) -> bool:
     labeling maps each point to a single label.
     """
     k = spec.k
-    labels = _labels_by_key(labeling, k)
-    for i, keys in enumerate(_vertex_keys(spec)):
-        labs = []
-        for key in keys:
-            lab = labels.get(key)
-            if lab is None:
-                raise LabelingError(f"vertex of cell {i} has no label")
-            labs.append(lab)
-        r = (labs[0] - 0) % k
+    labels = _labels_by_id(spec, labeling)
+    ids, _ = _vertex_ids(spec)
+    for i in range(spec.n):
+        labs = [labels[v] for v in ids[i * k:(i + 1) * k]]
+        if None in labs:
+            raise LabelingError(f"vertex of cell {i} has no label")
+        r = labs[0] % k
         if any((labs[j] - j) % k != r for j in range(k)):
             return False
     return True

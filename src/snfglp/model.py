@@ -10,6 +10,7 @@ scaling factor, and round-trips a plain text file format.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -65,17 +66,19 @@ class Cell:
 
 @dataclass(frozen=True, eq=False)
 class FractalSpec:
-    """A configuration; immutable, its `_near_pairs` and `_vertex_keys` memos
-    each written at most once with equal values, so a spec can be shared
-    across threads."""
+    """A configuration; immutable.
+
+    Two private memos are filled on first use: `_near`, the near-pair pass
+    (`_near_pairs`), and `_vids`, the vertex ids of every cell with their
+    count (`_vertex_ids`).  Each is written at most once with equal
+    values, so a spec can be shared across threads.
+    """
 
     k: int
     cells: tuple[Cell, ...]
     partial: bool = False
     _near: _NearPairs | None = field(default=None, init=False, repr=False, compare=False)
-    _vkeys: tuple[list[tuple[int, ...]], ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _vids: tuple[array, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k < 3:
@@ -119,14 +122,29 @@ def vertices(cell: Cell) -> list[CycInt]:
     return cyc_unit_translates(cell.barycenter)
 
 
-def _vertex_keys(spec: FractalSpec) -> tuple[list[tuple[int, ...]], ...]:
-    """Per cell, the canonical keys key(b) + row_j of its vertices in order,
-    built once per spec and memoized on it like `_near_pairs`."""
-    keys = spec._vkeys
-    if keys is None:
-        keys = tuple(cyc_unit_translate_keys(cell.barycenter) for cell in spec.cells)
-        object.__setattr__(spec, "_vkeys", keys)
-    return keys
+def _vertex_key_stream(spec: FractalSpec) -> Iterator[tuple[int, ...]]:
+    """The canonical key key(b) + row_j of vertex j of each cell, in cell
+    order, computed afresh: the order of the ids of `_vertex_ids`."""
+    for cell in spec.cells:
+        yield from cyc_unit_translate_keys(cell.barycenter)
+
+
+def _vertex_ids(spec: FractalSpec) -> tuple[array, int]:
+    """(ids, count): the id of vertex j of cell i at ids[i * k + j], and the
+    number of distinct vertices; memoized on the spec like `_near_pairs`.
+
+    Vertices are told apart by canonical key in one pass over
+    `_vertex_key_stream` whose key index is dropped afterwards, and
+    numbered as first seen: a vertex is new where its id equals the number
+    of distinct vertices seen before it.
+    """
+    vids = spec._vids
+    if vids is None:
+        index: dict[tuple[int, ...], int] = {}
+        ids = array("l", [index.setdefault(key, len(index)) for key in _vertex_key_stream(spec)])
+        vids = (ids, len(index))
+        object.__setattr__(spec, "_vids", vids)
+    return vids
 
 
 @lru_cache(maxsize=None)
@@ -465,6 +483,25 @@ def _find_corner(
     return best[1] if best else None
 
 
+def _symmetry_witness(
+    k: int, key_set: set[tuple[int, ...]], mirrored: list[tuple[int, ...]]
+) -> tuple[str, int] | None:
+    """("rotation", 1) or ("reflection", 0), the first map that moves the set
+    of scaled keys (`_scaled_points`) off itself, or None if it is
+    D_k-invariant; `mirrored` holds the keys under reflection 0.
+
+    The keys are distinct and each map is injective, so the set is
+    invariant exactly when every image is a member; rotation 1 generates
+    the rotations, and on a zeta-invariant set reflection m is zeta^m
+    after reflection 0.
+    """
+    if any(_mapped_key(k, key, 1, 1) not in key_set for key in key_set):
+        return ("rotation", 1)
+    if any(key not in key_set for key in mirrored):
+        return ("reflection", 0)
+    return None
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     connectivity_ok: bool
@@ -544,17 +581,10 @@ def validate(spec: FractalSpec) -> ValidationReport:
     corner_witness: int | None = None
     vertex_at_center: int | None = None
     if not spec.partial:
-        # the keys are distinct and each map is injective, so the set is
-        # invariant exactly when every image is a member
         key_set = set(keys)
         mirrored = [_mapped_key(k, key, 0, -1) for key in keys]
-        if any(_mapped_key(k, key, 1, 1) not in key_set for key in keys):
-            symmetry_ok = False
-            symmetry_witness = ("rotation", 1)
-        # on a zeta-invariant set reflection m is zeta^m after reflection 0
-        elif any(key not in key_set for key in mirrored):
-            symmetry_ok = False
-            symmetry_witness = ("reflection", 0)
+        symmetry_witness = _symmetry_witness(k, key_set, mirrored)
+        symmetry_ok = symmetry_witness is None
 
         corner = _find_corner(spec, coeffs, keys, mirrored)
         if corner is None:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .cyclotomic import _embed, _unit_circle, to_cartesian
-from .glp import Labeling, Verdict, _labels_by_key
-from .model import FractalSpec, _vertex_keys
+from .glp import Labeling, Verdict, _labels_by_id
+from .model import FractalSpec, _vertex_ids
 
 _FILL = "#d3d3d3"
 _FILL_ALT = "#a9a9a9"
@@ -77,20 +77,22 @@ def _label_glyphs(
     """Per cell, one glyph per labeled point first seen on that cell, nudged
     outward from the cell's center.
 
-    Points are told apart by vertex key (`_vertex_keys`), so no vertex value
-    is built; the seen set dies with the iterator.
+    Points are told apart by vertex id (`_vertex_ids`), so no vertex value
+    is built; ids are numbered as first seen in cell order, so a point is
+    new exactly where its id is the count of ids seen before.
     """
     k = spec.k
-    labels = _labels_by_key(labeling, k)
-    seen: set[tuple[int, ...]] = set()
-    for cell, poly, keys in zip(spec.cells, polys, _vertex_keys(spec)):
+    labels = _labels_by_id(spec, labeling)
+    ids, _ = _vertex_ids(spec)
+    seen = 0
+    for i, (cell, poly) in enumerate(zip(spec.cells, polys)):
         cx, cy = to_cartesian(cell.barycenter)
         glyphs = []
-        for key, (x, y) in zip(keys, poly):
-            if key in seen:
+        for v, (x, y) in zip(ids[i * k:(i + 1) * k], poly):
+            if v != seen:
                 continue
-            seen.add(key)
-            lab = labels.get(key)
+            seen += 1
+            lab = labels[v]
             if lab is not None:
                 dx, dy = x - cx, y - cy
                 norm = math.hypot(dx, dy) or 1.0
@@ -202,4 +204,5 @@ def render_svg(
             out.append(_printed(_CLASS % ((x - xmin) * scale, (ymax - y) * scale, label)))
 
     out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("")  # the final newline, with no second copy of the text
+    return "\n".join(out)

@@ -11,6 +11,7 @@ import pytest
 
 import snfglp
 from snfglp.cli import _build_parser, run
+from snfglp.construct import generate_glp_example
 from snfglp.model import catalog, parse, serialize
 
 
@@ -124,6 +125,35 @@ class TestDecide:
 
     def test_no_command(self):
         assert run([]) == 3
+
+
+# Specs that fail symmetry, where a slice says nothing about the whole: the
+# hexagon of radius 2 plus a cell at 2 + 2 zeta, and the k = 9 and k = 12
+# example rings plus one cell at a legal step from ring cell 0
+ASYMMETRIC = {
+    "k6": ("snf k=6\n" + "".join(
+        "cell " + " ".join("2" if i == j else "0" for i in range(6)) + "\n" for j in range(6)
+    ) + "cell 2 2 0 0 0 0\n", "cycle 1 0 6"),
+    "k9": (serialize(generate_glp_example(9)) + "cell 1 1 0 0 -1 -1 -1 0 0\n", "cycle 1 0 9"),
+    "k12": (serialize(generate_glp_example(12)) + "cell 4 5 0 -2 0 0 0 -1 0 0 0 0\n",
+            "cycle 1 0 24"),
+}
+
+
+class TestAsymmetricSpec:
+    @pytest.mark.parametrize("name", sorted(ASYMMETRIC))
+    def test_slices_refuse_what_general_decides(self, name, tmp_path, capsys):
+        text, cycle = ASYMMETRIC[name]
+        path = tmp_path / f"{name}.snf"
+        path.write_text(text)
+        assert run(["validate", str(path)]) == 1
+        assert "symmetry: FAIL ('rotation', 1)" in capsys.readouterr().out
+        assert run(["decide", str(path), "--method", "general"]) == 1
+        assert capsys.readouterr().out == f"NOGLP\n{cycle}\n"
+        assert run(["decide", str(path), "--method", "slices"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: spec fails symmetry ('rotation', 1)" in captured.err
 
 
 class TestOneParserPerProcess:

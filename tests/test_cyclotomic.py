@@ -191,16 +191,19 @@ def as_cyc(kv) -> CycInt:
 
 class TestAlgebraProperties:
     @given(coeff_vectors)
+    @settings(deadline=None)
     def test_rotate_full_turn_is_identity(self, kv):
         a = as_cyc(kv)
         assert cyc_eq(cyc_rotate(a, a.order), a)
 
     @given(coeff_vectors, st.integers(0, 40))
+    @settings(deadline=None)
     def test_reflect_is_involution(self, kv, m):
         a = as_cyc(kv)
         assert cyc_eq(cyc_reflect(cyc_reflect(a, m), m), a)
 
     @given(coeff_vectors, st.integers(0, 40), st.integers(0, 40))
+    @settings(deadline=None)
     def test_reflect_composition_is_rotation(self, kv, m1, m2):
         # reflect(m2) then reflect(m1) multiplies by zeta^(m1 - m2)
         a = as_cyc(kv)
@@ -209,7 +212,7 @@ class TestAlgebraProperties:
         assert cyc_eq(left, right)
 
     @given(coeff_vectors, coeff_vectors)
-    @settings(max_examples=60)
+    @settings(max_examples=60, deadline=None)
     def test_embedding_is_ring_homomorphism(self, kv1, kv2):
         if kv1[0] != kv2[0]:
             kv2 = (kv1[0], (kv2[1] * kv1[0])[: kv1[0]])
@@ -219,6 +222,7 @@ class TestAlgebraProperties:
         assert abs(embed(cyc_sub(a, b)) - (embed(a) - embed(b))) < 1e-9
 
     @given(coeff_vectors, st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+    @settings(deadline=None)
     def test_eq_matches_float_distance(self, kv, mult):
         # b = a + (random poly) * Phi_k is equal to a; floats must agree
         k = kv[0]
@@ -233,6 +237,7 @@ class TestAlgebraProperties:
         assert abs(embed(a) - embed(b)) < 1e-9
 
     @given(coeff_vectors, coeff_vectors)
+    @settings(deadline=None)
     def test_far_floats_mean_unequal(self, kv1, kv2):
         if kv1[0] != kv2[0]:
             kv2 = (kv1[0], (kv2[1] * kv1[0])[: kv1[0]])
@@ -241,6 +246,7 @@ class TestAlgebraProperties:
             assert not cyc_eq(a, b)
 
     @given(coeff_vectors)
+    @settings(deadline=None)
     def test_hash_respects_equality(self, kv):
         k = kv[0]
         a = as_cyc(kv)

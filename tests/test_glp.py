@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_glp
 from test_invariance import moved_specs
-from snfglp.cyclotomic import CycInt, cyc_add, cyc_sub, cyclotomic_polynomial, euler_phi, zeta
+from snfglp.cyclotomic import (
+    CycInt,
+    cyc_add,
+    cyc_sub,
+    cyc_unit_translate_keys,
+    cyclotomic_polynomial,
+    euler_phi,
+    zeta,
+)
 from snfglp.glp import (
     DisconnectedSpec,
     Labeling,
@@ -27,9 +35,9 @@ from snfglp.glp import (
     edge_weight,
     fundamental_cycles,
     glp_via_slices,
+    _decided_labeling,
     _subspec,
     make_labeling,
-    odd_cycle_scan,
 )
 from snfglp.construct import generate_counterexample, generate_glp_example, random_valid_spec
 from snfglp.model import CATALOG_NAMES, SpecError, catalog, make_spec, validate, vertices
@@ -265,19 +273,6 @@ class TestClassify:
     def test_small_k_rejected(self):
         with pytest.raises(ValueError):
             classify_k(2)
-
-
-class TestOddCycleScan:
-    def test_counterexample_cycle_found(self):
-        cycles = odd_cycle_scan(generate_counterexample(9))
-        assert len(cycles) == 1 and len(cycles[0]) == 3
-
-    def test_pentagon_ring_inconclusive(self):
-        # its one cycle has length 5, not below k=5
-        assert odd_cycle_scan(catalog("pentagon-ring")) == []
-
-    def test_tree_shaped_spec_empty(self):
-        assert odd_cycle_scan(two_cell_path(7)) == []
 
 
 class TestCheckLabeling:
@@ -564,12 +559,110 @@ class TestLazyLabels:
                 continue
             offsets = verdict.labeling.offsets
             labels = verdict.labeling.labels
-            assert labels._store is None  # nothing built before the first read
+            assert labels._labels is None  # nothing built before the first read
             # the slice route labels the cells of its slice subspec
             chosen = tuple(sorted(offsets))
             sub = spec if len(chosen) == spec.n else _subspec(spec, chosen)
             eager = make_labeling(sub, {new: offsets[old] for new, old in enumerate(chosen)})
-            assert list(labels._by_key.items()) == list(eager.labels._by_key.items())
+            assert labels._by_id == eager.labels._by_id
+
+
+def _keyed_labels(spec, offsets):
+    """Labels keyed by vertex key, filled in cell order as a key-indexed
+    store would be, raising at the first cell whose offset disagrees."""
+    k = spec.k
+    labels = {}
+    for i, cell in enumerate(spec.cells):
+        for j, key in enumerate(cyc_unit_translate_keys(cell.barycenter)):
+            lab = (j + offsets[i]) % k
+            if labels.setdefault(key, lab) != lab:
+                raise SpecError(f"offsets disagree at a shared vertex of cell {i}")
+    return labels
+
+
+def _keyed_check(spec, by_key):
+    """check_labeling over a key-indexed label store."""
+    k = spec.k
+    for i, cell in enumerate(spec.cells):
+        labs = [by_key.get(key) for key in cyc_unit_translate_keys(cell.barycenter)]
+        if None in labs:
+            raise LabelingError(f"vertex of cell {i} has no label")
+        if any((labs[j] - j - labs[0]) % k for j in range(k)):
+            return False
+    return True
+
+
+@st.composite
+def id_table_specs(draw):
+    """A catalog spec, or plain or symmetrized growth for k = 3..12."""
+    kind = draw(st.sampled_from(["catalog", "plain", "symmetrized"]))
+    if kind == "catalog":
+        return catalog(draw(st.sampled_from(CATALOG_NAMES)))
+    return random_valid_spec(draw(st.integers(3, 12)), draw(st.integers(2, 40)),
+                             draw(st.integers(0, 10_000)), symmetrize=kind == "symmetrized")
+
+
+class TestVertexIdLabels:
+    @given(id_table_specs(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_key_based_reference(self, spec, data):
+        k = spec.k
+        verdict = decide_glp(spec)
+        if verdict.glp:
+            offsets = verdict.labeling.offsets
+        else:
+            offsets = dict(enumerate(
+                data.draw(st.lists(st.integers(0, k - 1), min_size=spec.n, max_size=spec.n))))
+        # labelings on this spec, on a slice subspec, and plain dicts
+        cases = []
+        try:
+            cases.append((spec, offsets, make_labeling(spec, offsets)))
+        except SpecError:
+            pass
+        if verdict.glp:
+            cases.append((spec, offsets, verdict.labeling))
+        if not spec.partial and spec.k >= 6:
+            try:
+                via = glp_via_slices(spec)
+            except SpecError:
+                via = None
+            if via is not None and via.glp:
+                chosen = tuple(sorted(via.labeling.offsets))
+                sub = _subspec(spec, chosen)
+                cases.append((sub, {new: via.labeling.offsets[old] for new, old in enumerate(chosen)},
+                              via.labeling))
+        for owner, own_offsets, labeling in cases:
+            ref = _keyed_labels(owner, own_offsets)
+            labels = labeling.labels
+            assert [v.canonical_key() for v in labels] == list(ref)
+            assert {v.canonical_key(): lab for v, lab in dict(labels).items()} == ref
+            assert len(labels) == len(ref)
+            assert _outcome(check_labeling, spec, labeling) == _outcome(_keyed_check, spec, ref)
+            plain = dict(labels)
+            if data.draw(st.booleans()):
+                v = list(plain)[data.draw(st.integers(0, len(plain) - 1))]
+                if data.draw(st.booleans()):
+                    del plain[v]
+                else:
+                    plain[v] = (plain[v] + data.draw(st.integers(1, k - 1))) % k
+            by_key = {v.canonical_key(): lab for v, lab in plain.items()}
+            assert _outcome(check_labeling, spec, Labeling(k, own_offsets, plain)) == (
+                _outcome(_keyed_check, spec, by_key))
+
+        # offsets that disagree raise at the same cell, eagerly or on first read
+        changed = dict(offsets)
+        changed[data.draw(st.integers(0, spec.n - 1))] = data.draw(st.integers(0, k - 1))
+        lazy = _decided_labeling(spec, [changed[i] for i in range(spec.n)]).labels
+        want = _raised(lambda: list(_keyed_labels(spec, changed).values()))
+        assert want == _raised(lambda: make_labeling(spec, changed).labels._by_id)
+        assert want == _raised(lambda: lazy._by_id)
+
+
+def _raised(build):
+    try:
+        return build()
+    except SpecError as exc:
+        return str(exc)
 
 
 class TestBruteForceOracle:

@@ -64,7 +64,7 @@ from snfglp.model import (
     _scaled_points,
     _step_table,
     _support_table,
-    _vertex_keys,
+    _vertex_ids,
     catalog,
     cells_conflict,
     derive_scaling,
@@ -739,21 +739,21 @@ class TestNearPairMemo:
             "adjacencies": find_adjacencies(base),
             "verdict": base_verdict.serialize(),
             "labels": [(v.coeffs, lab) for v, lab in base_verdict.labeling.labels.items()],
-            "vertex_keys": _vertex_keys(base),
+            "vertex_ids": _vertex_ids(base),
             "checked": check_labeling(base, base_verdict.labeling),
             "svg": render_svg(base, base_verdict, labeled),
         }
         spec = _fresh_copy(base)
         verdict = decide_glp(_fresh_copy(base))
         labels = verdict.labeling.labels
-        assert verdict.glp and spec._near is None and labels._store is None
-        assert spec._vkeys is None and labels._spec._vkeys is None
+        assert verdict.glp and spec._near is None and labels._labels is None
+        assert spec._vids is None and labels._spec._vids is None
         calls = {
             "validate": lambda: validate(spec),
             "adjacencies": lambda: find_adjacencies(spec),
             "verdict": lambda: decide_glp(spec).serialize(),
             "labels": lambda: [(v.coeffs, lab) for v, lab in labels.items()],
-            "vertex_keys": lambda: _vertex_keys(spec),
+            "vertex_ids": lambda: _vertex_ids(spec),
             "checked": lambda: check_labeling(spec, verdict.labeling),
             "svg": lambda: render_svg(spec, verdict, labeled),
         }
@@ -782,29 +782,53 @@ class TestNearPairMemo:
 
 
 class TestVertexKeyMemo:
+    """One pass over the vertex keys numbers each vertex of a spec once."""
+
     def test_keys_of_each_vertex(self):
         spec = random_valid_spec(9, 30, 2, symmetrize=True)
-        keys = _vertex_keys(spec)
-        assert _vertex_keys(spec) is keys
-        assert keys == tuple([v.canonical_key() for v in vertices(c)] for c in spec.cells)
+        vids = _vertex_ids(spec)
+        assert _vertex_ids(spec) is vids
+        ids, count = vids
+        keys = [v.canonical_key() for c in spec.cells for v in vertices(c)]
+        # ids follow the keys, numbered as first seen in cell order
+        first = list(dict.fromkeys(keys))
+        assert list(ids) == [first.index(key) for key in keys]
+        assert count == len(first) < len(keys)
 
     @pytest.mark.parametrize("decided", [False, True], ids=["make_labeling", "decider"])
     def test_built_once_per_spec(self, decided, monkeypatch):
+        from snfglp import glp, render
+
         spec = _fresh_copy(random_valid_spec(10, 60, 1, symmetrize=True))
         built = []
+        passes = []
         translate_keys = model.cyc_unit_translate_keys
+        vertex_ids = model._vertex_ids
 
         def counting(b):
             built.append(b)
             return translate_keys(b)
 
+        def computed(s):
+            fresh = s._vids is None
+            vids = vertex_ids(s)
+            passes.append(fresh and s._vids is vids)
+            return vids
+
+        # a labeling on its own spec is read by id, never through keys
         monkeypatch.setattr(model, "cyc_unit_translate_keys", counting)
+        for module in (glp, render):
+            monkeypatch.setattr(module, "_vertex_ids", computed)
         verdict = decide_glp(spec)
-        assert verdict.glp and not built
+        assert verdict.glp and not built and spec._vids is None
         labeling = verdict.labeling if decided else make_labeling(spec, verdict.labeling.offsets)
         assert check_labeling(spec, labeling)
         render_svg(spec, verdict, RenderOptions(show_labels=True))
         assert built == [c.barycenter for c in spec.cells]
+        assert passes.count(True) == 1 and len(passes) >= 3
+        # what stays is the id table and one label per id, no key index
+        assert labeling.labels._index is None and verdict.labeling.labels._index is None
+        assert len(labeling.labels._labels) == spec._vids[1]
 
 
 def _old_step_table(k):

@@ -193,6 +193,33 @@ class TestViaSlices:
         assert len(calls) == 1
         assert verdict.serialize() == decide_glp(spec).serialize()
 
+    @pytest.mark.parametrize("k", [6, 7, 9, 12])
+    def test_asymmetric_spec_raises_before_slice_work(self, k):
+        # the example ring without one cell, and the rotation orbit of a
+        # point off every mirror, far enough out that no two cells meet
+        ring = make_spec(k, [c.barycenter for c in generate_glp_example(k).cells][1:])
+        chiral = make_spec(k, [cyc_rotate(from_coeffs(k, (5, 2) + (0,) * (k - 2)), j) for j in range(k)])
+        for spec, witness in ((ring, ("rotation", 1)), (chiral, ("reflection", 0))):
+            assert validate(spec).symmetry_witness == witness
+            with mock.patch.object(glp, "_sectors", side_effect=AssertionError("slice work")):
+                with pytest.raises(SpecError) as raised:
+                    glp_via_slices(spec)
+            assert str(raised.value).startswith(f"spec fails symmetry {witness}")
+
+    @pytest.mark.parametrize("k", [6, 9, 12])
+    def test_one_scaled_points_pass(self, k):
+        calls = []
+        scaled_points = glp._scaled_points
+
+        def counting(s):
+            calls.append(s)
+            return scaled_points(s)
+
+        spec = generate_glp_example(k)
+        with mock.patch.object(glp, "_scaled_points", counting):
+            assert glp_via_slices(spec).glp
+        assert calls == [spec]
+
     def test_k6_central_spec_no_by_both_paths(self):
         spec = catalog("lindstrom-snowflake")
         assert not decide_glp(spec).glp
@@ -337,7 +364,7 @@ class TestSectorsReference:
             frozenset(i for i, (s, r) in enumerate(zip(sector, rays)) if s == m + 1 or r == m)
             for m in range(spec.k)
         ]
-        with mock.patch.object(glp, "_sectors", kscan_sectors):
+        with mock.patch.object(glp, "_sectors", lambda k, points: kscan_sectors(whole)):
             assert via == outcome(lambda s: glp_via_slices(s).serialize(), whole)
         # one reflection test per cell whose float angle is certain; the two
         # tiny cells are not, and test rays 0, 1, ... until one holds them
