@@ -42,6 +42,7 @@ from .model import (
     SpecError,
     _conflicting,
     _Grid,
+    _dihedral,
     _scaled_points,
     derive_scaling,
     make_spec,
@@ -158,11 +159,13 @@ def expand(spec: FractalSpec, level: int) -> FractalSpec:
     n = spec.n
     if n**level > 100_000:
         raise ValueError(f"{n}^{level} cells exceed the size cap")
+    points = _scaled_points(spec)
+    _dihedral(spec, points)  # derive_scaling reads the corner from this pass
     scaling = derive_scaling(spec)
     # the offset b - mean is the scaled position divided by n; like
     # cyc_div_int, its coefficients are the reduced quotient, its own key
     offsets = []
-    for key in _scaled_points(spec)[1]:
+    for key in points[1]:
         if any(c % n for c in key):
             raise ScalingError("spec cannot be recentred exactly")
         quot = tuple(c // n for c in key)

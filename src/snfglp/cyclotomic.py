@@ -215,10 +215,6 @@ def zeta(order: int, j: int = 1, scale: int = 1) -> CycInt:
     return CycInt(order, tuple(scale if i == j else 0 for i in range(order)))
 
 
-def integer(order: int, n: int) -> CycInt:
-    return zeta(order, 0, n)
-
-
 def _require_same_order(a: CycInt, b: CycInt) -> None:
     if a.order != b.order:
         raise OrderMismatch(f"mixed orders {a.order} and {b.order}")

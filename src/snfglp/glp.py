@@ -44,10 +44,11 @@ from .model import (
     Cell,
     FractalSpec,
     SpecError,
+    _dihedral,
+    _Points,
     _forest,
     _rotation_class,
     _scaled_points,
-    _symmetry_witness,
     _vertex_ids,
     _vertex_key_stream,
     find_adjacencies,
@@ -80,11 +81,20 @@ class ConstraintGraph:
     @cached_property
     def _weights(self) -> dict[tuple[int, int], int]:
         """Weight of every edge in both directions, built on first use."""
-        return _weight_map(self.edges, self.k)
+        out: dict[tuple[int, int], int] = {}
+        for e in self.edges:
+            w = edge_weight(e, self.k)
+            out[(e.a, e.b)] = w
+            out[(e.b, e.a)] = -w % self.k
+        return out
 
     def weight(self, u: int, v: int) -> int:
-        """Constraint weight for traversing u -> v: r_v = r_u + weight mod k."""
-        return _lookup_weight(self._weights, u, v)
+        """Constraint weight for traversing u -> v: r_v = r_u + weight mod k;
+        KeyError when u and v share no edge."""
+        w = self._weights.get((u, v))
+        if w is None:
+            raise KeyError(f"no edge between {u} and {v}")
+        return w
 
 
 @dataclass(frozen=True)
@@ -204,24 +214,6 @@ def edge_weight(e: Adjacency, k: int) -> int:
     return (e.ja - e.jb) % k
 
 
-def _weight_map(edges, k: int) -> dict[tuple[int, int], int]:
-    """Weight of every edge in both directions."""
-    out: dict[tuple[int, int], int] = {}
-    for e in edges:
-        w = edge_weight(e, k)
-        out[(e.a, e.b)] = w
-        out[(e.b, e.a)] = -w % k
-    return out
-
-
-def _lookup_weight(weights: dict[tuple[int, int], int], u: int, v: int) -> int:
-    """Weight of u -> v in a `_weight_map`; KeyError when u and v share no edge."""
-    w = weights.get((u, v))
-    if w is None:
-        raise KeyError(f"no edge between {u} and {v}")
-    return w
-
-
 def _nested_adjacencies(spec: FractalSpec) -> list[Adjacency]:
     """`find_adjacencies`, raising SpecError for a pair sharing >= 2 vertices."""
     edges, violation = find_adjacencies(spec)
@@ -280,12 +272,8 @@ def fundamental_cycles(graph: ConstraintGraph) -> list[tuple[int, ...]]:
 
 def cycle_weight(spec: FractalSpec, cycle: tuple[int, ...]) -> int:
     """Directed weight sum around a cell cycle, mod k."""
-    weights = _weight_map(_nested_adjacencies(spec), spec.k)
-    total = 0
-    for i, u in enumerate(cycle):
-        v = cycle[(i + 1) % len(cycle)]
-        total += _lookup_weight(weights, u, v)
-    return total % spec.k
+    weight = build_constraint_graph(spec).weight
+    return sum(weight(u, cycle[(i + 1) % len(cycle)]) for i, u in enumerate(cycle)) % spec.k
 
 
 def make_labeling(spec: FractalSpec, offsets: dict[int, int]) -> Labeling:
@@ -435,7 +423,6 @@ class SliceAssignment:
 
 
 _Sectors = tuple[list[int | None], list[int | None]]
-_Points = tuple[list[tuple[int, ...]], list[tuple[int, ...]]]
 
 
 def _sectors(k: int, points: _Points) -> _Sectors:
@@ -576,8 +563,10 @@ def glp_via_slices(spec: FractalSpec) -> Verdict:
     That transfer assumes D_k invariance, so for k >= 6 a spec that is not
     invariant raises SpecError before any slice work, as a pair sharing
     two or more vertices does; `decide_glp` decides such a spec.  The
-    invariance test is `validate`'s (rotation 1, then reflection 0, on
-    the scaled keys), on the same scaled points the slices are read from.
+    invariance verdict is `validate`'s, shared through the spec's
+    `_dihedral` record: whichever of the two runs first tests rotation 1,
+    then reflection 0, on the scaled keys, and here the record is built
+    from the same scaled points the slices are read from.
 
     Known defect: the transfer can fail on symmetrized growth.
     `random_valid_spec(12, 40, 403123852, symmetrize=True)` passes
@@ -593,19 +582,19 @@ def glp_via_slices(spec: FractalSpec) -> Verdict:
     # a slice verdict says nothing about nesting outside the slice
     edges = _nested_adjacencies(spec)
     points = _scaled_points(spec)
-    keys = points[1]
-    asymmetry = _symmetry_witness(k, set(keys), [_mapped_key(k, key, 0, -1) for key in keys])
-    if asymmetry is not None:
-        raise SpecError(f"spec fails symmetry {asymmetry}; the slice reduction needs D_k invariance")
-    sectors = _sectors(k, points)
-    central = [idx for idx, s in enumerate(sectors[0]) if s is None]
-    if k == 6 and central:
-        cyc = _central_cycle(spec.n, edges, central[0])
+    dk = _dihedral(spec, points)
+    if dk.symmetry_witness is not None:
+        raise SpecError(
+            f"spec fails symmetry {dk.symmetry_witness}; the slice reduction needs D_k invariance"
+        )
+    if k == 6 and dk.central_cell is not None:
+        cyc = _central_cycle(spec.n, edges, dk.central_cell)
         if cyc is not None:
             return Verdict(glp=False, witness=cyc)
         # reachable: a spec validate rejects, e.g. the lone central cell of
         # `snf k=6` / `cell 0 0 0 0 0 0`, has no 3-cycle and no slice cells
         return decide_glp(spec)
+    sectors = _sectors(k, points)
     if k % 2 == 0:
         chosen = _chosen_cells(k, [1], True, sectors)
     else:

@@ -16,6 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add, sub
+from typing import NamedTuple
 
 from .cyclotomic import (
     CycInt,
@@ -68,10 +69,12 @@ class Cell:
 class FractalSpec:
     """A configuration; immutable.
 
-    Two private memos are filled on first use: `_near`, the near-pair pass
-    (`_near_pairs`), and `_vids`, the vertex ids of every cell with their
-    count (`_vertex_ids`).  Each is written at most once with equal
-    values, so a spec can be shared across threads.
+    Three private memos are filled on first use: `_near`, the near-pair
+    pass (`_near_pairs`); `_vids`, the vertex ids of every cell with their
+    count (`_vertex_ids`); and `_dk`, the dihedral record (`_dihedral`:
+    central cell, symmetry witness, corner key, corner coverage, vertex at
+    the centre), which keeps no per-cell data.  Each is written at most
+    once with equal values, so a spec can be shared across threads.
     """
 
     k: int
@@ -79,6 +82,7 @@ class FractalSpec:
     partial: bool = False
     _near: _NearPairs | None = field(default=None, init=False, repr=False, compare=False)
     _vids: tuple[array, int] | None = field(default=None, init=False, repr=False, compare=False)
+    _dk: _Dihedral | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k < 3:
@@ -248,9 +252,10 @@ def _conflicting(k: int, delta: tuple[int, ...]) -> bool:
     return dx * dx + dy * dy < 4.0 and _hulls_overlap(k, dx, dy)
 
 
-def _scaled_points(
-    spec: FractalSpec,
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+_Points = tuple[list[tuple[int, ...]], list[tuple[int, ...]]]
+
+
+def _scaled_points(spec: FractalSpec) -> _Points:
     """n * (barycenter - global barycenter) for every cell, exact and integral,
     as (coefficient vectors, canonical keys); no CycInt is built.
 
@@ -502,6 +507,54 @@ def _symmetry_witness(
     return None
 
 
+class _Dihedral(NamedTuple):
+    """A spec's `_dihedral` record, fields named as in `ValidationReport`;
+    every field but `central_cell` is None on a partial spec."""
+
+    central_cell: int | None
+    symmetry_witness: tuple[str, int] | None = None
+    corner_key: tuple[int, ...] | None = None  # scaled key of the `_find_corner` cell
+    corner_witness: int | None = None
+    vertex_at_center: int | None = None
+
+
+def _dihedral(spec: FractalSpec, points: _Points | None = None) -> _Dihedral:
+    """The spec's `_Dihedral` record, memoized on the spec like `_near_pairs`.
+
+    It is built from `points`, the spec's `_scaled_points` when the caller
+    has them, else from a pass of its own.  The invariance test and the
+    corner search share one reflection per scaled key.
+    """
+    dk = spec._dk
+    if dk is None:
+        coeffs, keys = points or _scaled_points(spec)
+        central = next((i for i, key in enumerate(keys) if not any(key)), None)
+        if spec.partial:
+            dk = _Dihedral(central)
+        else:
+            k = spec.k
+            key_set = set(keys)
+            mirrored = [_mapped_key(k, key, 0, -1) for key in keys]
+            symmetry = _symmetry_witness(k, key_set, mirrored)
+            corner = _find_corner(spec, coeffs, keys, mirrored)
+            corner_key = vertex_at_center = None
+            if corner is None:
+                uncovered = 0
+            else:
+                corner_key = keys[corner]
+                uncovered = next(
+                    (j for j in range(1, k) if _mapped_key(k, corner_key, j, 1) not in key_set),
+                    None,
+                )
+            if k > 3:
+                # p + n * zeta^j = 0 exactly when key(p) = -n * row_j
+                at_center = {tuple(-spec.n * r for r in row) for row in _reduction_rows(k)}
+                vertex_at_center = next((i for i, p in enumerate(keys) if p in at_center), None)
+            dk = _Dihedral(central, symmetry, corner_key, uncovered, vertex_at_center)
+        object.__setattr__(spec, "_dk", dk)
+    return dk
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     connectivity_ok: bool
@@ -563,80 +616,31 @@ def validate(spec: FractalSpec) -> ValidationReport:
     invariance, corner coverage, central-cell restrictions).
     """
     k = spec.k
-    n = spec.n
     edges, violation, _ = _near_pairs(spec)
     # hull overlaps without shared vertices (or despite one) fail nesting too;
     # the first of them is sought only when no pair shares two vertices
     nesting_witness = violation or _first_conflict(spec)
-    nesting_ok = nesting_witness is None
-
-    component_count = max(_forest(n, edges)[0]) + 1
-    connectivity_ok = component_count == 1
-
-    coeffs, keys = _scaled_points(spec)
-
-    symmetry_ok = True
-    symmetry_witness: tuple[str, int] | None = None
-    corner_ok = True
-    corner_witness: int | None = None
-    vertex_at_center: int | None = None
-    if not spec.partial:
-        key_set = set(keys)
-        mirrored = [_mapped_key(k, key, 0, -1) for key in keys]
-        symmetry_witness = _symmetry_witness(k, key_set, mirrored)
-        symmetry_ok = symmetry_witness is None
-
-        corner = _find_corner(spec, coeffs, keys, mirrored)
-        if corner is None:
-            corner_ok = False
-            corner_witness = 0
-        else:
-            for j in range(1, k):
-                if _mapped_key(k, keys[corner], j, 1) not in key_set:
-                    corner_ok = False
-                    corner_witness = j
-                    break
-
-        if k > 3:
-            # p + n * zeta^j = 0 exactly when key(p) = -n * row_j
-            at_center = {tuple(-n * r for r in row) for row in _reduction_rows(k)}
-            for i, key in enumerate(keys):
-                if key in at_center:
-                    vertex_at_center = i
-                    break
-
-    odd_adjacency_ok = True
-    odd_adjacency_witness: tuple[int, int] | None = None
-    if k % 2 == 1:
-        for e in edges:
-            if _rotation_class(e, k) is None:
-                odd_adjacency_ok = False
-                odd_adjacency_witness = (e.a, e.b)
-                break
-
-    central_cell: int | None = None
-    for i, key in enumerate(keys):
-        if not any(key):
-            central_cell = i
-            break
+    component_count = max(_forest(spec.n, edges)[0]) + 1
+    dk = _dihedral(spec)
+    illegal = (e for e in edges if k % 2 == 1 and _rotation_class(e, k) is None)
+    odd_adjacency_witness = next(((e.a, e.b) for e in illegal), None)
     central_ok = spec.partial or (
-        (central_cell is None or k in (3, 4, 6)) and vertex_at_center is None
+        (dk.central_cell is None or k in (3, 4, 6)) and dk.vertex_at_center is None
     )
-
     return ValidationReport(
-        connectivity_ok=connectivity_ok,
+        connectivity_ok=component_count == 1,
         component_count=component_count,
-        nesting_ok=nesting_ok,
+        nesting_ok=nesting_witness is None,
         nesting_witness=nesting_witness,
-        symmetry_ok=symmetry_ok,
-        symmetry_witness=symmetry_witness,
-        corner_ok=corner_ok,
-        corner_witness=corner_witness,
-        odd_adjacency_ok=odd_adjacency_ok,
+        symmetry_ok=dk.symmetry_witness is None,
+        symmetry_witness=dk.symmetry_witness,
+        corner_ok=dk.corner_witness is None,
+        corner_witness=dk.corner_witness,
+        odd_adjacency_ok=odd_adjacency_witness is None,
         odd_adjacency_witness=odd_adjacency_witness,
-        central_cell=central_cell,
+        central_cell=dk.central_cell,
         central_ok=central_ok,
-        vertex_at_center=vertex_at_center,
+        vertex_at_center=dk.vertex_at_center,
     )
 
 
@@ -644,29 +648,26 @@ def derive_scaling(spec: FractalSpec) -> CycInt:
     """The scaling factor L = 1 + b where b is the positive-real corner barycenter.
 
     The spec is recentred internally; the corner barycenter must be an
-    exact cyclotomic integer after recentring and L must be real with
-    real part above 1.
+    exact cyclotomic integer after recentring and L must exceed 1.  L is
+    real because the corner search (`_dihedral`) takes only cells that
+    reflection 0 fixes.
     """
     if spec.partial:
         raise ScalingError("scaling factor is defined for non-partial specs only")
     k = spec.k
     n = spec.n
-    coeffs, keys = _scaled_points(spec)
-    mirrored = [_mapped_key(k, key, 0, -1) for key in keys]
-    corner = _find_corner(spec, coeffs, keys, mirrored)
-    if corner is None:
+    corner_key = _dihedral(spec).corner_key
+    if corner_key is None:
         raise ScalingError("no corner cell on the positive real axis")
-    if any(c % n for c in keys[corner]):
+    if any(c % n for c in corner_key):
         raise ScalingError("corner barycenter is not integral after recentring")
     # b = p / n has the reduced quotient as its coefficients (as cyc_div_int
     # gives them), and L = b + 1; the keys follow by linearity
-    quot = [c // n for c in keys[corner]]
+    quot = [c // n for c in corner_key]
     key = tuple(map(add, quot, _reduction_rows(k)[0]))
     quot += [0] * (k - len(quot))
     quot[0] += 1
     scaling = _preset(k, tuple(quot), key)
-    if _mapped_key(k, key, 0, -1) != key:
-        raise ScalingError("scaling factor is not real")
     if to_cartesian(scaling)[0] <= 1.0:
         raise ScalingError("scaling factor must exceed 1")
     return scaling

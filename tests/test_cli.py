@@ -1,18 +1,24 @@
 """Command-line interface: subcommands, exit codes, stream formats."""
 from __future__ import annotations
 
+import io
 import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import snfglp
 from snfglp.cli import _build_parser, run
-from snfglp.construct import generate_glp_example
-from snfglp.model import catalog, parse, serialize
+from snfglp.construct import generate_counterexample, generate_glp_example, random_valid_spec
+from snfglp.cyclotomic import cyclotomic_polynomial
+from snfglp.glp import classify_k
+from snfglp.model import CATALOG_NAMES, catalog, make_spec, parse, serialize
 
 
 @pytest.fixture
@@ -325,3 +331,68 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "AlwaysGLP(power_of_two)"
+
+
+@st.composite
+def accepted_inputs(draw):
+    """The text of a catalog, example, counterexample or grown spec, as it
+    is, with a multiple of a fold of Phi_k (zero) of up to 2^30 added to
+    each cell, or without its last cell, so that it may fail `validate`;
+    `parse` accepts each."""
+    kind = draw(st.sampled_from(["catalog", "example", "counterexample", "plain", "symmetrized"]))
+    if kind == "catalog":
+        spec = catalog(draw(st.sampled_from(CATALOG_NAMES)))
+    elif kind in ("example", "counterexample"):
+        k = draw(st.integers(3, 36))
+        composite = not classify_k(k).always_glp
+        spec = generate_counterexample(k) if kind == "counterexample" and composite else generate_glp_example(k)
+    else:
+        seed = draw(st.integers(0, 10_000))
+        spec = random_valid_spec(
+            draw(st.integers(3, 12)), draw(st.integers(2, 30)), seed, symmetrize=kind == "symmetrized"
+        )
+    variant = draw(st.sampled_from(["plain", "shift", "drop"]))
+    if variant == "drop" and spec.n > 1:
+        spec = make_spec(spec.k, [c.barycenter for c in spec.cells[:-1]], spec.partial)
+    elif variant == "shift":
+        k = spec.k
+        phi = cyclotomic_polynomial(k).coeffs
+        bound = 2**30 - max(abs(c) for cell in spec.cells for c in cell.barycenter.coeffs)
+        rows = []
+        for cell in spec.cells:
+            m, j = draw(st.integers(-bound, bound)), draw(st.integers(0, k - 1))
+            row = list(cell.barycenter.coeffs)
+            for d, c in enumerate(phi):
+                row[(d + j) % k] += m * c
+            rows.append(row)
+        spec = make_spec(k, rows, spec.partial)
+    return serialize(spec)
+
+
+class TestRunContract:
+    """Every accepted input gets an exit code of the contract from every
+    subcommand that reads it, never an exception; exit 2 prints only an
+    error line.  Whether the routes agree is not asserted here: the slice
+    route is known to answer GLP on some symmetrized k = 12 growths that
+    `decide_glp` refutes."""
+
+    @given(text=accepted_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_exit_codes(self, text, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("contract")
+        path = folder / "input.snf"
+        path.write_text(text)
+        commands = [["decide", str(path), "--method", m] for m in ("general", "even", "odd", "slices")]
+        commands += [
+            ["validate", str(path)],
+            ["slices", str(path), "--closed"],
+            ["label", str(path), "--svg", str(folder / "out.svg")],
+        ]
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert err.getvalue().startswith("error:"), argv
+                assert out.getvalue() == "", argv

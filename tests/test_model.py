@@ -524,24 +524,61 @@ class TestValidate:
     def test_each_key_reflected_once(self, monkeypatch):
         # the symmetry test and the corner search share one reflection per
         # scaled key; rotation maps every key once more and the corner's
-        # orbit k - 1 times
+        # orbit k - 1 times.  They run once per spec: the slice route and
+        # the scaling factor read the record validate filled.
         from snfglp import model
         from snfglp.construct import expand, generate_glp_example
 
         level2 = expand(generate_glp_example(12), 2)
         spec = make_spec(12, [c.barycenter for c in level2.cells])
-        mapped = model._mapped_key
+        want = derive_scaling(make_spec(12, [c.barycenter for c in level2.cells]))
         calls = []
+        runs = []
 
-        def counting(*args):
-            calls.append(args[2:])
-            return mapped(*args)
+        def counting(name, log):
+            f = getattr(model, name)
 
-        monkeypatch.setattr(model, "_mapped_key", counting)
+            def wrapped(*args):
+                log.append(args[2:] if name == "_mapped_key" else name)
+                return f(*args)
+
+            monkeypatch.setattr(model, name, wrapped)
+
+        counting("_mapped_key", calls)
+        counting("_symmetry_witness", runs)
+        counting("_find_corner", runs)
         assert validate(spec).valid
+        assert glp_via_slices(spec).glp
+        assert cyc_eq(derive_scaling(spec), want)
         assert spec.n == 576
         assert calls.count((0, -1)) == spec.n
         assert len(calls) == 2 * spec.n + 11
+        assert runs == ["_symmetry_witness", "_find_corner"]
+
+    def test_one_scaled_pass_per_spec(self, monkeypatch):
+        # the slice route and expand fill the dihedral record from the pass
+        # they make anyway, and later callers read it
+        from snfglp import construct, glp, model
+        from snfglp.construct import expand, generate_glp_example
+
+        scaled_points = model._scaled_points
+        passes = []
+
+        def counting(s):
+            passes.append(s)
+            return scaled_points(s)
+
+        for module in (model, glp, construct):
+            monkeypatch.setattr(module, "_scaled_points", counting)
+        first, second = generate_glp_example(12), generate_glp_example(9)
+        assert glp_via_slices(first).glp
+        assert passes == [first]
+        assert expand(second, 2).n == second.n**2
+        assert passes == [first, second]
+        for spec in (first, second):
+            derive_scaling(spec)
+            assert validate(spec).valid
+        assert passes == [first, second]
 
     def test_vertex_at_center_rejected(self):
         # symmetric orbit of cells whose vertices land exactly on the barycenter
@@ -730,7 +767,8 @@ class TestNearPairMemo:
 
     def test_threads_share_fresh_spec(self):
         # more threads than cores and a short switch interval, so first
-        # writes of the memoized pass and of the lazy labels interleave
+        # writes of the memoized passes, of the dihedral record and of the
+        # lazy labels interleave
         base = random_valid_spec(10, 60, 1, symmetrize=True)
         labeled = RenderOptions(show_labels=True)
         base_verdict = decide_glp(base)
@@ -742,12 +780,14 @@ class TestNearPairMemo:
             "vertex_ids": _vertex_ids(base),
             "checked": check_labeling(base, base_verdict.labeling),
             "svg": render_svg(base, base_verdict, labeled),
+            "slices": glp_via_slices(base).serialize(),
+            "scaling": derive_scaling(base).coeffs,
         }
         spec = _fresh_copy(base)
         verdict = decide_glp(_fresh_copy(base))
         labels = verdict.labeling.labels
         assert verdict.glp and spec._near is None and labels._labels is None
-        assert spec._vids is None and labels._spec._vids is None
+        assert spec._vids is None and labels._spec._vids is None and spec._dk is None
         calls = {
             "validate": lambda: validate(spec),
             "adjacencies": lambda: find_adjacencies(spec),
@@ -756,6 +796,8 @@ class TestNearPairMemo:
             "vertex_ids": lambda: _vertex_ids(spec),
             "checked": lambda: check_labeling(spec, verdict.labeling),
             "svg": lambda: render_svg(spec, verdict, labeled),
+            "slices": lambda: glp_via_slices(spec).serialize(),
+            "scaling": lambda: derive_scaling(spec).coeffs,
         }
         n_threads = (os.cpu_count() or 1) + 3
         barrier = threading.Barrier(n_threads)

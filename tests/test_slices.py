@@ -29,7 +29,6 @@ from snfglp.cyclotomic import (
     cyc_sub,
     cyclotomic_polynomial,
     from_coeffs,
-    integer,
     to_cartesian,
     zero,
     zeta,
@@ -271,7 +270,7 @@ def small_real(k):
     for a in range(1, k // 2 + 1):
         c = 2.0 * math.cos(2.0 * math.pi * a / k)
         if abs(c - round(c)) > 1e-6:
-            return cyc_sub(cyc_add(zeta(k, a), zeta(k, -a)), integer(k, round(c)))
+            return cyc_sub(cyc_add(zeta(k, a), zeta(k, -a)), zeta(k, 0, round(c)))
     return None
 
 
