@@ -18,7 +18,8 @@ map (Z_k weight, parity, or +-1 rotation class); the odd decider derives
 its offsets from the rotation counts.
 
 A labeling is fixed by its offsets.  Its vertex labels are stored in a
-list indexed by the spec's vertex ids (`model._vertex_ids`) and checked
+list indexed by the spec's vertex ids (`model._vertex_ids`, read off the
+near-pair record the deciders use, so no vertex key is built) and checked
 for consistency as they are stored: at once by `make_labeling`, on first
 read for the labeling a decider returns, which a caller that needs only
 the offsets never reads.  Vertex values are built only when the labels

@@ -15,6 +15,7 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from operator import add, sub
 from typing import NamedTuple
 
@@ -70,8 +71,9 @@ class FractalSpec:
     """A configuration; immutable.
 
     Three private memos are filled on first use: `_near`, the near-pair
-    pass (`_near_pairs`); `_vids`, the vertex ids of every cell with their
-    count (`_vertex_ids`); and `_dk`, the dihedral record (`_dihedral`:
+    record (`_near_pairs`); `_vids`, the vertex ids of every cell with their
+    count (`_vertex_ids`), read off that record without a vertex key; and
+    `_dk`, the dihedral record (`_dihedral`:
     central cell, symmetry witness, corner key, corner coverage, vertex at
     the centre), which keeps no per-cell data.  Each is written at most
     once with equal values, so a spec can be shared across threads.
@@ -128,27 +130,10 @@ def vertices(cell: Cell) -> list[CycInt]:
 
 def _vertex_key_stream(spec: FractalSpec) -> Iterator[tuple[int, ...]]:
     """The canonical key key(b) + row_j of vertex j of each cell, in cell
-    order, computed afresh: the order of the ids of `_vertex_ids`."""
+    order, computed afresh: one key per slot of `_vertex_ids`, for reading
+    labels keyed by value or by another spec's vertices."""
     for cell in spec.cells:
         yield from cyc_unit_translate_keys(cell.barycenter)
-
-
-def _vertex_ids(spec: FractalSpec) -> tuple[array, int]:
-    """(ids, count): the id of vertex j of cell i at ids[i * k + j], and the
-    number of distinct vertices; memoized on the spec like `_near_pairs`.
-
-    Vertices are told apart by canonical key in one pass over
-    `_vertex_key_stream` whose key index is dropped afterwards, and
-    numbered as first seen: a vertex is new where its id equals the number
-    of distinct vertices seen before it.
-    """
-    vids = spec._vids
-    if vids is None:
-        index: dict[tuple[int, ...], int] = {}
-        ids = array("l", [index.setdefault(key, len(index)) for key in _vertex_key_stream(spec)])
-        vids = (ids, len(index))
-        object.__setattr__(spec, "_vids", vids)
-    return vids
 
 
 @lru_cache(maxsize=None)
@@ -330,30 +315,38 @@ def _close_pairs(spec: FractalSpec) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-_NearPairs = tuple[
-    tuple[Adjacency, ...],
-    tuple[int, int] | None,
-    tuple[tuple[int, int], ...],
-]
+class _NearPairs(NamedTuple):
+    """A spec's `_near_pairs` record; pairs (i, j) have i < j, in pair order."""
+
+    edges: tuple[Adjacency, ...]  # the pairs sharing exactly one vertex
+    # (i, j, ja, jb) for every shared vertex of each pair sharing two or more
+    multi: tuple[tuple[int, int, int, int], ...]
+    others: tuple[tuple[int, int], ...]  # close pairs whose key difference is no vertex step
+
+    @property
+    def violation(self) -> tuple[int, int] | None:
+        """The first pair sharing two or more vertices."""
+        return self.multi[0][:2] if self.multi else None
 
 
 def _near_pairs(spec: FractalSpec) -> _NearPairs:
-    """(edges, first pair sharing >= 2 vertices, the close pairs whose key
-    difference is no vertex step) from one pass over `_close_pairs(spec)`,
+    """The spec's `_NearPairs` from one pass over `_close_pairs(spec)`,
     memoized on the spec.
 
     Shared vertices and conflicts force barycenter distance <= 2, so only
-    close pairs qualify; they come sorted, so the edges are in (a, b) order.
+    close pairs qualify; they come sorted, so the record is in pair order.
     Each pair's delta = key(j) - key(i) is formed once and only looked up:
-    a pair that is no vertex step is embedded by `_first_conflict` alone.
+    the record keeps every index pair (ja, jb) of every pair that shares a
+    vertex, which `_vertex_ids` numbers the vertices from, and a pair that
+    is no vertex step is embedded by `_first_conflict` alone.
     """
     near = spec._near
     if near is None:
         table = _step_table(spec.k)
         keys = [c.barycenter.canonical_key() for c in spec.cells]
         edges: list[Adjacency] = []
+        multi: list[tuple[int, int, int, int]] = []
         others: list[tuple[int, int]] = []
-        violation = None
         for i, j in _close_pairs(spec):
             pairs = table.get(tuple(map(sub, keys[j], keys[i])))
             if pairs is None:
@@ -361,11 +354,48 @@ def _near_pairs(spec: FractalSpec) -> _NearPairs:
             elif len(pairs) == 1:
                 # delta = b_j - b_i = zeta^ja - zeta^jb with ja indexing cell i.
                 edges.append(Adjacency(i, j, *pairs[0]))
-            elif violation is None:
-                violation = (i, j)
-        near = (tuple(edges), violation, tuple(others))
+            else:
+                multi += [(i, j, ja, jb) for ja, jb in pairs]
+        near = _NearPairs(tuple(edges), tuple(multi), tuple(others))
         object.__setattr__(spec, "_near", near)
     return near
+
+
+def _vertex_ids(spec: FractalSpec) -> tuple[array, int]:
+    """(ids, count): the id of vertex j of cell i at slot ids[i * k + j], and
+    the number of distinct vertices; memoized on the spec like `_near_pairs`.
+
+    Slot (b, jb) is the point of slot (a, ja), a < b, exactly when
+    key(b) - key(a) = row_ja - row_jb, and the near-pair record holds every
+    such index pair, so the ids are read off it and no vertex key is built.
+    The slots at one point are pairwise linked, so each is linked to the
+    least of them; one pass in slot order then numbers the vertices as
+    first seen: a vertex is new where its id equals the number of distinct
+    vertices seen before it.
+    """
+    vids = spec._vids
+    if vids is None:
+        k = spec.k
+        near = _near_pairs(spec)
+        links = chain(
+            ((e.a * k + e.ja, e.b * k + e.jb) for e in near.edges),
+            ((a * k + ja, b * k + jb) for a, b, ja, jb in near.multi),
+        )
+        ids = array("l", range(spec.n * k))  # the least slot linked to each slot
+        for t, s in links:
+            if t < ids[s]:
+                ids[s] = t
+        count = 0
+        for s in range(len(ids)):
+            t = ids[s]
+            if t == s:
+                ids[s] = count
+                count += 1
+            else:
+                ids[s] = ids[t]  # t < s holds its id already
+        vids = (ids, count)
+        object.__setattr__(spec, "_vids", vids)
+    return vids
 
 
 def _first_conflict(spec: FractalSpec) -> tuple[int, int] | None:
@@ -376,10 +406,10 @@ def _first_conflict(spec: FractalSpec) -> tuple[int, int] | None:
     whose polygons overlap at the shared vertex.  Pairs that are no vertex
     step are embedded here, on demand, and only those that come before it.
     """
-    edges, _, others = _near_pairs(spec)
+    near = _near_pairs(spec)
     k = spec.k
-    conflict = next(((e.a, e.b) for e in edges if _overlap_at_vertex(k, e.ja, e.jb)), None)
-    for i, j in others:
+    conflict = next(((e.a, e.b) for e in near.edges if _overlap_at_vertex(k, e.ja, e.jb)), None)
+    for i, j in near.others:
         if conflict is not None and (i, j) > conflict:
             break
         if _conflicting(k, _key_difference(spec.cells[i], spec.cells[j])):
@@ -393,8 +423,8 @@ def find_adjacencies(spec: FractalSpec) -> tuple[list[Adjacency], tuple[int, int
     A pair sharing two or more vertices violates nesting and is reported
     as a witness rather than as an edge.  The list is new on every call.
     """
-    edges, violation, _ = _near_pairs(spec)
-    return list(edges), violation
+    near = _near_pairs(spec)
+    return list(near.edges), near.violation
 
 
 def _forest(
@@ -616,10 +646,11 @@ def validate(spec: FractalSpec) -> ValidationReport:
     invariance, corner coverage, central-cell restrictions).
     """
     k = spec.k
-    edges, violation, _ = _near_pairs(spec)
+    near = _near_pairs(spec)
+    edges = near.edges
     # hull overlaps without shared vertices (or despite one) fail nesting too;
     # the first of them is sought only when no pair shares two vertices
-    nesting_witness = violation or _first_conflict(spec)
+    nesting_witness = near.violation or _first_conflict(spec)
     component_count = max(_forest(spec.n, edges)[0]) + 1
     dk = _dihedral(spec)
     illegal = (e for e in edges if k % 2 == 1 and _rotation_class(e, k) is None)

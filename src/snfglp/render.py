@@ -7,9 +7,9 @@ counter-clockwise in the plane is counter-clockwise on screen.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import repeat
 
 from .cyclotomic import _embed, _unit_circle, to_cartesian
 from .glp import Labeling, Verdict, _labels_by_id
@@ -47,13 +47,15 @@ def _label_text(lab: int, k: int) -> str:
     return chr(ord("A") + lab) if k <= 26 else str(lab)
 
 
-def _polygon(k: int, barycenter: tuple[int, ...]) -> list[tuple[float, float]]:
-    """The float vertices barycenter + zeta^j, j = 0..k-1, bit-identical to `_embed`
-    with one added at index j: it adds nonzero terms in index order, so the terms
-    below j are summed once and each vertex adds its own and the nonzero ones above."""
+def _polygon(k: int, barycenter: tuple[int, ...]) -> tuple[list[float], list[float]]:
+    """The x and y of the float vertices barycenter + zeta^j, j = 0..k-1,
+    bit-identical to `_embed` with one added at index j: it adds nonzero terms in
+    index order, so the terms below j are summed once and each vertex adds its own
+    and the nonzero ones above."""
     circle = _unit_circle(k)
     terms = [(c * cos, c * sin) for c, (cos, sin) in zip(barycenter, circle) if c]
-    poly = []
+    xs = []
+    ys = []
     x = y = 0.0  # the nonzero terms below index j, popped from terms
     for c, (cos, sin) in zip(barycenter, circle):
         vx, vy = x, y
@@ -67,15 +69,27 @@ def _polygon(k: int, barycenter: tuple[int, ...]) -> list[tuple[float, float]]:
         for tx, ty in terms:
             vx += tx
             vy += ty
-        poly.append((vx, vy))
-    return poly
+        xs.append(vx)
+        ys.append(vy)
+    return xs, ys
+
+
+def _vertex_points(spec: FractalSpec) -> tuple[array, array]:
+    """The x and y of vertex j of cell i at [i * k + j], summed by `_polygon`,
+    in two flat float arrays."""
+    xs, ys = array("d"), array("d")
+    for cell in spec.cells:
+        px, py = _polygon(spec.k, cell.barycenter.coeffs)
+        xs.extend(px)
+        ys.extend(py)
+    return xs, ys
 
 
 def _label_glyphs(
-    spec: FractalSpec, polys: list[list[tuple[float, float]]], labeling: Labeling
+    spec: FractalSpec, xs: array, ys: array, labeling: Labeling
 ) -> Iterator[list[tuple[float, float, str]]]:
     """Per cell, one glyph per labeled point first seen on that cell, nudged
-    outward from the cell's center.
+    outward from the cell's center; `xs` and `ys` are `_vertex_points`.
 
     Points are told apart by vertex id (`_vertex_ids`), so no vertex value
     is built; ids are numbered as first seen in cell order, so a point is
@@ -85,26 +99,29 @@ def _label_glyphs(
     labels = _labels_by_id(spec, labeling)
     ids, _ = _vertex_ids(spec)
     seen = 0
-    for i, (cell, poly) in enumerate(zip(spec.cells, polys)):
+    for i, cell in enumerate(spec.cells):
         cx, cy = to_cartesian(cell.barycenter)
         glyphs = []
-        for v, (x, y) in zip(ids[i * k:(i + 1) * k], poly):
+        for s in range(i * k, (i + 1) * k):
+            v = ids[s]
             if v != seen:
                 continue
             seen += 1
             lab = labels[v]
             if lab is not None:
+                x, y = xs[s], ys[s]
                 dx, dy = x - cx, y - cy
                 norm = math.hypot(dx, dy) or 1.0
                 glyphs.append((x + 0.22 * dx / norm, y + 0.22 * dy / norm, _label_text(lab, k)))
         yield glyphs
 
 
-def _printed(block: str) -> str:
-    """A block of %.6f numbers with every minus zero printed as 0.000000: a
-    negative number that rounds to zero prints as -0.000000, and no other
-    number contains that text."""
-    return block.replace("-0.000000", "0.000000")
+def _put(out: bytearray, block: str) -> None:
+    """Append a block of lines of %.6f numbers, and a newline, with every
+    minus zero printed as 0.000000: a negative number that rounds to zero
+    prints as -0.000000, and no other number contains that text."""
+    out += block.replace("-0.000000", "0.000000").encode()
+    out += b"\n"
 
 
 def render_svg(
@@ -114,26 +131,26 @@ def render_svg(
 ) -> str:
     """One polygon per cell, vertex dots, optional labels/classes/slices/witness.
 
-    Each cell's vertices are mapped to the screen once and printed by one
-    template for its polygon, one for its dots and one for its glyphs.
+    The vertices are embedded once into two flat float arrays and mapped to
+    the screen once; each cell's polygon, dots and glyphs are printed by one
+    template each, straight into one byte buffer that is decoded at the end,
+    so no list of element strings is kept beside the text.
     """
     opt = options or RenderOptions()
     k = spec.k
     labeling = (
         verdict.labeling if (opt.show_labels and verdict is not None and verdict.glp) else None
     )
-    polys = [_polygon(k, cell.barycenter.coeffs) for cell in spec.cells]
-    xs = [x for poly in polys for x, _ in poly]
-    ys = [y for poly in polys for _, y in poly]
+    xs, ys = _vertex_points(spec)
     xmin, xmax = min(xs) - opt.margin, max(xs) + opt.margin
     ymin, ymax = min(ys) - opt.margin, max(ys) + opt.margin
     scale = opt.scale
     width = (xmax - xmin) * scale
     height = (ymax - ymin) * scale
 
-    out: list[str] = []
-    out.append('<?xml version="1.0" encoding="UTF-8" standalone="no"?>')
-    out.append(_printed(
+    out = bytearray()
+    _put(out, '<?xml version="1.0" encoding="UTF-8" standalone="no"?>')
+    _put(out, (
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'width="%.6f" height="%.6f" viewBox="0 0 %.6f %.6f">' % (width, height, width, height)
     ))
@@ -148,37 +165,31 @@ def render_svg(
         f'<polygon points="{" ".join(["%.6f,%.6f"] * k)}" '
         f'fill="%s" stroke="%s" stroke-width="%s"/>'
     )
-    dot_block = "\n".join([_DOT] * k)
-    glyph_blocks = ["\n".join([_GLYPH] * count) for count in range(k + 1)]
-    dots: list[str] = []
-    texts: list[str] = []
-    glyph_rows = repeat(()) if labeling is None else _label_glyphs(spec, polys, labeling)
-    for cell, poly, glyphs in zip(spec.cells, polys, glyph_rows):
-        screen = [0.0] * (2 * k)  # x0, y0, x1, y1, ... mapped like every point
-        screen[0::2] = [(x - xmin) * scale for x, _ in poly]
-        screen[1::2] = [(ymax - y) * scale for _, y in poly]
+    screen = array("d")  # x0, y0, x1, y1, ... of every vertex, mapped like every point
+    for cell in spec.cells:
+        lo, hi = cell.index * k, (cell.index + 1) * k
+        row = [0.0] * (2 * k)
+        row[0::2] = [(x - xmin) * scale for x in xs[lo:hi]]
+        row[1::2] = [(ymax - y) * scale for y in ys[lo:hi]]
+        screen.extend(row)
         fill = _FILL
         if classes is not None and classes.get(cell.index) == 2:
             fill = _FILL_ALT
         stroke = "red" if cell.index in highlight else "black"
         stroke_w = "2.5" if cell.index in highlight else "1"
-        out.append(_printed(polygon % (*screen, fill, stroke, stroke_w)))
-        dots.append(_printed(dot_block % tuple(screen)))
-        if glyphs:
-            row = [v for x, y, text in glyphs for v in ((x - xmin) * scale, (ymax - y) * scale, text)]
-            texts.append(_printed(glyph_blocks[len(glyphs)] % tuple(row)))
+        _put(out, polygon % (*row, fill, stroke, stroke_w))
 
     if opt.show_slices:
         # the column sums of the barycenters' coefficients, as Python ints
         total = tuple(sum(col) for col in zip(*(cell.barycenter.coeffs for cell in spec.cells)))
         bx, by = _embed(k, total)
         bx, by = bx / spec.n, by / spec.n
-        reach = max(math.hypot(x - bx, y - by) for poly in polys for x, y in poly) + opt.margin
+        reach = max(math.hypot(x - bx, y - by) for x, y in zip(xs, ys)) + opt.margin
         x1, y1 = (bx - xmin) * scale, (ymax - by) * scale
         for j in range(k):
             ang = 2.0 * math.pi * j / k
             ex, ey = bx + reach * math.cos(ang), by + reach * math.sin(ang)
-            out.append(_printed(_RAY % (x1, y1, (ex - xmin) * scale, (ymax - ey) * scale)))
+            _put(out, _RAY % (x1, y1, (ex - xmin) * scale, (ymax - ey) * scale))
 
     cycle = opt.highlight_cycle or (
         verdict.witness if verdict is not None and not verdict.glp else None
@@ -189,20 +200,24 @@ def render_svg(
             x, y = to_cartesian(spec.cells[i].barycenter)
             row += ((x - xmin) * scale, (ymax - y) * scale)
         pts = " ".join(["%.6f,%.6f"] * (len(cycle) + 1))
-        out.append(_printed(
-            f'<polyline points="{pts}" fill="none" stroke="red" stroke-width="2"/>' % tuple(row)
-        ))
+        _put(out, f'<polyline points="{pts}" fill="none" stroke="red" stroke-width="2"/>' % tuple(row))
 
     # one dot per cell vertex (shared points coincide), then the labels
-    out += dots
-    out += texts
+    dot_block = "\n".join([_DOT] * k)
+    for start in range(0, len(screen), 2 * k):
+        _put(out, dot_block % tuple(screen[start:start + 2 * k]))
+    if labeling is not None:
+        glyph_blocks = ["\n".join([_GLYPH] * count) for count in range(k + 1)]
+        for glyphs in _label_glyphs(spec, xs, ys, labeling):
+            if glyphs:
+                row = [v for x, y, text in glyphs for v in ((x - xmin) * scale, (ymax - y) * scale, text)]
+                _put(out, glyph_blocks[len(glyphs)] % tuple(row))
 
     if classes is not None:
         for cell in spec.cells:
             x, y = to_cartesian(cell.barycenter)
             label = classes.get(cell.index, "?")
-            out.append(_printed(_CLASS % ((x - xmin) * scale, (ymax - y) * scale, label)))
+            _put(out, _CLASS % ((x - xmin) * scale, (ymax - y) * scale, label))
 
-    out.append("</svg>")
-    out.append("")  # the final newline, with no second copy of the text
-    return "\n".join(out)
+    _put(out, "</svg>")
+    return out.decode()

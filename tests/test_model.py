@@ -7,6 +7,7 @@ import os
 import random
 import sys
 import threading
+from functools import cache
 from operator import sub
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import cell_sum, fold
 from snfglp import model
-from snfglp.construct import random_valid_spec
+from snfglp.construct import expand, generate_glp_example, random_valid_spec
 from snfglp.cyclotomic import (
     COEFF_LIMIT,
     CycInt,
@@ -40,6 +41,7 @@ from snfglp.cyclotomic import (
     zeta,
 )
 from snfglp.glp import (
+    DisconnectedSpec,
     check_labeling,
     decide_glp,
     decide_glp_even,
@@ -49,6 +51,7 @@ from snfglp.glp import (
     slices,
 )
 from snfglp.model import (
+    CATALOG_NAMES,
     HULL_EPS,
     Cell,
     ParseError,
@@ -722,6 +725,11 @@ class TestAdjacencies:
         spec = make_spec(4, [a, b], partial=True)
         edges, violation = find_adjacencies(spec)
         assert edges == [] and violation == (0, 1)
+        # both shared vertices, (0, 1) and (3, 2), are numbered from the record
+        ids, count = _vertex_ids(spec)
+        assert list(ids) == [0, 1, 2, 3, 4, 0, 3, 5] and count == 6
+        with pytest.raises(SpecError, match="shared vertex of cell 1"):
+            make_labeling(spec, {0: 0, 1: 0})
 
 
 def _fresh_copy(spec):
@@ -822,9 +830,92 @@ class TestNearPairMemo:
         assert not any(t.is_alive() for t in threads)
         assert all(out == want for out in seen)
 
+    def test_each_memo_written_once(self, monkeypatch):
+        # a memo stored in two steps (a placeholder, then the record) can be
+        # read half-built by another thread however short the gap, which a
+        # threaded run does not show; model stores its memos through
+        # `object.__setattr__`, so every store is recorded here
+        spec = _fresh_copy(random_valid_spec(10, 60, 1, symmetrize=True))
+        writes = []
+
+        def recording(target, name, value):
+            writes.append((target, name, value))
+            object.__setattr__(target, name, value)
+
+        recorder = type("RecordingObject", (), {"__setattr__": staticmethod(recording)})
+        monkeypatch.setattr(model, "object", recorder, raising=False)
+        verdict = decide_glp(spec)
+        validate(spec)
+        find_adjacencies(spec)
+        check_labeling(spec, make_labeling(spec, verdict.labeling.offsets))
+        render_svg(spec, verdict, RenderOptions(show_labels=True, show_slices=True))
+        glp_via_slices(spec)
+        derive_scaling(spec)
+        mine = [(name, value) for target, name, value in writes if target is spec]
+        assert sorted(name for name, _ in mine) == ["_dk", "_near", "_vids"]
+        assert all(value is getattr(spec, name) for name, value in mine)
+
+
+@cache
+def _level2_expansion(k):
+    return expand(generate_glp_example(k), 2)
+
+
+@st.composite
+def vertex_id_specs(draw):
+    """The catalog, plain and symmetrized growth for k = 3..12, level-2
+    expansions and cluttered partial specs; for even k maybe with a cell
+    added that shares two vertices with another, and maybe with every cell
+    shifted by one point and folded by its own multiple of Phi_k, so that
+    coefficients reach 2^30."""
+    source = draw(st.sampled_from(["catalog", "growth", "expansion", "cluttered"]))
+    if source == "catalog":
+        spec = catalog(draw(st.sampled_from(CATALOG_NAMES)))
+    elif source == "growth":
+        k, target = draw(st.integers(3, 12)), draw(st.integers(2, 30))
+        spec = random_valid_spec(k, target, draw(st.integers(0, 999)), symmetrize=draw(st.booleans()))
+    elif source == "expansion":
+        spec = _level2_expansion(draw(st.sampled_from((5, 6, 12))))
+    else:
+        spec = draw(cluttered_specs())
+    k = spec.k
+    rows = [list(c.barycenter.coeffs) for c in spec.cells]
+    if k % 2 == 0 and draw(st.booleans()):
+        # b + zeta^ja - zeta^jb shares vertex ja and vertex jb + k/2 of cell b
+        ja, jb = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        assume((ja - jb) % k not in (0, k // 2))
+        row = list(draw(st.sampled_from(rows)))
+        row[ja] += 1
+        row[jb] -= 1
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    if draw(st.booleans()):
+        bound = 2**29
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        shift = [rng.randint(-bound, bound) for _ in range(k)]
+        rows = [
+            fold(k, list(map(sum, zip(row, shift))), rng.randrange(k), rng.randint(-bound, bound))
+            for row in rows
+        ]
+    keys = [from_coeffs(k, row).canonical_key() for row in rows]
+    assume(len(set(keys)) == len(keys))
+    return make_spec(k, rows, spec.partial)
+
+
+def labels_by_key(spec, keys, offsets):
+    """Reference: (labels by vertex key, None), or (None, make_labeling's
+    message) at the first vertex whose label disagrees."""
+    k = spec.k
+    labels = {}
+    for slot, key in enumerate(keys):
+        i, j = divmod(slot, k)
+        lab = (j + offsets[i]) % k
+        if labels.setdefault(key, lab) != lab:
+            return None, f"offsets disagree at a shared vertex of cell {i}"
+    return labels, None
+
 
 class TestVertexKeyMemo:
-    """One pass over the vertex keys numbers each vertex of a spec once."""
+    """One pass over the near-pair record numbers each vertex of a spec once."""
 
     def test_keys_of_each_vertex(self):
         spec = random_valid_spec(9, 30, 2, symmetrize=True)
@@ -857,20 +948,48 @@ class TestVertexKeyMemo:
             passes.append(fresh and s._vids is vids)
             return vids
 
-        # a labeling on its own spec is read by id, never through keys
+        # the ids come from the near-pair record, and a labeling on its own
+        # spec is read by id, so no vertex key is ever built
         monkeypatch.setattr(model, "cyc_unit_translate_keys", counting)
         for module in (glp, render):
             monkeypatch.setattr(module, "_vertex_ids", computed)
         verdict = decide_glp(spec)
-        assert verdict.glp and not built and spec._vids is None
+        assert verdict.glp and spec._vids is None
         labeling = verdict.labeling if decided else make_labeling(spec, verdict.labeling.offsets)
         assert check_labeling(spec, labeling)
         render_svg(spec, verdict, RenderOptions(show_labels=True))
-        assert built == [c.barycenter for c in spec.cells]
+        assert built == []
         assert passes.count(True) == 1 and len(passes) >= 3
         # what stays is the id table and one label per id, no key index
         assert labeling.labels._index is None and verdict.labeling.labels._index is None
         assert len(labeling.labels._labels) == spec._vids[1]
+
+    @given(vertex_id_specs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_ids_match_key_reference(self, spec, data):
+        keys = [v.canonical_key() for c in spec.cells for v in vertices(c)]
+        first = {key: v for v, key in enumerate(dict.fromkeys(keys))}
+        ids, count = _vertex_ids(spec)
+        assert list(ids) == [first[key] for key in keys] and count == len(first)
+        # labels agree with labels keyed by value, and offsets that disagree
+        # raise the same SpecError at the same cell, nested or not
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        offsets = [rng.randrange(spec.k) for _ in range(spec.n)]
+        if data.draw(st.booleans()):
+            try:
+                verdict = decide_glp(spec)
+            except (SpecError, DisconnectedSpec):
+                verdict = None
+            if verdict is not None and verdict.glp:
+                offsets = [verdict.labeling.offsets[i] for i in range(spec.n)]
+        want, error = labels_by_key(spec, keys, offsets)
+        if error is None:
+            labeling = make_labeling(spec, dict(enumerate(offsets)))
+            assert labeling.labels._by_id == list(want.values())
+        else:
+            with pytest.raises(SpecError) as exc:
+                make_labeling(spec, dict(enumerate(offsets)))
+            assert str(exc.value) == error
 
 
 def _old_step_table(k):

@@ -3,17 +3,18 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snfglp.construct import generate_counterexample, generate_glp_example
+from snfglp.construct import expand, generate_counterexample, generate_glp_example
 from snfglp.cyclotomic import COEFF_LIMIT, CycInt, _embed, to_cartesian, zeta
 from snfglp.glp import Labeling, Verdict, decide_glp, decide_glp_even
 from snfglp.model import CATALOG_NAMES, catalog, parse, vertices
-from snfglp.render import RenderOptions, _label_glyphs, _polygon, render_svg
+from snfglp.render import RenderOptions, _label_glyphs, _polygon, _vertex_points, render_svg
 
 NS = "{http://www.w3.org/2000/svg}"
 
@@ -196,6 +197,24 @@ class TestPinnedOutput:
         assert len(missing.findall(f"{NS}text")) == len(full.findall(f"{NS}text")) - 1
 
 
+class TestMemory:
+    def test_peak_stays_near_the_text(self):
+        # the text is written into one buffer and decoded once, so what is
+        # traced at the peak is about the buffer and the text, with no list
+        # of element strings beside them
+        spec = expand(generate_glp_example(12), 2)
+        verdict = decide_glp(spec)
+        options = RenderOptions(show_labels=True)
+        render_svg(spec, verdict, options)  # vertex ids, labels and per-k tables are built once
+        tracemalloc.start()
+        try:
+            svg = render_svg(spec, verdict, options)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * len(svg)
+
+
 class TestCoefficientLimit:
     def test_cell_at_the_limit_renders(self):
         # every vertex b + zeta^j has a coefficient 2^31 + 1, outside COEFF_LIMIT;
@@ -247,7 +266,7 @@ class TestPolygon:
     def test_matches_embedding_of_each_vertex(self, case):
         k, b = case
         want = [_embed(k, tuple(c + (i == j) for i, c in enumerate(b))) for j in range(k)]
-        got = _polygon(k, b)
+        got = list(zip(*_polygon(k, b)))
         # bit-identical floats, so the SVG text does not move
         assert [tuple(map(float.hex, p)) for p in got] == [tuple(map(float.hex, p)) for p in want]
 
@@ -275,10 +294,10 @@ class TestBlockFormatting:
         spec = catalog(name)
         verdict = decide_glp(spec)
         svg = render_svg(spec, verdict, RenderOptions(show_labels=True, margin=margin, scale=scale))
-        polys = [_polygon(spec.k, c.barycenter.coeffs) for c in spec.cells]
-        xmin = min(x for poly in polys for x, _ in poly) - margin
-        ymax = max(y for poly in polys for _, y in poly) + margin
-        screen = [((x - xmin) * scale, (ymax - y) * scale) for poly in polys for x, y in poly]
+        xs, ys = _vertex_points(spec)
+        xmin = min(xs) - margin
+        ymax = max(ys) + margin
+        screen = [((x - xmin) * scale, (ymax - y) * scale) for x, y in zip(xs, ys)]
         assert any(-5e-7 < v < 0 for xy in screen for v in xy) == (margin < 0)
         want = [[_each(x), _each(y)] for x, y in screen]
         root = parsed(svg)
@@ -287,7 +306,7 @@ class TestBlockFormatting:
         ]
         dots = [[c.get("cx"), c.get("cy")] for c in root.findall(f"{NS}circle")]
         assert points == want and dots == want
-        glyphs = [g for row in _label_glyphs(spec, polys, verdict.labeling) for g in row]
+        glyphs = [g for row in _label_glyphs(spec, xs, ys, verdict.labeling) for g in row]
         texts = [[t.get("x"), t.get("y"), t.text] for t in root.findall(f"{NS}text")]
         assert texts == [
             [_each((x - xmin) * scale), _each((ymax - y) * scale), text] for x, y, text in glyphs
@@ -303,9 +322,7 @@ class TestBlockFormatting:
             show_classes=True, show_slices=True, highlight_cycle=cycle, margin=margin, scale=scale
         )
         svg = render_svg(spec, decide_glp_even(spec), options)
-        polys = [_polygon(spec.k, c.barycenter.coeffs) for c in spec.cells]
-        xs = [x for poly in polys for x, _ in poly]
-        ys = [y for poly in polys for _, y in poly]
+        xs, ys = _vertex_points(spec)
         xmin, xmax = min(xs) - margin, max(xs) + margin
         ymin, ymax = min(ys) - margin, max(ys) + margin
 
