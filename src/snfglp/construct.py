@@ -222,12 +222,14 @@ def random_valid_spec(
 ) -> FractalSpec:
     """Deterministic random growth of a conflict-free connected configuration.
 
-    Plain growth returns a partial spec grown cell by cell across random
-    legal steps.  With `symmetrize` the growth starts from a labelable
-    base (the example ring, or its level-2 expansion when small enough)
-    and adds whole dihedral orbits of interior cells, producing a
-    non-partial spec that passes every axiom; the target size is then a
-    goal, not a guarantee, since the interior may fill up.
+    Growth adds whole orbits of a symmetry group, each orbit of a legal
+    step from an accepted cell.  Plain growth is the trivial group: it
+    grows cell by cell from the origin and returns a partial spec.  With
+    `symmetrize` the group is the dihedral group D_k, growth starts from a
+    labelable base (the example ring, or its level-2 expansion when small
+    enough) and keeps to its interior, and the non-partial spec passes
+    every axiom; the target size is then a goal, not a guarantee, since
+    the interior may fill up.
     """
     hi = 12 if symmetrize else 16
     if not 3 <= k <= hi:
@@ -240,43 +242,25 @@ def random_valid_spec(
     # keys whose rejection cannot be undone as the accepted set grows; the
     # draws are made before the check, so skipping them changes no output
     rejected: set[tuple[int, ...]] = set()
-
-    if not symmetrize:
-        start = zero(k)
-        accepted = {start.canonical_key()}
-        grid = _Grid()
-        grid.add(Cell(start, 0))
-        order = [start]
-        budget = 400 * target_cells
-        while len(order) < target_cells and budget > 0:
-            budget -= 1
-            base = order[rng.randrange(len(order))]
-            i = rng.randrange(len(steps))
-            key = tuple(map(add, base.canonical_key(), step_keys[i]))
-            if key in accepted or key in rejected:
-                continue
-            cand = Cell(_preset(k, tuple(map(add, base.coeffs, steps[i].coeffs)), key), 0)
-            if not grid.clear(cand):
-                rejected.add(key)
-                continue
-            accepted.add(key)
-            grid.add(cand)
-            order.append(cand.barycenter)
-        if len(order) < target_cells:
-            raise GenerationError("growth stalled before reaching the target size")
-        return make_spec(k, order, partial=True)
-
-    base, corner_radius = _growth_base(k, False)
-    if len(base) ** 2 <= 100 and rng.random() < 0.5:
-        base, corner_radius = _growth_base(k, True)
+    if symmetrize:
+        base, corner_radius = _growth_base(k, False)
+        if len(base) ** 2 <= 100 and rng.random() < 0.5:
+            base, corner_radius = _growth_base(k, True)
+        # the images (shift, sign) of _mapped other than the identity (0, 1),
+        # in the order written: cyc_rotate(cand, j) is (j, 1) and
+        # cyc_reflect(cand, -j) is (-j, -1)
+        group = [(sign * j, sign) for j in range(k) for sign in (1, -1)][1:]
+        budget, patience = 40 * target_cells, 300
+    else:
+        base, corner_radius, group = (zero(k),), math.inf, []
+        budget, patience = 400 * target_cells, math.inf
     order = list(base)
     accepted = {pos.canonical_key() for pos in order}
     grid = _Grid()
     for pos in order:
         grid.add(Cell(pos, 0))
-    budget = 40 * target_cells
     stale = 0
-    while len(order) < target_cells and budget > 0 and stale < 300:
+    while len(order) < target_cells and budget > 0 and stale < patience:
         budget -= 1
         stale += 1
         base = order[rng.randrange(len(order))]
@@ -292,19 +276,19 @@ def random_valid_spec(
             # could answer differently only within float error of the margin
             ok = math.hypot(*to_cartesian(cand)) <= corner_radius - 0.05
         # one test per orbit: a conflict is decided on the key difference, which
-        # each rotation or reflection g maps to a key difference, so g(cand)
-        # meets an accepted a as cand meets g^-1(a), accepted too (the accepted
-        # set is dihedral-closed), and meets h(cand) as cand meets g^-1 h(cand)
-        if not ok or not grid.clear(Cell(cand, 0)):
+        # each group element g maps to a key difference, so g(cand) meets an
+        # accepted a as cand meets g^-1(a), accepted too (the accepted set is
+        # closed under the group), and meets h(cand) as cand meets g^-1 h(cand)
+        cell = Cell(cand, 0)
+        if not ok or not grid.clear(cell):
             rejected.add(key)
             continue
-        # orbit key -> (shift, sign) of its member _mapped(cand, shift, sign):
-        # cyc_rotate(cand, j) is (j, 1) and cyc_reflect(cand, -j) is (-j, -1); the
-        # image written last for a point is its member, built only when accepted
-        orbit: dict[tuple[int, ...], tuple[int, int]] = {}
-        for j in range(k):
-            orbit[_mapped_key(k, key, j, 1)] = (j, 1)
-            orbit[_mapped_key(k, key, -j, -1)] = (-j, -1)
+        # orbit key -> (shift, sign) of its member _mapped(cand, shift, sign);
+        # the image written last for a point is its member, built only when
+        # accepted, so a member is cand's own cell only under the identity
+        orbit = {key: (0, 1)}
+        for shift, sign in group:
+            orbit[_mapped_key(k, key, shift, sign)] = (shift, sign)
         if any(_conflicting(k, tuple(map(sub, okey, key))) for okey in orbit if okey != key):
             rejected.add(key)
             continue
@@ -314,9 +298,11 @@ def random_valid_spec(
         # accepted and g(step) is a legal step (the steps are closed under
         # negation and the dihedral group)
         for okey, (shift, sign) in sorted(orbit.items()):
-            member = _mapped(cand, shift, sign)
+            member = cell if (shift, sign) == (0, 1) else Cell(_mapped(cand, shift, sign), 0)
             accepted.add(okey)
-            grid.add(Cell(member, 0))
-            order.append(member)
+            grid.add(member)
+            order.append(member.barycenter)
         stale = 0
-    return make_spec(k, order, partial=False)
+    if not symmetrize and len(order) < target_cells:
+        raise GenerationError("growth stalled before reaching the target size")
+    return make_spec(k, order, partial=not symmetrize)

@@ -257,9 +257,9 @@ def _scaled_points(spec: FractalSpec) -> _Points:
     return out[0], out[1]
 
 
-@dataclass(frozen=True)
-class Adjacency:
-    """Cell pair sharing exactly one vertex, with the shared vertex indices."""
+class Adjacency(NamedTuple):
+    """Cell pair sharing a vertex, with its index in each cell; an adjacency
+    when the pair shares no other vertex."""
 
     a: int
     b: int
@@ -319,8 +319,8 @@ class _NearPairs(NamedTuple):
     """A spec's `_near_pairs` record; pairs (i, j) have i < j, in pair order."""
 
     edges: tuple[Adjacency, ...]  # the pairs sharing exactly one vertex
-    # (i, j, ja, jb) for every shared vertex of each pair sharing two or more
-    multi: tuple[tuple[int, int, int, int], ...]
+    # one Adjacency per shared vertex of each pair sharing two or more
+    multi: tuple[Adjacency, ...]
     others: tuple[tuple[int, int], ...]  # close pairs whose key difference is no vertex step
 
     @property
@@ -345,7 +345,7 @@ def _near_pairs(spec: FractalSpec) -> _NearPairs:
         table = _step_table(spec.k)
         keys = [c.barycenter.canonical_key() for c in spec.cells]
         edges: list[Adjacency] = []
-        multi: list[tuple[int, int, int, int]] = []
+        multi: list[Adjacency] = []
         others: list[tuple[int, int]] = []
         for i, j in _close_pairs(spec):
             pairs = table.get(tuple(map(sub, keys[j], keys[i])))
@@ -355,7 +355,7 @@ def _near_pairs(spec: FractalSpec) -> _NearPairs:
                 # delta = b_j - b_i = zeta^ja - zeta^jb with ja indexing cell i.
                 edges.append(Adjacency(i, j, *pairs[0]))
             else:
-                multi += [(i, j, ja, jb) for ja, jb in pairs]
+                multi += [Adjacency(i, j, ja, jb) for ja, jb in pairs]
         near = _NearPairs(tuple(edges), tuple(multi), tuple(others))
         object.__setattr__(spec, "_near", near)
     return near
@@ -377,12 +377,9 @@ def _vertex_ids(spec: FractalSpec) -> tuple[array, int]:
     if vids is None:
         k = spec.k
         near = _near_pairs(spec)
-        links = chain(
-            ((e.a * k + e.ja, e.b * k + e.jb) for e in near.edges),
-            ((a * k + ja, b * k + jb) for a, b, ja, jb in near.multi),
-        )
         ids = array("l", range(spec.n * k))  # the least slot linked to each slot
-        for t, s in links:
+        for a, b, ja, jb in chain(near.edges, near.multi):
+            t, s = a * k + ja, b * k + jb
             if t < ids[s]:
                 ids[s] = t
         count = 0

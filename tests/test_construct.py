@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_glp, cell_sum
+from snfglp import construct
 from snfglp.construct import (
     GenerationError,
     _legal_steps,
@@ -444,6 +445,31 @@ class TestRandomSpecs:
     def test_symmetrized_reaches_target(self):
         spec = random_valid_spec(6, 6, seed=1, symmetrize=True)
         assert not spec.partial and spec.n >= 6
+        assert validate(spec).valid
+
+    class FirstDraw:
+        """An RNG that always draws the first cell and step, and the small base."""
+
+        def __init__(self, seed):
+            pass
+
+        def randrange(self, n):
+            return 0
+
+        def random(self):
+            return 0.9
+
+    def test_plain_stall_raises(self, monkeypatch):
+        # after one step from the origin every draw repeats an accepted key
+        monkeypatch.setattr(construct.random, "Random", self.FirstDraw)
+        with pytest.raises(GenerationError, match="growth stalled before reaching the target size"):
+            random_valid_spec(5, 3, 0)
+
+    def test_symmetrized_stall_returns_base(self, monkeypatch):
+        # every draw repeats the first candidate, rejected, until patience runs out
+        monkeypatch.setattr(construct.random, "Random", self.FirstDraw)
+        spec = random_valid_spec(6, 60, 0, symmetrize=True)
+        assert not spec.partial and spec.n == 6
         assert validate(spec).valid
 
     def test_bad_arguments(self):
