@@ -397,18 +397,19 @@ def to_cartesian(a: CycInt) -> tuple[float, float]:
     """Double-precision embedding of a as the point (x, y), cached on a like its key.
 
     Each coordinate is within `_embed_error` of the exact point, which
-    certifies two float decisions: the near-cell grid (`model._Grid`, for
-    adjacency, validation and growth), whose cut-off `model._NEAR` covers
-    that error for every value that can be built; and the vertex ray of a
-    slice position (`glp._sectors`), whose float angle is within pi/(2k)
-    of the true one beyond 2 * k * `_embed_error` from the origin, so only
-    the nearest ray is tested, exactly.  `model.cells_conflict` decides a
-    vertex step by its indices and embeds any other exact key difference
-    of two cells alone, never two large points.  Not yet certified: a hull
-    gap within the error of a large difference that is no vertex step, the
-    side of a slice or corner position (`glp._sectors`,
-    `model._find_corner`) within the error of the origin, and the growth
-    radius.
+    certifies three float decisions: the near-cell grid (`model._Grid`,
+    for adjacency, validation and growth), whose cut-off `model._NEAR`
+    covers that error for every value that can be built; the slice
+    decider's region (`glp._region`), which counts the error toward
+    inclusion; and the vertex ray of a position in `slices`
+    (`glp._sectors`), whose float angle is within pi/(2k) of the true one
+    beyond 2 * k * `_embed_error` from the origin, so only the nearest ray
+    is tested, exactly.  `model.cells_conflict` decides a vertex step by
+    its indices and embeds any other exact key difference of two cells
+    alone, never two large points.  Not yet certified: a hull gap within
+    the error of a large difference that is no vertex step, the side of a
+    slice or corner position (`glp._sectors`, `model._find_corner`) within
+    the error of the origin, and the growth radius.
     """
     if a._xy is None:
         object.__setattr__(a, "_xy", _embed(a.order, a.coeffs))

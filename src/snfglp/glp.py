@@ -11,7 +11,7 @@ Deciders provided:
   * decide_glp       -- spanning-forest propagation, any k.
   * decide_glp_even  -- bipartiteness of the adjacency graph (even k).
   * decide_glp_odd   -- rotation-count criterion k | (c - d) (odd k).
-  * glp_via_slices   -- reduction to one or two angular slices.
+  * glp_via_slices   -- reduction to the cells near one closed wedge.
 
 The three forest deciders share one kernel and differ only in the edge
 map (Z_k weight, parity, or +-1 rotation class); the odd decider derives
@@ -500,17 +500,6 @@ def _slice_ids(k: int, ids) -> list[int]:
     return ids
 
 
-def _chosen_cells(k: int, ids: list[int], closed: bool, sectors: _Sectors) -> tuple[int, ...]:
-    if closed:
-        sets = _closed_members(k, sectors)
-        chosen = set().union(*(sets[i - 1] for i in ids))
-    else:
-        chosen = {idx for idx, s in enumerate(sectors[0]) if s in ids}
-    if not chosen:
-        raise ValueError("selected slices contain no cells")
-    return tuple(sorted(chosen))
-
-
 def _subspec(spec: FractalSpec, chosen: tuple[int, ...]) -> FractalSpec:
     cells = tuple(
         Cell(spec.cells[orig].barycenter, new) for new, orig in enumerate(chosen)
@@ -521,86 +510,92 @@ def _subspec(spec: FractalSpec, chosen: tuple[int, ...]) -> FractalSpec:
 def slice_subspec(spec: FractalSpec, ids, closed: bool = False) -> FractalSpec:
     """Partial spec of the chosen (closed) slices, cells in original order."""
     k = spec.k
+    ids = _slice_ids(k, ids)
     sectors = _sectors(k, _scaled_points(spec))
-    return _subspec(spec, _chosen_cells(k, _slice_ids(k, ids), closed, sectors))
+    if closed:
+        sets = _closed_members(k, sectors)
+        chosen = set().union(*(sets[i - 1] for i in ids))
+    else:
+        chosen = {idx for idx, s in enumerate(sectors[0]) if s in ids}
+    if not chosen:
+        raise ValueError("selected slices contain no cells")
+    return _subspec(spec, tuple(sorted(chosen)))
 
 
-def _remap_verdict(sub: Verdict, mapping: tuple[int, ...]) -> Verdict:
-    if sub.glp:
-        assert sub.labeling is not None
-        offsets = {mapping[i]: r for i, r in sub.labeling.offsets.items()}
-        labeling = Labeling(sub.labeling.k, offsets, sub.labeling.labels)
-        classes = (
-            {mapping[i]: c for i, c in sub.classes.items()} if sub.classes else None
-        )
-        return Verdict(glp=True, labeling=labeling, classes=classes)
-    assert sub.witness is not None
-    return Verdict(glp=False, witness=tuple(mapping[i] for i in sub.witness))
-
-
-def _central_cycle(n: int, edges: list[Adjacency], central: int) -> tuple[int, ...] | None:
-    """A 3-cycle through the central cell and two mutually adjacent neighbors."""
-    neighbor_sets: dict[int, set[int]] = {i: set() for i in range(n)}
-    for e in edges:
-        neighbor_sets[e.a].add(e.b)
-        neighbor_sets[e.b].add(e.a)
-    around = sorted(neighbor_sets[central])
-    for u in around:
-        for v in around:
-            if u < v and v in neighbor_sets[u]:
-                return (central, u, v)
-    return None
+def _region(k: int, keys: list[tuple[int, ...]], n: int) -> tuple[int, ...]:
+    """The cells whose scaled position (`_scaled_points` key) is within n of
+    the closed wedge of angles [0, 2pi/k] (even k) or [0, 4pi/k] (odd k),
+    float error counted toward inclusion; see `glp_via_slices`."""
+    c, s = _unit_circle(k)[1 + k % 2]
+    chosen = []
+    for i, key in enumerate(keys):
+        x, y = _embed(k, key)
+        e = 5 * _embed_error(k, key)
+        dot, cross = c * x + s * y, c * y - s * x
+        ray = min(math.hypot(min(x, 0.0), y), math.hypot(min(dot, 0.0), cross))
+        if ray - e <= n or (y >= -e and cross <= e):
+            chosen.append(i)
+    return tuple(chosen)
 
 
 def glp_via_slices(spec: FractalSpec) -> Verdict:
-    """Decide GLP on a reduced region instead of the full configuration.
+    """Decide GLP on the cells near one wedge instead of the whole configuration.
 
-    Routing: a hexagonal configuration with a central cell can never be
-    labeled (the six forced neighbors create odd cycles); k in {3, 4, 5}
-    always can; otherwise the verdict of one closed slice (even k, and
-    k = 6 without central cell) or of two neighboring open slices
-    (odd k) transfers to the whole configuration.
+    k in {3, 4, 5} always has GLP and is decided whole.  For k >= 6 let W
+    be the closed wedge about the global barycenter of angles [0, 2pi/k]
+    (even k) or [0, 4pi/k] (odd k), and R0 the cells whose polygon meets
+    W.  `decide_glp` on any cell set S that holds R0 gives the verdict:
 
-    That transfer assumes D_k invariance, so for k >= 6 a spec that is not
-    invariant raises SpecError before any slice work, as a pair sharing
-    two or more vertices does; `decide_glp` decides such a spec.  The
-    invariance verdict is `validate`'s, shared through the spec's
-    `_dihedral` record: whichever of the two runs first tests rotation 1,
-    then reflection 0, on the scaled keys, and here the record is built
-    from the same scaled points the slices are read from.
+    * Inclusion.  S keeps the spec's adjacencies among its cells, so a
+      nonzero cycle in S is one of the spec; GLP on S restricts to R0,
+      which the transfer carries to the spec.  So S may err toward
+      inclusion, and no cell needs an exact sector.
+    * Transfer.  The reflections in the bounding rays of W, mirror axes
+      of a D_k-invariant spec, fold the plane onto W (for even k W is
+      their fundamental domain; for odd k they generate D_k).  The fold
+      maps each shared vertex into W and its two cells onto adjacent
+      cells of R0, the weight kept or negated; the paper's area reduction
+      is that a nonzero cycle anywhere folds onto one among R0's cells.
+    * Test.  A polygon lies in the unit disc about its barycenter, so at
+      the scaled positions p = n * (b - mean) a cell of R0 has
+      dist(p, W) <= n.  S (`_region`) takes the cells that pass this in
+      floats, read off the keys, so specs whose coefficients differ by
+      multiples of Phi_k get one S.  S is wider than the barycenter
+      sectors of `slices`: it holds cells whose barycenter is outside W.
 
-    Known defect: the transfer can fail on symmetrized growth.
-    `random_valid_spec(12, 40, 403123852, symmetrize=True)` passes
-    `validate`, yet `decide_glp` finds the weight-6 cycle
-    4 3 2 1 0 34 47 43 30 across sectors 12, 1 and 2, which closed
-    slice 1 does not hold, and this route answers GLP.
+    Float error: with u = 2^-53, L the 1-norm of a scaled key and
+    E = `_embed_error(k, key)` >= 60uL, the float position is within E of
+    p per coordinate, |p| <= L, and the tabulated ray direction within
+    19u of the exact one, so a float dot or cross product with a ray
+    direction is within 2E + 44uL < 3E.  Outside the convex W, dist(p, W)
+    is the distance hypot(min(dot, 0), cross) to the nearer bounding ray,
+    within 3E * sqrt(2) + uL < 4.3E in floats.  A cell is taken when that
+    less 5E is at most n (rounding by at most uL), or when it is within
+    5E of both half-planes bounding W, as every point of W is.
+
+    For k >= 6 a spec that is not D_k-invariant (`validate`'s `_dihedral`
+    verdict) or has cells sharing two or more vertices raises SpecError
+    before the region is read; `decide_glp` decides it.
     """
     if spec.partial:
         raise ValueError("glp_via_slices requires a non-partial spec")
     k = spec.k
     if k in (3, 4, 5):
         return decide_glp(spec)
-    # a slice verdict says nothing about nesting outside the slice
-    edges = _nested_adjacencies(spec)
+    # a region verdict says nothing about nesting outside the region
+    _nested_adjacencies(spec)
     points = _scaled_points(spec)
     dk = _dihedral(spec, points)
     if dk.symmetry_witness is not None:
         raise SpecError(
             f"spec fails symmetry {dk.symmetry_witness}; the slice reduction needs D_k invariance"
         )
-    if k == 6 and dk.central_cell is not None:
-        cyc = _central_cycle(spec.n, edges, dk.central_cell)
-        if cyc is not None:
-            return Verdict(glp=False, witness=cyc)
-        # reachable: a spec validate rejects, e.g. the lone central cell of
-        # `snf k=6` / `cell 0 0 0 0 0 0`, has no 3-cycle and no slice cells
-        return decide_glp(spec)
-    sectors = _sectors(k, points)
-    if k % 2 == 0:
-        chosen = _chosen_cells(k, [1], True, sectors)
-    else:
-        chosen = _chosen_cells(k, [1, 2], False, sectors)
-    return _remap_verdict(decide_glp(_subspec(spec, chosen)), chosen)
+    chosen = _region(k, points[1], spec.n)
+    sub = decide_glp(_subspec(spec, chosen))
+    if sub.glp:
+        offsets = {chosen[i]: r for i, r in sub.labeling.offsets.items()}
+        return Verdict(glp=True, labeling=Labeling(k, offsets, sub.labeling.labels))
+    return Verdict(glp=False, witness=tuple(chosen[i] for i in sub.witness))
 
 
 def _labels_by_id(spec: FractalSpec, labeling: Labeling) -> list[int | None]:

@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import snfglp
@@ -369,12 +369,33 @@ def accepted_inputs(draw):
     return serialize(spec)
 
 
+@st.composite
+def decided_inputs(draw):
+    """The text of a catalog spec, an example ring (k = 3..36) or a
+    symmetrized growth (k = 6..12), which every decide method may read."""
+    kind = draw(st.sampled_from(["catalog", "example", "symmetrized"]))
+    if kind == "catalog":
+        spec = catalog(draw(st.sampled_from(CATALOG_NAMES)))
+    elif kind == "example":
+        spec = generate_glp_example(draw(st.integers(3, 36)))
+    else:
+        k, target = draw(st.integers(6, 12)), draw(st.integers(2, 60))
+        spec = random_valid_spec(k, target, draw(st.integers(0, 2**31 - 1)), symmetrize=True)
+    return serialize(spec)
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestRunContract:
     """Every accepted input gets an exit code of the contract from every
     subcommand that reads it, never an exception; exit 2 prints only an
-    error line.  Whether the routes agree is not asserted here: the slice
-    route is known to answer GLP on some symmetrized k = 12 growths that
-    `decide_glp` refutes."""
+    error line; and the decide methods that answer (exit 0 or 1) print
+    the same verdict line."""
 
     @given(text=accepted_inputs())
     @settings(max_examples=200, deadline=None)
@@ -388,11 +409,26 @@ class TestRunContract:
             ["slices", str(path), "--closed"],
             ["label", str(path), "--svg", str(folder / "out.svg")],
         ]
+        verdicts = set()
         for argv in commands:
-            out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                code = run(argv)
+            code, out, err = run_captured(argv)
             assert code in (0, 1, 2), argv
             if code == 2:
-                assert err.getvalue().startswith("error:"), argv
-                assert out.getvalue() == "", argv
+                assert err.startswith("error:"), argv
+                assert out == "", argv
+            elif argv[0] == "decide":
+                verdicts.add(out.split("\n", 1)[0])
+        assert len(verdicts) <= 1, verdicts
+
+    @given(text=decided_inputs())
+    @example(text=serialize(random_valid_spec(12, 40, 403123852, symmetrize=True)))
+    @settings(max_examples=60, deadline=None)
+    def test_decide_methods_agree(self, text, tmp_path_factory):
+        path = tmp_path_factory.mktemp("agree") / "input.snf"
+        path.write_text(text)
+        verdicts = {}
+        for method in ("general", "even", "odd", "slices"):
+            code, out, _ = run_captured(["decide", str(path), "--method", method])
+            if code in (0, 1):
+                verdicts[method] = (code, out.split("\n", 1)[0])
+        assert "general" in verdicts and len(set(verdicts.values())) == 1, verdicts

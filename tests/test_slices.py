@@ -1,16 +1,19 @@
 """Angular slices, closed slices, subspec extraction, slice-based deciding."""
 from __future__ import annotations
 
+import functools
 import math
+import random
 from unittest import mock
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import remainder_key
+from conftest import fold, remainder_key
 from snfglp import glp
-from snfglp.construct import generate_counterexample, generate_glp_example, random_valid_spec
+from snfglp.construct import expand, generate_counterexample, generate_glp_example, random_valid_spec
 from snfglp.glp import (
     closed_slices,
     decide_glp,
@@ -152,7 +155,7 @@ class TestViaSlices:
 
     def test_k6_lone_central_cell_falls_back_to_general(self):
         # validate rejects it (no corner), but glp_via_slices must still
-        # answer: it has no central 3-cycle and its slices hold no cells
+        # answer: its region is the lone cell, which no slice holds
         spec = make_spec(6, [(0,) * 6])
         assert not validate(spec).valid
         assert glp_via_slices(spec).serialize() == "GLP\noffset 0 0\n"
@@ -200,7 +203,7 @@ class TestViaSlices:
         chiral = make_spec(k, [cyc_rotate(from_coeffs(k, (5, 2) + (0,) * (k - 2)), j) for j in range(k)])
         for spec, witness in ((ring, ("rotation", 1)), (chiral, ("reflection", 0))):
             assert validate(spec).symmetry_witness == witness
-            with mock.patch.object(glp, "_sectors", side_effect=AssertionError("slice work")):
+            with mock.patch.object(glp, "_region", side_effect=AssertionError("region work")):
                 with pytest.raises(SpecError) as raised:
                     glp_via_slices(spec)
             assert str(raised.value).startswith(f"spec fails symmetry {witness}")
@@ -357,14 +360,15 @@ class TestSectorsReference:
         closed = closed_slices(spec)
         whole = make_spec(spec.k, [c.barycenter for c in spec.cells])
         via = outcome(lambda s: glp_via_slices(s).serialize(), whole)
+        general = outcome(lambda s: decide_glp(s).serialize(), whole)
         sector, rays = reference
         assert got.sector == tuple(sector)
         assert closed == [
             frozenset(i for i, (s, r) in enumerate(zip(sector, rays)) if s == m + 1 or r == m)
             for m in range(spec.k)
         ]
-        with mock.patch.object(glp, "_sectors", lambda k, points: kscan_sectors(whole)):
-            assert via == outcome(lambda s: glp_via_slices(s).serialize(), whole)
+        if isinstance(via, str) and isinstance(general, str):  # both routes decide
+            assert via.split("\n", 1)[0] == general.split("\n", 1)[0]
         # one reflection test per cell whose float angle is certain; the two
         # tiny cells are not, and test rays 0, 1, ... until one holds them
         placed = sum(s is not None for s in sector)
@@ -391,3 +395,87 @@ class TestSectorsReference:
         w = tiny_on_ray(8, 3)
         assert math.hypot(*to_cartesian(w)) < 1e-6
         assert max(map(abs, w.coeffs)) > 2**20
+
+
+@functools.lru_cache(maxsize=None)
+def circle50(k):
+    """(cos, sin) of 2 pi j / k at 50 digits, j = 0..k-1."""
+    with mpmath.workdps(50):
+        return tuple((mpmath.cospi(mpmath.mpf(2 * j) / k), mpmath.sinpi(mpmath.mpf(2 * j) / k))
+                     for j in range(k))
+
+
+def wedge_distance50(k, coeffs):
+    """Distance at 50 digits from the point of `coeffs` to the closed wedge
+    of angles [0, 2pi/k] (even k) or [0, 4pi/k] (odd k), by its polar
+    angle: 0 inside, else r sin(delta) for the nearest bounding ray within
+    a right angle of it, else r."""
+    with mpmath.workdps(50):
+        x = mpmath.fsum(c * cos for c, (cos, _) in zip(coeffs, circle50(k)))
+        y = mpmath.fsum(c * sin for c, (_, sin) in zip(coeffs, circle50(k)))
+        r, theta = mpmath.hypot(x, y), mpmath.atan2(y, x) % (2 * mpmath.pi)
+        alpha = (2 if k % 2 == 0 else 4) * mpmath.pi / k
+        if theta <= alpha:
+            return mpmath.mpf(0)
+        out = r
+        for ray in (0, alpha):
+            delta = abs(theta - ray)
+            delta = min(delta, 2 * mpmath.pi - delta)
+            if delta < mpmath.pi / 2:
+                out = min(out, r * mpmath.sin(delta))
+        return out
+
+
+def region_corpus():
+    """(id, spec): symmetrized growth at k = 6..12 with the k = 12 slice
+    reproducer, the example rings at k = 6..36 and their level-2
+    expansions at k = 6..12, taken whole."""
+    out = [(f"sym-k{k}-s{seed}", random_valid_spec(k, 60, seed, symmetrize=True))
+           for k in range(6, 13) for seed in (0, 1)]
+    out.append(("sym-k12-403123852", random_valid_spec(12, 40, 403123852, symmetrize=True)))
+    out += [(f"example-k{k}", generate_glp_example(k)) for k in range(6, 37)]
+    for k in range(6, 13):
+        level2 = expand(generate_glp_example(k), 2)
+        out.append((f"level2-k{k}", make_spec(k, [c.barycenter for c in level2.cells])))
+    return out
+
+
+class TestRegion:
+    """The slice decider's region holds every cell whose barycenter lies
+    within one circumradius of the closed wedge, ties included, judged at
+    50 digits from the coefficients, and it is the same region for a copy
+    of the spec with folded multiples of Phi_k of up to 2^30 added."""
+
+    @staticmethod
+    def region_and_verdict(spec):
+        got = []
+        region = glp._region
+
+        def recording(*args):
+            got.append(region(*args))
+            return got[-1]
+
+        with mock.patch.object(glp, "_region", recording):
+            verdict = glp_via_slices(spec).serialize()
+        assert len(got) == 1
+        return set(got[0]), verdict
+
+    @pytest.mark.parametrize("name,spec", [pytest.param(*case, id=case[0]) for case in region_corpus()])
+    def test_holds_every_cell_near_the_wedge(self, name, spec):
+        k, n = spec.k, spec.n
+        rows = [c.barycenter.coeffs for c in spec.cells]
+        total = [sum(col) for col in zip(*rows)]
+        scaled = [[n * c - t for c, t in zip(row, total)] for row in rows]
+        distance = [wedge_distance50(k, p) for p in scaled]
+        region, verdict = self.region_and_verdict(spec)
+        for i, (d, p) in enumerate(zip(distance, scaled)):
+            size = n + sum(map(abs, p))
+            if d <= n + size * mpmath.mpf(10) ** -40:
+                assert i in region, (name, i)
+            elif i in region:  # only float error widens the region
+                assert d <= n + size * 1e-9, (name, i)
+        assert region < set(range(n))
+        rng = random.Random(name)
+        bound = 2**30 - max(map(abs, (c for row in rows for c in row)))
+        shifted = make_spec(k, [fold(k, row, rng.randrange(k), rng.randint(-bound, bound)) for row in rows])
+        assert self.region_and_verdict(shifted) == (region, verdict)
