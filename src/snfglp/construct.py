@@ -21,6 +21,7 @@ from .cyclotomic import (
     _mapped,
     _mapped_key,
     _preset,
+    _real_sign,
     cyc_add,
     cyc_conj,
     cyc_div_int,
@@ -111,7 +112,7 @@ def _ring_radius_vector(k: int, step: CycInt) -> CycInt:
     b = cyc_div_int(cyc_mul(step, weights), k)
     if b is None:
         raise AssertionError("ring radius is not a cyclotomic integer")
-    if not cyc_eq(b, cyc_conj(b)) or to_cartesian(b)[0] <= 0:
+    if not cyc_eq(b, cyc_conj(b)) or _real_sign(k, b.canonical_key()) <= 0:
         raise AssertionError("ring radius is not real positive")
     if not cyc_eq(cyc_sub(cyc_rotate(b, 1), b), step):
         raise AssertionError("ring radius does not reproduce the step")
@@ -159,13 +160,13 @@ def expand(spec: FractalSpec, level: int) -> FractalSpec:
     n = spec.n
     if n**level > 100_000:
         raise ValueError(f"{n}^{level} cells exceed the size cap")
-    points = _scaled_points(spec)
-    _dihedral(spec, points)  # derive_scaling reads the corner from this pass
+    keys = _scaled_points(spec)
+    _dihedral(spec, keys)  # derive_scaling reads the corner from this pass
     scaling = derive_scaling(spec)
     # the offset b - mean is the scaled position divided by n; like
     # cyc_div_int, its coefficients are the reduced quotient, its own key
     offsets = []
-    for key in points[1]:
+    for key in keys:
         if any(c % n for c in key):
             raise ScalingError("spec cannot be recentred exactly")
         quot = tuple(c // n for c in key)
@@ -272,8 +273,9 @@ def random_valid_spec(
         if not any(key):
             ok = k in (3, 4, 6)  # central cell only legal for triangles, squares, hexagons
         else:
-            # a float test on the first coefficients drawn for the key; others
-            # could answer differently only within float error of the margin
+            # a float filter on draws: a candidate is a base cell (1-norm <= 160)
+            # plus at most 100 legal steps (1-norm 2), permuted, so to_cartesian
+            # is within 36 * 360 * 2^-52 < 2^-38 of the point, far below 0.05
             ok = math.hypot(*to_cartesian(cand)) <= corner_radius - 0.05
         # one test per orbit: a conflict is decided on the key difference, which
         # each group element g maps to a key difference, so g(cand) meets an

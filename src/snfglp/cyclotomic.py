@@ -393,23 +393,45 @@ def _embed_error(order: int, coeffs: tuple[int, ...]) -> float:
     return (order + 24) * sum(map(abs, coeffs)) * 2.0**-52
 
 
+def _real_sign(order: int, key: tuple[int, ...]) -> int:
+    """The sign (-1, 0 or 1) of the real element of Z[zeta_order] with
+    canonical key `key`: 0 exactly when the key, which is unique, is all
+    zeros; else the float's when it clears `_embed_error`; else that of
+    sum(c_j * cos(2*pi*j/order)) in fixed point at q = 64, 128, ... bits,
+    once it clears its error bound 7q * ||key||_1 units, as it does for some
+    q since the value is not 0.  Every floor is off by under one unit, so
+    pi (Machin's formula) is within 3.8q + 40 units, an angle
+    min(j, order - j) * 2*pi/order <= pi within 3.8q + 41, and its Taylor
+    cosine, at most q terms within 2 each and a tail under 3, within 7q.
+    """
+    if not any(key):
+        return 0
+    value, bound, q = _embed(order, key)[0], _embed_error(order, key), 32
+    while abs(value) <= bound:
+        q *= 2
+        one = 1 << q
+        pi = sum((-1) ** n * w * (one // m ** (2 * n + 1) // (2 * n + 1))  # Machin's formula
+                 for w, m in ((16, 5), (-4, 239)) for n in range(q))
+        value = 0
+        for j, c in enumerate(key):
+            theta, term, cos, n = 2 * min(j, order - j) * pi // order, one, one, 0
+            while term:
+                n += 2
+                term = -term * theta * theta // (one * one * (n - 1) * n)
+                cos += term
+            value += c * cos
+        bound = 7 * q * sum(map(abs, key))
+    return 1 if value > 0 else -1
+
+
 def to_cartesian(a: CycInt) -> tuple[float, float]:
     """Double-precision embedding of a as the point (x, y), cached on a like its key.
 
-    Each coordinate is within `_embed_error` of the exact point, which
-    certifies three float decisions: the near-cell grid (`model._Grid`,
-    for adjacency, validation and growth), whose cut-off `model._NEAR`
-    covers that error for every value that can be built; the slice
-    decider's region (`glp._region`), which counts the error toward
-    inclusion; and the vertex ray of a position in `slices`
-    (`glp._sectors`), whose float angle is within pi/(2k) of the true one
-    beyond 2 * k * `_embed_error` from the origin, so only the nearest ray
-    is tested, exactly.  `model.cells_conflict` decides a vertex step by
-    its indices and embeds any other exact key difference of two cells
-    alone, never two large points.  Not yet certified: a hull gap within
-    the error of a large difference that is no vertex step, the side of a
-    slice or corner position (`glp._sectors`, `model._find_corner`) within
-    the error of the origin, and the growth radius.
+    Each coordinate is within `_embed_error` of the exact point.  Floats
+    decide alone only the near-cell grid (`model._Grid`), whose cut-off
+    covers that error, and the slice decider's region (`glp._region`), which
+    counts it toward inclusion; any other sign of an exact value falls back
+    to `_real_sign` within the bound.
     """
     if a._xy is None:
         object.__setattr__(a, "_xy", _embed(a.order, a.coeffs))

@@ -37,6 +37,7 @@ from .cyclotomic import (
     _embed,
     _embed_error,
     _mapped_key,
+    _real_sign,
     _unit_circle,
     cyc_unit_translates,
 )
@@ -46,7 +47,6 @@ from .model import (
     FractalSpec,
     SpecError,
     _dihedral,
-    _Points,
     _forest,
     _rotation_class,
     _scaled_points,
@@ -426,7 +426,7 @@ class SliceAssignment:
 _Sectors = tuple[list[int | None], list[int | None]]
 
 
-def _sectors(k: int, points: _Points) -> _Sectors:
+def _sectors(k: int, keys: list[tuple[int, ...]]) -> _Sectors:
     """Per cell: its open sector, and the vertex ray it lies on (None for neither).
 
     Sector i covers angles in ((i-1) * 2pi/k, i * 2pi/k]; a cell exactly
@@ -434,34 +434,41 @@ def _sectors(k: int, points: _Points) -> _Sectors:
     that ray is.  The central cell (barycenter at the global barycenter)
     belongs to no sector and lies on no ray.
 
-    A cell's position p is its entry in `points`, the spec's
-    `_scaled_points`.  It lies on ray j when reflection 2j fixes it
-    (exactly) and its float point is on the ray's side.  Beyond 2 * k * `_embed_error` from the origin the float
-    angle of p is certain to within pi/(2k) (see `to_cartesian`), so the
-    nearest ray is the only candidate; closer points try every ray.
+    A cell's position p is its key in `keys`, the spec's `_scaled_points`.
+    Sector i holds p when p is left of ray i-1 and not left of ray i.  The
+    side of ray j, the sign of the cross product of zeta^j and p, is the
+    float's when it clears 3E (see `glp_via_slices`); else 0 when
+    reflection 2j fixes the key; else the sign of the real element
+    -(w - conj(w))(zeta - zeta^-1) = 4 Im(w) sin(2pi/k), w = p * zeta^-j.
+    The walk starts at the sector of the float angle.
     """
-    tau = 2.0 * math.pi
     circle = _unit_circle(k)
     sector: list[int | None] = []
     rays: list[int | None] = []
-    for coeffs, key in zip(*points):
+    for key in keys:
         if not any(key):
             sector.append(None)
             rays.append(None)
             continue
-        x, y = _embed(k, coeffs)
-        theta = math.atan2(y, x) % tau
-        if math.hypot(x, y) > 2 * k * _embed_error(k, coeffs):
-            candidates = [round(theta * k / tau) % k]
-        else:
-            candidates = range(k)
-        ray = None
-        for j in candidates:
-            if _mapped_key(k, key, 2 * j, -1) == key and x * circle[j][0] + y * circle[j][1] > 0:
-                ray = j
+        x, y = _embed(k, key)
+        e = 3 * _embed_error(k, key)
+        i = math.floor(math.atan2(y, x) * k / (2 * math.pi)) + 1
+        side: dict[int, float] = {}
+        while True:
+            for j in {i - 1, i} - side.keys():
+                cos, sin = circle[j % k]
+                side[j] = cos * y - sin * x
+                if abs(side[j]) <= e and _mapped_key(k, key, 2 * j, -1) == key:
+                    side[j] = 0
+                elif abs(side[j]) <= e:
+                    maps = ((-j - 1, 1), (j + 1, -1), (1 - j, 1), (j - 1, -1))
+                    images = [_mapped_key(k, key, *m) for m in maps]
+                    side[j] = _real_sign(k, tuple(a + b - c - d for a, b, c, d in zip(*images)))
+            if side[i - 1] > 0 >= side[i]:
                 break
-        rays.append(ray)
-        sector.append(int(theta * k / tau) + 1 if ray is None else (ray - 1) % k + 1)
+            i += 1 if side[i - 1] > 0 else -1
+        sector.append((i - 1) % k + 1)
+        rays.append(i % k if side[i] == 0 else None)
     return sector, rays
 
 
@@ -584,13 +591,13 @@ def glp_via_slices(spec: FractalSpec) -> Verdict:
         return decide_glp(spec)
     # a region verdict says nothing about nesting outside the region
     _nested_adjacencies(spec)
-    points = _scaled_points(spec)
-    dk = _dihedral(spec, points)
+    keys = _scaled_points(spec)
+    dk = _dihedral(spec, keys)
     if dk.symmetry_witness is not None:
         raise SpecError(
             f"spec fails symmetry {dk.symmetry_witness}; the slice reduction needs D_k invariance"
         )
-    chosen = _region(k, points[1], spec.n)
+    chosen = _region(k, keys, spec.n)
     sub = decide_glp(_subspec(spec, chosen))
     if sub.glp:
         offsets = {chosen[i]: r for i, r in sub.labeling.offsets.items()}

@@ -21,10 +21,14 @@ from typing import NamedTuple
 
 from .cyclotomic import (
     CycInt,
+    _canonical,
     _embed,
+    _embed_error,
     _mapped_key,
     _preset,
+    _real_sign,
     _reduction_rows,
+    _unit_circle,
     cyc_add,
     cyc_is_zero,
     cyc_rotate,
@@ -36,8 +40,6 @@ from .cyclotomic import (
     zero,
     zeta,
 )
-
-HULL_EPS = 1e-6
 
 CATALOG_NAMES = (
     "sierpinski-gasket",
@@ -164,36 +166,47 @@ def shared_vertices(a: Cell, b: Cell) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _support_table(k: int) -> tuple[tuple[float, float, float], ...]:
-    """Per edge i of the unit k-gon: outward normal (nx, ny) and the width w along it.
-
-    The normal is the edge vector v_{i+1} - v_i turned clockwise, so it has
-    the edge's length, not unit length; HULL_EPS is measured in that scale.
+def _facets(k: int) -> tuple[tuple[tuple[float, float], ...], float, tuple[int, ...]]:
+    """The edge normals n_i = zeta^i + zeta^(i+1) of the unit k-gon P as
+    floats, and the width w of P along each, as a float within 50u (u =
+    2^-53) and as the key of 2w = 2 Re((1 - zeta^m) * conj(n_0)), P spanning
+    from vertex 0 to vertex m = (k+1)//2 on n_0.
     """
-    poly = [to_cartesian(zeta(k, j)) for j in range(k)]
-    table = []
-    for i in range(k):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % k]
-        nx, ny = y1 - y0, x0 - x1
-        proj = [nx * x + ny * y for x, y in poly]
-        table.append((nx, ny, max(proj) - min(proj)))
-    return tuple(table)
+    circle = _unit_circle(k)
+    normals = tuple(tuple(map(add, circle[i], circle[(i + 1) % k])) for i in range(k))
+    c, m = circle[1][0], (k + 1) // 2
+    coeffs = [0] * k
+    for j, d in ((0, 2), (1, 1), (-1, 1), (m, -1), (m - 1, -1), (-m, -1), (1 - m, -1)):
+        coeffs[j % k] += d
+    w = 1 + c + (1 + c if k % 2 == 0 else 2 * math.cos(math.pi / k))
+    return normals, w, _canonical(k, tuple(coeffs))
 
 
-def _hulls_overlap(k: int, dx: float, dy: float) -> bool:
-    """Do the open interiors of unit k-gons P and (dx, dy) + P intersect?
+def _hulls_overlap(k: int, delta: tuple[int, ...]) -> bool:
+    """Do the open interiors of unit k-gons P and delta + P intersect?
 
-    They do exactly when the offset lies inside the difference body P - P
-    (2P for even k, a regular 2k-gon for odd k), whose facet normals are
-    the k edge normals of P up to sign.  On normal n the two projections
-    overlap by w - |<delta, n>|, the separating-axis gap of the two
-    polygons; a gap <= HULL_EPS on some normal means separated or merely
-    touching.
+    They do exactly when the key difference delta lies inside P - P (2P
+    for even k, a regular 2k-gon for odd k), whose facet normals are the
+    normals n_i of P (`_facets`) up to sign: when every gap
+    w - |<delta, n_i>| is positive.  The float gap decides when over 4E
+    from 0, E = `_embed_error(k, delta)` >= 54u * ||delta||_1: delta is
+    within E/2 per coordinate, n_i within 57u, w within 50u, rounding under
+    0.2E.  Else the real 2w - s(delta*conj(n_i) + conj(delta)*n_i), s the
+    sign of <delta, n_i>, has the gap's sign.
     """
-    for nx, ny, w in _support_table(k):
-        if w - abs(nx * dx + ny * dy) <= HULL_EPS:
+    normals, w, w2 = _facets(k)
+    dx, dy = _embed(k, delta)
+    e = 4 * _embed_error(k, delta)
+    for i, (nx, ny) in enumerate(normals):
+        dot = nx * dx + ny * dy
+        gap = w - abs(dot)
+        if gap < -e:
             return False
+        if gap <= e:
+            s = 1 if dot > 0 else -1
+            images = [_mapped_key(k, delta, *m) for m in ((-i, 1), (-i - 1, 1), (i, -1), (i + 1, -1))]
+            if _real_sign(k, tuple(c - s * sum(t) for c, *t in zip(w2, *images))) <= 0:
+                return False
     return True
 
 
@@ -229,32 +242,19 @@ def cells_conflict(a: Cell, b: Cell) -> bool:
 def _conflicting(k: int, delta: tuple[int, ...]) -> bool:
     """`cells_conflict` on the exact key difference delta = key(b) - key(a),
     never on two large floats: a vertex step is looked up in
-    `_conflict_steps`, any other delta is embedded alone for the distance
-    and `_hulls_overlap` tests."""
+    `_conflict_steps`, any other delta is decided by `_hulls_overlap`."""
     if delta in _step_table(k):
         return delta in _conflict_steps(k)
-    dx, dy = _embed(k, delta)
-    return dx * dx + dy * dy < 4.0 and _hulls_overlap(k, dx, dy)
+    return _hulls_overlap(k, delta)
 
 
-_Points = tuple[list[tuple[int, ...]], list[tuple[int, ...]]]
-
-
-def _scaled_points(spec: FractalSpec) -> _Points:
-    """n * (barycenter - global barycenter) for every cell, exact and integral,
-    as (coefficient vectors, canonical keys); no CycInt is built.
-
-    The coefficients n*b - sum(b) are Python ints, so they have no range
-    limit.  Reduction is linear, so the keys are n*key(b) - sum(key(b)).
-    """
+def _scaled_points(spec: FractalSpec) -> list[tuple[int, ...]]:
+    """The key of n * (barycenter - global barycenter) for every cell, by
+    linearity n*key(b) - sum(key(b)): Python ints, no range limit, no CycInt."""
     n = spec.n
-    coeffs = [c.barycenter.coeffs for c in spec.cells]
     keys = [c.barycenter.canonical_key() for c in spec.cells]
-    out = []
-    for rows in (coeffs, keys):
-        total = [sum(col) for col in zip(*rows)]
-        out.append([tuple([n * c - t for c, t in zip(row, total)]) for row in rows])
-    return out[0], out[1]
+    total = [sum(col) for col in zip(*keys)]
+    return [tuple([n * c - t for c, t in zip(key, total)]) for key in keys]
 
 
 class Adjacency(NamedTuple):
@@ -476,23 +476,17 @@ def _rotation_class(e: Adjacency, k: int) -> int | None:
 
 
 def _find_corner(
-    spec: FractalSpec,
-    coeffs: list[tuple[int, ...]],
-    keys: list[tuple[int, ...]],
-    mirrored: list[tuple[int, ...]],
+    spec: FractalSpec, keys: list[tuple[int, ...]], mirrored: list[tuple[int, ...]]
 ) -> int | None:
     """Index of the corner cell on the positive real axis, if any.
 
-    `coeffs` and `keys` are the `_scaled_points` of the spec, and
-    `mirrored` holds the keys reflected across the real axis.  A corner
-    cell sits at (L-1) * zeta^0 relative to the global barycenter and its
-    outward vertex is a vertex of no other cell (it is an essential fixed
-    point image).  Corner cells need not be the outermost cells of the
-    configuration.
-
-    The centre is excluded by its key and the side is the float sign of
-    x, which can be wrong only for a real point other than the centre
-    within `_embed_error` of the origin.
+    `keys` are the `_scaled_points` of the spec, and `mirrored` holds them
+    reflected across the real axis.  A corner cell sits at (L-1) * zeta^0
+    relative to the global barycenter and its outward vertex is a vertex
+    of no other cell (it is an essential fixed point image).  Corner cells
+    need not be the outermost cells of the configuration.  The keys that
+    reflection fixes are real, so `_real_sign` decides the side and the
+    outermost candidate exactly.
     """
     k = spec.k
     n = spec.n
@@ -501,18 +495,15 @@ def _find_corner(
     # scaled by n, the tip of cell p is p + n and cell jb shares it when it
     # sits at p + n - n * zeta^jb
     steps = [tuple(n * (a - b) for a, b in zip(rows[0], rows[jb])) for jb in range(1, k)]
-    best: tuple[float, int] | None = None
+    best = None
     for i, key in enumerate(keys):
-        if mirrored[i] != key or not any(key):
-            continue
-        x, _ = _embed(k, coeffs[i])
-        if x <= 0:
+        if mirrored[i] != key or _real_sign(k, key) <= 0:
             continue
         if any(index_of.get(tuple(map(add, key, step)), i) != i for step in steps):
             continue
-        if best is None or x > best[0]:
-            best = (x, i)
-    return best[1] if best else None
+        if best is None or _real_sign(k, tuple(map(sub, key, keys[best]))) > 0:
+            best = i
+    return best
 
 
 def _symmetry_witness(
@@ -545,16 +536,16 @@ class _Dihedral(NamedTuple):
     vertex_at_center: int | None = None
 
 
-def _dihedral(spec: FractalSpec, points: _Points | None = None) -> _Dihedral:
+def _dihedral(spec: FractalSpec, keys: list[tuple[int, ...]] | None = None) -> _Dihedral:
     """The spec's `_Dihedral` record, memoized on the spec like `_near_pairs`.
 
-    It is built from `points`, the spec's `_scaled_points` when the caller
+    It is built from `keys`, the spec's `_scaled_points` when the caller
     has them, else from a pass of its own.  The invariance test and the
     corner search share one reflection per scaled key.
     """
     dk = spec._dk
     if dk is None:
-        coeffs, keys = points or _scaled_points(spec)
+        keys = keys or _scaled_points(spec)
         central = next((i for i, key in enumerate(keys) if not any(key)), None)
         if spec.partial:
             dk = _Dihedral(central)
@@ -563,7 +554,7 @@ def _dihedral(spec: FractalSpec, points: _Points | None = None) -> _Dihedral:
             key_set = set(keys)
             mirrored = [_mapped_key(k, key, 0, -1) for key in keys]
             symmetry = _symmetry_witness(k, key_set, mirrored)
-            corner = _find_corner(spec, coeffs, keys, mirrored)
+            corner = _find_corner(spec, keys, mirrored)
             corner_key = vertex_at_center = None
             if corner is None:
                 uncovered = 0
@@ -676,9 +667,9 @@ def derive_scaling(spec: FractalSpec) -> CycInt:
     """The scaling factor L = 1 + b where b is the positive-real corner barycenter.
 
     The spec is recentred internally; the corner barycenter must be an
-    exact cyclotomic integer after recentring and L must exceed 1.  L is
-    real because the corner search (`_dihedral`) takes only cells that
-    reflection 0 fixes.
+    exact cyclotomic integer after recentring.  L is real and exceeds 1
+    because the corner search (`_dihedral`) takes only cells that
+    reflection 0 fixes, at a position whose exact sign is positive.
     """
     if spec.partial:
         raise ScalingError("scaling factor is defined for non-partial specs only")
@@ -695,10 +686,7 @@ def derive_scaling(spec: FractalSpec) -> CycInt:
     key = tuple(map(add, quot, _reduction_rows(k)[0]))
     quot += [0] * (k - len(quot))
     quot[0] += 1
-    scaling = _preset(k, tuple(quot), key)
-    if to_cartesian(scaling)[0] <= 1.0:
-        raise ScalingError("scaling factor must exceed 1")
-    return scaling
+    return _preset(k, tuple(quot), key)
 
 
 def parse(text: str) -> FractalSpec:

@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 
-from snfglp.cyclotomic import CycInt, IntPolynomial, cyc_add, cyclotomic_polynomial, zero
+from snfglp.cyclotomic import CycInt, IntPolynomial, cyc_add, cyc_sub, cyclotomic_polynomial, zero, zeta
 from snfglp.glp import build_constraint_graph, edge_weight
 from snfglp.model import FractalSpec
 
@@ -33,6 +34,17 @@ def fold(k: int, coeffs, j: int, m: int) -> tuple[int, ...]:
     for d, c in enumerate(cyclotomic_polynomial(k).coeffs):
         row[(d + j) % k] += m * c
     return tuple(row)
+
+
+def small_real(k: int) -> CycInt | None:
+    """A real point of Z[zeta_k] with 0 < |u| <= 1/2: 2 cos(2 pi a / k) minus its
+    nearest integer, for the first a where that is not an integer (None for
+    k = 3, 4, 6, whose real points are all integers)."""
+    for a in range(1, k // 2 + 1):
+        c = 2.0 * math.cos(2.0 * math.pi * a / k)
+        if abs(c - round(c)) > 1e-6:
+            return cyc_sub(cyc_add(zeta(k, a), zeta(k, -a)), zeta(k, 0, round(c)))
+    return None
 
 
 def brute_force_glp(spec: FractalSpec) -> bool:

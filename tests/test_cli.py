@@ -204,6 +204,18 @@ class TestValidate:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "connectivity: ok (1 component)" and out[-1] == "valid: yes"
 
+    def test_near_tangent_pentagons_overlap(self, tmp_path, capsys):
+        # the second cell is base_step(5) - phi^-30 * zeta^2, phi^-1 = zeta + zeta^4:
+        # the hulls overlap, by about 5e-7 along the edge normal of least overlap
+        path = tmp_path / "pentagons.snf"
+        path.write_text(
+            "snf k=5 partial\n"
+            "cell 0 0 0 0 0\n"
+            "cell -214978335 -214146295 -215492563 -214146295 -214978336\n"
+        )
+        assert run(["validate", str(path)]) == 1
+        assert "nesting: FAIL cells (0, 1)" in capsys.readouterr().out.splitlines()
+
     def test_unparseable(self, tmp_path):
         path = tmp_path / "garbage.snf"
         path.write_text("snf k=2\ncell 1 0\n")

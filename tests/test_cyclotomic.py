@@ -13,14 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import remainder_key
+from conftest import fold, remainder_key, small_real
 from snfglp.cyclotomic import (
     COEFF_LIMIT,
     CoefficientOverflow,
     CycInt,
     _canonical,
+    _cyclic_product,
     _embed,
     _embed_error,
+    _real_sign,
     IntPolynomial,
     OrderMismatch,
     cyc_add,
@@ -306,6 +308,72 @@ class TestEmbedError:
 
     def test_zero_vector_is_exact(self):
         assert _embed_error(12, (0,) * 12) == 0.0 and _embed(12, (0,) * 12) == (0.0, 0.0)
+
+
+def power_key(k: int, base: tuple[int, ...], e: int, cap: int = 2**40) -> tuple[int, ...]:
+    """The key of base^e, or of the highest lower power whose key stays
+    within +-cap, multiplied in Python ints and reduced at each step."""
+    out = (1,) + (0,) * (k - 1)
+    for _ in range(e):
+        key = _canonical(k, _cyclic_product(out, base))
+        if max(map(abs, key)) > cap:
+            break
+        out = key + (0,) * (k - len(key))
+    return _canonical(k, out)
+
+
+def sign50(k: int, key: tuple[int, ...]) -> int:
+    """Reference sign of the real element with key `key`, from its value at
+    50 digits, which the test elements clear by more than 10^-35."""
+    with mpmath.workdps(50):
+        x = mpmath.fsum(c * mpmath.cospi(mpmath.mpf(2 * j) / k) for j, c in enumerate(key))
+        assert not any(key) or abs(x) > mpmath.mpf(10) ** -35
+        return int(mpmath.sign(x))
+
+
+@st.composite
+def real_elements(draw):
+    """(k, key) of a real element of Z[zeta_k], 5 <= k <= 36: zero, given
+    as a folded multiple of Phi_k; a small sum of the reals zeta^a +
+    zeta^-a; or +- a power with coefficients within 2^40 of a real near 0,
+    small_real(k) or, when 5 | k, the unit phi^-1 = zeta^(k/5) + zeta^(-k/5)
+    of the pentagon reproducer, whose high powers lie within the float
+    error of 0."""
+    k = draw(st.integers(5, 36).filter(lambda k: k != 6))
+    kind = draw(st.sampled_from(["zero", "small", "power"]))
+    if kind == "zero":
+        coeffs = fold(k, (0,) * k, draw(st.integers(0, k - 1)), draw(st.integers(-(2**40), 2**40)))
+        return k, _canonical(k, coeffs)
+    if kind == "small":
+        coeffs = [0] * k
+        for a in range(k // 2 + 1):
+            b = draw(st.integers(-3, 3))
+            coeffs[a] += b
+            coeffs[-a % k] += b
+        return k, _canonical(k, tuple(coeffs))
+    bases = [small_real(k).coeffs]
+    if k % 5 == 0:
+        bases.append(cyc_add(zeta(k, k // 5), zeta(k, -(k // 5))).coeffs)
+    key = power_key(k, draw(st.sampled_from(bases)), draw(st.integers(0, 60)))
+    return k, tuple(draw(st.sampled_from((1, -1))) * c for c in key)
+
+
+class TestRealSign:
+    @given(real_elements())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_50_digit_reference(self, case):
+        k, key = case
+        assert _real_sign(k, key) == sign50(k, key)
+
+    @pytest.mark.parametrize("k", [k for k in range(5, 37) if k != 6])
+    def test_decides_below_the_float_error(self, k):
+        # the highest power of small_real(k) within 2^40 is too near 0 for its
+        # float value, so the fixed-point sum decides its sign
+        key = power_key(k, small_real(k).coeffs, 200)
+        assert abs(_embed(k, key)[0]) <= _embed_error(k, key)
+        for s in (1, -1):
+            signed = tuple(s * c for c in key)
+            assert _real_sign(k, signed) == sign50(k, signed) != 0
 
 
 def fresh_key(a: CycInt) -> tuple[int, ...]:

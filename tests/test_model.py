@@ -8,8 +8,8 @@ import random
 import sys
 import threading
 from functools import cache
-from operator import sub
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,6 +22,7 @@ from snfglp.cyclotomic import (
     CycInt,
     CoefficientOverflow,
     _canonical,
+    _cyclic_product,
     _embed,
     _embed_error,
     _mapped_key,
@@ -52,7 +53,6 @@ from snfglp.glp import (
 )
 from snfglp.model import (
     CATALOG_NAMES,
-    HULL_EPS,
     Cell,
     ParseError,
     FractalSpec,
@@ -62,11 +62,11 @@ from snfglp.model import (
     _Grid,
     _conflict_steps,
     _conflicting,
+    _facets,
     _hulls_overlap,
     _overlap_at_vertex,
     _scaled_points,
     _step_table,
-    _support_table,
     _vertex_ids,
     catalog,
     cells_conflict,
@@ -120,24 +120,33 @@ def hulls_overlap_oracle(a: Cell, b: Cell) -> bool:
 
 
 def vertex_sat_overlap(a: Cell, b: Cell) -> bool:
-    """Reference: separating-axis test on the two cells' float vertex polygons.
+    """Reference: separating-axis test on the two cells' vertex polygons at 50 digits.
 
     Projects both polygons on each edge normal of the first one (the same
     k normals, since both are translates of one k-gon); a projection gap
-    <= HULL_EPS on some axis means separated or merely touching.
+    on some axis that is at most 0, up to a 10^-40 rounding allowance at
+    50 digits, means separated or merely touching.
     """
     k = a.barycenter.order
-    pa = [to_cartesian(v) for v in vertices(a)]
-    pb = [to_cartesian(v) for v in vertices(b)]
-    for i in range(k):
-        x0, y0 = pa[i]
-        x1, y1 = pa[(i + 1) % k]
-        nx, ny = y1 - y0, x0 - x1
-        proj_a = [nx * x + ny * y for x, y in pa]
-        proj_b = [nx * x + ny * y for x, y in pb]
-        gap = min(max(proj_a), max(proj_b)) - max(min(proj_a), min(proj_b))
-        if gap <= HULL_EPS:
-            return False
+    with mpmath.workdps(50):
+        circle = [(mpmath.cospi(mpmath.mpf(2 * j) / k), mpmath.sinpi(mpmath.mpf(2 * j) / k))
+                  for j in range(k)]
+
+        def polygon(c: Cell):
+            bx = mpmath.fsum(x * cos for x, (cos, _) in zip(c.barycenter.coeffs, circle))
+            by = mpmath.fsum(x * sin for x, (_, sin) in zip(c.barycenter.coeffs, circle))
+            return [(bx + cos, by + sin) for cos, sin in circle]
+
+        pa, pb = polygon(a), polygon(b)
+        for i in range(k):
+            x0, y0 = pa[i]
+            x1, y1 = pa[(i + 1) % k]
+            nx, ny = y1 - y0, x0 - x1
+            proj_a = [nx * x + ny * y for x, y in pa]
+            proj_b = [nx * x + ny * y for x, y in pb]
+            gap = min(max(proj_a), max(proj_b)) - max(min(proj_a), min(proj_b))
+            if gap <= mpmath.mpf(10) ** -40:
+                return False
     return True
 
 
@@ -225,14 +234,11 @@ def difference_shared(a: Cell, b: Cell) -> list[tuple[int, int]]:
 
 
 def difference_conflict(a: Cell, b: Cell) -> bool:
-    """Reference: `cells_conflict` with its shared-vertex rule on the built b - a."""
+    """Reference: `cells_conflict` with its shared-vertex rule on the built
+    b - a, and the hull test in place of the one-vertex rule."""
     if len(difference_shared(a, b)) >= 2:
         return True
-    ax, ay = to_cartesian(a.barycenter)
-    bx, by = to_cartesian(b.barycenter)
-    if (ax - bx) ** 2 + (ay - by) ** 2 >= 4.0:
-        return False
-    return _hulls_overlap(a.barycenter.order, bx - ax, by - ay)
+    return _hulls_overlap(a.barycenter.order, cyc_sub(b.barycenter, a.barycenter).canonical_key())
 
 
 @st.composite
@@ -336,15 +342,36 @@ class TestExactConflicts:
 
     @pytest.mark.parametrize("k", range(3, 37))
     def test_one_vertex_steps_are_far_from_the_cut(self, k):
-        # the index rule `_overlap_at_vertex` agrees with the float hull test
-        # on every offset zeta^ja - zeta^jb, whose hulls touch (gap 0) or
-        # clearly overlap, so float rounding cannot flip that test either
+        # the index rule `_overlap_at_vertex` agrees with the exact hull test
+        # on every offset zeta^ja - zeta^jb, whose hulls touch (float gap 0,
+        # decided by the exact gap) or clearly overlap
         circle = _unit_circle(k)
+        normals, w, _ = _facets(k)
         for ja, jb in itertools.product(range(k), repeat=2):
             dx, dy = circle[ja][0] - circle[jb][0], circle[ja][1] - circle[jb][1]
-            gap = min(w - abs(nx * dx + ny * dy) for nx, ny, w in _support_table(k))
+            gap = min(w - abs(nx * dx + ny * dy) for nx, ny in normals)
             assert abs(gap) < 1e-12 or gap > 1e-3
-            assert _overlap_at_vertex(k, ja, jb) == (gap > 1e-3) == _hulls_overlap(k, dx, dy)
+            step = cyc_sub(zeta(k, ja), zeta(k, jb)).canonical_key()
+            assert _overlap_at_vertex(k, ja, jb) == (gap > 1e-3) == _hulls_overlap(k, step)
+
+    @pytest.mark.parametrize("n", [30, 36, 44])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_near_tangent_pentagons(self, n, sign):
+        # base_step(5) + sign * phi^-n * zeta^2, phi^-1 = zeta + zeta^4: the
+        # pentagon sharing a vertex with the one at 0, pushed by about phi^-n
+        # into it (sign -1) or off it; from n = 36 the float gaps are within
+        # their error bound of 0, and the exact gap decides
+        k = 5
+        w = zeta(k, 2).coeffs
+        for _ in range(n):
+            w = _canonical(k, _cyclic_product(w, (0, 1, 0, 0, 1))) + (0,)
+        a, b = cell(k, (0,) * k), cell(k, [s + sign * c for s, c in zip((0, 0, 1, 0, -1), w)], 1)
+        assert cells_conflict(a, b) == (sign < 0) == vertex_sat_overlap(a, b)
+        normals, width, _ = _facets(k)
+        delta = b.barycenter.canonical_key()
+        dx, dy = _embed(k, delta)
+        gap = min(abs(width - abs(nx * dx + ny * dy)) for nx, ny in normals)
+        assert (gap <= 4 * _embed_error(k, delta)) == (n > 30)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -443,10 +470,11 @@ class TestScaling:
 
     def test_central_cell_is_no_corner(self):
         # a ring with no cell on the positive real axis, around a central
-        # cell 1 - zeta + zeta^2 = 0 whose scaled position embeds at x > 0
+        # cell 1 - zeta + zeta^2 = 0 whose coefficients embed at x > 0 and
+        # whose scaled key is zero
         ring = [tuple(2 * ((i - j) % 6 in (0, 1)) for i in range(6)) for j in range(6)]
         spec = make_spec(6, ring + [(1, -1, 1, 0, 0, 0)])
-        assert _embed(6, _scaled_points(spec)[0][6])[0] > 0
+        assert _embed(6, (1, -1, 1, 0, 0, 0))[0] > 0 and not any(_scaled_points(spec)[6])
         report = validate(spec)
         assert (report.corner_ok, report.corner_witness) == (False, 0)
         with pytest.raises(ScalingError, match="no corner cell"):
@@ -496,6 +524,16 @@ class TestValidate:
         report = validate(spec)
         assert not report.nesting_ok
         assert report.nesting_witness == (0, 1)
+
+    def test_near_tangent_overlap_reported(self):
+        # base_step(5) - phi^-30 * zeta^2, phi^-1 = zeta + zeta^4: the hulls
+        # overlap, by about 5e-7 along the edge normal of least overlap
+        spec = parse(
+            "snf k=5 partial\ncell 0 0 0 0 0\n"
+            "cell -214978335 -214146295 -215492563 -214146295 -214978336\n"
+        )
+        assert validate(spec).nesting_witness == (0, 1)
+        assert "nesting: FAIL cells (0, 1)" in validate(spec).lines()
 
     def test_disconnected_counted(self):
         spec = make_spec(6, [(0,) * 6, (9, 0, 0, 0, 0, 0)], partial=True)
@@ -1005,11 +1043,10 @@ def _old_step_table(k):
 
 def _old_conflict_steps(k):
     """Reference: one hull test per index pair (ja, jb)."""
-    circle = _unit_circle(k)
     return frozenset(
         step
         for step, ((ja, jb), *more) in _old_step_table(k).items()
-        if more or _hulls_overlap(k, *map(sub, circle[ja], circle[jb]))
+        if more or _hulls_overlap(k, cyc_sub(zeta(k, ja), zeta(k, jb)).canonical_key())
     )
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fold, remainder_key
+from conftest import fold, remainder_key, small_real
 from snfglp import glp
 from snfglp.construct import expand, generate_counterexample, generate_glp_example, random_valid_spec
 from snfglp.glp import (
@@ -23,7 +23,6 @@ from snfglp.glp import (
 )
 from snfglp.model import CATALOG_NAMES, SpecError, catalog, make_spec, validate
 from snfglp.cyclotomic import (
-    _embed,
     cyc_add,
     cyc_div_int,
     cyc_mul,
@@ -234,12 +233,14 @@ def kscan_sectors(spec):
     Positions are n * b - sum(b) in Python ints, reduced afresh by long
     division (`remainder_key`); a point is on the line of ray j when its
     reflection across that line, permuted on the coefficients and reduced
-    again, has the same key, and on the ray when its float point has a
-    positive component along zeta^j.
+    again, has the same key, and on the ray when its point at 50 digits
+    has a positive component along zeta^j.  Any other point's sector is
+    read off its angle at 50 digits.
     """
     k, n = spec.k, spec.n
     rows = [c.barycenter.coeffs for c in spec.cells]
     total = [sum(col) for col in zip(*rows)]
+    circle = circle50(k)
     sector, rays = [], []
     for row in rows:
         coeffs = tuple(n * c - t for c, t in zip(row, total))
@@ -248,33 +249,22 @@ def kscan_sectors(spec):
             sector.append(None)
             rays.append(None)
             continue
-        x, y = _embed(k, coeffs)
-        ray = None
-        for j in range(k):
-            mirrored = tuple(coeffs[(2 * j - i) % k] for i in range(k))
-            if remainder_key(k, mirrored) == key:
-                ang = 2.0 * math.pi * j / k
-                if x * math.cos(ang) + y * math.sin(ang) > 0:
+        with mpmath.workdps(50):
+            x = mpmath.fsum(c * cos for c, (cos, _) in zip(coeffs, circle))
+            y = mpmath.fsum(c * sin for c, (_, sin) in zip(coeffs, circle))
+            ray = None
+            for j, (cos, sin) in enumerate(circle):
+                mirrored = tuple(coeffs[(2 * j - i) % k] for i in range(k))
+                if remainder_key(k, mirrored) == key and x * cos + y * sin > 0:
                     ray = j
                     break
-        rays.append(ray)
-        if ray is not None:
-            sector.append((ray - 1) % k + 1)
-        else:
-            theta = math.atan2(y, x) % (2.0 * math.pi)
-            sector.append(int(theta * k / (2.0 * math.pi)) + 1)
+            rays.append(ray)
+            if ray is not None:
+                sector.append((ray - 1) % k + 1)
+            else:
+                theta = mpmath.atan2(y, x) % (2 * mpmath.pi)
+                sector.append(int(theta * k / (2 * mpmath.pi)) + 1)
     return sector, rays
-
-
-def small_real(k):
-    """A real point of Z[zeta_k] with 0 < |u| <= 1/2: 2 cos(2 pi a / k) minus its
-    nearest integer, for the first a where that is not an integer (None for
-    k = 3, 4, 6, whose real points are all integers)."""
-    for a in range(1, k // 2 + 1):
-        c = 2.0 * math.cos(2.0 * math.pi * a / k)
-        if abs(c - round(c)) > 1e-6:
-            return cyc_sub(cyc_add(zeta(k, a), zeta(k, -a)), zeta(k, 0, round(c)))
-    return None
 
 
 def tiny_on_ray(k, j):
@@ -369,17 +359,18 @@ class TestSectorsReference:
         ]
         if isinstance(via, str) and isinstance(general, str):  # both routes decide
             assert via.split("\n", 1)[0] == general.split("\n", 1)[0]
-        # one reflection test per cell whose float angle is certain; the two
-        # tiny cells are not, and test rays 0, 1, ... until one holds them
-        placed = sum(s is not None for s in sector)
-        if variant == "plain":
-            assert len(tests) == placed
-        elif variant == "tiny":
-            scanned = sum(spec.k if r is None else r + 1 for r in rays[-2:])
-            assert len(tests) == placed - 2 + scanned
+        # one reflection test per on-ray cell whose float side is certain on
+        # every other ray, none for the other cells; the two tiny cells are
+        # within float error of every ray and are not counted
+        keys = glp._scaled_points(spec)
+        tiny = set(keys[-2:]) if variant == "tiny" else set()
+        on_ray = sum(r is not None for r, key in zip(rays, keys) if key not in tiny)
+        assert sum(t[1] not in tiny for t in tests) == on_ray
 
     def test_far_points_certain(self):
-        # the hexagon's cells sit on the rays, 6 * 2 from the centre
+        # one reflection test per cell on a ray: the hexagon's six cells sit
+        # on the rays, 6 * 2 from the centre; the k = 8 ring has its eight
+        # corners on the rays and its eight mids off them
         tests = []
         mapped_key = glp._mapped_key
 
@@ -389,7 +380,21 @@ class TestSectorsReference:
 
         with mock.patch.object(glp, "_mapped_key", counting):
             assert slices(catalog("sierpinski-hexagon")).sector == (6, 1, 2, 3, 4, 5)
-        assert len(tests) == 6
+            assert len(tests) == 6
+            slices(generate_glp_example(8))
+        assert len(tests) == 6 + 8 and all(args[3] == -1 for args in tests)
+
+    def test_tiny_cells_get_exact_sectors(self):
+        # the k = 15 ring plus the cells +-w, w = tiny_on_ray(15, 0), about
+        # 1e-8 from the centre and far inside the float error of their
+        # coefficients: w lies on ray 0, in sector 15, and -w at angle pi,
+        # in sector 8, on no ray since k is odd
+        w = tiny_on_ray(15, 0)
+        ring = [c.barycenter for c in generate_glp_example(15).cells]
+        spec = make_spec(15, ring + [w, cyc_scale(w, -1)])
+        assert slices(spec).sector[-2:] == (15, 8)
+        closed = closed_slices(spec)
+        assert [[m + 1 for m, s in enumerate(closed) if i in s] for i in (15, 16)] == [[1, 15], [8]]
 
     def test_tiny_point_is_tiny(self):
         w = tiny_on_ray(8, 3)
