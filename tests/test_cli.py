@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import io
 import os
+import random
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -14,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import snfglp
-from snfglp.cli import _build_parser, run
+from snfglp import cli
+from snfglp.cli import SPEC_CACHE_CELLS, _build_parser, _load, _SpecCache, run
 from snfglp.construct import generate_counterexample, generate_glp_example, random_valid_spec
 from snfglp.cyclotomic import cyclotomic_polynomial
 from snfglp.glp import classify_k
@@ -90,6 +93,15 @@ class TestDecide:
 
     def test_missing_file(self, capsys):
         assert run(["decide", "/no/such/file.snf"]) == 2
+
+    def test_undecodable_file(self, tmp_path, capsys):
+        path = tmp_path / "utf16.snf"
+        path.write_bytes(b"\xff\xfes\x00n\x00f\x00")
+        assert run(["decide", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+        assert captured.err.count("\n") == 1
 
     def test_slices_k6_lone_central_cell(self, tmp_path, capsys):
         path = tmp_path / "center.snf"
@@ -179,6 +191,169 @@ class TestOneParserPerProcess:
         assert run(["decide", "/no/such/file.snf"]) == 2
         missing = capsys.readouterr()
         assert missing.out == "" and missing.err.startswith("error: cannot read /no/such/file.snf")
+
+
+def _cells_text(n: int, tag: str = "") -> str:
+    """A partial k = 3 spec of n cells on the real axis; the comment makes texts differ."""
+    return f"# {tag}\nsnf k=3 partial\n" + "".join(f"cell {i} 0 0\n" for i in range(n))
+
+
+class TestSpecCache:
+    """`_load` parses each text once per process; what it hands out must be
+    what a fresh parse gives, whatever ran before."""
+
+    FILES = {
+        "hexagon": serialize(catalog("sierpinski-hexagon")),
+        "snowflake": serialize(catalog("lindstrom-snowflake")),
+        "gasket-shift": (
+            "snf k=3\n"
+            "cell 1073741825 1073741824 1073741824\n"
+            "cell 1073741824 1073741825 1073741824\n"
+            "cell 1073741824 1073741824 1073741825\n"
+        ),
+        "asymmetric-k6": ASYMMETRIC["k6"][0],
+        "pentagons": "snf k=5 partial\ncell 0 0 0 0 0\ncell -214978335 -214146295 -215492563 -214146295 -214978336\n",
+    }
+
+    @staticmethod
+    def _commands(path, svg):
+        commands = [["decide", path, "--method", m] for m in ("general", "even", "odd", "slices")]
+        return commands + [
+            ["validate", path],
+            ["label", path, "--svg", svg],
+            ["slices", path],
+            ["slices", path, "--closed"],
+            ["slices", path, "--index", "1", "--closed"],
+            ["expand", path, "--level", "2"],
+        ]
+
+    def test_cache_changes_no_output(self, tmp_path):
+        svg = tmp_path / "out.svg"
+        requests = []
+        for name, text in self.FILES.items():
+            path = tmp_path / f"{name}.snf"
+            path.write_text(text)
+            requests += self._commands(str(path), str(svg))
+
+        def result(argv):
+            if svg.exists():
+                svg.unlink()
+            return (*run_captured(argv), svg.read_bytes() if svg.exists() else None)
+
+        fresh = []
+        for argv in requests:
+            cli._SPECS.clear()
+            fresh.append(result(argv))
+        assert {code for code, *_ in fresh} == {0, 1, 2}
+        assert ["decide", str(tmp_path / "asymmetric-k6.snf"), "--method", "slices"] in [
+            argv for argv, (code, *_) in zip(requests, fresh) if code == 2
+        ]
+        cli._SPECS.clear()
+        assert [result(argv) for argv in requests] == fresh
+        assert [result(argv) for argv in reversed(requests)] == fresh[::-1]
+
+    def test_rewritten_file_is_parsed_again(self, tmp_path, capsys):
+        path = tmp_path / "ring.snf"
+        path.write_text(self.FILES["hexagon"])
+        assert run(["validate", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "valid: yes"
+        path.write_text("\n".join(self.FILES["hexagon"].splitlines()[:-1]) + "\n")
+        assert run(["validate", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "valid: no"
+        path.write_text(self.FILES["snowflake"])
+        assert run(["decide", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == "NOGLP"
+
+    def test_one_parse_per_text(self, tmp_path, monkeypatch):
+        # wrapped at the module attribute, as the benchmark's tracer wraps it
+        calls = []
+        original = snfglp.model.parse
+
+        def counting(text):
+            calls.append(text)
+            return original(text)
+
+        monkeypatch.setattr(snfglp.model, "parse", counting)
+        cli._SPECS.clear()
+        first, second = tmp_path / "a.snf", tmp_path / "b.snf"
+        first.write_text(self.FILES["snowflake"])
+        second.write_text(self.FILES["snowflake"])
+        spec = _load(str(first))
+        assert _load(str(second)) is spec and _load(str(first)) is spec
+        assert calls == [self.FILES["snowflake"]]
+        assert run(["decide", str(second)]) == 1
+        assert len(calls) == 1
+
+    def test_direct_parse_is_fresh(self):
+        text = self.FILES["hexagon"]
+        assert parse(text) is not parse(text)
+
+    def test_parse_errors_are_not_held(self, tmp_path):
+        cli._SPECS.clear()
+        path = tmp_path / "garbage.snf"
+        path.write_text("snf k=2\ncell 1 0\n")
+        with pytest.raises(snfglp.model.ParseError):
+            _load(str(path))
+        assert cli._SPECS.cells == 0 and not cli._SPECS._specs
+
+    def test_cells_within_budget(self):
+        cache = _SpecCache(20)
+        rng = random.Random(7)
+        for t in range(200):
+            spec = cache.load(_cells_text(rng.randint(1, 12), str(t)))
+            held = list(cache._specs.values())
+            assert cache.cells == sum(s.n for s in held) <= cache.budget
+            assert held[-1] is spec
+
+    def test_least_recently_used_is_evicted(self):
+        cache = _SpecCache(10)
+        a, b, c = (_cells_text(4, tag) for tag in "abc")
+        spec_a = cache.load(a)
+        cache.load(b)
+        assert cache.load(a) is spec_a  # now b is the least recently used
+        cache.load(c)
+        assert list(cache._specs) == [a, c] and cache.cells == 8
+        assert cache.load(a) is spec_a
+
+    def test_spec_over_budget_is_not_held(self, tmp_path):
+        cli._SPECS.clear()
+        held = tmp_path / "small.snf"
+        held.write_text(_cells_text(3, "small"))
+        small = _load(str(held))
+        path = tmp_path / "large.snf"
+        path.write_text(_cells_text(SPEC_CACHE_CELLS + 1))
+        large = _load(str(path))
+        assert large.n == SPEC_CACHE_CELLS + 1
+        assert _load(str(path)) is not large
+        assert cli._SPECS.cells == 3 and _load(str(held)) is small
+
+    def test_threads_share_one_spec(self, tmp_path):
+        # more threads than cores and a short switch interval, so misses race
+        cli._SPECS.clear()
+        path = tmp_path / "ring.snf"
+        path.write_text(serialize(generate_glp_example(36)))
+        n_threads = (os.cpu_count() or 1) + 3
+        barrier = threading.Barrier(n_threads)
+        seen: list = [None] * n_threads
+
+        def work(slot: int) -> None:
+            barrier.wait(timeout=30)
+            seen[slot] = _load(str(path))
+
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(s is seen[0] for s in seen)
+        assert {serialize(s) for s in seen} == {path.read_text()}
+        assert cli._SPECS.cells == seen[0].n <= SPEC_CACHE_CELLS
 
 
 class TestValidate:
@@ -405,9 +580,9 @@ def run_captured(argv):
 
 class TestRunContract:
     """Every accepted input gets an exit code of the contract from every
-    subcommand that reads it, never an exception; exit 2 prints only an
-    error line; and the decide methods that answer (exit 0 or 1) print
-    the same verdict line."""
+    subcommand that reads it, never an exception, and the same result when
+    run again; exit 2 prints only an error line; and the decide methods
+    that answer (exit 0 or 1) print the same verdict line."""
 
     @given(text=accepted_inputs())
     @settings(max_examples=200, deadline=None)
@@ -424,6 +599,7 @@ class TestRunContract:
         verdicts = set()
         for argv in commands:
             code, out, err = run_captured(argv)
+            assert run_captured(argv) == (code, out, err), argv  # the second run reads the held spec
             assert code in (0, 1, 2), argv
             if code == 2:
                 assert err.startswith("error:"), argv
