@@ -52,40 +52,49 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="check the configuration axioms")
     p.add_argument("file")
+    p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("decide", help="decide the good labeling property")
     p.add_argument("file")
     p.add_argument("--method", choices=["general", "even", "odd", "slices"], default="general")
+    p.set_defaults(handler=_cmd_decide)
 
     p = sub.add_parser("label", help="decide and render a labeled figure")
     p.add_argument("file")
     p.add_argument("--svg", required=True, metavar="OUT")
+    p.set_defaults(handler=_cmd_label)
 
     p = sub.add_parser("slices", help="print slice assignment or extract a subspec")
     p.add_argument("file")
     p.add_argument("--closed", action="store_true")
     p.add_argument("--index", type=int, default=None, metavar="I")
+    p.set_defaults(handler=_cmd_slices)
 
     p = sub.add_parser("expand", help="substitute the configuration into itself")
     p.add_argument("file")
     p.add_argument("--level", type=int, required=True, metavar="M")
+    p.set_defaults(handler=_cmd_expand)
 
     p = sub.add_parser("generate", help="emit a generated configuration")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kind", choices=["glp", "noglp"], required=True)
     p.add_argument("--out", default=None, metavar="F")
+    p.set_defaults(handler=_cmd_generate)
 
     p = sub.add_parser("catalog", help="emit a named reference configuration")
     p.add_argument("--name", required=True, choices=list(model.CATALOG_NAMES))
+    p.set_defaults(handler=_cmd_catalog)
 
     p = sub.add_parser("random", help="emit a seeded random configuration")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--cells", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--symmetrize", action="store_true")
+    p.set_defaults(handler=_cmd_random)
 
     p = sub.add_parser("classify", help="fast classification of k")
     p.add_argument("--k", type=int, required=True)
+    p.set_defaults(handler=_cmd_classify)
 
     return parser
 
@@ -252,19 +261,6 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "decide": _cmd_decide,
-    "label": _cmd_label,
-    "slices": _cmd_slices,
-    "expand": _cmd_expand,
-    "generate": _cmd_generate,
-    "catalog": _cmd_catalog,
-    "random": _cmd_random,
-    "classify": _cmd_classify,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     """Parse argv, execute one subcommand, and return the exit status."""
     parser = _build_parser()
@@ -274,9 +270,8 @@ def run(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
-    except (model.SpecError, model.ScalingError, construct.GenerationError,
-            glp.DisconnectedSpec, glp.LabelingError, ValueError) as exc:
+        return args.handler(args)
+    except ValueError as exc:  # every error type of the library subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

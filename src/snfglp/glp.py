@@ -399,11 +399,32 @@ class KClassification:
         return f"AlwaysGLP({self.reason})" if self.always_glp else "Conditional"
 
 
+# The prime bases of the primality test, and psi_13 (OEIS A014233): the
+# least composite that is a strong probable prime to all of them.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def _strong_probable_prime(k: int, a: int) -> bool:
+    """k passes the strong probable-prime test to base a: with k - 1 = d * 2^s,
+    d odd, a^d = 1 or a^(d * 2^r) = -1 mod k for some r < s."""
+    s = ((k - 1) & (1 - k)).bit_length() - 1
+    x = pow(a, (k - 1) >> s, k)
+    return x == 1 or any(pow(x, 1 << r, k) == k - 1 for r in range(s))
+
+
 def classify_k(k: int) -> KClassification:
-    """Fast classification: prime or power-of-two k always has GLP."""
+    """Fast classification: prime or power-of-two k always has GLP.
+
+    k <= 41 is prime when it is one of `_PRIME_BASES`; a larger k when it
+    is a strong probable prime to each of them, which is exact below
+    `_PSI_13`.  k at or above it raises ValueError.
+    """
     if k < 3:
         raise ValueError("k must be >= 3")
-    if k >= 2 and all(k % p for p in range(2, int(math.isqrt(k)) + 1)):
+    if k >= _PSI_13:
+        raise ValueError(f"k must be below {_PSI_13} (psi_13) to be classified")
+    if k in _PRIME_BASES or k > 41 and all(_strong_probable_prime(k, a) for a in _PRIME_BASES):
         return KClassification(True, "prime")
     if k & (k - 1) == 0:
         return KClassification(True, "power_of_two")
@@ -423,10 +444,7 @@ class SliceAssignment:
         return [idx for idx, s in enumerate(self.sector) if s is None]
 
 
-_Sectors = tuple[list[int | None], list[int | None]]
-
-
-def _sectors(k: int, keys: list[tuple[int, ...]]) -> _Sectors:
+def _sectors(k: int, keys: list[tuple[int, ...]]) -> tuple[list[int | None], list[int | None]]:
     """Per cell: its open sector, and the vertex ray it lies on (None for neither).
 
     Sector i covers angles in ((i-1) * 2pi/k, i * 2pi/k]; a cell exactly
@@ -477,24 +495,21 @@ def slices(spec: FractalSpec) -> SliceAssignment:
     return SliceAssignment(spec.k, tuple(_sectors(spec.k, _scaled_points(spec))[0]))
 
 
-def _closed_members(k: int, sectors: _Sectors) -> list[frozenset[int]]:
+def closed_slices(spec: FractalSpec) -> list[frozenset[int]]:
+    """Cell sets of the closed slices; on-axis cells belong to both neighbors.
+
+    Entry i-1 holds closed slice i: open sector i (`slices`) and the cells
+    on its clockwise ray.  The central cell is in no closed slice.
+    """
+    k = spec.k
     members: list[set[int]] = [set() for _ in range(k)]
-    for idx, (s, ray) in enumerate(zip(*sectors)):
+    for idx, (s, ray) in enumerate(zip(*_sectors(k, _scaled_points(spec)))):
         if s is None:
             continue
         members[s - 1].add(idx)
         if ray is not None:
             members[ray % k].add(idx)  # right edge of the next sector's closure
     return [frozenset(m) for m in members]
-
-
-def closed_slices(spec: FractalSpec) -> list[frozenset[int]]:
-    """Cell sets of the closed slices; on-axis cells belong to both neighbors.
-
-    Entry i-1 holds closed slice i.  The central cell is in no closed
-    slice.
-    """
-    return _closed_members(spec.k, _sectors(spec.k, _scaled_points(spec)))
 
 
 def _slice_ids(k: int, ids) -> list[int]:
@@ -516,14 +531,12 @@ def _subspec(spec: FractalSpec, chosen: tuple[int, ...]) -> FractalSpec:
 
 def slice_subspec(spec: FractalSpec, ids, closed: bool = False) -> FractalSpec:
     """Partial spec of the chosen (closed) slices, cells in original order."""
-    k = spec.k
-    ids = _slice_ids(k, ids)
-    sectors = _sectors(k, _scaled_points(spec))
+    ids = _slice_ids(spec.k, ids)
     if closed:
-        sets = _closed_members(k, sectors)
+        sets = closed_slices(spec)
         chosen = set().union(*(sets[i - 1] for i in ids))
     else:
-        chosen = {idx for idx, s in enumerate(sectors[0]) if s in ids}
+        chosen = {idx for idx, s in enumerate(slices(spec).sector) if s in ids}
     if not chosen:
         raise ValueError("selected slices contain no cells")
     return _subspec(spec, tuple(sorted(chosen)))
@@ -612,8 +625,9 @@ def _labels_by_id(spec: FractalSpec, labeling: Labeling) -> list[int | None]:
     A decider's or `make_labeling`'s labels on this spec are that list
     already.  Any other labeling is read through canonical keys: a CycInt
     equals a vertex of order k exactly when it has order k and the
-    vertex's key, so entries of another order are dropped, and labels on
-    another spec (a slice subspec's) are keyed by their own vertices.
+    vertex's key, so entries of another order are dropped.  Labels on
+    another spec of order k (the slice route's region) are read by key
+    without iterating them, which builds no vertex value (see `Labeling`).
     """
     labels = labeling.labels
     if isinstance(labels, _VertexLabels) and labels._spec is spec:

@@ -430,14 +430,14 @@ def _forest(
     """Breadth-first spanning forest as (component, parent, parent_edge, depth).
 
     Each component is rooted at its lowest-index cell; parent and
-    parent_edge (an index into edges) are -1 at the roots.
+    parent_edge (an index into edges) are -1 at the roots.  Precondition:
+    edges are distinct pairs a < b in ascending (a, b) order (as from
+    `_near_pairs`), so neighbours are listed and visited in ascending order.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for idx, e in enumerate(edges):
         adj[e.a].append((e.b, idx))
         adj[e.b].append((e.a, idx))
-    for lst in adj:
-        lst.sort()
     component = [-1] * n
     parent = [-1] * n
     parent_edge = [-1] * n

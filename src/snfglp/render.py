@@ -155,9 +155,10 @@ def render_svg(
         'width="%.6f" height="%.6f" viewBox="0 0 %.6f %.6f">' % (width, height, width, height)
     ))
 
-    highlight = set(opt.highlight_cycle or ())
-    if not highlight and verdict is not None and not verdict.glp and verdict.witness:
-        highlight = set(verdict.witness)
+    cycle = opt.highlight_cycle or (
+        verdict.witness if verdict is not None and not verdict.glp else None
+    )
+    highlight = set(cycle or ())
 
     classes = verdict.classes if (opt.show_classes and verdict is not None) else None
 
@@ -186,14 +187,10 @@ def render_svg(
         bx, by = bx / spec.n, by / spec.n
         reach = max(math.hypot(x - bx, y - by) for x, y in zip(xs, ys)) + opt.margin
         x1, y1 = (bx - xmin) * scale, (ymax - by) * scale
-        for j in range(k):
-            ang = 2.0 * math.pi * j / k
-            ex, ey = bx + reach * math.cos(ang), by + reach * math.sin(ang)
+        for cos, sin in _unit_circle(k):
+            ex, ey = bx + reach * cos, by + reach * sin
             _put(out, _RAY % (x1, y1, (ex - xmin) * scale, (ymax - ey) * scale))
 
-    cycle = opt.highlight_cycle or (
-        verdict.witness if verdict is not None and not verdict.glp else None
-    )
     if cycle:
         row = []
         for i in (*cycle, cycle[0]):

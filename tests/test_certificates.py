@@ -1,0 +1,146 @@
+"""Audit of every decider's certificate with code that shares nothing with them.
+
+Each vertex b + zeta^j is keyed by long division by Phi_k
+(`conftest.remainder_key`), not by `_canonical`, and vertices are matched in a
+plain dict: no grid, no step table, no near-pair record.  So a missed or extra
+adjacency in the library shows here as a labeling that gives one point two
+labels, or as a witness whose cells do not share a vertex or whose weights sum
+to zero.
+
+* GLP: each point gets one label, the labeling's mapping counts the same
+  points, and each cell's labels are a rotation of 0..k-1.  The slice route
+  labels its region only, so it is checked on the cells it gives offsets.
+* NOGLP: the witness is a closed walk of distinct cells, consecutive cells
+  share exactly one vertex, and the sum of ja - jb around it is nonzero mod k.
+"""
+from __future__ import annotations
+
+from functools import cache
+
+import pytest
+
+from conftest import fold, remainder_key
+from snfglp.construct import expand, generate_counterexample, generate_glp_example
+from snfglp.cyclotomic import from_coeffs
+from snfglp.glp import (
+    Labeling,
+    Verdict,
+    build_constraint_graph,
+    classify_k,
+    decide_glp,
+    decide_glp_even,
+    decide_glp_odd,
+    fundamental_cycles,
+    glp_via_slices,
+)
+from snfglp.model import CATALOG_NAMES, catalog, make_spec
+
+
+def _shifted(spec):
+    """The same points with cell i's coefficients moved by a multiple of
+    zeta^(i mod k) * Phi_k (zero) of up to 2^29."""
+    rows = [fold(spec.k, c.barycenter.coeffs, c.index % spec.k, (-1) ** c.index * (2**29 - c.index))
+            for c in spec.cells]
+    return make_spec(spec.k, rows, spec.partial)
+
+
+def _corpus():
+    composite = [k for k in range(3, 37) if not classify_k(k).always_glp]
+    out = [(f"catalog-{name}", lambda name=name: catalog(name)) for name in CATALOG_NAMES]
+    out += [(f"ring-{k}", lambda k=k: generate_glp_example(k)) for k in range(3, 37)]
+    out += [(f"counterexample-{k}", lambda k=k: generate_counterexample(k)) for k in composite]
+    out += [(f"level2-{k}", lambda k=k: expand(generate_glp_example(k), 2)) for k in range(6, 13)]
+    out += [(f"shifted-ring-{k}", lambda k=k: _shifted(generate_glp_example(k))) for k in range(3, 13)]
+    out += [(f"shifted-counterexample-{k}", lambda k=k: _shifted(generate_counterexample(k)))
+            for k in composite if k <= 15]
+    return out
+
+
+CORPUS = _corpus()
+
+
+@cache
+def _spec(name):
+    return dict(CORPUS)[name]()
+
+
+@cache
+def _keys(name):
+    """Per cell, the long-division key of each vertex b + zeta^j."""
+    spec = _spec(name)
+    out = []
+    for cell in spec.cells:
+        b = cell.barycenter.coeffs
+        out.append([remainder_key(spec.k, b[:j] + (b[j] + 1,) + b[j + 1:]) for j in range(spec.k)])
+    return out
+
+
+def audit(spec, keys, verdict, whole=True):
+    """Assert that `verdict` carries a valid certificate for `spec`."""
+    k = spec.k
+    if verdict.glp:
+        offsets = verdict.labeling.offsets
+        if whole:
+            assert sorted(offsets) == list(range(spec.n)), "labeling misses cells"
+        assert offsets and set(offsets) <= set(range(spec.n))
+        label_of = {}
+        for i, r in offsets.items():
+            for j, key in enumerate(keys[i]):
+                lab = (j + r) % k
+                assert label_of.setdefault(key, lab) == lab, f"a vertex of cell {i} gets two labels"
+        labels = verdict.labeling.labels
+        assert len(labels) == len(label_of), "the labeling's points are not the labeled cells' points"
+        for i in offsets:
+            b = spec.cells[i].barycenter.coeffs
+            row = [labels[from_coeffs(k, b[:j] + (b[j] + 1,) + b[j + 1:])] for j in range(k)]
+            assert row == [label_of[key] for key in keys[i]]
+            assert {(lab - j) % k for j, lab in enumerate(row)} == {row[0]}, f"cell {i} is no rotation"
+        return
+    walk = verdict.witness
+    assert len(walk) >= 3 and len(set(walk)) == len(walk), "witness is no cycle of distinct cells"
+    assert set(walk) <= set(range(spec.n))
+    total = 0
+    for a, b in zip(walk, walk[1:] + walk[:1]):
+        index_b = {key: jb for jb, key in enumerate(keys[b])}
+        shared = [(ja, index_b[key]) for ja, key in enumerate(keys[a]) if key in index_b]
+        assert len(shared) == 1, f"cells {a} and {b} share {len(shared)} vertices"
+        total += shared[0][0] - shared[0][1]
+    assert total % k != 0, "witness cycle has weight 0"
+
+
+def _deciders(spec):
+    """The deciders that apply to `spec`, by name."""
+    out = [("general", decide_glp, True)]
+    out.append(("even", decide_glp_even, True) if spec.k % 2 == 0 else ("odd", decide_glp_odd, True))
+    if not spec.partial:
+        out.append(("slices", glp_via_slices, spec.k < 6))
+    return out
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CORPUS])
+def test_every_decider_certificate(name):
+    spec = _spec(name)
+    keys = _keys(name)
+    verdicts = {}
+    for method, decider, whole in _deciders(spec):
+        verdict = decider(spec)
+        audit(spec, keys, verdict, whole)
+        verdicts[method] = verdict.glp
+    assert len(set(verdicts.values())) == 1, verdicts
+
+
+def test_audit_rejects_bad_certificates():
+    """The audit itself: a shifted offset, a zero-weight cycle and a walk
+    through cells that share no vertex all fail it."""
+    spec, keys = _spec("ring-12"), _keys("ring-12")
+    offsets = dict(decide_glp(spec).labeling.offsets)
+    offsets[1] = (offsets[1] + 1) % spec.k
+    with pytest.raises(AssertionError, match="two labels"):
+        audit(spec, keys, Verdict(glp=True, labeling=Labeling(spec.k, offsets, {})))
+    cycle = fundamental_cycles(build_constraint_graph(spec))[0]
+    with pytest.raises(AssertionError, match="weight 0"):
+        audit(spec, keys, Verdict(glp=False, witness=cycle))
+    spec, keys = _spec("counterexample-15"), _keys("counterexample-15")
+    witness = decide_glp(spec).witness
+    with pytest.raises(AssertionError, match="share 0 vertices"):
+        audit(spec, keys, Verdict(glp=False, witness=witness[::2] + witness[1::2]))

@@ -620,3 +620,14 @@ class TestRunContract:
             if code in (0, 1):
                 verdicts[method] = (code, out.split("\n", 1)[0])
         assert "general" in verdicts and len(set(verdicts.values())) == 1, verdicts
+
+
+class TestClassifyLargeK:
+    def test_large_prime(self, capsys):
+        assert run(["classify", "--k", "10000000000000061"]) == 0
+        assert capsys.readouterr().out.strip() == "AlwaysGLP(prime)"
+
+    def test_at_psi_13_exits_invalid(self, capsys):
+        assert run(["classify", "--k", "3317044064679887385961981"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "3317044064679887385961981" in err

@@ -1,16 +1,18 @@
 """Constraint graph construction and the GLP deciders."""
 from __future__ import annotations
 
+import math
 import os
 import sys
 import threading
+from collections import deque
 from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_glp
+from conftest import brute_force_glp, fold
 from test_invariance import moved_specs
 from snfglp.cyclotomic import (
     CycInt,
@@ -39,8 +41,8 @@ from snfglp.glp import (
     _subspec,
     make_labeling,
 )
-from snfglp.construct import generate_counterexample, generate_glp_example, random_valid_spec
-from snfglp.model import CATALOG_NAMES, SpecError, catalog, make_spec, validate, vertices
+from snfglp.construct import expand, generate_counterexample, generate_glp_example, random_valid_spec
+from snfglp.model import CATALOG_NAMES, SpecError, catalog, find_adjacencies, make_spec, validate, vertices
 
 
 def two_cell_path(k: int):
@@ -734,3 +736,88 @@ class TestDeciderEquivalence:
                     total += w
                     c_minus_d += 1 if (-w) % k == plus else -1
                 assert total % k == (-plus * c_minus_d) % k
+
+
+def _sorted_forest(n, edges):
+    """The spanning forest as built before `_forest` relied on edge order:
+    each adjacency list sorted explicitly."""
+    adj = [[] for _ in range(n)]
+    for idx, e in enumerate(edges):
+        adj[e.a].append((e.b, idx))
+        adj[e.b].append((e.a, idx))
+    for lst in adj:
+        lst.sort()
+    parent, parent_edge, depth = [-1] * n, [-1] * n, [0] * n
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v, idx in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    parent[v], parent_edge[v], depth[v] = u, idx, depth[u] + 1
+                    queue.append(v)
+    return tuple(parent), tuple(parent_edge), tuple(depth)
+
+
+def _forest_corpus():
+    specs = [catalog(name) for name in CATALOG_NAMES]
+    for k in range(3, 13):
+        for symmetrize in (False, True):
+            specs += [random_valid_spec(k, cells, seed, symmetrize) for cells, seed in ((12, k), (40, 7 * k))]
+    specs += [expand(generate_glp_example(k), 2) for k in range(6, 13)]
+    for k in range(3, 13):
+        ring = generate_glp_example(k)
+        specs.append(make_spec(k, [fold(k, c.barycenter.coeffs, c.index % k, 2**29 - c.index)
+                                   for c in ring.cells]))
+    return specs
+
+
+class TestForestEdgeOrder:
+    """`_forest` visits neighbours in ascending order without sorting them,
+    which holds because the edges come in ascending (a, b) order."""
+
+    def test_edges_come_in_pair_order(self):
+        for spec in _forest_corpus():
+            pairs = [(e.a, e.b) for e in find_adjacencies(spec)[0]]
+            assert all(a < b for a, b in pairs)
+            assert pairs == sorted(set(pairs))
+
+    def test_forest_matches_sorted_reference(self):
+        for spec in _forest_corpus():
+            graph = build_constraint_graph(spec)
+            got = (graph.parent, graph.parent_edge, graph.depth)
+            assert got == _sorted_forest(spec.n, list(graph.edges))
+
+
+# psi_13 (OEIS A014233): the least composite that is a strong probable prime
+# to every prime base up to 41
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+class TestClassifyLargeK:
+    def test_agrees_with_trial_division(self):
+        for k in range(3, 20_000):
+            prime = all(k % p for p in range(2, math.isqrt(k) + 1))
+            reason = "prime" if prime else "power_of_two" if k & (k - 1) == 0 else None
+            got = classify_k(k)
+            assert (got.always_glp, got.reason) == (reason is not None, reason), k
+
+    def test_mersenne_prime(self):
+        assert str(classify_k(2**61 - 1)) == "AlwaysGLP(prime)"
+
+    @pytest.mark.parametrize("k", [561, 1105, 1729, 41041, 3_825_123_056_546_413_051])
+    def test_pseudoprimes_are_conditional(self, k):
+        assert str(classify_k(k)) == "Conditional"
+
+    @pytest.mark.parametrize("k", [PSI_13, PSI_13 + 2, 2**100])
+    def test_at_or_above_psi_13_raises(self, k):
+        with pytest.raises(ValueError, match=str(PSI_13)):
+            classify_k(k)
+
+    def test_below_psi_13_is_classified(self):
+        assert str(classify_k(PSI_13 - 1)) == "Conditional"  # even, no power of two

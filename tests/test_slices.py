@@ -484,3 +484,24 @@ class TestRegion:
         bound = 2**30 - max(map(abs, (c for row in rows for c in row)))
         shifted = make_spec(k, [fold(k, row, rng.randrange(k), rng.randint(-bound, bound)) for row in rows])
         assert self.region_and_verdict(shifted) == (region, verdict)
+
+
+class TestSliceLabelsAtCoefficientLimit:
+    @pytest.mark.parametrize("k", [6, 9, 12])
+    def test_slice_labels_check_on_a_slice_at_the_limit(self, k):
+        # 1 + zeta^t + zeta^2t = 0 for t = k/3: each cell gains m there, so the
+        # points are the ring's and a coefficient is 2^31; a vertex value would
+        # have a coefficient 2^31 + 1, so the labels are read by key, not iterated
+        t, limit = k // 3, 2**31
+        rows = []
+        for cell in generate_glp_example(k).cells:
+            b = list(cell.barycenter.coeffs)
+            m = limit - max(b[0], b[t], b[2 * t])
+            for j in (0, t, 2 * t):
+                b[j] += m
+            rows.append(b)
+        spec = make_spec(k, rows)
+        verdict = glp_via_slices(spec)
+        assert verdict.glp
+        sub = slice_subspec(spec, [1] if k % 2 == 0 else [1, 2])
+        assert glp.check_labeling(sub, verdict.labeling)
