@@ -149,8 +149,8 @@ def _load(path: str) -> model.FractalSpec:
     unreadable or undecodable file raises `ParseError` naming the path.
     Specs that parse are held in `_SPECS`, `SPEC_CACHE_CELLS` in all.
     After the decide, validate, slices and label commands, text, spec and
-    memos retain 0.76 KB per cell on the k = 12 example ring and 1.25 KB
-    on the k = 36 one (0.87 and 1.36 KB with coefficients near 2^30;
+    memos retain 0.85 KB per cell on the k = 12 example ring and 1.29 KB
+    on the k = 36 one (0.95 and 1.40 KB with coefficients near 2^30;
     tracemalloc).  Only a caller that makes several `run` calls on one
     text gains; a one-shot process pays one lookup.
     """

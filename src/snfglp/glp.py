@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import cached_property
 
 from .cyclotomic import (
     CycInt,
@@ -44,14 +43,18 @@ from .cyclotomic import (
 from .model import (
     Adjacency,
     Cell,
+    ConstraintGraph,
     FractalSpec,
     SpecError,
+    _constraint_graph,
     _dihedral,
-    _forest,
+    _memo,
+    _near_pairs,
     _rotation_class,
     _scaled_points,
     _vertex_ids,
     _vertex_key_stream,
+    edge_weight,
     find_adjacencies,
 )
 
@@ -65,40 +68,6 @@ class LabelingError(ValueError):
 
 
 @dataclass(frozen=True)
-class ConstraintGraph:
-    k: int
-    n: int
-    edges: tuple[Adjacency, ...]
-    nontree: tuple[Adjacency, ...]
-    component: tuple[int, ...]
-    parent: tuple[int, ...]        # -1 at component roots
-    parent_edge: tuple[int, ...]   # index into edges, -1 at roots
-    depth: tuple[int, ...]
-
-    @property
-    def component_count(self) -> int:
-        return max(self.component) + 1
-
-    @cached_property
-    def _weights(self) -> dict[tuple[int, int], int]:
-        """Weight of every edge in both directions, built on first use."""
-        out: dict[tuple[int, int], int] = {}
-        for e in self.edges:
-            w = edge_weight(e, self.k)
-            out[(e.a, e.b)] = w
-            out[(e.b, e.a)] = -w % self.k
-        return out
-
-    def weight(self, u: int, v: int) -> int:
-        """Constraint weight for traversing u -> v: r_v = r_u + weight mod k;
-        KeyError when u and v share no edge."""
-        w = self._weights.get((u, v))
-        if w is None:
-            raise KeyError(f"no edge between {u} and {v}")
-        return w
-
-
-@dataclass(frozen=True)
 class Labeling:
     """Per-cell offsets and the vertex labels they induce.
 
@@ -107,7 +76,8 @@ class Labeling:
     id of its spec, a list of small ints: lookups build no vertex value,
     and iterating it builds the vertex values, so on a spec with a
     coefficient of +-2^31 iteration raises CoefficientOverflow (ROADMAP
-    item 3).
+    item 3).  The slice route's labeling (`glp_via_slices`, k >= 6) covers
+    only its region's cells: its labels are the region subspec's.
     """
 
     k: int
@@ -210,41 +180,23 @@ class Verdict:
         return "\n".join(lines) + "\n"
 
 
-def edge_weight(e: Adjacency, k: int) -> int:
-    """Weight for the stored direction a -> b."""
-    return (e.ja - e.jb) % k
-
-
-def _nested_adjacencies(spec: FractalSpec) -> list[Adjacency]:
-    """`find_adjacencies`, raising SpecError for a pair sharing >= 2 vertices."""
-    edges, violation = find_adjacencies(spec)
+def _require_nested(violation: tuple[int, int] | None) -> None:
+    """Raise SpecError for a pair of cells sharing >= 2 vertices."""
     if violation is not None:
         raise SpecError(f"cells {violation} violate nesting (share >= 2 vertices)")
-    return edges
 
 
 def build_constraint_graph(spec: FractalSpec) -> ConstraintGraph:
     """Adjacency graph with Z_k weights, spanning forest, and fundamental edges.
 
     Deterministic: edges sorted by (a, b), forest grown breadth-first
-    from the lowest-index cell of each component.  Pairs sharing two or
-    more vertices are rejected here; hull overlaps without shared
-    vertices are validate's concern.
+    from the lowest-index cell of each component.  The graph is the
+    spec's memoized record (`model._forest`), shared by every caller.
+    Pairs sharing two or more vertices are rejected here, on every call;
+    hull overlaps without shared vertices are validate's concern.
     """
-    edges = _nested_adjacencies(spec)
-    component, parent, parent_edge, depth = _forest(spec.n, edges)
-    tree_idx = set(parent_edge)
-    nontree = tuple(e for i, e in enumerate(edges) if i not in tree_idx)
-    return ConstraintGraph(
-        k=spec.k,
-        n=spec.n,
-        edges=tuple(edges),
-        nontree=nontree,
-        component=tuple(component),
-        parent=tuple(parent),
-        parent_edge=tuple(parent_edge),
-        depth=tuple(depth),
-    )
+    _require_nested(find_adjacencies(spec)[1])
+    return _constraint_graph(spec)
 
 
 def _tree_cycle(graph: ConstraintGraph, u: int, v: int) -> tuple[int, ...]:
@@ -313,7 +265,7 @@ def _forest_sums(
     _require_connected(spec, graph)
     steps = [edge_map(e) for e in graph.edges]
     sums = [0] * graph.n
-    for v in sorted(range(graph.n), key=graph.depth.__getitem__):
+    for v in graph.order:
         u = graph.parent[v]
         if u != -1:
             idx = graph.parent_edge[v]
@@ -444,15 +396,16 @@ class SliceAssignment:
         return [idx for idx, s in enumerate(self.sector) if s is None]
 
 
-def _sectors(k: int, keys: list[tuple[int, ...]]) -> tuple[list[int | None], list[int | None]]:
-    """Per cell: its open sector, and the vertex ray it lies on (None for neither).
+def _sectors(spec: FractalSpec) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
+    """Per cell: its open sector, and the vertex ray it lies on (None for
+    neither); memoized on the spec as `_sect`.
 
     Sector i covers angles in ((i-1) * 2pi/k, i * 2pi/k]; a cell exactly
     on a vertex ray belongs to the sector whose counter-clockwise edge
     that ray is.  The central cell (barycenter at the global barycenter)
     belongs to no sector and lies on no ray.
 
-    A cell's position p is its key in `keys`, the spec's `_scaled_points`.
+    A cell's position p is its key in the spec's `_scaled_points`.
     Sector i holds p when p is left of ray i-1 and not left of ray i.  The
     side of ray j, the sign of the cross product of zeta^j and p, is the
     float's when it clears 3E (see `glp_via_slices`); else 0 when
@@ -460,10 +413,11 @@ def _sectors(k: int, keys: list[tuple[int, ...]]) -> tuple[list[int | None], lis
     -(w - conj(w))(zeta - zeta^-1) = 4 Im(w) sin(2pi/k), w = p * zeta^-j.
     The walk starts at the sector of the float angle.
     """
+    k = spec.k
     circle = _unit_circle(k)
     sector: list[int | None] = []
     rays: list[int | None] = []
-    for key in keys:
+    for key in _scaled_points(spec):
         if not any(key):
             sector.append(None)
             rays.append(None)
@@ -487,23 +441,24 @@ def _sectors(k: int, keys: list[tuple[int, ...]]) -> tuple[list[int | None], lis
             i += 1 if side[i - 1] > 0 else -1
         sector.append((i - 1) % k + 1)
         rays.append(i % k if side[i] == 0 else None)
-    return sector, rays
+    return tuple(sector), tuple(rays)
 
 
 def slices(spec: FractalSpec) -> SliceAssignment:
     """Assign each cell to the angular sector holding its barycenter (see `_sectors`)."""
-    return SliceAssignment(spec.k, tuple(_sectors(spec.k, _scaled_points(spec))[0]))
+    return SliceAssignment(spec.k, _memo(spec, "_sect", _sectors)[0])
 
 
 def closed_slices(spec: FractalSpec) -> list[frozenset[int]]:
     """Cell sets of the closed slices; on-axis cells belong to both neighbors.
 
     Entry i-1 holds closed slice i: open sector i (`slices`) and the cells
-    on its clockwise ray.  The central cell is in no closed slice.
+    on its clockwise ray.  The central cell is in no closed slice.  The
+    list is new on every call.
     """
     k = spec.k
     members: list[set[int]] = [set() for _ in range(k)]
-    for idx, (s, ray) in enumerate(zip(*_sectors(k, _scaled_points(spec)))):
+    for idx, (s, ray) in enumerate(zip(*_memo(spec, "_sect", _sectors))):
         if s is None:
             continue
         members[s - 1].add(idx)
@@ -558,6 +513,19 @@ def _region(k: int, keys: list[tuple[int, ...]], n: int) -> tuple[int, ...]:
     return tuple(chosen)
 
 
+def _slice_region(spec: FractalSpec) -> tuple[tuple[int, ...], FractalSpec]:
+    """The `_region` cells of a D_k-invariant spec and their subspec,
+    memoized on the spec as `_reg`; SpecError if the spec is not invariant."""
+    keys = _scaled_points(spec)
+    dk = _dihedral(spec, keys)
+    if dk.symmetry_witness is not None:
+        raise SpecError(
+            f"spec fails symmetry {dk.symmetry_witness}; the slice reduction needs D_k invariance"
+        )
+    chosen = _region(spec.k, keys, spec.n)
+    return chosen, _subspec(spec, chosen)
+
+
 def glp_via_slices(spec: FractalSpec) -> Verdict:
     """Decide GLP on the cells near one wedge instead of the whole configuration.
 
@@ -595,7 +563,14 @@ def glp_via_slices(spec: FractalSpec) -> Verdict:
 
     For k >= 6 a spec that is not D_k-invariant (`validate`'s `_dihedral`
     verdict) or has cells sharing two or more vertices raises SpecError
-    before the region is read; `decide_glp` decides it.
+    before the region is read; `decide_glp` decides it.  The region and its
+    subspec are kept on the spec, so a later call decides the same subspec,
+    whose own records hold its graph.
+
+    For k >= 6 a GLP labeling labels the region's cells only: its offsets
+    are keyed by their indices in the spec, and its labels are those of the
+    region subspec.  `check_labeling` accepts it on that subspec and raises
+    LabelingError on the whole spec, whose other cells it leaves unlabeled.
     """
     if spec.partial:
         raise ValueError("glp_via_slices requires a non-partial spec")
@@ -603,15 +578,9 @@ def glp_via_slices(spec: FractalSpec) -> Verdict:
     if k in (3, 4, 5):
         return decide_glp(spec)
     # a region verdict says nothing about nesting outside the region
-    _nested_adjacencies(spec)
-    keys = _scaled_points(spec)
-    dk = _dihedral(spec, keys)
-    if dk.symmetry_witness is not None:
-        raise SpecError(
-            f"spec fails symmetry {dk.symmetry_witness}; the slice reduction needs D_k invariance"
-        )
-    chosen = _region(k, keys, spec.n)
-    sub = decide_glp(_subspec(spec, chosen))
+    _require_nested(_near_pairs(spec).violation)
+    chosen, region = _memo(spec, "_reg", _slice_region)
+    sub = decide_glp(region)
     if sub.glp:
         offsets = {chosen[i]: r for i, r in sub.labeling.offsets.items()}
         return Verdict(glp=True, labeling=Labeling(k, offsets, sub.labeling.labels))

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import add, sub
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 from .cyclotomic import (
     CycInt,
@@ -72,13 +71,16 @@ class Cell:
 class FractalSpec:
     """A configuration; immutable.
 
-    Three private memos are filled on first use: `_near`, the near-pair
+    Six private records are filled on first use: `_near`, the near-pair
     record (`_near_pairs`); `_vids`, the vertex ids of every cell with their
-    count (`_vertex_ids`), read off that record without a vertex key; and
-    `_dk`, the dihedral record (`_dihedral`:
-    central cell, symmetry witness, corner key, corner coverage, vertex at
-    the centre), which keeps no per-cell data.  Each is written at most
-    once with equal values, so a spec can be shared across threads.
+    count (`_vertex_ids`), read off that record without a vertex key; `_dk`,
+    the dihedral record (`_dihedral`: central cell, symmetry witness, corner
+    key, corner coverage, vertex at the centre), which keeps no per-cell
+    data; `_graph`, the constraint graph with its spanning forest
+    (`_constraint_graph`); and in `glp`, `_sect`, each cell's sector and ray
+    (`_sectors`), and `_reg`, the slice route's region cells and their
+    subspec.  Each is stored by `_memo`, at most once with equal values, so
+    a spec can be shared across threads.
     """
 
     k: int
@@ -87,6 +89,9 @@ class FractalSpec:
     _near: _NearPairs | None = field(default=None, init=False, repr=False, compare=False)
     _vids: tuple[array, int] | None = field(default=None, init=False, repr=False, compare=False)
     _dk: _Dihedral | None = field(default=None, init=False, repr=False, compare=False)
+    _graph: ConstraintGraph | None = field(default=None, init=False, repr=False, compare=False)
+    _sect: tuple[tuple, tuple] | None = field(default=None, init=False, repr=False, compare=False)
+    _reg: tuple[tuple, FractalSpec] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k < 3:
@@ -329,6 +334,20 @@ class _NearPairs(NamedTuple):
         return self.multi[0][:2] if self.multi else None
 
 
+_T = TypeVar("_T")
+
+
+def _memo(spec: FractalSpec, name: str, build: Callable[[FractalSpec], _T]) -> _T:
+    """The spec's record `name` (see `FractalSpec`), `build(spec)` on first
+    use.  Every record is stored here, with one `object.__setattr__`, so a
+    thread reads it whole or not at all; a record is never half-built."""
+    value = getattr(spec, name)
+    if value is None:
+        value = build(spec)
+        object.__setattr__(spec, name, value)
+    return value
+
+
 def _near_pairs(spec: FractalSpec) -> _NearPairs:
     """The spec's `_NearPairs` from one pass over `_close_pairs(spec)`,
     memoized on the spec.
@@ -340,8 +359,7 @@ def _near_pairs(spec: FractalSpec) -> _NearPairs:
     vertex, which `_vertex_ids` numbers the vertices from, and a pair that
     is no vertex step is embedded by `_first_conflict` alone.
     """
-    near = spec._near
-    if near is None:
+    def build(spec: FractalSpec) -> _NearPairs:
         table = _step_table(spec.k)
         keys = [c.barycenter.canonical_key() for c in spec.cells]
         edges: list[Adjacency] = []
@@ -356,9 +374,9 @@ def _near_pairs(spec: FractalSpec) -> _NearPairs:
                 edges.append(Adjacency(i, j, *pairs[0]))
             else:
                 multi += [Adjacency(i, j, ja, jb) for ja, jb in pairs]
-        near = _NearPairs(tuple(edges), tuple(multi), tuple(others))
-        object.__setattr__(spec, "_near", near)
-    return near
+        return _NearPairs(tuple(edges), tuple(multi), tuple(others))
+
+    return _memo(spec, "_near", build)
 
 
 def _vertex_ids(spec: FractalSpec) -> tuple[array, int]:
@@ -373,8 +391,7 @@ def _vertex_ids(spec: FractalSpec) -> tuple[array, int]:
     first seen: a vertex is new where its id equals the number of distinct
     vertices seen before it.
     """
-    vids = spec._vids
-    if vids is None:
+    def build(spec: FractalSpec) -> tuple[array, int]:
         k = spec.k
         near = _near_pairs(spec)
         ids = array("l", range(spec.n * k))  # the least slot linked to each slot
@@ -390,9 +407,9 @@ def _vertex_ids(spec: FractalSpec) -> tuple[array, int]:
                 count += 1
             else:
                 ids[s] = ids[t]  # t < s holds its id already
-        vids = (ids, count)
-        object.__setattr__(spec, "_vids", vids)
-    return vids
+        return ids, count
+
+    return _memo(spec, "_vids", build)
 
 
 def _first_conflict(spec: FractalSpec) -> tuple[int, int] | None:
@@ -424,16 +441,55 @@ def find_adjacencies(spec: FractalSpec) -> tuple[list[Adjacency], tuple[int, int
     return list(near.edges), near.violation
 
 
-def _forest(
-    n: int, edges: list[Adjacency]
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Breadth-first spanning forest as (component, parent, parent_edge, depth).
+def edge_weight(e: Adjacency, k: int) -> int:
+    """Weight for the stored direction a -> b."""
+    return (e.ja - e.jb) % k
 
-    Each component is rooted at its lowest-index cell; parent and
-    parent_edge (an index into edges) are -1 at the roots.  Precondition:
-    edges are distinct pairs a < b in ascending (a, b) order (as from
-    `_near_pairs`), so neighbours are listed and visited in ascending order.
+
+@dataclass(frozen=True)
+class ConstraintGraph:
+    k: int
+    n: int
+    edges: tuple[Adjacency, ...]
+    nontree: tuple[Adjacency, ...]
+    component: tuple[int, ...]
+    parent: tuple[int, ...]        # -1 at component roots
+    parent_edge: tuple[int, ...]   # index into edges, -1 at roots
+    depth: tuple[int, ...]
+    order: tuple[int, ...]         # cells in visit order, each after its parent
+
+    @property
+    def component_count(self) -> int:
+        return max(self.component) + 1
+
+    @cached_property
+    def _weights(self) -> dict[tuple[int, int], int]:
+        """Weight of every edge in both directions, built on first use."""
+        out: dict[tuple[int, int], int] = {}
+        for e in self.edges:
+            w = edge_weight(e, self.k)
+            out[(e.a, e.b)] = w
+            out[(e.b, e.a)] = -w % self.k
+        return out
+
+    def weight(self, u: int, v: int) -> int:
+        """Constraint weight for traversing u -> v: r_v = r_u + weight mod k;
+        KeyError when u and v share no edge."""
+        w = self._weights.get((u, v))
+        if w is None:
+            raise KeyError(f"no edge between {u} and {v}")
+        return w
+
+
+def _forest(spec: FractalSpec) -> ConstraintGraph:
+    """The graph of the spec's `_near_pairs` edges, whatever its nesting
+    verdict, with a breadth-first spanning forest and its non-tree edges.
+
+    Each component is rooted at its lowest-index cell.  The edges are
+    distinct pairs a < b in ascending (a, b) order, so neighbours are
+    listed and visited in ascending order.
     """
+    n, edges = spec.n, _near_pairs(spec).edges
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for idx, e in enumerate(edges):
         adj[e.a].append((e.b, idx))
@@ -442,23 +498,35 @@ def _forest(
     parent = [-1] * n
     parent_edge = [-1] * n
     depth = [0] * n
+    order: list[int] = []  # the queue: cells are visited as they are taken
     comp = 0
     for root in range(n):
         if component[root] != -1:
             continue
         component[root] = comp
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            u = order[head]
+            head += 1
             for v, idx in adj[u]:
                 if component[v] == -1:
                     component[v] = comp
                     parent[v] = u
                     parent_edge[v] = idx
                     depth[v] = depth[u] + 1
-                    queue.append(v)
+                    order.append(v)
         comp += 1
-    return component, parent, parent_edge, depth
+    tree = set(parent_edge)
+    nontree = tuple(e for i, e in enumerate(edges) if i not in tree)
+    return ConstraintGraph(
+        spec.k, n, edges, nontree, *map(tuple, (component, parent, parent_edge, depth, order))
+    )
+
+
+def _constraint_graph(spec: FractalSpec) -> ConstraintGraph:
+    """The spec's `_forest` record, memoized on the spec."""
+    return _memo(spec, "_graph", _forest)
 
 
 def _rotation_class(e: Adjacency, k: int) -> int | None:
@@ -543,34 +611,32 @@ def _dihedral(spec: FractalSpec, keys: list[tuple[int, ...]] | None = None) -> _
     has them, else from a pass of its own.  The invariance test and the
     corner search share one reflection per scaled key.
     """
-    dk = spec._dk
-    if dk is None:
-        keys = keys or _scaled_points(spec)
-        central = next((i for i, key in enumerate(keys) if not any(key)), None)
+    def build(spec: FractalSpec) -> _Dihedral:
+        points = keys or _scaled_points(spec)
+        central = next((i for i, key in enumerate(points) if not any(key)), None)
         if spec.partial:
-            dk = _Dihedral(central)
+            return _Dihedral(central)
+        k = spec.k
+        key_set = set(points)
+        mirrored = [_mapped_key(k, key, 0, -1) for key in points]
+        symmetry = _symmetry_witness(k, key_set, mirrored)
+        corner = _find_corner(spec, points, mirrored)
+        corner_key = vertex_at_center = None
+        if corner is None:
+            uncovered = 0
         else:
-            k = spec.k
-            key_set = set(keys)
-            mirrored = [_mapped_key(k, key, 0, -1) for key in keys]
-            symmetry = _symmetry_witness(k, key_set, mirrored)
-            corner = _find_corner(spec, keys, mirrored)
-            corner_key = vertex_at_center = None
-            if corner is None:
-                uncovered = 0
-            else:
-                corner_key = keys[corner]
-                uncovered = next(
-                    (j for j in range(1, k) if _mapped_key(k, corner_key, j, 1) not in key_set),
-                    None,
-                )
-            if k > 3:
-                # p + n * zeta^j = 0 exactly when key(p) = -n * row_j
-                at_center = {tuple(-spec.n * r for r in row) for row in _reduction_rows(k)}
-                vertex_at_center = next((i for i, p in enumerate(keys) if p in at_center), None)
-            dk = _Dihedral(central, symmetry, corner_key, uncovered, vertex_at_center)
-        object.__setattr__(spec, "_dk", dk)
-    return dk
+            corner_key = points[corner]
+            uncovered = next(
+                (j for j in range(1, k) if _mapped_key(k, corner_key, j, 1) not in key_set),
+                None,
+            )
+        if k > 3:
+            # p + n * zeta^j = 0 exactly when key(p) = -n * row_j
+            at_center = {tuple(-spec.n * r for r in row) for row in _reduction_rows(k)}
+            vertex_at_center = next((i for i, p in enumerate(points) if p in at_center), None)
+        return _Dihedral(central, symmetry, corner_key, uncovered, vertex_at_center)
+
+    return _memo(spec, "_dk", build)
 
 
 @dataclass(frozen=True)
@@ -639,7 +705,7 @@ def validate(spec: FractalSpec) -> ValidationReport:
     # hull overlaps without shared vertices (or despite one) fail nesting too;
     # the first of them is sought only when no pair shares two vertices
     nesting_witness = near.violation or _first_conflict(spec)
-    component_count = max(_forest(spec.n, edges)[0]) + 1
+    component_count = _constraint_graph(spec).component_count
     dk = _dihedral(spec)
     illegal = (e for e in edges if k % 2 == 1 and _rotation_class(e, k) is None)
     odd_adjacency_witness = next(((e.a, e.b) for e in illegal), None)

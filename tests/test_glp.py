@@ -23,6 +23,7 @@ from snfglp.cyclotomic import (
     euler_phi,
     zeta,
 )
+from snfglp import glp, model
 from snfglp.glp import (
     DisconnectedSpec,
     Labeling,
@@ -30,6 +31,7 @@ from snfglp.glp import (
     build_constraint_graph,
     check_labeling,
     classify_k,
+    closed_slices,
     cycle_weight,
     decide_glp,
     decide_glp_even,
@@ -40,6 +42,8 @@ from snfglp.glp import (
     _decided_labeling,
     _subspec,
     make_labeling,
+    slice_subspec,
+    slices,
 )
 from snfglp.construct import expand, generate_counterexample, generate_glp_example, random_valid_spec
 from snfglp.model import CATALOG_NAMES, SpecError, catalog, find_adjacencies, make_spec, validate, vertices
@@ -792,6 +796,104 @@ class TestForestEdgeOrder:
             graph = build_constraint_graph(spec)
             got = (graph.parent, graph.parent_edge, graph.depth)
             assert got == _sorted_forest(spec.n, list(graph.edges))
+
+    def test_order_puts_parents_first(self):
+        for spec in _forest_corpus():
+            graph = build_constraint_graph(spec)
+            seen = set()
+            for v in graph.order:
+                assert graph.parent[v] == -1 or graph.parent[v] in seen
+                seen.add(v)
+            assert sorted(graph.order) == list(range(spec.n))
+
+
+def _counting(monkeypatch, module, name):
+    """Patch module.name to record the spec it is called on; returns the list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(spec, *args):
+        calls.append(spec)
+        return original(spec, *args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestSpecRecords:
+    """Each spec derives its graph, its sectors and its slice region once,
+    however many callers read them, and errors still raise on every call."""
+
+    @pytest.mark.parametrize("k", [9, 12])
+    def test_one_forest_per_spec(self, k, monkeypatch):
+        spec = random_valid_spec(k, 40, 3, symmetrize=True)
+        built = _counting(monkeypatch, model, "_forest")
+        by_parity = decide_glp_even if k % 2 == 0 else decide_glp_odd
+        e = find_adjacencies(spec)[0][0]
+        for _ in range(2):
+            assert validate(spec).valid
+            assert decide_glp(spec).glp == by_parity(spec).glp
+            assert cycle_weight(spec, (e.a, e.b)) == 0
+        assert built == [spec]
+        graph = build_constraint_graph(spec)
+        assert build_constraint_graph(spec) is graph and spec._graph is graph
+
+    @pytest.mark.parametrize("k", [7, 12])
+    def test_one_sector_pass_per_spec(self, k, monkeypatch):
+        spec = generate_glp_example(k)
+        passes = _counting(monkeypatch, glp, "_sectors")
+        for _ in range(2):
+            sector = slices(spec).sector
+            closed = closed_slices(spec)
+            assert slice_subspec(spec, [1]).n == sector.count(1)
+            assert slice_subspec(spec, [1], closed=True).n == len(closed[0])
+        assert passes == [spec]
+
+    @pytest.mark.parametrize("k", [6, 9, 12])
+    def test_one_region_per_spec(self, k, monkeypatch):
+        spec = generate_glp_example(k)
+        regions = _counting(monkeypatch, glp, "_region")
+        built = _counting(monkeypatch, model, "_forest")
+        first = glp_via_slices(spec).serialize()
+        assert glp_via_slices(spec).serialize() == first
+        assert len(regions) == 1
+        # both calls decide the one held subspec, whose graph is built once
+        assert built == [spec._reg[1]]
+
+    def test_errors_raise_on_every_call(self):
+        disconnected = make_spec(
+            6,
+            [(0,) * 6, (9, 0, 0, 0, 0, 0)] + [tuple(zeta(6, j, 2).coeffs) for j in range(4)],
+        )
+        illegal = make_spec(5, [(0,) * 5, cyc_sub(zeta(5, 0), zeta(5, 1))], partial=True)
+        nested = make_spec(6, [(0,) * 6, (0, 0, 0, 0, -1, 1), (0, 0, -1, 0, 0, 1)])
+        assert validate(nested).symmetry_witness is not None
+        for _ in range(2):
+            with pytest.raises(DisconnectedSpec):
+                decide_glp(disconnected)
+            with pytest.raises(SpecError, match="odd-k adjacency must rotate"):
+                decide_glp_odd(illegal)
+            with pytest.raises(SpecError, match="violate nesting"):
+                glp_via_slices(nested)
+        assert validate(disconnected).component_count == 2
+
+    def test_closed_slices_list_is_fresh(self):
+        # find_adjacencies: TestNearPairMemo::test_returned_edges_are_a_copy
+        spec = generate_glp_example(8)
+        closed = closed_slices(spec)
+        want = list(closed)
+        closed.clear()
+        assert closed_slices(spec) == want and len(want) == 8
+
+    @pytest.mark.parametrize("k", range(6, 13))
+    def test_slice_labeling_covers_its_region(self, k):
+        spec = generate_glp_example(k)
+        labeling = glp_via_slices(spec).labeling
+        chosen, region = spec._reg
+        assert len(chosen) < spec.n and set(labeling.offsets) == set(chosen)
+        assert check_labeling(region, labeling)
+        with pytest.raises(LabelingError, match="has no label"):
+            check_labeling(spec, labeling)
 
 
 # psi_13 (OEIS A014233): the least composite that is a strong probable prime

@@ -44,11 +44,13 @@ from snfglp.cyclotomic import (
 from snfglp.glp import (
     DisconnectedSpec,
     check_labeling,
+    closed_slices,
     decide_glp,
     decide_glp_even,
     decide_glp_odd,
     glp_via_slices,
     make_labeling,
+    slice_subspec,
     slices,
 )
 from snfglp.model import (
@@ -828,12 +830,16 @@ class TestNearPairMemo:
             "svg": render_svg(base, base_verdict, labeled),
             "slices": glp_via_slices(base).serialize(),
             "scaling": derive_scaling(base).coeffs,
+            "even": decide_glp_even(base).serialize(),
+            "sectors": slices(base),
+            "closed": closed_slices(base),
         }
         spec = _fresh_copy(base)
         verdict = decide_glp(_fresh_copy(base))
         labels = verdict.labeling.labels
         assert verdict.glp and spec._near is None and labels._labels is None
         assert spec._vids is None and labels._spec._vids is None and spec._dk is None
+        assert spec._graph is None and spec._sect is None and spec._reg is None
         calls = {
             "validate": lambda: validate(spec),
             "adjacencies": lambda: find_adjacencies(spec),
@@ -844,6 +850,9 @@ class TestNearPairMemo:
             "svg": lambda: render_svg(spec, verdict, labeled),
             "slices": lambda: glp_via_slices(spec).serialize(),
             "scaling": lambda: derive_scaling(spec).coeffs,
+            "even": lambda: decide_glp_even(spec).serialize(),
+            "sectors": lambda: slices(spec),
+            "closed": lambda: closed_slices(spec),
         }
         n_threads = (os.cpu_count() or 1) + 3
         barrier = threading.Barrier(n_threads)
@@ -871,8 +880,8 @@ class TestNearPairMemo:
     def test_each_memo_written_once(self, monkeypatch):
         # a memo stored in two steps (a placeholder, then the record) can be
         # read half-built by another thread however short the gap, which a
-        # threaded run does not show; model stores its memos through
-        # `object.__setattr__`, so every store is recorded here
+        # threaded run does not show; model stores every memo through
+        # `_memo`'s `object.__setattr__`, so every store is recorded here
         spec = _fresh_copy(random_valid_spec(10, 60, 1, symmetrize=True))
         writes = []
 
@@ -887,10 +896,14 @@ class TestNearPairMemo:
         find_adjacencies(spec)
         check_labeling(spec, make_labeling(spec, verdict.labeling.offsets))
         render_svg(spec, verdict, RenderOptions(show_labels=True, show_slices=True))
-        glp_via_slices(spec)
+        for _ in range(2):
+            glp_via_slices(spec)
+            slices(spec)
+            closed_slices(spec)
+            slice_subspec(spec, [1], closed=True)
         derive_scaling(spec)
         mine = [(name, value) for target, name, value in writes if target is spec]
-        assert sorted(name for name, _ in mine) == ["_dk", "_near", "_vids"]
+        assert sorted(name for name, _ in mine) == ["_dk", "_graph", "_near", "_reg", "_sect", "_vids"]
         assert all(value is getattr(spec, name) for name, value in mine)
 
 

@@ -2,12 +2,17 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "snfglp").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SMOKE = ROOT / "tests" / "smoke.py"
+# the smoke script runs in CI before the test dependencies are installed
+SOURCES = sorted((ROOT / "src" / "snfglp").glob("*.py")) + [SMOKE]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -24,3 +29,12 @@ def test_imports_are_stdlib_or_snfglp(path):
             modules.add(node.module)
     top = {name.split(".")[0] for name in modules}
     assert top - set(sys.stdlib_module_names) - {"snfglp"} == set()
+
+
+def test_smoke_script_passes():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(SMOKE)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("smoke ok")
