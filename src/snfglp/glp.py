@@ -15,7 +15,9 @@ Deciders provided:
 
 The three forest deciders share one kernel and differ only in the edge
 map (Z_k weight, parity, or +-1 rotation class); the odd decider derives
-its offsets from the rotation counts.
+its offsets from the rotation counts.  The slice route runs the general
+decider's kernel on the forest of its region's cells, in the spec's own
+indices (`model._forest`).
 
 A labeling is fixed by its offsets.  Its vertex labels are stored in a
 list indexed by the spec's vertex ids (`model._vertex_ids`, read off the
@@ -42,12 +44,12 @@ from .cyclotomic import (
 )
 from .model import (
     Adjacency,
-    Cell,
     ConstraintGraph,
     FractalSpec,
     SpecError,
     _constraint_graph,
     _dihedral,
+    _forest,
     _memo,
     _near_pairs,
     _rotation_class,
@@ -55,7 +57,7 @@ from .model import (
     _vertex_ids,
     _vertex_key_stream,
     edge_weight,
-    find_adjacencies,
+    make_spec,
 )
 
 
@@ -75,9 +77,11 @@ class Labeling:
     a read-only mapping (`_VertexLabels`) that holds one label per vertex
     id of its spec, a list of small ints: lookups build no vertex value,
     and iterating it builds the vertex values, so on a spec with a
-    coefficient of +-2^31 iteration raises CoefficientOverflow (ROADMAP
-    item 3).  The slice route's labeling (`glp_via_slices`, k >= 6) covers
-    only its region's cells: its labels are the region subspec's.
+    coefficient of +-2^31 iteration raises CoefficientOverflow, where a
+    vertex value would need a coefficient past the limit.  The slice
+    route's labeling (`glp_via_slices`, k >= 6) covers only its region's
+    cells: the other cells of its spec carry no offset, and their vertices
+    that no region cell shares have no label.
     """
 
     k: int
@@ -87,13 +91,16 @@ class Labeling:
 
 class _VertexLabels(Mapping[CycInt, int]):
     """Labels of the vertices of `spec` under per-cell `offsets` (indexed
-    by cell index), one per vertex id of the spec (`_vertex_ids`).
+    by cell index), one per vertex id of the spec (`_vertex_ids`).  A cell
+    whose offset is None carries none, and a vertex of no other cell has
+    no label and is not in the mapping.
 
     The label list is built when first read, and the key index a lookup by
     value needs when first looked up; each is written at most once with
     equal contents, so the mapping can be shared across threads.  An
     order-k CycInt is looked up by its canonical key; iteration builds each
-    vertex value when first seen in cell order, which is id order.
+    vertex value when first seen in cell order among the cells with an
+    offset.
     """
 
     __slots__ = ("_spec", "_offsets", "_labels", "_index")
@@ -105,22 +112,25 @@ class _VertexLabels(Mapping[CycInt, int]):
         self._index: dict[tuple[int, ...], int] | None = None
 
     @property
-    def _by_id(self) -> list[int]:
+    def _by_id(self) -> list[int | None]:
         """Label (j + r) mod k of vertex j of each cell with offset r, by
-        vertex id, so no vertex value or key is kept.  Raises SpecError
-        where two cells give one vertex different labels."""
+        vertex id, None where no cell has one, so no vertex value or key is
+        kept.  Raises SpecError where two cells give one vertex different
+        labels."""
         labels = self._labels
         if labels is None:
             spec = self._spec
             k = spec.k
-            ids, _ = _vertex_ids(spec)
-            labels = []
+            ids, count = _vertex_ids(spec)
+            labels = [None] * count
             for i in range(spec.n):
                 r = self._offsets[i]
+                if r is None:
+                    continue
                 for j, v in enumerate(ids[i * k:(i + 1) * k]):
                     lab = (j + r) % k
-                    if v == len(labels):  # first seen here
-                        labels.append(lab)
+                    if labels[v] is None:
+                        labels[v] = lab
                     elif labels[v] != lab:
                         raise SpecError(f"offsets disagree at a shared vertex of cell {i}")
             self._labels = labels
@@ -134,7 +144,8 @@ class _VertexLabels(Mapping[CycInt, int]):
         if index is None:
             labels = self._by_id
             ids, _ = _vertex_ids(self._spec)
-            index = {key: labels[v] for v, key in zip(ids, _vertex_key_stream(self._spec))}
+            index = {key: labels[v] for v, key in zip(ids, _vertex_key_stream(self._spec))
+                     if labels[v] is not None}
             self._index = index
         return index
 
@@ -144,17 +155,20 @@ class _VertexLabels(Mapping[CycInt, int]):
         raise KeyError(v)
 
     def __len__(self) -> int:
-        return len(self._by_id)
+        labels = self._by_id
+        return len(labels) - labels.count(None)
 
     def __iter__(self) -> Iterator[CycInt]:
         self._by_id  # offsets that disagree raise here, as on any read
         k = self._spec.k
-        ids, _ = _vertex_ids(self._spec)
-        seen = 0
+        ids, count = _vertex_ids(self._spec)
+        pending = [True] * count
         for i, cell in enumerate(self._spec.cells):
+            if self._offsets[i] is None:
+                continue
             for v, value in zip(ids[i * k:(i + 1) * k], cyc_unit_translates(cell.barycenter)):
-                if v == seen:
-                    seen += 1
+                if pending[v]:
+                    pending[v] = False
                     yield value
 
     def __repr__(self) -> str:
@@ -191,11 +205,12 @@ def build_constraint_graph(spec: FractalSpec) -> ConstraintGraph:
 
     Deterministic: edges sorted by (a, b), forest grown breadth-first
     from the lowest-index cell of each component.  The graph is the
-    spec's memoized record (`model._forest`), shared by every caller.
-    Pairs sharing two or more vertices are rejected here, on every call;
-    hull overlaps without shared vertices are validate's concern.
+    spec's memoized record (`model._constraint_graph`), shared by every
+    caller.  Pairs sharing two or more vertices are rejected here, on every
+    call, from the near-pair record; hull overlaps without shared vertices
+    are validate's concern.
     """
-    _require_nested(find_adjacencies(spec)[1])
+    _require_nested(_near_pairs(spec).violation)
     return _constraint_graph(spec)
 
 
@@ -240,34 +255,41 @@ def make_labeling(spec: FractalSpec, offsets: dict[int, int]) -> Labeling:
     return Labeling(spec.k, offsets, labels)
 
 
-def _decided_labeling(spec: FractalSpec, offsets: list[int]) -> Labeling:
-    """A decider's labeling, one offset per cell; labels built on first read."""
-    return Labeling(spec.k, dict(enumerate(offsets)), _VertexLabels(spec, offsets))
+def _decided_labeling(spec: FractalSpec, offsets: list[int | None]) -> Labeling:
+    """A decider's labeling, one offset per cell, None for a cell it leaves
+    unlabeled; labels built on first read."""
+    kept = {i: r for i, r in enumerate(offsets) if r is not None}
+    return Labeling(spec.k, kept, _VertexLabels(spec, offsets))
 
 
-def _require_connected(spec: FractalSpec, graph: ConstraintGraph) -> None:
+def _connected_graph(spec: FractalSpec) -> ConstraintGraph:
+    """`build_constraint_graph`; DisconnectedSpec if a non-partial spec's
+    graph has two or more components."""
+    graph = build_constraint_graph(spec)
     if not spec.partial and graph.component_count > 1:
         raise DisconnectedSpec(
             f"non-partial spec has {graph.component_count} components"
         )
+    return graph
 
 
 def _forest_sums(
-    spec: FractalSpec, m: int, edge_map: Callable[[Adjacency], int]
-) -> tuple[list[int], tuple[int, ...] | None]:
-    """Per-cell sums in Z_m of the mapped edge steps down the spanning forest.
+    graph: ConstraintGraph, m: int, edge_map: Callable[[Adjacency], int]
+) -> tuple[list[int | None], tuple[int, ...] | None]:
+    """Per-cell sums in Z_m of the mapped edge steps down the graph's
+    spanning forest, None at the cells outside it.
 
     Every edge a -> b is mapped first, in edge order.  Also returns the
     fundamental cycle of the first edge the sums contradict, or None; tree
     edges agree by construction, so that edge is a non-tree edge.
     """
-    graph = build_constraint_graph(spec)
-    _require_connected(spec, graph)
     steps = [edge_map(e) for e in graph.edges]
-    sums = [0] * graph.n
+    sums: list[int | None] = [None] * graph.n
     for v in graph.order:
         u = graph.parent[v]
-        if u != -1:
+        if u == -1:
+            sums[v] = 0
+        else:
             idx = graph.parent_edge[v]
             step = steps[idx] if graph.edges[idx].a == u else -steps[idx]
             sums[v] = (sums[u] + step) % m
@@ -283,8 +305,14 @@ def decide_glp(spec: FractalSpec) -> Verdict:
     Partial specs may be disconnected; each component is labeled
     independently with its root offset normalized to 0.
     """
+    return _decide_on(spec, _connected_graph(spec))
+
+
+def _decide_on(spec: FractalSpec, graph: ConstraintGraph) -> Verdict:
+    """`decide_glp`'s verdict on the cells of `graph`, a `_forest` of the
+    spec: the Z_k weights summed down its forest, checked on every edge."""
     k = spec.k
-    r, witness = _forest_sums(spec, k, lambda e: edge_weight(e, k))
+    r, witness = _forest_sums(graph, k, lambda e: edge_weight(e, k))
     if witness is not None:
         return Verdict(glp=False, witness=witness)
     return Verdict(glp=True, labeling=_decided_labeling(spec, r))
@@ -307,7 +335,7 @@ def decide_glp_even(spec: FractalSpec) -> Verdict:
                             "even-k adjacency must have weight k/2")
         return 1
 
-    color, witness = _forest_sums(spec, 2, parity)
+    color, witness = _forest_sums(_connected_graph(spec), 2, parity)
     if witness is not None:
         return Verdict(glp=False, witness=witness)
     offsets = [c * (k // 2) for c in color]
@@ -335,7 +363,7 @@ def decide_glp_odd(spec: FractalSpec) -> Verdict:
                             f"{(e.jb - e.ja) % k}; odd-k adjacency must rotate by (k+-1)/k * pi")
         return cls
 
-    rho, witness = _forest_sums(spec, k, rotation_class)
+    rho, witness = _forest_sums(_connected_graph(spec), k, rotation_class)
     if witness is not None:
         return Verdict(glp=False, witness=witness)
     offsets = [-((k + 1) // 2) * c % k for c in rho]
@@ -371,6 +399,16 @@ def classify_k(k: int) -> KClassification:
     k <= 41 is prime when it is one of `_PRIME_BASES`; a larger k when it
     is a strong probable prime to each of them, which is exact below
     `_PSI_13`.  k at or above it raises ValueError.
+
+    Each class has a labeling read off the barycenters alone.  Two adjacent
+    cells differ by zeta^ja - zeta^jb and need r_b - r_a = ja - jb mod k.
+    For prime k, r_c = sum(i * c_i) mod k over the coefficients c_i of b_c
+    gives exactly that, and adding a multiple of Phi_k (all ones) changes
+    it by a multiple of k(k - 1)/2, so it depends on the point only.  For
+    k = 2^m every step is zeta^ja - zeta^(ja + k/2) = 2 zeta^ja, whose
+    canonical key sums to +-2, so r_c = (k/2) * ((sum of key(b_c - b_0)) / 2
+    mod 2) flips by k/2 across every edge.  `tests/test_certificates.py`
+    checks both against the deciders' offsets.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
@@ -477,13 +515,6 @@ def _slice_ids(k: int, ids) -> list[int]:
     return ids
 
 
-def _subspec(spec: FractalSpec, chosen: tuple[int, ...]) -> FractalSpec:
-    cells = tuple(
-        Cell(spec.cells[orig].barycenter, new) for new, orig in enumerate(chosen)
-    )
-    return FractalSpec(spec.k, cells, partial=True)
-
-
 def slice_subspec(spec: FractalSpec, ids, closed: bool = False) -> FractalSpec:
     """Partial spec of the chosen (closed) slices, cells in original order."""
     ids = _slice_ids(spec.k, ids)
@@ -494,7 +525,7 @@ def slice_subspec(spec: FractalSpec, ids, closed: bool = False) -> FractalSpec:
         chosen = {idx for idx, s in enumerate(slices(spec).sector) if s in ids}
     if not chosen:
         raise ValueError("selected slices contain no cells")
-    return _subspec(spec, tuple(sorted(chosen)))
+    return make_spec(spec.k, [spec.cells[i].barycenter for i in sorted(chosen)], partial=True)
 
 
 def _region(k: int, keys: list[tuple[int, ...]], n: int) -> tuple[int, ...]:
@@ -513,9 +544,10 @@ def _region(k: int, keys: list[tuple[int, ...]], n: int) -> tuple[int, ...]:
     return tuple(chosen)
 
 
-def _slice_region(spec: FractalSpec) -> tuple[tuple[int, ...], FractalSpec]:
-    """The `_region` cells of a D_k-invariant spec and their subspec,
-    memoized on the spec as `_reg`; SpecError if the spec is not invariant."""
+def _slice_region(spec: FractalSpec) -> tuple[tuple[int, ...], ConstraintGraph]:
+    """The `_region` cells of a D_k-invariant spec and the `_forest` of the
+    spec's near-pair edges among them, memoized on the spec as `_reg`;
+    SpecError if the spec is not invariant."""
     keys = _scaled_points(spec)
     dk = _dihedral(spec, keys)
     if dk.symmetry_witness is not None:
@@ -523,7 +555,9 @@ def _slice_region(spec: FractalSpec) -> tuple[tuple[int, ...], FractalSpec]:
             f"spec fails symmetry {dk.symmetry_witness}; the slice reduction needs D_k invariance"
         )
     chosen = _region(spec.k, keys, spec.n)
-    return chosen, _subspec(spec, chosen)
+    inside = set(chosen)
+    edges = tuple(e for e in _near_pairs(spec).edges if e.a in inside and e.b in inside)
+    return chosen, _forest(spec, chosen, edges)
 
 
 def glp_via_slices(spec: FractalSpec) -> Verdict:
@@ -563,14 +597,15 @@ def glp_via_slices(spec: FractalSpec) -> Verdict:
 
     For k >= 6 a spec that is not D_k-invariant (`validate`'s `_dihedral`
     verdict) or has cells sharing two or more vertices raises SpecError
-    before the region is read; `decide_glp` decides it.  The region and its
-    subspec are kept on the spec, so a later call decides the same subspec,
-    whose own records hold its graph.
+    before the region is read.  S is decided as `decide_glp` decides a spec,
+    on the spanning forest of the spec's adjacencies among S's cells, which
+    is kept on the spec with S, so a later call reads the same forest.
 
     For k >= 6 a GLP labeling labels the region's cells only: its offsets
-    are keyed by their indices in the spec, and its labels are those of the
-    region subspec.  `check_labeling` accepts it on that subspec and raises
-    LabelingError on the whole spec, whose other cells it leaves unlabeled.
+    are keyed by their indices in the spec, and the spec's other cells carry
+    none.  `check_labeling` accepts it on the partial spec of S's cells and
+    raises LabelingError on the whole spec, whose other cells it leaves
+    unlabeled.
     """
     if spec.partial:
         raise ValueError("glp_via_slices requires a non-partial spec")
@@ -579,12 +614,7 @@ def glp_via_slices(spec: FractalSpec) -> Verdict:
         return decide_glp(spec)
     # a region verdict says nothing about nesting outside the region
     _require_nested(_near_pairs(spec).violation)
-    chosen, region = _memo(spec, "_reg", _slice_region)
-    sub = decide_glp(region)
-    if sub.glp:
-        offsets = {chosen[i]: r for i, r in sub.labeling.offsets.items()}
-        return Verdict(glp=True, labeling=Labeling(k, offsets, sub.labeling.labels))
-    return Verdict(glp=False, witness=tuple(chosen[i] for i in sub.witness))
+    return _decide_on(spec, _memo(spec, "_reg", _slice_region)[1])
 
 
 def _labels_by_id(spec: FractalSpec, labeling: Labeling) -> list[int | None]:
@@ -595,8 +625,9 @@ def _labels_by_id(spec: FractalSpec, labeling: Labeling) -> list[int | None]:
     already.  Any other labeling is read through canonical keys: a CycInt
     equals a vertex of order k exactly when it has order k and the
     vertex's key, so entries of another order are dropped.  Labels on
-    another spec of order k (the slice route's region) are read by key
-    without iterating them, which builds no vertex value (see `Labeling`).
+    another spec of order k (the slice route's labeling read on its region's
+    partial spec) are read by key without iterating them, which builds no
+    vertex value (see `Labeling`).
     """
     labels = labeling.labels
     if isinstance(labels, _VertexLabels) and labels._spec is spec:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -78,9 +78,10 @@ class FractalSpec:
     key, corner coverage, vertex at the centre), which keeps no per-cell
     data; `_graph`, the constraint graph with its spanning forest
     (`_constraint_graph`); and in `glp`, `_sect`, each cell's sector and ray
-    (`_sectors`), and `_reg`, the slice route's region cells and their
-    subspec.  Each is stored by `_memo`, at most once with equal values, so
-    a spec can be shared across threads.
+    (`_sectors`), and `_reg`, the slice route's region cells and the
+    `_forest` of the near-pair edges among them, in this spec's indices.
+    Each is stored by `_memo`, at most once with equal values, so a spec
+    can be shared across threads.
     """
 
     k: int
@@ -91,7 +92,7 @@ class FractalSpec:
     _dk: _Dihedral | None = field(default=None, init=False, repr=False, compare=False)
     _graph: ConstraintGraph | None = field(default=None, init=False, repr=False, compare=False)
     _sect: tuple[tuple, tuple] | None = field(default=None, init=False, repr=False, compare=False)
-    _reg: tuple[tuple, FractalSpec] | None = field(default=None, init=False, repr=False, compare=False)
+    _reg: tuple[tuple, ConstraintGraph] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k < 3:
@@ -481,15 +482,18 @@ class ConstraintGraph:
         return w
 
 
-def _forest(spec: FractalSpec) -> ConstraintGraph:
-    """The graph of the spec's `_near_pairs` edges, whatever its nesting
-    verdict, with a breadth-first spanning forest and its non-tree edges.
+def _forest(spec: FractalSpec, cells: Iterable[int], edges: tuple[Adjacency, ...]) -> ConstraintGraph:
+    """The graph of `edges` on `cells`, ascending indices of the spec's cells
+    that hold both ends of every edge, with a breadth-first spanning forest
+    and its non-tree edges.
 
     Each component is rooted at its lowest-index cell.  The edges are
     distinct pairs a < b in ascending (a, b) order, so neighbours are
-    listed and visited in ascending order.
+    listed and visited in ascending order.  The per-cell tuples are indexed
+    by the spec's cells; one outside `cells` has component and parent -1
+    and is not in `order`.
     """
-    n, edges = spec.n, _near_pairs(spec).edges
+    n = spec.n
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for idx, e in enumerate(edges):
         adj[e.a].append((e.b, idx))
@@ -500,7 +504,7 @@ def _forest(spec: FractalSpec) -> ConstraintGraph:
     depth = [0] * n
     order: list[int] = []  # the queue: cells are visited as they are taken
     comp = 0
-    for root in range(n):
+    for root in cells:
         if component[root] != -1:
             continue
         component[root] = comp
@@ -525,8 +529,9 @@ def _forest(spec: FractalSpec) -> ConstraintGraph:
 
 
 def _constraint_graph(spec: FractalSpec) -> ConstraintGraph:
-    """The spec's `_forest` record, memoized on the spec."""
-    return _memo(spec, "_graph", _forest)
+    """The `_forest` of the spec's `_near_pairs` edges on all its cells,
+    whatever its nesting verdict, memoized on the spec."""
+    return _memo(spec, "_graph", lambda s: _forest(s, range(s.n), _near_pairs(s).edges))
 
 
 def _rotation_class(e: Adjacency, k: int) -> int | None:

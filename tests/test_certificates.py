@@ -32,6 +32,7 @@ from snfglp.glp import (
     decide_glp_odd,
     fundamental_cycles,
     glp_via_slices,
+    make_labeling,
 )
 from snfglp.model import CATALOG_NAMES, catalog, make_spec
 
@@ -144,3 +145,45 @@ def test_audit_rejects_bad_certificates():
     witness = decide_glp(spec).witness
     with pytest.raises(AssertionError, match="share 0 vertices"):
         audit(spec, keys, Verdict(glp=False, witness=witness[::2] + witness[1::2]))
+
+
+def _closed_form_offsets(spec):
+    """The offsets that prove GLP for prime and power-of-two k, read off the
+    barycenter coefficients alone.
+
+    * Prime k: r_c = sum(i * c_i) mod k over the coefficients c_i of b_c.
+      Adding m * zeta^j * Phi_k adds m to every coefficient and changes the
+      sum by m * k(k - 1)/2 = 0 mod k, so r_c depends on the point only.  A
+      shared vertex has b_b - b_a = zeta^ja - zeta^jb, so r_b - r_a = ja - jb.
+    * k = 2^m: r_c = (k/2) * ((sum of key(b_c - b_0)) / 2 mod 2), with keys
+      by long division (`remainder_key`).  An adjacency step is
+      zeta^ja - zeta^(ja + k/2) = 2 zeta^ja, whose key sums to +-2, so the
+      half-sum's parity flips along every edge.
+    """
+    k = spec.k
+    if classify_k(k).reason == "prime":
+        return {c.index: sum(i * x for i, x in enumerate(c.barycenter.coeffs)) % k for c in spec.cells}
+    base = spec.cells[0].barycenter.coeffs
+    out = {}
+    for c in spec.cells:
+        total = sum(remainder_key(k, [x - y for x, y in zip(c.barycenter.coeffs, base)]))
+        assert total % 2 == 0
+        out[c.index] = k // 2 * (total // 2 % 2)
+    return out
+
+
+def _same_up_to_shift(k, offsets, other):
+    """offsets[c] = other[c] + s mod k for one s and every cell c."""
+    assert sorted(offsets) == sorted(other)
+    return len({(offsets[c] - other[c]) % k for c in offsets}) == 1
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CORPUS
+                                  if classify_k(_spec(name).k).always_glp])
+def test_closed_form_labelings(name):
+    spec = _spec(name)
+    offsets = _closed_form_offsets(spec)
+    audit(spec, _keys(name), Verdict(glp=True, labeling=make_labeling(spec, offsets)))
+    by_parity = decide_glp_even if spec.k % 2 == 0 else decide_glp_odd
+    for decider in (decide_glp, by_parity):
+        assert _same_up_to_shift(spec.k, offsets, decider(spec).labeling.offsets), decider.__name__

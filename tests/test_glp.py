@@ -40,7 +40,6 @@ from snfglp.glp import (
     fundamental_cycles,
     glp_via_slices,
     _decided_labeling,
-    _subspec,
     make_labeling,
     slice_subspec,
     slices,
@@ -540,6 +539,11 @@ class TestKeyedLabels:
         assert seen == [True] * n_threads
 
 
+def _cells_spec(spec, chosen):
+    """The partial spec of the cells `chosen` (ascending) of `spec`, in order."""
+    return make_spec(spec.k, [spec.cells[i].barycenter for i in chosen], partial=True)
+
+
 @st.composite
 def any_route_specs(draw):
     """A catalog, generated or grown spec (`keyed_label_cases`), or one of
@@ -566,11 +570,19 @@ class TestLazyLabels:
             offsets = verdict.labeling.offsets
             labels = verdict.labeling.labels
             assert labels._labels is None  # nothing built before the first read
-            # the slice route labels the cells of its slice subspec
+            # the slice route labels the cells of its region only
             chosen = tuple(sorted(offsets))
-            sub = spec if len(chosen) == spec.n else _subspec(spec, chosen)
+            whole = len(chosen) == spec.n
+            sub = spec if whole else _cells_spec(spec, chosen)
             eager = make_labeling(sub, {new: offsets[old] for new, old in enumerate(chosen)})
-            assert labels._by_id == eager.labels._by_id
+            assert eager.labels._labels is not None
+            # point by point: each vertex key gets make_labeling's label
+            assert labels._by_key == eager.labels._by_key and labels._labels is not None
+            assert len(labels) == len(eager.labels)
+            if whole:
+                assert labels._by_id == eager.labels._by_id
+            with pytest.raises(KeyError):
+                make_labeling(sub, {new: offsets[old] for new, old in enumerate(chosen[1:], 1)})
 
 
 def _keyed_labels(spec, offsets):
@@ -634,7 +646,7 @@ class TestVertexIdLabels:
                 via = None
             if via is not None and via.glp:
                 chosen = tuple(sorted(via.labeling.offsets))
-                sub = _subspec(spec, chosen)
+                sub = _cells_spec(spec, chosen)
                 cases.append((sub, {new: via.labeling.offsets[old] for new, old in enumerate(chosen)},
                               via.labeling))
         for owner, own_offsets, labeling in cases:
@@ -853,12 +865,16 @@ class TestSpecRecords:
     def test_one_region_per_spec(self, k, monkeypatch):
         spec = generate_glp_example(k)
         regions = _counting(monkeypatch, glp, "_region")
-        built = _counting(monkeypatch, model, "_forest")
+        built = _counting(monkeypatch, glp, "_forest")
+        whole = _counting(monkeypatch, model, "_forest")
         first = glp_via_slices(spec).serialize()
         assert glp_via_slices(spec).serialize() == first
         assert len(regions) == 1
-        # both calls decide the one held subspec, whose graph is built once
-        assert built == [spec._reg[1]]
+        # both calls decide on the one held region forest, built once on the
+        # spec's own indices; the spec's whole graph is not built
+        assert built == [spec] and whole == []
+        chosen, graph = spec._reg
+        assert sorted(graph.order) == list(chosen) and spec._graph is None
 
     def test_errors_raise_on_every_call(self):
         disconnected = make_spec(
@@ -889,7 +905,8 @@ class TestSpecRecords:
     def test_slice_labeling_covers_its_region(self, k):
         spec = generate_glp_example(k)
         labeling = glp_via_slices(spec).labeling
-        chosen, region = spec._reg
+        chosen = spec._reg[0]
+        region = _cells_spec(spec, chosen)
         assert len(chosen) < spec.n and set(labeling.offsets) == set(chosen)
         assert check_labeling(region, labeling)
         with pytest.raises(LabelingError, match="has no label"):

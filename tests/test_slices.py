@@ -12,16 +12,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import fold, remainder_key, small_real
-from snfglp import glp
+from snfglp import glp, model
 from snfglp.construct import expand, generate_counterexample, generate_glp_example, random_valid_spec
+from test_certificates import CORPUS, _spec
 from snfglp.glp import (
+    Labeling,
+    LabelingError,
+    Verdict,
+    check_labeling,
     closed_slices,
     decide_glp,
     glp_via_slices,
     slice_subspec,
     slices,
 )
-from snfglp.model import CATALOG_NAMES, SpecError, catalog, make_spec, validate
+from snfglp.model import CATALOG_NAMES, FractalSpec, SpecError, catalog, make_spec, validate
 from snfglp.cyclotomic import (
     cyc_add,
     cyc_div_int,
@@ -183,15 +188,15 @@ class TestViaSlices:
     def test_small_k_runs_one_adjacency_search(self, name):
         spec = catalog(name)
         calls = []
-        find_adjacencies = glp.find_adjacencies
+        close_pairs = model._close_pairs
 
         def counting(s):
             calls.append(s)
-            return find_adjacencies(s)
+            return close_pairs(s)
 
-        with mock.patch.object(glp, "find_adjacencies", counting):
+        with mock.patch.object(model, "_close_pairs", counting):
             verdict = glp_via_slices(spec)
-        assert len(calls) == 1
+        assert calls == [spec]  # one grid pass
         assert verdict.serialize() == decide_glp(spec).serialize()
 
     @pytest.mark.parametrize("k", [6, 7, 9, 12])
@@ -225,6 +230,77 @@ class TestViaSlices:
         spec = catalog("lindstrom-snowflake")
         assert not decide_glp(spec).glp
         assert not glp_via_slices(spec).glp
+
+
+def subspec_route(spec):
+    """Reference for the slice route, k >= 6, as a second spec: the region's
+    cells (`glp._region`) copied into a partial spec, decided whole by
+    `decide_glp`, its offsets and witness mapped back to the spec's indices
+    and its labels kept.  Returns the verdict and the region's spec."""
+    k = spec.k
+    chosen = glp._region(k, glp._scaled_points(spec), spec.n)
+    region = make_spec(k, [spec.cells[i].barycenter for i in chosen], partial=True)
+    sub = decide_glp(region)
+    if not sub.glp:
+        return Verdict(glp=False, witness=tuple(chosen[i] for i in sub.witness)), region
+    offsets = {chosen[i]: r for i, r in sub.labeling.offsets.items()}
+    return Verdict(glp=True, labeling=Labeling(k, offsets, sub.labeling.labels)), region
+
+
+def _check_outcome(spec, labeling):
+    try:
+        return check_labeling(spec, labeling)
+    except LabelingError as exc:
+        return str(exc)
+
+
+class TestSubspecReference:
+    """The slice route decides its region on the spec's own records; it
+    answers exactly as deciding a copy of the region as a second spec did."""
+
+    @staticmethod
+    def assert_matches_reference(spec):
+        verdict = glp_via_slices(spec)
+        ref, region = subspec_route(spec)
+        assert verdict.serialize() == ref.serialize()
+        if not verdict.glp:
+            return
+        labels, want = verdict.labeling.labels, ref.labeling.labels
+        assert list(verdict.labeling.offsets.items()) == list(ref.labeling.offsets.items())
+        assert len(labels) == len(want)
+        assert [(v.canonical_key(), lab) for v, lab in labels.items()] == [
+            (v.canonical_key(), lab) for v, lab in want.items()]
+        ids = [1] if spec.k % 2 == 0 else [1, 2]
+        owners = (spec, region, slice_subspec(spec, ids), slice_subspec(spec, ids, closed=True))
+        for owner in owners:
+            assert _check_outcome(owner, verdict.labeling) == _check_outcome(owner, ref.labeling)
+
+    def test_audit_corpus(self):
+        specs = [_spec(name) for name, _ in CORPUS]
+        for spec in [s for s in specs if not s.partial and s.k >= 6]:
+            self.assert_matches_reference(spec)
+
+    @pytest.mark.parametrize("k", range(6, 13))
+    def test_symmetrized_growth(self, k):
+        for seed in range(10):
+            for target in (30, 60, 100):
+                self.assert_matches_reference(random_valid_spec(k, target, 7919 * seed + k, symmetrize=True))
+
+    @pytest.mark.parametrize("k", [6, 9, 12])
+    def test_first_call_runs_one_grid_pass(self, k):
+        level2 = expand(generate_glp_example(k), 2)
+        for spec in (generate_glp_example(k), make_spec(k, [c.barycenter for c in level2.cells])):
+            calls = []
+            close_pairs = model._close_pairs
+
+            def counting(s):
+                calls.append(s)
+                return close_pairs(s)
+
+            with mock.patch.object(model, "_close_pairs", counting):
+                glp_via_slices(spec)
+            assert calls == [spec]
+            assert not any(isinstance(part, FractalSpec) for part in spec._reg)
 
 
 def kscan_sectors(spec):
