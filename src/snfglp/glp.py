@@ -17,7 +17,8 @@ The three forest deciders share one kernel and differ only in the edge
 map (Z_k weight, parity, or +-1 rotation class); the odd decider derives
 its offsets from the rotation counts.  The slice route runs the general
 decider's kernel on the forest of its region's cells, in the spec's own
-indices (`model._forest`).
+indices (`model._forest`), and carries the region's offsets to every cell
+along the rotation permutation of the dihedral record (`model._dihedral`).
 
 A labeling is fixed by its offsets.  Its vertex labels are stored in a
 list indexed by the spec's vertex ids (`model._vertex_ids`, read off the
@@ -78,10 +79,7 @@ class Labeling:
     id of its spec, a list of small ints: lookups build no vertex value,
     and iterating it builds the vertex values, so on a spec with a
     coefficient of +-2^31 iteration raises CoefficientOverflow, where a
-    vertex value would need a coefficient past the limit.  The slice
-    route's labeling (`glp_via_slices`, k >= 6) covers only its region's
-    cells: the other cells of its spec carry no offset, and their vertices
-    that no region cell shares have no label.
+    vertex value would need a coefficient past the limit.
     """
 
     k: int
@@ -91,16 +89,13 @@ class Labeling:
 
 class _VertexLabels(Mapping[CycInt, int]):
     """Labels of the vertices of `spec` under per-cell `offsets` (indexed
-    by cell index), one per vertex id of the spec (`_vertex_ids`).  A cell
-    whose offset is None carries none, and a vertex of no other cell has
-    no label and is not in the mapping.
+    by cell index), one per vertex id of the spec (`_vertex_ids`).
 
     The label list is built when first read, and the key index a lookup by
     value needs when first looked up; each is written at most once with
     equal contents, so the mapping can be shared across threads.  An
     order-k CycInt is looked up by its canonical key; iteration builds each
-    vertex value when first seen in cell order among the cells with an
-    offset.
+    vertex value when first seen in cell order.
     """
 
     __slots__ = ("_spec", "_offsets", "_labels", "_index")
@@ -112,11 +107,10 @@ class _VertexLabels(Mapping[CycInt, int]):
         self._index: dict[tuple[int, ...], int] | None = None
 
     @property
-    def _by_id(self) -> list[int | None]:
+    def _by_id(self) -> list[int]:
         """Label (j + r) mod k of vertex j of each cell with offset r, by
-        vertex id, None where no cell has one, so no vertex value or key is
-        kept.  Raises SpecError where two cells give one vertex different
-        labels."""
+        vertex id, so no vertex value or key is kept.  Raises SpecError
+        where two cells give one vertex different labels."""
         labels = self._labels
         if labels is None:
             spec = self._spec
@@ -125,8 +119,6 @@ class _VertexLabels(Mapping[CycInt, int]):
             labels = [None] * count
             for i in range(spec.n):
                 r = self._offsets[i]
-                if r is None:
-                    continue
                 for j, v in enumerate(ids[i * k:(i + 1) * k]):
                     lab = (j + r) % k
                     if labels[v] is None:
@@ -144,8 +136,7 @@ class _VertexLabels(Mapping[CycInt, int]):
         if index is None:
             labels = self._by_id
             ids, _ = _vertex_ids(self._spec)
-            index = {key: labels[v] for v, key in zip(ids, _vertex_key_stream(self._spec))
-                     if labels[v] is not None}
+            index = {key: labels[v] for v, key in zip(ids, _vertex_key_stream(self._spec))}
             self._index = index
         return index
 
@@ -155,8 +146,7 @@ class _VertexLabels(Mapping[CycInt, int]):
         raise KeyError(v)
 
     def __len__(self) -> int:
-        labels = self._by_id
-        return len(labels) - labels.count(None)
+        return len(self._by_id)
 
     def __iter__(self) -> Iterator[CycInt]:
         self._by_id  # offsets that disagree raise here, as on any read
@@ -164,8 +154,6 @@ class _VertexLabels(Mapping[CycInt, int]):
         ids, count = _vertex_ids(self._spec)
         pending = [True] * count
         for i, cell in enumerate(self._spec.cells):
-            if self._offsets[i] is None:
-                continue
             for v, value in zip(ids[i * k:(i + 1) * k], cyc_unit_translates(cell.barycenter)):
                 if pending[v]:
                     pending[v] = False
@@ -255,11 +243,9 @@ def make_labeling(spec: FractalSpec, offsets: dict[int, int]) -> Labeling:
     return Labeling(spec.k, offsets, labels)
 
 
-def _decided_labeling(spec: FractalSpec, offsets: list[int | None]) -> Labeling:
-    """A decider's labeling, one offset per cell, None for a cell it leaves
-    unlabeled; labels built on first read."""
-    kept = {i: r for i, r in enumerate(offsets) if r is not None}
-    return Labeling(spec.k, kept, _VertexLabels(spec, offsets))
+def _decided_labeling(spec: FractalSpec, offsets: list[int]) -> Labeling:
+    """A decider's labeling, one offset per cell; labels built on first read."""
+    return Labeling(spec.k, dict(enumerate(offsets)), _VertexLabels(spec, offsets))
 
 
 def _connected_graph(spec: FractalSpec) -> ConstraintGraph:
@@ -305,14 +291,8 @@ def decide_glp(spec: FractalSpec) -> Verdict:
     Partial specs may be disconnected; each component is labeled
     independently with its root offset normalized to 0.
     """
-    return _decide_on(spec, _connected_graph(spec))
-
-
-def _decide_on(spec: FractalSpec, graph: ConstraintGraph) -> Verdict:
-    """`decide_glp`'s verdict on the cells of `graph`, a `_forest` of the
-    spec: the Z_k weights summed down its forest, checked on every edge."""
     k = spec.k
-    r, witness = _forest_sums(graph, k, lambda e: edge_weight(e, k))
+    r, witness = _forest_sums(_connected_graph(spec), k, lambda e: edge_weight(e, k))
     if witness is not None:
         return Verdict(glp=False, witness=witness)
     return Verdict(glp=True, labeling=_decided_labeling(spec, r))
@@ -601,11 +581,15 @@ def glp_via_slices(spec: FractalSpec) -> Verdict:
     on the spanning forest of the spec's adjacencies among S's cells, which
     is kept on the spec with S, so a later call reads the same forest.
 
-    For k >= 6 a GLP labeling labels the region's cells only: its offsets
-    are keyed by their indices in the spec, and the spec's other cells carry
-    none.  `check_labeling` accepts it on the partial spec of S's cells and
-    raises LabelingError on the whole spec, whose other cells it leaves
-    unlabeled.
+    A GLP verdict labels every cell.  A GLP labeling of a connected spec is
+    unique up to a shift, and rotating it gives another one, so
+    r[rot[c]] - r[c] is one constant t (`rot` of the `_dihedral` record).
+    t is read off the first region cell whose image is in the region; each
+    rotation cycle meets the region, as S holds every sector-1 cell, and is
+    walked from each region cell on to the next; every offset is then
+    shifted so that cell 0 has offset 0, `decide_glp`'s root.  A region
+    forest of two or more components, or with no such cell, is left to
+    `decide_glp`, which decides the whole spec or raises DisconnectedSpec.
     """
     if spec.partial:
         raise ValueError("glp_via_slices requires a non-partial spec")
@@ -614,7 +598,20 @@ def glp_via_slices(spec: FractalSpec) -> Verdict:
         return decide_glp(spec)
     # a region verdict says nothing about nesting outside the region
     _require_nested(_near_pairs(spec).violation)
-    return _decide_on(spec, _memo(spec, "_reg", _slice_region)[1])
+    chosen, graph = _memo(spec, "_reg", _slice_region)
+    r, witness = _forest_sums(graph, k, lambda e: edge_weight(e, k))
+    if witness is not None:
+        return Verdict(glp=False, witness=witness)
+    rot = _dihedral(spec).rot
+    d = next((c for c in chosen if r[rot[c]] is not None), None)
+    if d is None or graph.component_count > 1:
+        return decide_glp(spec)
+    t = r[rot[d]] - r[d]
+    for c in chosen:
+        while r[rot[c]] is None:
+            r[rot[c]] = (r[c] + t) % k
+            c = rot[c]
+    return Verdict(glp=True, labeling=_decided_labeling(spec, [(x - r[0]) % k for x in r]))
 
 
 def _labels_by_id(spec: FractalSpec, labeling: Labeling) -> list[int | None]:
@@ -625,9 +622,9 @@ def _labels_by_id(spec: FractalSpec, labeling: Labeling) -> list[int | None]:
     already.  Any other labeling is read through canonical keys: a CycInt
     equals a vertex of order k exactly when it has order k and the
     vertex's key, so entries of another order are dropped.  Labels on
-    another spec of order k (the slice route's labeling read on its region's
-    partial spec) are read by key without iterating them, which builds no
-    vertex value (see `Labeling`).
+    another spec of order k (a decider's labeling read on a slice subspec)
+    are read by key without iterating them, which builds no vertex value
+    (see `Labeling`).
     """
     labels = labeling.labels
     if isinstance(labels, _VertexLabels) and labels._spec is spec:

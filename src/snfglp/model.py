@@ -75,11 +75,12 @@ class FractalSpec:
     record (`_near_pairs`); `_vids`, the vertex ids of every cell with their
     count (`_vertex_ids`), read off that record without a vertex key; `_dk`,
     the dihedral record (`_dihedral`: central cell, symmetry witness, corner
-    key, corner coverage, vertex at the centre), which keeps no per-cell
-    data; `_graph`, the constraint graph with its spanning forest
-    (`_constraint_graph`); and in `glp`, `_sect`, each cell's sector and ray
-    (`_sectors`), and `_reg`, the slice route's region cells and the
-    `_forest` of the near-pair edges among them, in this spec's indices.
+    key, corner coverage, vertex at the centre, and the cells' rotation
+    permutation `rot`, 8 B per cell); `_graph`, the constraint graph with
+    its spanning forest (`_constraint_graph`); and in `glp`, `_sect`, each
+    cell's sector and ray (`_sectors`), and `_reg`, the slice route's region
+    cells and the `_forest` of the near-pair edges among them, in this
+    spec's indices.
     Each is stored by `_memo`, at most once with equal values, so a spec
     can be shared across threads.
     """
@@ -549,28 +550,28 @@ def _rotation_class(e: Adjacency, k: int) -> int | None:
 
 
 def _find_corner(
-    spec: FractalSpec, keys: list[tuple[int, ...]], mirrored: list[tuple[int, ...]]
+    spec: FractalSpec, keys: list[tuple[int, ...]], index_of: dict[tuple[int, ...], int], ref: list[int]
 ) -> int | None:
     """Index of the corner cell on the positive real axis, if any.
 
-    `keys` are the `_scaled_points` of the spec, and `mirrored` holds them
-    reflected across the real axis.  A corner cell sits at (L-1) * zeta^0
-    relative to the global barycenter and its outward vertex is a vertex
-    of no other cell (it is an essential fixed point image).  Corner cells
-    need not be the outermost cells of the configuration.  The keys that
-    reflection fixes are real, so `_real_sign` decides the side and the
-    outermost candidate exactly.
+    `keys` are the `_scaled_points` of the spec, `index_of` maps each to its
+    cell, and `ref[i]` is the cell at the reflection across the real axis
+    of cell i, or -1.  A corner cell sits at (L-1) * zeta^0 relative to the
+    global barycenter and its outward vertex is a vertex of no other cell
+    (it is an essential fixed point image).  Corner cells need not be the
+    outermost cells of the configuration.  The keys that reflection fixes
+    are real, so `_real_sign` decides the side and the outermost candidate
+    exactly.
     """
     k = spec.k
     n = spec.n
-    index_of = {key: i for i, key in enumerate(keys)}
     rows = _reduction_rows(k)
     # scaled by n, the tip of cell p is p + n and cell jb shares it when it
     # sits at p + n - n * zeta^jb
     steps = [tuple(n * (a - b) for a, b in zip(rows[0], rows[jb])) for jb in range(1, k)]
     best = None
     for i, key in enumerate(keys):
-        if mirrored[i] != key or _real_sign(k, key) <= 0:
+        if ref[i] != i or _real_sign(k, key) <= 0:
             continue
         if any(index_of.get(tuple(map(add, key, step)), i) != i for step in steps):
             continue
@@ -579,42 +580,31 @@ def _find_corner(
     return best
 
 
-def _symmetry_witness(
-    k: int, key_set: set[tuple[int, ...]], mirrored: list[tuple[int, ...]]
-) -> tuple[str, int] | None:
-    """("rotation", 1) or ("reflection", 0), the first map that moves the set
-    of scaled keys (`_scaled_points`) off itself, or None if it is
-    D_k-invariant; `mirrored` holds the keys under reflection 0.
-
-    The keys are distinct and each map is injective, so the set is
-    invariant exactly when every image is a member; rotation 1 generates
-    the rotations, and on a zeta-invariant set reflection m is zeta^m
-    after reflection 0.
-    """
-    if any(_mapped_key(k, key, 1, 1) not in key_set for key in key_set):
-        return ("rotation", 1)
-    if any(key not in key_set for key in mirrored):
-        return ("reflection", 0)
-    return None
-
-
 class _Dihedral(NamedTuple):
-    """A spec's `_dihedral` record, fields named as in `ValidationReport`;
-    every field but `central_cell` is None on a partial spec."""
+    """A spec's `_dihedral` record, fields named as in `ValidationReport`
+    but `rot`: the cell at zeta times each cell's scaled key, -1 where that
+    point is no cell.  Every field but `central_cell` is None on a partial
+    spec."""
 
     central_cell: int | None
     symmetry_witness: tuple[str, int] | None = None
     corner_key: tuple[int, ...] | None = None  # scaled key of the `_find_corner` cell
     corner_witness: int | None = None
     vertex_at_center: int | None = None
+    rot: array | None = None
 
 
 def _dihedral(spec: FractalSpec, keys: list[tuple[int, ...]] | None = None) -> _Dihedral:
     """The spec's `_Dihedral` record, memoized on the spec like `_near_pairs`.
 
     It is built from `keys`, the spec's `_scaled_points` when the caller
-    has them, else from a pass of its own.  The invariance test and the
-    corner search share one reflection per scaled key.
+    has them, else from a pass of its own.  Each scaled key is rotated once
+    and reflected across the real axis once, and the images are looked up
+    in one key index.  The keys are distinct and each map is injective, so
+    the set is D_k-invariant exactly when every image is a cell: rotation 1
+    generates the rotations, and on a zeta-invariant set reflection m is
+    zeta^m after reflection 0.  The corner search reads the reflections,
+    and the corner's orbit is a walk along `rot`.
     """
     def build(spec: FractalSpec) -> _Dihedral:
         points = keys or _scaled_points(spec)
@@ -622,24 +612,28 @@ def _dihedral(spec: FractalSpec, keys: list[tuple[int, ...]] | None = None) -> _
         if spec.partial:
             return _Dihedral(central)
         k = spec.k
-        key_set = set(points)
-        mirrored = [_mapped_key(k, key, 0, -1) for key in points]
-        symmetry = _symmetry_witness(k, key_set, mirrored)
-        corner = _find_corner(spec, points, mirrored)
+        index_of = {key: i for i, key in enumerate(points)}
+        rot = array("l", [index_of.get(_mapped_key(k, key, 1, 1), -1) for key in points])
+        ref = [index_of.get(_mapped_key(k, key, 0, -1), -1) for key in points]
+        symmetry = ("rotation", 1) if -1 in rot else ("reflection", 0) if -1 in ref else None
+        corner = _find_corner(spec, points, index_of, ref)
         corner_key = vertex_at_center = None
         if corner is None:
             uncovered = 0
         else:
             corner_key = points[corner]
-            uncovered = next(
-                (j for j in range(1, k) if _mapped_key(k, corner_key, j, 1) not in key_set),
-                None,
-            )
+            # the j-th cell of the walk sits at zeta^j times the corner's key
+            uncovered, cell = None, corner
+            for j in range(1, k):
+                cell = rot[cell]
+                if cell == -1:
+                    uncovered = j
+                    break
         if k > 3:
             # p + n * zeta^j = 0 exactly when key(p) = -n * row_j
             at_center = {tuple(-spec.n * r for r in row) for row in _reduction_rows(k)}
             vertex_at_center = next((i for i, p in enumerate(points) if p in at_center), None)
-        return _Dihedral(central, symmetry, corner_key, uncovered, vertex_at_center)
+        return _Dihedral(central, symmetry, corner_key, uncovered, vertex_at_center, rot)
 
     return _memo(spec, "_dk", build)
 

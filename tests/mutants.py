@@ -1,0 +1,151 @@
+"""Mutation check of the test suite: every mutant of the library must make
+its named tests fail.
+
+Run from the repository root, with the test dependencies installed:
+
+    python tests/mutants.py [NAME ...]
+
+Each mutant is a file, an exact old text, the new text that replaces it,
+the tests that must kill it and the reason the new text is wrong.  An old
+text must occur exactly once in its file, so a change that moves or
+rewrites the mutated code fails here until its mutant is updated.  Each
+set of named tests first runs on an unmutated copy and must pass.  Then
+each mutant is applied to a fresh temporary copy of `src` and `tests`, and
+`pytest -x -q` runs on its tests there.  A mutant is killed when they
+fail, or when they run past three times their unmutated time plus 30 s,
+as a mutant that makes the code loop does.  The report is JSON on stdout:
+killed or survived, and seconds, per mutant.  Exit status 1 means a mutant
+survived; 2 means a mutant does not apply or the unmutated tests fail.
+It uses the standard library alone; pytest does not collect it.
+"""
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    reason: str
+
+
+MUTANTS = (
+    Mutant(
+        "fold-step-sign", "src/snfglp/glp.py",
+        "r[rot[c]] = (r[c] + t) % k", "r[rot[c]] = (r[c] - t) % k",
+        ("tests/test_glp.py::TestSpecRecords::test_slice_labeling_covers_its_region",),
+        "the slice route's fold steps by +t along each rotation cycle",
+    ),
+    Mutant(
+        "fold-no-root-shift", "src/snfglp/glp.py",
+        "_decided_labeling(spec, [(x - r[0]) % k for x in r])", "_decided_labeling(spec, r)",
+        ("tests/test_slices.py::TestSubspecReference",),
+        "the folded offsets are shifted so that cell 0 has offset 0, as decide_glp's are",
+    ),
+    Mutant(
+        "fold-no-fallback", "src/snfglp/glp.py",
+        "if d is None or graph.component_count > 1:", "if d is None:",
+        ("tests/test_slices.py::TestViaSlices::test_disconnected_region_left_to_general",),
+        "the components of a disconnected region have independent offsets",
+    ),
+    Mutant(
+        "corner-walk-from-2", "src/snfglp/model.py",
+        "for j in range(1, k):", "for j in range(2, k):",
+        ("tests/test_model.py::TestScaling",),
+        "the corner's orbit is walked from zeta^1",
+    ),
+    Mutant(
+        "corner-not-on-mirror", "src/snfglp/model.py",
+        "if ref[i] != i or _real_sign(k, key) <= 0:", "if _real_sign(k, key) <= 0:",
+        ("tests/test_model.py::TestScaling",),
+        "a corner cell lies on the real axis, which reflection 0 fixes",
+    ),
+    Mutant(
+        "central-cell-k8", "src/snfglp/model.py",
+        "k in (3, 4, 6)", "k in (3, 4, 6, 8)",
+        ("tests/test_model.py::TestValidate",),
+        "a central cell is allowed at k = 3, 4 and 6 only",
+    ),
+    Mutant(
+        "edge-weight-sign", "src/snfglp/model.py",
+        "return (e.ja - e.jb) % k", "return (e.jb - e.ja) % k",
+        ("tests/test_certificates.py",),
+        "sharing vertices (ja, jb) forces r_b - r_a = ja - jb",
+    ),
+)
+
+
+def _copy(folder: str) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, part), os.path.join(folder, part), ignore=ignore)
+
+
+def _pytest(folder: str, tests: tuple[str, ...], timeout: float | None = None) -> str:
+    """"passed", "failed" or "timeout": `pytest -x -q` on `tests` in a copy."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(folder, "src"))
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    try:
+        code = subprocess.run(argv, cwd=folder, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=timeout).returncode
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return "passed" if code == 0 else "failed"
+
+
+def _run(mutant: Mutant, timeout: float) -> dict:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as folder:
+        _copy(folder)
+        path = os.path.join(folder, mutant.path)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(mutant.old, mutant.new))
+        outcome = _pytest(folder, mutant.tests, timeout)
+    return {"name": mutant.name, "killed": outcome != "passed", "outcome": outcome,
+            "seconds": round(time.perf_counter() - start, 2)}
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    for m in chosen:
+        with open(os.path.join(ROOT, m.path), encoding="utf-8") as fh:
+            count = fh.read().count(m.old)
+        if count != 1:
+            print(f"mutant {m.name}: old text occurs {count} times in {m.path}", file=sys.stderr)
+            return 2
+    timeouts = {}
+    with tempfile.TemporaryDirectory() as folder:
+        _copy(folder)
+        for tests in dict.fromkeys(m.tests for m in chosen):
+            start = time.perf_counter()
+            if _pytest(folder, tests) != "passed":
+                print(f"{' '.join(tests)} fail on the unmutated code", file=sys.stderr)
+                return 2
+            timeouts[tests] = 3 * (time.perf_counter() - start) + 30
+    results = [_run(m, timeouts[m.tests]) for m in chosen]
+    survived = [r["name"] for r in results if not r["killed"]]
+    print(json.dumps({"mutants": results, "killed": len(results) - len(survived),
+                      "survived": survived}, indent=1))
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -9,8 +9,10 @@ installing them.  Each library call runs on one fresh spec from several
 threads at once and then again, so the records a spec shares between
 callers (near pairs, vertex ids, dihedral record, constraint graph with
 its lazily built weights, sectors, slice region) are filled concurrently;
-every output must equal that of a separate spec.  Every CLI command runs
-twice on one held file and must give the same exit code, output and SVG.
+every output must equal that of a separate spec, and the slice route
+must print the general decider's verdict.  Every CLI command runs twice on
+one held file and must give the same exit code, output and SVG, and
+`decide --method slices` must print what `decide` prints.
 """
 from __future__ import annotations
 
@@ -61,6 +63,7 @@ def library(spec):
 
 def check_library(text: str) -> None:
     want = library(parse(text))
+    assert want[3] == want[1], "the slice route's verdict is not the general one"
     spec = parse(text)
     barrier = threading.Barrier(THREADS)
     seen = [None] * THREADS
@@ -113,6 +116,8 @@ def check_cli(text: str, k: int, folder: str) -> None:
         first = cli_call(argv, svg)
         assert first[0] == cli.EXIT_OK and not first[2], (argv, first[0], first[2])
         assert cli_call(argv, svg) == first, f"second call differs: {argv}"
+    sliced = cli_call(["decide", path, "--method", "slices"], svg)
+    assert sliced == cli_call(["decide", path], svg), "decide --method slices differs from decide"
 
 
 def main() -> None:

@@ -7,9 +7,9 @@ adjacency in the library shows here as a labeling that gives one point two
 labels, or as a witness whose cells do not share a vertex or whose weights sum
 to zero.
 
-* GLP: each point gets one label, the labeling's mapping counts the same
-  points, and each cell's labels are a rotation of 0..k-1.  The slice route
-  labels its region only, so it is checked on the cells it gives offsets.
+* GLP: every cell has an offset, each point gets one label, the labeling's
+  mapping counts the same points, and each cell's labels are a rotation of
+  0..k-1.
 * NOGLP: the witness is a closed walk of distinct cells, consecutive cells
   share exactly one vertex, and the sum of ja - jb around it is nonzero mod k.
 """
@@ -76,21 +76,19 @@ def _keys(name):
     return out
 
 
-def audit(spec, keys, verdict, whole=True):
+def audit(spec, keys, verdict):
     """Assert that `verdict` carries a valid certificate for `spec`."""
     k = spec.k
     if verdict.glp:
         offsets = verdict.labeling.offsets
-        if whole:
-            assert sorted(offsets) == list(range(spec.n)), "labeling misses cells"
-        assert offsets and set(offsets) <= set(range(spec.n))
+        assert sorted(offsets) == list(range(spec.n)), "labeling misses cells"
         label_of = {}
         for i, r in offsets.items():
             for j, key in enumerate(keys[i]):
                 lab = (j + r) % k
                 assert label_of.setdefault(key, lab) == lab, f"a vertex of cell {i} gets two labels"
         labels = verdict.labeling.labels
-        assert len(labels) == len(label_of), "the labeling's points are not the labeled cells' points"
+        assert len(labels) == len(label_of), "the labeling's points are not the cells' points"
         for i in offsets:
             b = spec.cells[i].barycenter.coeffs
             row = [labels[from_coeffs(k, b[:j] + (b[j] + 1,) + b[j + 1:])] for j in range(k)]
@@ -111,10 +109,10 @@ def audit(spec, keys, verdict, whole=True):
 
 def _deciders(spec):
     """The deciders that apply to `spec`, by name."""
-    out = [("general", decide_glp, True)]
-    out.append(("even", decide_glp_even, True) if spec.k % 2 == 0 else ("odd", decide_glp_odd, True))
+    out = [("general", decide_glp)]
+    out.append(("even", decide_glp_even) if spec.k % 2 == 0 else ("odd", decide_glp_odd))
     if not spec.partial:
-        out.append(("slices", glp_via_slices, spec.k < 6))
+        out.append(("slices", glp_via_slices))
     return out
 
 
@@ -123,9 +121,9 @@ def test_every_decider_certificate(name):
     spec = _spec(name)
     keys = _keys(name)
     verdicts = {}
-    for method, decider, whole in _deciders(spec):
+    for method, decider in _deciders(spec):
         verdict = decider(spec)
-        audit(spec, keys, verdict, whole)
+        audit(spec, keys, verdict)
         verdicts[method] = verdict.glp
     assert len(set(verdicts.values())) == 1, verdicts
 

@@ -570,19 +570,15 @@ class TestLazyLabels:
             offsets = verdict.labeling.offsets
             labels = verdict.labeling.labels
             assert labels._labels is None  # nothing built before the first read
-            # the slice route labels the cells of its region only
-            chosen = tuple(sorted(offsets))
-            whole = len(chosen) == spec.n
-            sub = spec if whole else _cells_spec(spec, chosen)
-            eager = make_labeling(sub, {new: offsets[old] for new, old in enumerate(chosen)})
+            assert sorted(offsets) == list(range(spec.n))  # every route labels every cell
+            eager = make_labeling(spec, offsets)
             assert eager.labels._labels is not None
             # point by point: each vertex key gets make_labeling's label
             assert labels._by_key == eager.labels._by_key and labels._labels is not None
             assert len(labels) == len(eager.labels)
-            if whole:
-                assert labels._by_id == eager.labels._by_id
+            assert labels._by_id == eager.labels._by_id
             with pytest.raises(KeyError):
-                make_labeling(sub, {new: offsets[old] for new, old in enumerate(chosen[1:], 1)})
+                make_labeling(spec, {i: offsets[i] for i in range(1, spec.n)})
 
 
 def _keyed_labels(spec, offsets):
@@ -903,14 +899,13 @@ class TestSpecRecords:
 
     @pytest.mark.parametrize("k", range(6, 13))
     def test_slice_labeling_covers_its_region(self, k):
+        # the region is decided, and its labeling is carried to every cell
         spec = generate_glp_example(k)
         labeling = glp_via_slices(spec).labeling
         chosen = spec._reg[0]
-        region = _cells_spec(spec, chosen)
-        assert len(chosen) < spec.n and set(labeling.offsets) == set(chosen)
-        assert check_labeling(region, labeling)
-        with pytest.raises(LabelingError, match="has no label"):
-            check_labeling(spec, labeling)
+        assert len(chosen) < spec.n and sorted(labeling.offsets) == list(range(spec.n))
+        assert check_labeling(_cells_spec(spec, chosen), labeling)
+        assert check_labeling(spec, labeling)
 
 
 # psi_13 (OEIS A014233): the least composite that is a strong probable prime

@@ -470,6 +470,12 @@ class TestScaling:
         with pytest.raises(ScalingError, match="no corner cell"):
             derive_scaling(spec)
 
+    def test_corner_orbit_breaks_at_first_missing_rotation(self):
+        # the hexagon ring without the opposite cells 2 and 5 keeps its
+        # barycenter and its corner cell 0, whose orbit breaks at zeta^2
+        report = validate(make_spec(6, [zeta(6, j, 2) for j in (0, 1, 3, 4)]))
+        assert (report.corner_ok, report.corner_witness) == (False, 2)
+
     def test_central_cell_is_no_corner(self):
         # a ring with no cell on the positive real axis, around a central
         # cell 1 - zeta + zeta^2 = 0 whose coefficients embed at x > 0 and
@@ -507,6 +513,14 @@ class TestValidate:
         assert not report.central_ok
         assert report.central_cell == 7
         assert not report.valid
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_central_cell_allowed_only_at_k_3_4_6(self, k):
+        ring = generate_glp_example(k)
+        report = validate(make_spec(k, [c.barycenter for c in ring.cells] + [zero(k)]))
+        allowed = k in (3, 4, 6)
+        assert report.central_ok == allowed
+        assert f"central-cell: index {ring.n} ({'ok' if allowed else 'FAIL'})" in report.lines()
 
     def test_broken_ring_fails_symmetry(self):
         ring = catalog("sierpinski-hexagon")
@@ -565,10 +579,10 @@ class TestValidate:
             ]
 
     def test_each_key_reflected_once(self, monkeypatch):
-        # the symmetry test and the corner search share one reflection per
-        # scaled key; rotation maps every key once more and the corner's
-        # orbit k - 1 times.  They run once per spec: the slice route and
-        # the scaling factor read the record validate filled.
+        # the symmetry test and the corner search share one reflection and
+        # one rotation per scaled key; the corner's orbit is walked on the
+        # rotation's cell indices.  They run once per spec: the slice route
+        # and the scaling factor read the record validate filled.
         from snfglp import model
         from snfglp.construct import expand, generate_glp_example
 
@@ -588,15 +602,14 @@ class TestValidate:
             monkeypatch.setattr(model, name, wrapped)
 
         counting("_mapped_key", calls)
-        counting("_symmetry_witness", runs)
         counting("_find_corner", runs)
         assert validate(spec).valid
         assert glp_via_slices(spec).glp
         assert cyc_eq(derive_scaling(spec), want)
         assert spec.n == 576
         assert calls.count((0, -1)) == spec.n
-        assert len(calls) == 2 * spec.n + 11
-        assert runs == ["_symmetry_witness", "_find_corner"]
+        assert len(calls) == 2 * spec.n
+        assert runs == ["_find_corner"]
 
     def test_one_scaled_pass_per_spec(self, monkeypatch):
         # the slice route and expand fill the dihedral record from the pass

@@ -15,9 +15,10 @@ from conftest import fold, remainder_key, small_real
 from snfglp import glp, model
 from snfglp.construct import expand, generate_counterexample, generate_glp_example, random_valid_spec
 from test_certificates import CORPUS, _spec
+from test_cli import run_captured
 from snfglp.glp import (
+    DisconnectedSpec,
     Labeling,
-    LabelingError,
     Verdict,
     check_labeling,
     closed_slices,
@@ -26,8 +27,9 @@ from snfglp.glp import (
     slice_subspec,
     slices,
 )
-from snfglp.model import CATALOG_NAMES, FractalSpec, SpecError, catalog, make_spec, validate
+from snfglp.model import CATALOG_NAMES, FractalSpec, SpecError, catalog, make_spec, serialize, validate
 from snfglp.cyclotomic import (
+    _mapped_key,
     cyc_add,
     cyc_div_int,
     cyc_mul,
@@ -142,8 +144,8 @@ class TestViaSlices:
             spec = generate_glp_example(k)
             v = glp_via_slices(spec)
             assert v.glp
-            # the reduced verdict must cover only a strict subset of cells
-            assert len(v.labeling.offsets) < spec.n
+            # the region decided is a strict subset of the cells
+            assert len(spec._reg[0]) < spec.n
 
     def test_partial_rejected(self):
         spec = make_spec(5, [tuple(zero(5).coeffs)], partial=True)
@@ -201,11 +203,7 @@ class TestViaSlices:
 
     @pytest.mark.parametrize("k", [6, 7, 9, 12])
     def test_asymmetric_spec_raises_before_slice_work(self, k):
-        # the example ring without one cell, and the rotation orbit of a
-        # point off every mirror, far enough out that no two cells meet
-        ring = make_spec(k, [c.barycenter for c in generate_glp_example(k).cells][1:])
-        chiral = make_spec(k, [cyc_rotate(from_coeffs(k, (5, 2) + (0,) * (k - 2)), j) for j in range(k)])
-        for spec, witness in ((ring, ("rotation", 1)), (chiral, ("reflection", 0))):
+        for spec, witness in asymmetric_specs(k):
             assert validate(spec).symmetry_witness == witness
             with mock.patch.object(glp, "_region", side_effect=AssertionError("region work")):
                 with pytest.raises(SpecError) as raised:
@@ -226,59 +224,108 @@ class TestViaSlices:
             assert glp_via_slices(spec).glp
         assert calls == [spec]
 
+    @pytest.mark.parametrize("k", [6, 7, 12])
+    def test_disconnected_region_left_to_general(self, k, tmp_path):
+        # k cells far apart: the region's two or three cells share no vertex
+        spec = make_spec(k, [zeta(k, j, 5) for j in range(k)])
+        with pytest.raises(DisconnectedSpec) as general:
+            decide_glp(spec)
+        with pytest.raises(DisconnectedSpec) as via:
+            glp_via_slices(spec)
+        assert str(via.value) == str(general.value)
+        path = tmp_path / "spec.snf"
+        path.write_text(serialize(spec))
+        code, out, err = run_captured(["decide", str(path), "--method", "slices"])
+        assert (code, out, err) == run_captured(["decide", str(path)]) and code == 2
+
     def test_k6_central_spec_no_by_both_paths(self):
         spec = catalog("lindstrom-snowflake")
         assert not decide_glp(spec).glp
         assert not glp_via_slices(spec).glp
 
 
+def asymmetric_specs(k):
+    """The example ring without one cell, and the rotation orbit of a point
+    off every mirror, far enough out that no two cells meet, each with its
+    symmetry witness."""
+    ring = make_spec(k, [c.barycenter for c in generate_glp_example(k).cells][1:])
+    chiral = make_spec(k, [cyc_rotate(from_coeffs(k, (5, 2) + (0,) * (k - 2)), j) for j in range(k)])
+    return [(ring, ("rotation", 1)), (chiral, ("reflection", 0))]
+
+
+class TestRotationPermutation:
+    """The dihedral record's `rot`: the cell at zeta times each cell's scaled
+    key, or -1, and a permutation exactly when the spec is rotation-invariant."""
+
+    @staticmethod
+    def assert_rotation(spec):
+        dk = model._dihedral(spec)
+        if spec.partial:
+            assert dk.rot is None
+            return
+        keys = model._scaled_points(spec)
+        index_of = {key: i for i, key in enumerate(keys)}
+        assert list(dk.rot) == [index_of.get(_mapped_key(spec.k, key, 1, 1), -1) for key in keys]
+        assert (sorted(dk.rot) == list(range(spec.n))) == (dk.symmetry_witness != ("rotation", 1))
+
+    @pytest.mark.parametrize("name", [name for name, _ in CORPUS])
+    def test_audit_corpus(self, name):
+        self.assert_rotation(_spec(name))
+
+    @pytest.mark.parametrize("k", [6, 7, 9, 12])
+    def test_asymmetric_specs(self, k):
+        for spec, _ in asymmetric_specs(k):
+            self.assert_rotation(spec)
+
+
 def subspec_route(spec):
-    """Reference for the slice route, k >= 6, as a second spec: the region's
-    cells (`glp._region`) copied into a partial spec, decided whole by
-    `decide_glp`, its offsets and witness mapped back to the spec's indices
-    and its labels kept.  Returns the verdict and the region's spec."""
+    """Reference for the slice route's region verdict, k >= 6, as a second
+    spec: the region's cells (`glp._region`) copied into a partial spec,
+    decided whole by `decide_glp`, its offsets and witness mapped back to
+    the spec's indices."""
     k = spec.k
     chosen = glp._region(k, glp._scaled_points(spec), spec.n)
     region = make_spec(k, [spec.cells[i].barycenter for i in chosen], partial=True)
     sub = decide_glp(region)
     if not sub.glp:
-        return Verdict(glp=False, witness=tuple(chosen[i] for i in sub.witness)), region
+        return Verdict(glp=False, witness=tuple(chosen[i] for i in sub.witness))
     offsets = {chosen[i]: r for i, r in sub.labeling.offsets.items()}
-    return Verdict(glp=True, labeling=Labeling(k, offsets, sub.labeling.labels)), region
-
-
-def _check_outcome(spec, labeling):
-    try:
-        return check_labeling(spec, labeling)
-    except LabelingError as exc:
-        return str(exc)
+    return Verdict(glp=True, labeling=Labeling(k, offsets, {}))
 
 
 class TestSubspecReference:
-    """The slice route decides its region on the spec's own records; it
-    answers exactly as deciding a copy of the region as a second spec did."""
+    """The slice route decides its region on the spec's own records: its
+    verdict and witness are those of deciding a copy of the region as a
+    second spec, and its offsets extend that copy's up to one shift."""
 
     @staticmethod
     def assert_matches_reference(spec):
         verdict = glp_via_slices(spec)
-        ref, region = subspec_route(spec)
-        assert verdict.serialize() == ref.serialize()
+        ref = subspec_route(spec)
         if not verdict.glp:
+            assert verdict.serialize() == ref.serialize()
             return
-        labels, want = verdict.labeling.labels, ref.labeling.labels
-        assert list(verdict.labeling.offsets.items()) == list(ref.labeling.offsets.items())
-        assert len(labels) == len(want)
-        assert [(v.canonical_key(), lab) for v, lab in labels.items()] == [
-            (v.canonical_key(), lab) for v, lab in want.items()]
-        ids = [1] if spec.k % 2 == 0 else [1, 2]
-        owners = (spec, region, slice_subspec(spec, ids), slice_subspec(spec, ids, closed=True))
-        for owner in owners:
-            assert _check_outcome(owner, verdict.labeling) == _check_outcome(owner, ref.labeling)
+        # the region's offsets are the reference's up to one shift, and the
+        # fold carries them to decide_glp's labeling of the whole spec
+        assert ref.glp
+        offsets = verdict.labeling.offsets
+        assert len({(offsets[i] - r) % spec.k for i, r in ref.labeling.offsets.items()}) == 1
+        assert verdict.serialize() == decide_glp(spec).serialize()
+        assert check_labeling(spec, verdict.labeling)
 
     def test_audit_corpus(self):
         specs = [_spec(name) for name, _ in CORPUS]
         for spec in [s for s in specs if not s.partial and s.k >= 6]:
             self.assert_matches_reference(spec)
+
+    @pytest.mark.parametrize("k", range(6, 13))
+    def test_cell_0_outside_the_region(self, k):
+        # the ring's cells listed from its far side: the region's forest is
+        # rooted elsewhere, so the fold shifts its offsets to cell 0's
+        cells = [c.barycenter for c in generate_glp_example(k).cells]
+        spec = make_spec(k, cells[len(cells) // 2:] + cells[:len(cells) // 2])
+        self.assert_matches_reference(spec)
+        assert 0 not in spec._reg[0]
 
     @pytest.mark.parametrize("k", range(6, 13))
     def test_symmetrized_growth(self, k):
