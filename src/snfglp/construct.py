@@ -39,12 +39,9 @@ from .glp import classify_k
 from .model import (
     Cell,
     FractalSpec,
-    ScalingError,
     SpecError,
     _conflicting,
     _Grid,
-    _dihedral,
-    _scaled_points,
     derive_scaling,
     make_spec,
 )
@@ -148,11 +145,13 @@ def generate_glp_example(k: int) -> FractalSpec:
 def expand(spec: FractalSpec, level: int) -> FractalSpec:
     """All depth-`level` cells of the substitution: sums of L^j-scaled offsets.
 
-    The spec is recentred exactly; positions are sums over every choice
-    of one level-1 offset per depth.  Duplicates are an error.  Offsets
-    and their sums are kept as (coefficients, canonical key) pairs of
-    Python ints, summed key by key, and each output cell is the one value
-    built from its pair.
+    L comes from `derive_scaling`, which reads the spec's dihedral record,
+    built from the spec alone; expand hands it nothing.  The spec is
+    recentred by its key mean, which is exact wherever L is defined;
+    positions are sums over every choice of one level-1 offset per depth.
+    Duplicates are an error.  Offsets and their sums are kept as
+    (coefficients, canonical key) pairs of Python ints, summed key by key,
+    and each output cell is the one value built from its pair.
     """
     if level not in (1, 2, 3):
         raise ValueError("level must be 1, 2 or 3")
@@ -160,16 +159,15 @@ def expand(spec: FractalSpec, level: int) -> FractalSpec:
     n = spec.n
     if n**level > 100_000:
         raise ValueError(f"{n}^{level} cells exceed the size cap")
-    keys = _scaled_points(spec)
-    _dihedral(spec, keys)  # derive_scaling reads the corner from this pass
     scaling = derive_scaling(spec)
-    # the offset b - mean is the scaled position divided by n; like
-    # cyc_div_int, its coefficients are the reduced quotient, its own key
+    # derive_scaling found n dividing the corner's scaled key n*key - total,
+    # so the mean total/n is exact; like cyc_div_int, the offset b - mean
+    # has its reduced key as its coefficients
+    keys = [c.barycenter.canonical_key() for c in spec.cells]
+    mean = [sum(col) // n for col in zip(*keys)]
     offsets = []
     for key in keys:
-        if any(c % n for c in key):
-            raise ScalingError("spec cannot be recentred exactly")
-        quot = tuple(c // n for c in key)
+        quot = tuple(map(sub, key, mean))
         offsets.append((quot + (0,) * (k - len(quot)), quot))
     scaled = [offsets]
     for _ in range(1, level):

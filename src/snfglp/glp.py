@@ -151,12 +151,12 @@ class _VertexLabels(Mapping[CycInt, int]):
     def __iter__(self) -> Iterator[CycInt]:
         self._by_id  # offsets that disagree raise here, as on any read
         k = self._spec.k
-        ids, count = _vertex_ids(self._spec)
-        pending = [True] * count
+        ids, _ = _vertex_ids(self._spec)
+        seen = 0  # ids are numbered as first seen in cell order
         for i, cell in enumerate(self._spec.cells):
             for v, value in zip(ids[i * k:(i + 1) * k], cyc_unit_translates(cell.barycenter)):
-                if pending[v]:
-                    pending[v] = False
+                if v == seen:
+                    seen += 1
                     yield value
 
     def __repr__(self) -> str:
@@ -528,13 +528,12 @@ def _slice_region(spec: FractalSpec) -> tuple[tuple[int, ...], ConstraintGraph]:
     """The `_region` cells of a D_k-invariant spec and the `_forest` of the
     spec's near-pair edges among them, memoized on the spec as `_reg`;
     SpecError if the spec is not invariant."""
-    keys = _scaled_points(spec)
-    dk = _dihedral(spec, keys)
+    dk = _dihedral(spec)
     if dk.symmetry_witness is not None:
         raise SpecError(
             f"spec fails symmetry {dk.symmetry_witness}; the slice reduction needs D_k invariance"
         )
-    chosen = _region(spec.k, keys, spec.n)
+    chosen = _region(spec.k, _scaled_points(spec), spec.n)
     inside = set(chosen)
     edges = tuple(e for e in _near_pairs(spec).edges if e.a in inside and e.b in inside)
     return chosen, _forest(spec, chosen, edges)

@@ -81,8 +81,9 @@ class FractalSpec:
     cell's sector and ray (`_sectors`), and `_reg`, the slice route's region
     cells and the `_forest` of the near-pair edges among them, in this
     spec's indices.
-    Each is stored by `_memo`, at most once with equal values, so a spec
-    can be shared across threads.
+    Each is built from the spec alone (no caller hands its builder data)
+    and stored by `_memo`, at most once with equal values, so a spec can be
+    shared across threads.
     """
 
     k: int
@@ -594,20 +595,20 @@ class _Dihedral(NamedTuple):
     rot: array | None = None
 
 
-def _dihedral(spec: FractalSpec, keys: list[tuple[int, ...]] | None = None) -> _Dihedral:
-    """The spec's `_Dihedral` record, memoized on the spec like `_near_pairs`.
+def _dihedral(spec: FractalSpec) -> _Dihedral:
+    """The spec's `_Dihedral` record, memoized on the spec like `_near_pairs`
+    and, like every record, built from the spec alone.
 
-    It is built from `keys`, the spec's `_scaled_points` when the caller
-    has them, else from a pass of its own.  Each scaled key is rotated once
-    and reflected across the real axis once, and the images are looked up
-    in one key index.  The keys are distinct and each map is injective, so
-    the set is D_k-invariant exactly when every image is a cell: rotation 1
-    generates the rotations, and on a zeta-invariant set reflection m is
-    zeta^m after reflection 0.  The corner search reads the reflections,
-    and the corner's orbit is a walk along `rot`.
+    Each of the spec's `_scaled_points` is rotated once and reflected
+    across the real axis once, and the images are looked up in one key
+    index.  The keys are distinct and each map is injective, so the set is
+    D_k-invariant exactly when every image is a cell: rotation 1 generates
+    the rotations, and on a zeta-invariant set reflection m is zeta^m after
+    reflection 0.  The corner search reads the reflections, and the
+    corner's orbit is a walk along `rot`.
     """
     def build(spec: FractalSpec) -> _Dihedral:
-        points = keys or _scaled_points(spec)
+        points = _scaled_points(spec)
         central = next((i for i, key in enumerate(points) if not any(key)), None)
         if spec.partial:
             return _Dihedral(central)

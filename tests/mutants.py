@@ -84,6 +84,36 @@ MUTANTS = (
         ("tests/test_certificates.py",),
         "sharing vertices (ja, jb) forces r_b - r_a = ja - jb",
     ),
+    Mutant(
+        "expand-recentre-sign", "src/snfglp/construct.py",
+        "quot = tuple(map(sub, key, mean))", "quot = tuple(map(add, key, mean))",
+        ("tests/test_construct.py::TestExpand::test_translated_spec_expands_alike",),
+        "an offset is the cell's position less the mean, which a translated spec shows",
+    ),
+    Mutant(
+        "scaling-not-integral-unchecked", "src/snfglp/model.py",
+        "if any(c % n for c in corner_key):", "if False:",
+        ("tests/test_construct.py::TestExpand::test_corner_not_integral_after_recentring",),
+        "L and the key mean are exact only where n divides the corner's scaled key",
+    ),
+    Mutant(
+        "first-seen-repeats", "src/snfglp/glp.py",
+        "if v == seen:", "if v <= seen:",
+        ("tests/test_glp.py::TestVertexIdLabels",),
+        "a vertex is yielded once, at the slot that first sees it",
+    ),
+    Mutant(
+        "near-below-2", "src/snfglp/model.py",
+        "_NEAR = 2 + 2**-8", "_NEAR = 2 - 2**-8",
+        ("tests/test_model.py::TestNearGrid",),
+        "cells at exact distance 2 share a vertex, so the float cut-off must exceed 2",
+    ),
+    Mutant(
+        "overlap-at-vertex-closed", "src/snfglp/model.py",
+        "return 2 * min(d, k - d) < k - 2", "return 2 * min(d, k - d) <= k - 2",
+        ("tests/test_model.py::TestExactConflicts",),
+        "cones whose axes are their half-angles' sum apart only touch",
+    ),
 )
 
 

@@ -20,13 +20,19 @@ from functools import cache
 import pytest
 
 from conftest import fold, remainder_key
-from snfglp.construct import expand, generate_counterexample, generate_glp_example
+from snfglp.construct import (
+    expand,
+    generate_counterexample,
+    generate_glp_example,
+    random_valid_spec,
+)
 from snfglp.cyclotomic import from_coeffs
 from snfglp.glp import (
     Labeling,
     Verdict,
     build_constraint_graph,
     classify_k,
+    cycle_weight,
     decide_glp,
     decide_glp_even,
     decide_glp_odd,
@@ -185,3 +191,25 @@ def test_closed_form_labelings(name):
     by_parity = decide_glp_even if spec.k % 2 == 0 else decide_glp_odd
     for decider in (decide_glp, by_parity):
         assert _same_up_to_shift(spec.k, offsets, decider(spec).labeling.offsets), decider.__name__
+
+
+@pytest.mark.parametrize("k, p", [(9, 3), (10, 5), (14, 7)])
+def test_obstruction_bounds(k, p):
+    """Bounds the abstract's "always GLP" theorems put on obstructions, on
+    decide_glp's witnesses over plain growth and the counterexample ring.
+
+    * k = p^m: the prime-k functional sum(i * c_i) works mod p, so every
+      cycle weight is 0 mod p.
+    * k = 2p: zeta_2p^a = (-1)^a zeta_p^(a(p+1)/2), and zeta_p -> 1 sends
+      each edge's step 2 zeta^ja to +-2 mod p, so an odd cycle has at least
+      p cells.
+    """
+    specs = [random_valid_spec(k, t, seed) for seed in range(40) for t in (20, 40)]
+    specs.append(generate_counterexample(k))
+    witnesses = [(spec, v.witness) for spec in specs if not (v := decide_glp(spec)).glp]
+    assert witnesses
+    for spec, walk in witnesses:
+        if k % 2:
+            assert cycle_weight(spec, walk) % p == 0, walk
+        else:
+            assert len(walk) >= p, walk

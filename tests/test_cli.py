@@ -497,6 +497,15 @@ class TestGenerators:
         assert run(["expand", str(path), "--level", "2"]) == 0
         assert parse(capsys.readouterr().out).n == 9
 
+    def test_expand_corner_not_integral(self, tmp_path, capsys):
+        # two cells 3 apart on the real axis: the corner's scaled key 3 is odd, n = 2
+        path = tmp_path / "odd-corner.snf"
+        path.write_text("snf k=6\ncell 0 0 0 0 0 0\ncell 3 0 0 0 0 0\n")
+        assert run(["expand", str(path), "--level", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: corner barycenter is not integral after recentring\n"
+
     def test_classify(self, capsys):
         assert run(["classify", "--k", "8"]) == 0
         assert capsys.readouterr().out.strip() == "AlwaysGLP(power_of_two)"

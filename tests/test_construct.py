@@ -33,6 +33,7 @@ from snfglp.cyclotomic import (
     cyc_rotate,
     cyc_scale,
     cyc_sub,
+    from_coeffs,
     to_cartesian,
     zero,
     zeta,
@@ -194,6 +195,25 @@ class TestExpand:
 
         with pytest.raises(ScalingError):
             expand(generate_counterexample(9), 2)
+
+    @pytest.mark.parametrize("k", [5, 6, 8, 9, 12])
+    def test_translated_spec_expands_alike(self, k):
+        # expand recentres on the key mean, so a moved copy gives the same cells
+        ring = generate_glp_example(k)
+        shift = from_coeffs(k, [3, -2] + [0] * (k - 2))
+        moved = make_spec(k, [cyc_add(c.barycenter, shift) for c in ring.cells])
+        for level in (1, 2):
+            assert serialize(expand(moved, level)) == serialize(expand(ring, level))
+
+    def test_corner_not_integral_after_recentring(self):
+        # two cells 3 apart on the real axis: the corner's scaled key is 3, n = 2
+        spec = make_spec(6, [zero(6), zeta(6, 0, 3)])
+        text = "corner barycenter is not integral after recentring"
+        with pytest.raises(ScalingError, match=text):
+            derive_scaling(spec)
+        for level in (1, 2, 3):
+            with pytest.raises(ScalingError, match=text):
+                expand(spec, level)
 
 
 def reference_scaling(spec):

@@ -612,11 +612,16 @@ class TestValidate:
         assert runs == ["_find_corner"]
 
     def test_one_scaled_pass_per_spec(self, monkeypatch):
-        # the slice route and expand fill the dihedral record from the pass
-        # they make anyway, and later callers read it
+        # every record is built from its spec alone: the dihedral record makes
+        # the one pass expand needs, the slice region one more, and later
+        # callers read the records
+        import inspect
+
         from snfglp import construct, glp, model
         from snfglp.construct import expand, generate_glp_example
 
+        assert list(inspect.signature(model._dihedral).parameters) == ["spec"]
+        assert not hasattr(construct, "_scaled_points") and not hasattr(construct, "_dihedral")
         scaled_points = model._scaled_points
         passes = []
 
@@ -624,17 +629,18 @@ class TestValidate:
             passes.append(s)
             return scaled_points(s)
 
-        for module in (model, glp, construct):
+        for module in (model, glp):
             monkeypatch.setattr(module, "_scaled_points", counting)
-        first, second = generate_glp_example(12), generate_glp_example(9)
-        assert glp_via_slices(first).glp
+        first, second = generate_glp_example(9), generate_glp_example(12)
+        assert expand(first, 2).n == first.n**2
         assert passes == [first]
-        assert expand(second, 2).n == second.n**2
-        assert passes == [first, second]
+        assert glp_via_slices(second).glp
+        assert passes == [first, second, second]
+        assert glp_via_slices(second).glp
         for spec in (first, second):
             derive_scaling(spec)
             assert validate(spec).valid
-        assert passes == [first, second]
+        assert passes == [first, second, second]
 
     def test_vertex_at_center_rejected(self):
         # symmetric orbit of cells whose vertices land exactly on the barycenter
