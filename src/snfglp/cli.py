@@ -206,19 +206,15 @@ def _cmd_slices(args) -> int:
         sys.stdout.write(model.serialize(sub))
         return EXIT_OK
     if args.closed:
-        sets = glp.closed_slices(spec)
-        membership: dict[int, list[int]] = {i: [] for i in range(spec.n)}
-        for s, members in enumerate(sets, start=1):
+        tags = [""] * spec.n
+        for s, members in enumerate(glp.closed_slices(spec), start=1):
             for i in members:
-                membership[i].append(s)
-        # every other cell lies in its own sector's closed slice
-        for i in range(spec.n):
-            tag = ",".join(str(s) for s in membership[i]) or "central"
-            print(f"cell {i} {tag}")
+                tags[i] += f",{s}" if tags[i] else str(s)
     else:
-        assignment = glp.slices(spec)
-        for i, s in enumerate(assignment.sector):
-            print(f"cell {i} {'central' if s is None else s}")
+        tags = ["" if s is None else str(s) for s in glp.slices(spec).sector]
+    # every cell but the central one lies in its own sector's slice
+    for i, tag in enumerate(tags):
+        print(f"cell {i} {tag or 'central'}")
     return EXIT_OK
 
 

@@ -18,8 +18,8 @@ from .cyclotomic import (
     CycInt,
     _canonical,
     _cyclic_product,
-    _mapped,
     _mapped_key,
+    _permuted,
     _preset,
     _real_sign,
     cyc_add,
@@ -238,14 +238,11 @@ def random_valid_spec(
     rng = random.Random(seed)
     steps = _legal_steps(k)
     step_keys = [s.canonical_key() for s in steps]
-    # keys whose rejection cannot be undone as the accepted set grows; the
-    # draws are made before the check, so skipping them changes no output
-    rejected: set[tuple[int, ...]] = set()
     if symmetrize:
         base, corner_radius = _growth_base(k, False)
         if len(base) ** 2 <= 100 and rng.random() < 0.5:
             base, corner_radius = _growth_base(k, True)
-        # the images (shift, sign) of _mapped other than the identity (0, 1),
+        # the images (shift, sign) of _mapped_key other than the identity (0, 1),
         # in the order written: cyc_rotate(cand, j) is (j, 1) and
         # cyc_reflect(cand, -j) is (-j, -1)
         group = [(sign * j, sign) for j in range(k) for sign in (1, -1)][1:]
@@ -254,7 +251,10 @@ def random_valid_spec(
         base, corner_radius, group = (zero(k),), math.inf, []
         budget, patience = 400 * target_cells, math.inf
     order = list(base)
-    accepted = {pos.canonical_key() for pos in order}
+    # the accepted keys and the keys whose rejection cannot be undone as the
+    # accepted set grows; the draws are made before the check, so skipping
+    # a seen key changes no output
+    seen = {pos.canonical_key() for pos in order}
     grid = _Grid()
     for pos in order:
         grid.add(Cell(pos, 0))
@@ -265,7 +265,7 @@ def random_valid_spec(
         base = order[rng.randrange(len(order))]
         i = rng.randrange(len(steps))
         key = tuple(map(add, base.canonical_key(), step_keys[i]))
-        if key in accepted or key in rejected:
+        if key in seen:
             continue
         cand = _preset(k, tuple(map(add, base.coeffs, steps[i].coeffs)), key)
         if not any(key):
@@ -281,16 +281,17 @@ def random_valid_spec(
         # closed under the group), and meets h(cand) as cand meets g^-1 h(cand)
         cell = Cell(cand, 0)
         if not ok or not grid.clear(cell):
-            rejected.add(key)
+            seen.add(key)
             continue
-        # orbit key -> (shift, sign) of its member _mapped(cand, shift, sign);
-        # the image written last for a point is its member, built only when
-        # accepted, so a member is cand's own cell only under the identity
+        # orbit key -> (shift, sign) of its member, cand's coefficients
+        # permuted by (shift, sign) and keyed by the orbit key; the image
+        # written last for a point is its member, built only when accepted,
+        # so a member is cand's own cell only under the identity
         orbit = {key: (0, 1)}
         for shift, sign in group:
             orbit[_mapped_key(k, key, shift, sign)] = (shift, sign)
         if any(_conflicting(k, tuple(map(sub, okey, key))) for okey in orbit if okey != key):
-            rejected.add(key)
+            seen.add(key)
             continue
         # no image of cand is accepted already, as cand's own key is not, and
         # every image touches the accepted configuration: cand = base + step
@@ -298,8 +299,9 @@ def random_valid_spec(
         # accepted and g(step) is a legal step (the steps are closed under
         # negation and the dihedral group)
         for okey, (shift, sign) in sorted(orbit.items()):
-            member = cell if (shift, sign) == (0, 1) else Cell(_mapped(cand, shift, sign), 0)
-            accepted.add(okey)
+            coeffs = _permuted(cand.coeffs, shift, sign)
+            member = cell if (shift, sign) == (0, 1) else Cell(_preset(k, coeffs, okey), 0)
+            seen.add(okey)
             grid.add(member)
             order.append(member.barycenter)
         stale = 0

@@ -94,8 +94,9 @@ class _VertexLabels(Mapping[CycInt, int]):
     The label list is built when first read, and the key index a lookup by
     value needs when first looked up; each is written at most once with
     equal contents, so the mapping can be shared across threads.  An
-    order-k CycInt is looked up by its canonical key; iteration builds each
-    vertex value when first seen in cell order.
+    order-k CycInt is looked up by its canonical key, and two such mappings
+    of one order compare by key; iteration builds each vertex value when
+    first seen in cell order, and the repr builds none.
     """
 
     __slots__ = ("_spec", "_offsets", "_labels", "_index")
@@ -159,8 +160,14 @@ class _VertexLabels(Mapping[CycInt, int]):
                     seen += 1
                     yield value
 
+    def __eq__(self, other: object) -> bool:
+        # by vertex key, so no vertex value is built
+        if isinstance(other, _VertexLabels) and other._spec.k == self._spec.k:
+            return self._by_key == other._by_key
+        return Mapping.__eq__(self, other)
+
     def __repr__(self) -> str:
-        return repr(dict(self))
+        return f"<vertex labels of {self._spec.n} order-{self._spec.k} cells>"
 
 
 @dataclass(frozen=True)
@@ -301,21 +308,18 @@ def decide_glp(spec: FractalSpec) -> Verdict:
 def decide_glp_even(spec: FractalSpec) -> Verdict:
     """Even-k decider: GLP iff the adjacency graph is bipartite.
 
-    Every edge weight is k/2, so a cycle violates exactly when its
-    length is odd.  On success the verdict carries the two classes
-    (1 and 2) and the offsets 0 / k/2 they induce.
+    Every edge weight is k/2: zeta^(j + k/2) = -zeta^j, so
+    zeta^ja - zeta^jb = zeta^(jb + k/2) - zeta^(ja + k/2), and the step
+    table lists both index pairs for that difference.  They are one pair
+    only when ja - jb = k/2 mod k; any other pair shares two vertices, a
+    nesting violation and never an edge.  So a cycle violates exactly
+    when its length is odd.  On success the verdict carries the two
+    classes (1 and 2) and the offsets 0 / k/2 they induce.
     """
     k = spec.k
     if k % 2 != 0:
         raise ValueError("decide_glp_even requires even k")
-
-    def parity(e: Adjacency) -> int:
-        if edge_weight(e, k) != k // 2:
-            raise SpecError(f"edge ({e.a}, {e.b}) has weight {edge_weight(e, k)}; "
-                            "even-k adjacency must have weight k/2")
-        return 1
-
-    color, witness = _forest_sums(_connected_graph(spec), 2, parity)
+    color, witness = _forest_sums(_connected_graph(spec), 2, lambda e: 1)
     if witness is not None:
         return Verdict(glp=False, witness=witness)
     offsets = [c * (k // 2) for c in color]

@@ -119,9 +119,6 @@ class FractalSpec:
     def n(self) -> int:
         return len(self.cells)
 
-    def barycenters(self) -> list[CycInt]:
-        return [c.barycenter for c in self.cells]
-
 
 def make_spec(k: int, barycenters, partial: bool = False) -> FractalSpec:
     """Build a spec from CycInt barycenters or raw coefficient vectors."""
@@ -550,37 +547,6 @@ def _rotation_class(e: Adjacency, k: int) -> int | None:
     return None
 
 
-def _find_corner(
-    spec: FractalSpec, keys: list[tuple[int, ...]], index_of: dict[tuple[int, ...], int], ref: list[int]
-) -> int | None:
-    """Index of the corner cell on the positive real axis, if any.
-
-    `keys` are the `_scaled_points` of the spec, `index_of` maps each to its
-    cell, and `ref[i]` is the cell at the reflection across the real axis
-    of cell i, or -1.  A corner cell sits at (L-1) * zeta^0 relative to the
-    global barycenter and its outward vertex is a vertex of no other cell
-    (it is an essential fixed point image).  Corner cells need not be the
-    outermost cells of the configuration.  The keys that reflection fixes
-    are real, so `_real_sign` decides the side and the outermost candidate
-    exactly.
-    """
-    k = spec.k
-    n = spec.n
-    rows = _reduction_rows(k)
-    # scaled by n, the tip of cell p is p + n and cell jb shares it when it
-    # sits at p + n - n * zeta^jb
-    steps = [tuple(n * (a - b) for a, b in zip(rows[0], rows[jb])) for jb in range(1, k)]
-    best = None
-    for i, key in enumerate(keys):
-        if ref[i] != i or _real_sign(k, key) <= 0:
-            continue
-        if any(index_of.get(tuple(map(add, key, step)), i) != i for step in steps):
-            continue
-        if best is None or _real_sign(k, tuple(map(sub, key, keys[best]))) > 0:
-            best = i
-    return best
-
-
 class _Dihedral(NamedTuple):
     """A spec's `_dihedral` record, fields named as in `ValidationReport`
     but `rot`: the cell at zeta times each cell's scaled key, -1 where that
@@ -589,7 +555,7 @@ class _Dihedral(NamedTuple):
 
     central_cell: int | None
     symmetry_witness: tuple[str, int] | None = None
-    corner_key: tuple[int, ...] | None = None  # scaled key of the `_find_corner` cell
+    corner_key: tuple[int, ...] | None = None  # scaled key of the corner cell on the positive real axis
     corner_witness: int | None = None
     vertex_at_center: int | None = None
     rot: array | None = None
@@ -612,12 +578,28 @@ def _dihedral(spec: FractalSpec) -> _Dihedral:
         central = next((i for i, key in enumerate(points) if not any(key)), None)
         if spec.partial:
             return _Dihedral(central)
-        k = spec.k
+        k, n = spec.k, spec.n
+        rows = _reduction_rows(k)
         index_of = {key: i for i, key in enumerate(points)}
         rot = array("l", [index_of.get(_mapped_key(k, key, 1, 1), -1) for key in points])
         ref = [index_of.get(_mapped_key(k, key, 0, -1), -1) for key in points]
         symmetry = ("rotation", 1) if -1 in rot else ("reflection", 0) if -1 in ref else None
-        corner = _find_corner(spec, points, index_of, ref)
+        # The corner cell sits at (L-1) * zeta^0 relative to the global
+        # barycenter, and its outward vertex is a vertex of no other cell (it
+        # is an essential fixed point's image); it need not be an outermost
+        # cell.  Reflection fixes exactly the real keys, so `_real_sign`
+        # decides the side and the outermost candidate exactly.  Scaled by n,
+        # the tip of cell p is p + n, and cell jb shares it when it sits at
+        # p + n - n * zeta^jb.
+        steps = [tuple(n * (a - b) for a, b in zip(rows[0], rows[jb])) for jb in range(1, k)]
+        corner = None
+        for i, key in enumerate(points):
+            if ref[i] != i or _real_sign(k, key) <= 0:
+                continue
+            if any(index_of.get(tuple(map(add, key, step)), i) != i for step in steps):
+                continue
+            if corner is None or _real_sign(k, tuple(map(sub, key, points[corner]))) > 0:
+                corner = i
         corner_key = vertex_at_center = None
         if corner is None:
             uncovered = 0
@@ -632,7 +614,7 @@ def _dihedral(spec: FractalSpec) -> _Dihedral:
                     break
         if k > 3:
             # p + n * zeta^j = 0 exactly when key(p) = -n * row_j
-            at_center = {tuple(-spec.n * r for r in row) for row in _reduction_rows(k)}
+            at_center = {tuple(-n * r for r in row) for row in rows}
             vertex_at_center = next((i for i, p in enumerate(points) if p in at_center), None)
         return _Dihedral(central, symmetry, corner_key, uncovered, vertex_at_center, rot)
 

@@ -10,6 +10,17 @@ from snfglp.model import FractalSpec
 
 PLAIN_ENUM_CAP = 200_000
 
+# texts that `parse` rejects at its boundary checks, each with its error text
+PARSE_ERRORS = [
+    ("", "missing header line"),
+    ("# only\n", "missing header line"),
+    ("snf k=x\ncell 1 0 0\n", "bad k in header 'snf k=x'"),
+    ("snf k=3 full\ncell 1 0 0\n", "unexpected tokens in header 'snf k=3 full'"),
+    ("snf k=3\ncell 1 x 0\n", "line 2: bad integer in 'cell 1 x 0'"),
+    # 2 + zeta + zeta^2 = 1: one point written two ways
+    ("snf k=3\ncell 2 1 1\ncell 1 0 0\n", "duplicate barycenter at cell 1"),
+]
+
 
 def remainder_key(k: int, coeffs) -> tuple[int, ...]:
     """The canonical key by long division: the remainder of the coefficient

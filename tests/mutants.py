@@ -114,6 +114,31 @@ MUTANTS = (
         ("tests/test_model.py::TestExactConflicts",),
         "cones whose axes are their half-angles' sum apart only touch",
     ),
+    Mutant(
+        "growth-member-key", "src/snfglp/construct.py",
+        "Cell(_preset(k, coeffs, okey), 0)", "Cell(_preset(k, coeffs, key), 0)",
+        ("tests/test_construct.py::TestRandomSpecs",),
+        "an orbit member is keyed by its own orbit key, not by the candidate's",
+    ),
+    Mutant(
+        "missing-header-unchecked", "src/snfglp/model.py",
+        'if header is None:\n        raise ParseError("missing header line")',
+        'if False:\n        raise ParseError("missing header line")',
+        ("tests/test_model.py::TestFormat::test_boundary_error_text",),
+        "a text of blank and comment lines alone has no header to read",
+    ),
+    Mutant(
+        "labels-eq-by-value", "src/snfglp/glp.py",
+        "return self._by_key == other._by_key", "return Mapping.__eq__(self, other)",
+        ("tests/test_slices.py::TestSliceLabelsAtCoefficientLimit",),
+        "a vertex value at the coefficient limit overflows, so labels compare by key",
+    ),
+    Mutant(
+        "step-table-one-order", "src/snfglp/model.py",
+        "if ja != jb:", "if ja < jb:",
+        ("tests/test_model.py::TestPerKTables::test_even_single_pair_steps_are_half_turns",),
+        "a difference of two unit steps is listed under every index pair that gives it",
+    ),
 )
 
 

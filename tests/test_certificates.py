@@ -36,6 +36,7 @@ from snfglp.glp import (
     decide_glp,
     decide_glp_even,
     decide_glp_odd,
+    edge_weight,
     fundamental_cycles,
     glp_via_slices,
     make_labeling,
@@ -191,6 +192,14 @@ def test_closed_form_labelings(name):
     by_parity = decide_glp_even if spec.k % 2 == 0 else decide_glp_odd
     for decider in (decide_glp, by_parity):
         assert _same_up_to_shift(spec.k, offsets, decider(spec).labeling.offsets), decider.__name__
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CORPUS if _spec(name).k % 2 == 0])
+def test_even_k_edges_weigh_half_k(name):
+    # decide_glp_even maps every edge to 1, as the step table makes every
+    # even-k edge weigh k/2
+    spec = _spec(name)
+    assert {edge_weight(e, spec.k) for e in build_constraint_graph(spec).edges} == {spec.k // 2}
 
 
 @pytest.mark.parametrize("k, p", [(9, 3), (10, 5), (14, 7)])

@@ -16,10 +16,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import snfglp
+from conftest import PARSE_ERRORS
 from snfglp import cli
 from snfglp.cli import SPEC_CACHE_CELLS, _build_parser, _load, _SpecCache, run
 from snfglp.construct import generate_counterexample, generate_glp_example, random_valid_spec
-from snfglp.cyclotomic import cyclotomic_polynomial
+from snfglp.cyclotomic import cyclotomic_polynomial, zeta
 from snfglp.glp import classify_k
 from snfglp.model import CATALOG_NAMES, catalog, make_spec, parse, serialize
 
@@ -396,6 +397,20 @@ class TestValidate:
         path.write_text("snf k=2\ncell 1 0\n")
         assert run(["validate", str(path)]) == 2
 
+    @pytest.mark.parametrize("text, error", PARSE_ERRORS)
+    def test_parse_error_text(self, tmp_path, text, error):
+        path = tmp_path / "rejected.snf"
+        path.write_text(text)
+        assert run_captured(["validate", str(path)]) == (2, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize("k", [6, 8])
+    def test_vertex_at_barycenter(self, tmp_path, k):
+        path = tmp_path / "star.snf"
+        path.write_text(serialize(make_spec(k, [zeta(k, j) for j in range(k)])))
+        code, out, _ = run_captured(["validate", str(path)])
+        assert code == 1
+        assert "central-cell: FAIL vertex of cell 0 at barycenter" in out.splitlines()
+
 
 class TestLabel:
     def test_writes_svg(self, hexagon_file, tmp_path, capsys):
@@ -505,6 +520,12 @@ class TestGenerators:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: corner barycenter is not integral after recentring\n"
+
+    def test_expand_past_size_cap(self, tmp_path):
+        path = tmp_path / "ring-36.snf"
+        path.write_text(serialize(generate_glp_example(36)))
+        assert run_captured(["expand", str(path), "--level", "3"]) == (
+            2, "", "error: 72^3 cells exceed the size cap\n")
 
     def test_classify(self, capsys):
         assert run(["classify", "--k", "8"]) == 0

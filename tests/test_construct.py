@@ -179,6 +179,10 @@ class TestExpand:
     def test_gasket_level3(self):
         assert expand(catalog("sierpinski-gasket"), 3).n == 27
 
+    def test_size_cap(self):
+        with pytest.raises(ValueError, match=r"^72\^3 cells exceed the size cap$"):
+            expand(generate_glp_example(36), 3)
+
     def test_random_symmetric_specs_level_robust(self):
         for k, seed in ((6, 1), (7, 0), (8, 2), (9, 0), (10, 3)):
             spec = random_valid_spec(k, 30, seed, symmetrize=True)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import cell_sum, fold
+from conftest import PARSE_ERRORS, cell_sum, fold
 from snfglp import model
 from snfglp.construct import expand, generate_glp_example, random_valid_spec
 from snfglp.cyclotomic import (
@@ -522,6 +522,13 @@ class TestValidate:
         assert report.central_ok == allowed
         assert f"central-cell: index {ring.n} ({'ok' if allowed else 'FAIL'})" in report.lines()
 
+    @pytest.mark.parametrize("k", [6, 8])
+    def test_vertex_at_barycenter_fails(self, k):
+        # the k cells at zeta^j: vertex j + k/2 of cell j is their barycenter 0
+        report = validate(make_spec(k, [zeta(k, j) for j in range(k)]))
+        assert "central-cell: FAIL vertex of cell 0 at barycenter" in report.lines()
+        assert report.vertex_at_center == 0 and not report.valid
+
     def test_broken_ring_fails_symmetry(self):
         ring = catalog("sierpinski-hexagon")
         spec = make_spec(6, [c.barycenter for c in ring.cells[:-1]])
@@ -590,26 +597,19 @@ class TestValidate:
         spec = make_spec(12, [c.barycenter for c in level2.cells])
         want = derive_scaling(make_spec(12, [c.barycenter for c in level2.cells]))
         calls = []
-        runs = []
+        mapped_key = model._mapped_key
 
-        def counting(name, log):
-            f = getattr(model, name)
+        def counting(*args):
+            calls.append(args[2:])
+            return mapped_key(*args)
 
-            def wrapped(*args):
-                log.append(args[2:] if name == "_mapped_key" else name)
-                return f(*args)
-
-            monkeypatch.setattr(model, name, wrapped)
-
-        counting("_mapped_key", calls)
-        counting("_find_corner", runs)
+        monkeypatch.setattr(model, "_mapped_key", counting)
         assert validate(spec).valid
         assert glp_via_slices(spec).glp
         assert cyc_eq(derive_scaling(spec), want)
         assert spec.n == 576
         assert calls.count((0, -1)) == spec.n
         assert len(calls) == 2 * spec.n
-        assert runs == ["_find_corner"]
 
     def test_one_scaled_pass_per_spec(self, monkeypatch):
         # every record is built from its spec alone: the dihedral record makes
@@ -1087,6 +1087,15 @@ class TestPerKTables:
     def test_step_table_matches_values(self, k):
         assert list(_step_table(k).items()) == list(_old_step_table(k).items())
 
+    @pytest.mark.parametrize("k", range(4, 37, 2))
+    def test_even_single_pair_steps_are_half_turns(self, k):
+        # zeta^ja - zeta^jb = zeta^(jb + k/2) - zeta^(ja + k/2), so a step that
+        # one index pair alone gives has ja - jb = k/2: every even-k edge weighs k/2
+        for step, pairs in _step_table(k).items():
+            if len(pairs) == 1:
+                (ja, jb), = pairs
+                assert (ja - jb) % k == k // 2, (step, pairs)
+
     @pytest.mark.parametrize("k", range(3, 37))
     def test_conflict_steps_match_per_pair_tests(self, k):
         assert _conflict_steps(k) == _old_conflict_steps(k)
@@ -1189,6 +1198,12 @@ class TestFormat:
             parse("snf k=3\nvertex 1 0 0\n")
         with pytest.raises(ParseError):
             parse("snf k=3\n")
+
+    @pytest.mark.parametrize("text, error", PARSE_ERRORS)
+    def test_boundary_error_text(self, text, error):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == error
 
 
 class TestCatalog:

@@ -609,6 +609,19 @@ class TestRegion:
         assert self.region_and_verdict(shifted) == (region, verdict)
 
 
+def _ring_at_limit(k):
+    """The example ring with m added at zeta^0, zeta^t and zeta^2t, t = k/3,
+    which sum to 0: the points are the ring's and a coefficient is 2^31."""
+    t, rows = k // 3, []
+    for cell in generate_glp_example(k).cells:
+        b = list(cell.barycenter.coeffs)
+        m = 2**31 - max(b[0], b[t], b[2 * t])
+        for j in (0, t, 2 * t):
+            b[j] += m
+        rows.append(b)
+    return make_spec(k, rows)
+
+
 class TestSliceLabelsAtCoefficientLimit:
     @pytest.mark.parametrize("k", [6, 9, 12])
     def test_slice_labels_check_on_a_slice_at_the_limit(self, k):
@@ -628,3 +641,13 @@ class TestSliceLabelsAtCoefficientLimit:
         assert verdict.glp
         sub = slice_subspec(spec, [1] if k % 2 == 0 else [1, 2])
         assert glp.check_labeling(sub, verdict.labeling)
+
+    @pytest.mark.parametrize("k", [6, 9, 12])
+    def test_verdicts_compare_and_print_at_the_limit(self, k):
+        # labels compare by vertex key, and their repr builds no vertex value
+        spec = _ring_at_limit(k)
+        verdict = decide_glp(spec)
+        assert verdict == glp_via_slices(spec)
+        turned = glp.make_labeling(spec, {i: (r + 1) % k for i, r in verdict.labeling.offsets.items()})
+        assert turned.labels != verdict.labeling.labels
+        assert "labels=<vertex labels of" in repr(verdict) and str(verdict) == repr(verdict)
