@@ -185,18 +185,6 @@ class CycInt:
     def __hash__(self) -> int:
         return hash((self.order, self.canonical_key()))
 
-    def __add__(self, other: CycInt) -> CycInt:
-        return cyc_add(self, other)
-
-    def __sub__(self, other: CycInt) -> CycInt:
-        return cyc_sub(self, other)
-
-    def __neg__(self) -> CycInt:
-        return cyc_neg(self)
-
-    def __mul__(self, other: CycInt) -> CycInt:
-        return cyc_mul(self, other)
-
     def __repr__(self) -> str:
         return f"CycInt(k={self.order}, {list(self.coeffs)})"
 
@@ -398,16 +386,30 @@ def _real_sign(order: int, key: tuple[int, ...]) -> int:
     canonical key `key`: 0 exactly when the key, which is unique, is all
     zeros; else the float's when it clears `_embed_error`; else that of
     sum(c_j * cos(2*pi*j/order)) in fixed point at q = 64, 128, ... bits,
-    once it clears its error bound 7q * ||key||_1 units, as it does for some
-    q since the value is not 0.  Every floor is off by under one unit, so
-    pi (Machin's formula) is within 3.8q + 40 units, an angle
-    min(j, order - j) * 2*pi/order <= pi within 3.8q + 41, and its Taylor
-    cosine, at most q terms within 2 each and a tail under 3, within 7q.
+    once it clears its error bound 7q * ||key||_1 units.  Every floor is off
+    by under one unit, so pi (Machin's formula) is within 3.8q + 40 units, an
+    angle min(j, order - j) * 2*pi/order <= pi within 3.8q + 41, and its
+    Taylor cosine, at most q terms within 2 each and a tail under 3, within 7q.
+
+    The fixed-point branch first checks that reflection 0 fixes the key,
+    and raises ValueError if it does not: a key whose value is not real may
+    have real part 0 and never clear the bound.  A real nonzero value lies
+    in the real subfield, of degree d = phi(order)/2, where its norm is a
+    nonzero integer and each of its d conjugates is at most L = ||key||_1,
+    so |value| >= L^-(d-1).  Hence 2^q >= 14q * L^d makes |value| * 2^q at
+    least twice the error bound, and the sign certain: the loop raises
+    ArithmeticError past that q instead of doubling it.
     """
     if not any(key):
         return 0
-    value, bound, q = _embed(order, key)[0], _embed_error(order, key), 32
-    while abs(value) <= bound:
+    value = _embed(order, key)[0]
+    if abs(value) > _embed_error(order, key):
+        return 1 if value > 0 else -1
+    if _mapped_key(order, key, 0, -1) != key:
+        raise ValueError(f"key {key} of order {order} is not real")
+    norm, q = sum(map(abs, key)), 32
+    certain = 14 * norm ** (euler_phi(order) // 2)
+    while True:
         q *= 2
         one = 1 << q
         pi = sum((-1) ** n * w * (one // m ** (2 * n + 1) // (2 * n + 1))  # Machin's formula
@@ -420,8 +422,10 @@ def _real_sign(order: int, key: tuple[int, ...]) -> int:
                 term = -term * theta * theta // (one * one * (n - 1) * n)
                 cos += term
             value += c * cos
-        bound = 7 * q * sum(map(abs, key))
-    return 1 if value > 0 else -1
+        if abs(value) > 7 * q * norm:
+            return 1 if value > 0 else -1
+        if 1 << q >= q * certain:
+            raise ArithmeticError(f"sign of {key} undecided at {q} bits, past the norm bound")
 
 
 def to_cartesian(a: CycInt) -> tuple[float, float]:

@@ -29,7 +29,6 @@ from .cyclotomic import (
     _reduction_rows,
     _unit_circle,
     cyc_add,
-    cyc_is_zero,
     cyc_rotate,
     cyc_sub,
     cyc_unit_translate_keys,
@@ -39,15 +38,6 @@ from .cyclotomic import (
     zero,
     zeta,
 )
-
-CATALOG_NAMES = (
-    "sierpinski-gasket",
-    "vicsek-cross",
-    "sierpinski-hexagon",
-    "lindstrom-snowflake",
-    "pentagon-ring",
-)
-
 
 class SpecError(ValueError):
     """Malformed configuration (mixed orders, duplicates, bad sizes)."""
@@ -802,20 +792,21 @@ def _pentagon_ring() -> FractalSpec:
     for q in range(k):
         cells.append(pos)
         pos = cyc_add(pos, cyc_rotate(s, q))
-    assert cyc_is_zero(pos)
     return make_spec(k, cells)
+
+
+_CATALOG: dict[str, Callable[[], FractalSpec]] = {
+    "sierpinski-gasket": lambda: make_spec(3, [zeta(3, j) for j in range(3)]),
+    "vicsek-cross": lambda: make_spec(4, [zero(4)] + [zeta(4, j, 2) for j in range(4)]),
+    "sierpinski-hexagon": lambda: make_spec(6, [zeta(6, j, 2) for j in range(6)]),
+    "lindstrom-snowflake": lambda: make_spec(6, [zeta(6, j, 2) for j in range(6)] + [zero(6)]),
+    "pentagon-ring": _pentagon_ring,
+}
+CATALOG_NAMES = tuple(_CATALOG)
 
 
 def catalog(name: str) -> FractalSpec:
     """Named reference configurations."""
-    if name == "sierpinski-gasket":
-        return make_spec(3, [zeta(3, j) for j in range(3)])
-    if name == "vicsek-cross":
-        return make_spec(4, [zero(4)] + [zeta(4, j, 2) for j in range(4)])
-    if name == "sierpinski-hexagon":
-        return make_spec(6, [zeta(6, j, 2) for j in range(6)])
-    if name == "lindstrom-snowflake":
-        return make_spec(6, [zeta(6, j, 2) for j in range(6)] + [zero(6)])
-    if name == "pentagon-ring":
-        return _pentagon_ring()
-    raise ValueError(f"unknown catalog name {name!r}; choose from {', '.join(CATALOG_NAMES)}")
+    if name not in _CATALOG:
+        raise ValueError(f"unknown catalog name {name!r}; choose from {', '.join(CATALOG_NAMES)}")
+    return _CATALOG[name]()

@@ -139,6 +139,37 @@ MUTANTS = (
         ("tests/test_model.py::TestPerKTables::test_even_single_pair_steps_are_half_turns",),
         "a difference of two unit steps is listed under every index pair that gives it",
     ),
+    Mutant(
+        "ring-stride", "src/snfglp/construct.py",
+        "cyc_rotate(step, q * (k // r))", "cyc_rotate(step, q)",
+        ("tests/test_construct.py::TestFixedRings",),
+        "the counterexample ring's steps are the r-th roots of unity, k/r steps of zeta apart",
+    ),
+    Mutant(
+        "odd-offsets-sign", "src/snfglp/glp.py",
+        "offsets = [-((k + 1) // 2) * c % k for c in rho]",
+        "offsets = [((k + 1) // 2) * c % k for c in rho]",
+        ("tests/test_glp.py::TestDeciderEquivalence",),
+        "an odd-k offset is -(k+1)/2, the inverse of -2 mod k, times the class sum",
+    ),
+    Mutant(
+        "hull-gap-touch-overlaps", "src/snfglp/model.py",
+        "for c, *t in zip(w2, *images))) <= 0:", "for c, *t in zip(w2, *images))) < 0:",
+        ("tests/test_model.py::TestExactConflicts",),
+        "hulls whose exact gap is 0 only touch, so a gap of 0 is no overlap",
+    ),
+    Mutant(
+        "sector-on-ray-positive", "src/snfglp/glp.py",
+        "side[j] = 0", "side[j] = 1",
+        ("tests/test_slices.py::TestSectorsReference",),
+        "a point on ray j lies on neither side of it, so it is in sector j and on the ray",
+    ),
+    Mutant(
+        "vertex-at-center-skipped", "src/snfglp/model.py",
+        "if k > 3:", "if False:",
+        ("tests/test_model.py::TestVertexAtCenter",),
+        "a vertex at the global barycenter fails the central-cell axiom",
+    ),
 )
 
 

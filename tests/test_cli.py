@@ -549,6 +549,14 @@ class TestModuleEntry:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "AlwaysGLP(power_of_two)"
 
+    def test_main_in_process(self, monkeypatch, capsys):
+        # the console script's entry: main() exits with run()'s status
+        monkeypatch.setattr(sys, "argv", ["snfglp", "classify", "--k", "8"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "AlwaysGLP(power_of_two)\n"
+
 
 @st.composite
 def accepted_inputs(draw):

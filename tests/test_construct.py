@@ -23,6 +23,7 @@ from snfglp.construct import (
 )
 from snfglp.cyclotomic import (
     CycInt,
+    _real_sign,
     cyc_add,
     cyc_conj,
     cyc_div_int,
@@ -38,7 +39,13 @@ from snfglp.cyclotomic import (
     zero,
     zeta,
 )
-from snfglp.glp import build_constraint_graph, decide_glp, fundamental_cycles, glp_via_slices
+from snfglp.glp import (
+    build_constraint_graph,
+    classify_k,
+    decide_glp,
+    fundamental_cycles,
+    glp_via_slices,
+)
 from snfglp.model import (
     Cell,
     ScalingError,
@@ -140,6 +147,53 @@ class TestExamples:
     def test_k_too_small(self):
         with pytest.raises(GenerationError):
             generate_glp_example(2)
+
+
+class TestFixedRings:
+    """The ring constructions are fixed for each k the generators accept,
+    3..36, so the facts they rest on are proved here for every such k
+    rather than checked on every call."""
+
+    @staticmethod
+    def assert_closed_ring(cells: list[CycInt], steps: list[CycInt]) -> None:
+        # cell q + 1 (cyclically, so the last step returns to cell 0) is cell q + step q
+        for q, step in enumerate(steps):
+            assert cyc_eq(cyc_add(cells[q], step), cells[(q + 1) % len(cells)]), q
+
+    @pytest.mark.parametrize("k", range(3, 37))
+    def test_example_ring_radius(self, k):
+        # the step of the example ring, or for 4 | k the head of its corner ring
+        if k % 2:
+            step = base_step(k)
+        elif k % 4:
+            step = zeta(k, (k + 2) // 4, 2)
+        else:
+            step = cyc_scale(cyc_add(zeta(k, k // 4), zeta(k, k // 4 + 1)), 2)
+        b = construct._ring_radius_vector(k, step)
+        assert b is not None  # an integral radius
+        assert cyc_eq(b, cyc_conj(b)) and _real_sign(k, b.canonical_key()) > 0
+        assert cyc_eq(cyc_sub(cyc_rotate(b, 1), b), step)
+        corners = [c.barycenter for c in generate_glp_example(k).cells][:: 2 if k % 4 == 0 else 1]
+        self.assert_closed_ring(corners, [cyc_rotate(step, q) for q in range(k)])
+
+    @pytest.mark.parametrize("k", [k for k in range(3, 37) if not classify_k(k).always_glp])
+    def test_counterexample_ring_closes(self, k):
+        r = largest_odd_divisor_below(k)
+        cells = [c.barycenter for c in generate_counterexample(k).cells]
+        assert len(cells) == r and cyc_is_zero(cells[0])
+        self.assert_closed_ring(cells, [cyc_rotate(base_step(k), q * (k // r)) for q in range(r)])
+
+    def test_pentagon_ring_closes(self):
+        cells = [c.barycenter for c in catalog("pentagon-ring").cells]
+        step = cyc_sub(zeta(5, 2), zeta(5, 4))
+        self.assert_closed_ring(cells, [cyc_rotate(step, q) for q in range(5)])
+
+    @pytest.mark.parametrize("k", [38, 39, 40])
+    def test_orders_past_36_raise_before_any_ring(self, k):
+        with pytest.raises(ValueError, match="order must be in 1..36"):
+            generate_glp_example(k)
+        with pytest.raises(ValueError, match="order must be in 1..36"):
+            generate_counterexample(k)
 
 
 class TestExpand:

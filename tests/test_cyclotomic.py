@@ -7,6 +7,7 @@ import os
 import random
 import sys
 import threading
+from operator import sub
 
 import mpmath
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fold, remainder_key, small_real
+from snfglp import cyclotomic
 from snfglp.cyclotomic import (
     COEFF_LIMIT,
     CoefficientOverflow,
@@ -22,6 +24,7 @@ from snfglp.cyclotomic import (
     _cyclic_product,
     _embed,
     _embed_error,
+    _mapped_key,
     _real_sign,
     IntPolynomial,
     OrderMismatch,
@@ -117,6 +120,16 @@ class TestPolynomials:
         for n in (2, 3, 4, 9, 12, 30, 36):
             assert cyclotomic_polynomial(n).coeffs[-1] == 1
 
+    def test_boundary_raises(self):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            euler_phi(0)
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            cyclotomic_polynomial(0)
+        with pytest.raises(ZeroDivisionError, match="^polynomial division by zero$"):
+            IntPolynomial(1, 1).divmod_exact(IntPolynomial())
+        with pytest.raises(ValueError, match="^1 not divisible by leading coefficient 2$"):
+            IntPolynomial(0, 1).divmod_exact(IntPolynomial(1, 2))
+
 
 class TestRingOps:
     def test_zeta4_squared_is_minus_one(self):
@@ -178,6 +191,15 @@ class TestRingOps:
         half = cyc_div_int(a, 2)
         assert half is not None and cyc_eq(cyc_add(half, half), a)
         assert cyc_div_int(zeta(6, 0), 2) is None
+
+    def test_boundary_values(self):
+        with pytest.raises(ValueError, match="^expected 3 coefficients, got 2$"):
+            CycInt(3, (1, 2))
+        with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+            cyc_div_int(zeta(6, 0), 0)
+        one = CycInt(3, (1, 0, 0))
+        assert (one == 1) is False and one != (1, 0, 0)
+        assert repr(one) == "CycInt(k=3, [1, 0, 0])"
 
 
 coeff_vectors = st.integers(3, 12).flatmap(
@@ -355,7 +377,8 @@ def real_elements(draw):
     if k % 5 == 0:
         bases.append(cyc_add(zeta(k, k // 5), zeta(k, -(k // 5))).coeffs)
     key = power_key(k, draw(st.sampled_from(bases)), draw(st.integers(0, 60)))
-    return k, tuple(draw(st.sampled_from((1, -1))) * c for c in key)
+    sign = draw(st.sampled_from((1, -1)))  # one sign for the whole key, which stays real
+    return k, tuple(sign * c for c in key)
 
 
 class TestRealSign:
@@ -374,6 +397,26 @@ class TestRealSign:
         for s in (1, -1):
             signed = tuple(s * c for c in key)
             assert _real_sign(k, signed) == sign50(k, signed) != 0
+
+    @pytest.mark.parametrize("k", [4, 5, 12, 35])
+    def test_non_real_key_raises(self, k):
+        # key - reflect(key) is nonzero with real part exactly 0, which no
+        # precision clears
+        key = _canonical(k, (0, 1, 2) + (0,) * (k - 3))
+        imaginary = tuple(map(sub, key, _mapped_key(k, key, 0, -1)))
+        assert any(imaginary)
+        with pytest.raises(ValueError, match=f"of order {k} is not real$"):
+            _real_sign(k, imaginary)
+        with pytest.raises(ValueError, match=r"^key \(0, 1\) of order 4 is not real$"):
+            _real_sign(4, (0, 1))
+
+    def test_raises_past_the_norm_bound(self, monkeypatch):
+        # with the degree understated the norm bound is false for this element,
+        # and the loop stops at the precision the bound names
+        key = power_key(35, small_real(35).coeffs, 200)
+        monkeypatch.setattr(cyclotomic, "euler_phi", lambda n: 2)
+        with pytest.raises(ArithmeticError, match="undecided at 64 bits, past the norm bound$"):
+            _real_sign(35, key)
 
 
 def fresh_key(a: CycInt) -> tuple[int, ...]:

@@ -293,6 +293,12 @@ class TestConflicts:
         assert len(shared_vertices(a, b)) == 2
         assert cells_conflict(a, b)
 
+    def test_cells_of_different_order_raise(self):
+        a, b = cell(4, (0,) * 4, 0), cell(6, (2,) + (0,) * 5, 1)
+        for test in (cells_conflict, shared_vertices):
+            with pytest.raises(SpecError, match="^cells of different order$"):
+                test(a, b)
+
     @pytest.mark.parametrize("k", range(3, 13))
     def test_oracle_agreement_on_lattice_offsets(self, k):
         a = cell(k, (0,) * k, 0)
@@ -570,6 +576,17 @@ class TestValidate:
             make_spec(3, [(1, 0, 0), (2, 1, 1), (0, 1, 0)])
         with pytest.raises(SpecError):
             make_spec(3, [(1, 0, 0), (1, 0, 0), (0, 1, 0)])
+
+    @pytest.mark.parametrize("k, cells, error", [
+        (2, (cell(3, (0,) * 3),), "k must be >= 3, got 2"),
+        (3, (), "a spec needs at least one cell"),
+        (3, (cell(3, (0,) * 3), cell(4, (2,) + (0,) * 3, 1)), "cell order differs from spec order"),
+        (3, (cell(3, (0,) * 3, 1),), "cell indices must match list positions"),
+    ])
+    def test_spec_boundary_error_text(self, k, cells, error):
+        with pytest.raises(SpecError) as exc:
+            FractalSpec(k, cells)
+        assert str(exc.value) == error
 
     def test_shift_past_coefficient_range_of_running_sum(self):
         # the sum of the barycenters has coefficients past COEFF_LIMIT; the
