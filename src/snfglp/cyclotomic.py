@@ -45,8 +45,6 @@ class IntPolynomial:
         return not self.coeffs
 
     def __mul__(self, other: IntPolynomial) -> IntPolynomial:
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, c in enumerate(self.coeffs):
             if c:
@@ -55,21 +53,22 @@ class IntPolynomial:
         return IntPolynomial(*out)
 
     def divmod_exact(self, divisor: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
-        """Quotient and remainder over Z; divisor's leading coefficient must divide exactly."""
+        """Quotient and remainder over Z; divisor's leading coefficient must divide exactly.
+
+        One long division over a fixed range: for each shift from the top,
+        the coefficient at shift + m - 1 (m terms in the divisor) is divided
+        by the lead, which raises ValueError unless it divides exactly, and
+        that multiple of the shifted divisor is subtracted.
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        lead = divisor.coeffs[-1]
+        m, lead = len(divisor.coeffs), divisor.coeffs[-1]
         rem = list(self.coeffs)
-        quo = [0] * max(len(rem) - len(divisor.coeffs) + 1, 0)
-        while len(rem) >= len(divisor.coeffs) and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) < len(divisor.coeffs):
-                break
-            head, r = divmod(rem[-1], lead)
+        quo = [0] * max(len(rem) - m + 1, 0)
+        for shift in reversed(range(len(quo))):
+            head, r = divmod(rem[shift + m - 1], lead)
             if r:
-                raise ValueError(f"{rem[-1]} not divisible by leading coefficient {lead}")
-            shift = len(rem) - len(divisor.coeffs)
+                raise ValueError(f"{rem[shift + m - 1]} not divisible by leading coefficient {lead}")
             quo[shift] = head
             for j, d in enumerate(divisor.coeffs):
                 rem[shift + j] -= head * d
@@ -87,16 +86,16 @@ def euler_phi(n: int) -> int:
 def cyclotomic_polynomial(n: int) -> IntPolynomial:
     """The n-th cyclotomic polynomial: monic, integer, degree euler_phi(n).
 
-    Computed by exact division of x^n - 1 by the product of the
-    polynomials of all proper divisors of n.
+    Computed by exact division of x^n - 1 by the polynomials of all
+    proper divisors of n, which leaves no remainder: x^n - 1 is the product
+    of Phi_d over every divisor d of n.
     """
     if n < 1:
         raise ValueError("n must be positive")
     poly = IntPolynomial(*([-1] + [0] * (n - 1) + [1]))
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = poly.divmod_exact(cyclotomic_polynomial(d))
-            assert rem.is_zero()
+            poly = poly.divmod_exact(cyclotomic_polynomial(d))[0]
     return poly
 
 
@@ -114,9 +113,8 @@ def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
             prev = rows[j - 1]
             shifted = [0] + list(prev[:-1])
             top = prev[-1]
-            if top:
-                for i in range(deg):
-                    shifted[i] -= top * phi.coeffs[i]
+            for i in range(deg):
+                shifted[i] -= top * phi.coeffs[i]
             rows.append(tuple(shifted))
     return tuple(rows)
 
@@ -283,14 +281,19 @@ def _mapped_key(k: int, key: tuple[int, ...], shift: int, sign: int) -> tuple[in
     return _canonical(k, _permuted(key + (0,) * (k - len(key)), shift, sign))
 
 
-def _mapped(a: CycInt, shift: int, sign: int) -> CycInt:
-    key = _mapped_key(a.order, a.canonical_key(), shift, sign)
-    return _preset(a.order, _permuted(a.coeffs, shift, sign), key)
+def _twice_dot(k: int, key: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """Canonical key of the real element 2<p, zeta^m> = p * zeta^-m +
+    conj(p) * zeta^m of the order-k point p with canonical key `key`: twice
+    p's projection on the direction of zeta^m, the sum of p's images under
+    the rotation (-m, 1) and the reflection (m, -1) of `_mapped_key`.  Every
+    exact projection is a Z-combination of these.
+    """
+    return tuple(map(add, _mapped_key(k, key, -m, 1), _mapped_key(k, key, m, -1)))
 
 
 def cyc_rotate(a: CycInt, j: int) -> CycInt:
     """Multiply by zeta^j: rotation by angle 2*pi*j/k about the origin."""
-    return _mapped(a, j, 1)
+    return CycInt(a.order, _permuted(a.coeffs, j, 1))
 
 
 def cyc_conj(a: CycInt) -> CycInt:
@@ -303,7 +306,7 @@ def cyc_reflect(a: CycInt, m: int) -> CycInt:
     On coefficients this is the index map j -> (m - j) mod k, i.e.
     z -> zeta^m * conj(z).
     """
-    return _mapped(a, m, -1)
+    return CycInt(a.order, _permuted(a.coeffs, m, -1))
 
 
 def cyc_unit_translate_keys(a: CycInt) -> list[tuple[int, ...]]:

@@ -40,6 +40,7 @@ from .cyclotomic import (
     _embed_error,
     _mapped_key,
     _real_sign,
+    _twice_dot,
     _unit_circle,
     cyc_unit_translates,
 )
@@ -380,9 +381,11 @@ def _strong_probable_prime(k: int, a: int) -> bool:
 def classify_k(k: int) -> KClassification:
     """Fast classification: prime or power-of-two k always has GLP.
 
-    k <= 41 is prime when it is one of `_PRIME_BASES`; a larger k when it
-    is a strong probable prime to each of them, which is exact below
-    `_PSI_13`.  k at or above it raises ValueError.
+    k is prime when it is a strong probable prime to each of
+    `_PRIME_BASES` below it.  That is exact below `_PSI_13`: a k up to 41
+    is tested to base 2 at least, whose least strong pseudoprime is 2047,
+    and from k = 42 on every base is below k.
+    k at or above `_PSI_13` raises ValueError.
 
     Each class has a labeling read off the barycenters alone.  Two adjacent
     cells differ by zeta^ja - zeta^jb and need r_b - r_a = ja - jb mod k.
@@ -398,7 +401,7 @@ def classify_k(k: int) -> KClassification:
         raise ValueError("k must be >= 3")
     if k >= _PSI_13:
         raise ValueError(f"k must be below {_PSI_13} (psi_13) to be classified")
-    if k in _PRIME_BASES or k > 41 and all(_strong_probable_prime(k, a) for a in _PRIME_BASES):
+    if all(_strong_probable_prime(k, a) for a in _PRIME_BASES if a < k):
         return KClassification(True, "prime")
     if k & (k - 1) == 0:
         return KClassification(True, "power_of_two")
@@ -432,7 +435,8 @@ def _sectors(spec: FractalSpec) -> tuple[tuple[int | None, ...], tuple[int | Non
     side of ray j, the sign of the cross product of zeta^j and p, is the
     float's when it clears 3E (see `glp_via_slices`); else 0 when
     reflection 2j fixes the key; else the sign of the real element
-    -(w - conj(w))(zeta - zeta^-1) = 4 Im(w) sin(2pi/k), w = p * zeta^-j.
+    `_twice_dot`(p, j + 1) - `_twice_dot`(p, j - 1) = 4 sin(2pi/k) Im(w),
+    w = p * zeta^-j.
     The walk starts at the sector of the float angle.
     """
     k = spec.k
@@ -455,9 +459,8 @@ def _sectors(spec: FractalSpec) -> tuple[tuple[int | None, ...], tuple[int | Non
                 if abs(side[j]) <= e and _mapped_key(k, key, 2 * j, -1) == key:
                     side[j] = 0
                 elif abs(side[j]) <= e:
-                    maps = ((-j - 1, 1), (j + 1, -1), (1 - j, 1), (j - 1, -1))
-                    images = [_mapped_key(k, key, *m) for m in maps]
-                    side[j] = _real_sign(k, tuple(a + b - c - d for a, b, c, d in zip(*images)))
+                    ahead, behind = _twice_dot(k, key, j + 1), _twice_dot(k, key, j - 1)
+                    side[j] = _real_sign(k, tuple(a - b for a, b in zip(ahead, behind)))
             if side[i - 1] > 0 >= side[i]:
                 break
             i += 1 if side[i - 1] > 0 else -1

@@ -20,13 +20,12 @@ from typing import NamedTuple, TypeVar
 
 from .cyclotomic import (
     CycInt,
-    _canonical,
     _embed,
     _embed_error,
     _mapped_key,
-    _preset,
     _real_sign,
     _reduction_rows,
+    _twice_dot,
     _unit_circle,
     cyc_add,
     cyc_rotate,
@@ -164,17 +163,17 @@ def shared_vertices(a: Cell, b: Cell) -> list[tuple[int, int]]:
 def _facets(k: int) -> tuple[tuple[tuple[float, float], ...], float, tuple[int, ...]]:
     """The edge normals n_i = zeta^i + zeta^(i+1) of the unit k-gon P as
     floats, and the width w of P along each, as a float within 50u (u =
-    2^-53) and as the key of 2w = 2 Re((1 - zeta^m) * conj(n_0)), P spanning
-    from vertex 0 to vertex m = (k+1)//2 on n_0.
+    2^-53) and as the key of 2w = 2<q, n_0> = `_twice_dot`(q, 0) +
+    `_twice_dot`(q, 1), q = 1 - zeta^m, P spanning from vertex 0 to vertex
+    m = (k+1)//2 on n_0.
     """
     circle = _unit_circle(k)
     normals = tuple(tuple(map(add, circle[i], circle[(i + 1) % k])) for i in range(k))
     c, m = circle[1][0], (k + 1) // 2
-    coeffs = [0] * k
-    for j, d in ((0, 2), (1, 1), (-1, 1), (m, -1), (m - 1, -1), (-m, -1), (1 - m, -1)):
-        coeffs[j % k] += d
+    rows = _reduction_rows(k)
+    q = tuple(map(sub, rows[0], rows[m]))
     w = 1 + c + (1 + c if k % 2 == 0 else 2 * math.cos(math.pi / k))
-    return normals, w, _canonical(k, tuple(coeffs))
+    return normals, w, tuple(map(add, _twice_dot(k, q, 0), _twice_dot(k, q, 1)))
 
 
 def _hulls_overlap(k: int, delta: tuple[int, ...]) -> bool:
@@ -186,8 +185,9 @@ def _hulls_overlap(k: int, delta: tuple[int, ...]) -> bool:
     w - |<delta, n_i>| is positive.  The float gap decides when over 4E
     from 0, E = `_embed_error(k, delta)` >= 54u * ||delta||_1: delta is
     within E/2 per coordinate, n_i within 57u, w within 50u, rounding under
-    0.2E.  Else the real 2w - s(delta*conj(n_i) + conj(delta)*n_i), s the
-    sign of <delta, n_i>, has the gap's sign.
+    0.2E.  Else the real 2w - s * 2<delta, n_i>, s the sign of <delta, n_i>,
+    has the gap's sign: 2<delta, n_i> is `_twice_dot`(delta, i) +
+    `_twice_dot`(delta, i + 1).
     """
     normals, w, w2 = _facets(k)
     dx, dy = _embed(k, delta)
@@ -199,8 +199,8 @@ def _hulls_overlap(k: int, delta: tuple[int, ...]) -> bool:
             return False
         if gap <= e:
             s = 1 if dot > 0 else -1
-            images = [_mapped_key(k, delta, *m) for m in ((-i, 1), (-i - 1, 1), (i, -1), (i + 1, -1))]
-            if _real_sign(k, tuple(c - s * sum(t) for c, *t in zip(w2, *images))) <= 0:
+            dots = zip(w2, _twice_dot(k, delta, i), _twice_dot(k, delta, i + 1))
+            if _real_sign(k, tuple(c - s * (a + b) for c, a, b in dots)) <= 0:
                 return False
     return True
 
@@ -719,12 +719,10 @@ def derive_scaling(spec: FractalSpec) -> CycInt:
     if any(c % n for c in corner_key):
         raise ScalingError("corner barycenter is not integral after recentring")
     # b = p / n has the reduced quotient as its coefficients (as cyc_div_int
-    # gives them), and L = b + 1; the keys follow by linearity
-    quot = [c // n for c in corner_key]
-    key = tuple(map(add, quot, _reduction_rows(k)[0]))
-    quot += [0] * (k - len(quot))
+    # gives them), and L = b + 1
+    quot = [c // n for c in corner_key] + [0] * (k - len(corner_key))
     quot[0] += 1
-    return _preset(k, tuple(quot), key)
+    return CycInt(k, tuple(quot))
 
 
 def parse(text: str) -> FractalSpec:

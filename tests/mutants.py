@@ -154,7 +154,7 @@ MUTANTS = (
     ),
     Mutant(
         "hull-gap-touch-overlaps", "src/snfglp/model.py",
-        "for c, *t in zip(w2, *images))) <= 0:", "for c, *t in zip(w2, *images))) < 0:",
+        "for c, a, b in dots)) <= 0:", "for c, a, b in dots)) < 0:",
         ("tests/test_model.py::TestExactConflicts",),
         "hulls whose exact gap is 0 only touch, so a gap of 0 is no overlap",
     ),
@@ -170,7 +170,96 @@ MUTANTS = (
         ("tests/test_model.py::TestVertexAtCenter",),
         "a vertex at the global barycenter fails the central-cell axiom",
     ),
+    Mutant(
+        "hull-exact-off", "src/snfglp/model.py",
+        "if gap <= e:", "if False:",
+        ("tests/test_model.py::TestExactConflicts",),
+        "a float gap within its error bound of 0 does not decide; the exact gap does",
+    ),
+    Mutant(
+        "sector-exact-off", "src/snfglp/glp.py",
+        "elif abs(side[j]) <= e:", "elif False:",
+        ("tests/test_slices.py::TestSectorsReference",),
+        "a float side within its error bound of 0 does not decide; the exact side does",
+    ),
+    Mutant(
+        "twice-dot-reflection", "src/snfglp/cyclotomic.py",
+        "_mapped_key(k, key, m, -1)", "_mapped_key(k, key, -m, -1)",
+        ("tests/test_cyclotomic.py::TestTwiceDot", "tests/test_model.py::TestExactConflicts",
+         "tests/test_slices.py::TestSectorsReference"),
+        "conj(p) * zeta^m is the reflection (m, -1) of p",
+    ),
+    Mutant(
+        "real-sign-trusts-float", "src/snfglp/cyclotomic.py",
+        "if abs(value) > _embed_error(order, key):", "if value:",
+        ("tests/test_cyclotomic.py::TestRealSign",),
+        "a float within its error bound of 0 may have the wrong sign",
+    ),
+    Mutant(
+        "real-sign-trusts-quarter", "src/snfglp/cyclotomic.py",
+        "if abs(value) > _embed_error(order, key):", "if abs(value) > _embed_error(order, key) / 4:",
+        ("tests/test_cyclotomic.py::TestRealSign::test_float_within_its_bound_does_not_decide",),
+        "the float decides only outside its whole proven error bound",
+    ),
+    Mutant(
+        "embed-error-quarter", "src/snfglp/cyclotomic.py",
+        "return (order + 24) * sum(map(abs, coeffs)) * 2.0**-52",
+        "return (order + 24) * sum(map(abs, coeffs)) * 2.0**-54",
+        ("tests/test_cyclotomic.py::TestEmbedError",),
+        "the error analysis proves (order + 24) u ||coeffs||_1 and no smaller bound",
+    ),
+    Mutant(
+        "primality-base-k", "src/snfglp/glp.py",
+        "if a < k", "if a <= k",
+        ("tests/test_glp.py",),
+        "a prime k is no strong probable prime to base k, which it divides",
+    ),
+    Mutant(
+        "division-sign", "src/snfglp/cyclotomic.py",
+        "rem[shift + j] -= head * d", "rem[shift + j] += head * d",
+        ("tests/test_cyclotomic.py::TestPolynomials",),
+        "long division subtracts each multiple of the shifted divisor",
+    ),
+    Mutant(
+        "region-margin-0", "src/snfglp/glp.py",
+        "e = 5 * _embed_error(k, key)", "e = 0",
+        ("tests/test_slices.py",),
+        "a position within its float error of the region counts toward it",
+    ),
+    Mutant(
+        "region-radius-n-1", "src/snfglp/glp.py",
+        "ray - e <= n", "ray - e <= n - 1",
+        ("tests/test_slices.py",),
+        "the region holds every cell within one circumradius n of the wedge",
+    ),
+    Mutant(
+        "odd-wedge-narrow", "src/snfglp/glp.py",
+        "[1 + k % 2]", "[1]",
+        ("tests/test_slices.py",),
+        "the odd-k wedge spans 4pi/k, two sectors",
+    ),
+    Mutant(
+        "odd-class-illegal", "src/snfglp/model.py",
+        "d == (k - 1) // 2", "d == (k - 3) // 2",
+        ("tests/test_glp.py",),
+        "an odd-k edge with jb - ja = (k - 1)/2 mod k has rotation class -1",
+    ),
+    Mutant(
+        "multi-dropped", "src/snfglp/model.py",
+        "multi += [Adjacency(i, j, ja, jb) for ja, jb in pairs]", "pass",
+        ("tests/test_model.py",),
+        "a pair of cells sharing two or more vertices violates nesting",
+    ),
+    Mutant(
+        "no-reflection-check", "src/snfglp/model.py",
+        '("reflection", 0) if -1 in ref else None', "None",
+        ("tests/test_model.py::TestReflectionSymmetry",),
+        "a spec closed under rotation only is not D_k invariant",
+    ),
 )
+# Equivalent, so not listed: the corner comparison `_real_sign(...) > 0`
+# made `>= 0`.  Cell keys are distinct, so the difference of two is never
+# zero and its `_real_sign` is never 0.
 
 
 def _copy(folder: str) -> None:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import os
 import random
@@ -26,6 +27,7 @@ from snfglp.cyclotomic import (
     _embed_error,
     _mapped_key,
     _real_sign,
+    _twice_dot,
     IntPolynomial,
     OrderMismatch,
     cyc_add,
@@ -119,6 +121,17 @@ class TestPolynomials:
     def test_monic(self):
         for n in (2, 3, 4, 9, 12, 30, 36):
             assert cyclotomic_polynomial(n).coeffs[-1] == 1
+
+    @given(st.lists(st.integers(-(2**40), 2**40), max_size=40),
+           st.lists(st.integers(-(2**20), 2**20), max_size=12), st.sampled_from((1, -1)))
+    @settings(max_examples=300, deadline=None)
+    def test_division_identity(self, a, b, lead):
+        # for a divisor with lead +-1, q * b + r == a and deg r < deg b
+        a, b = IntPolynomial(*a), IntPolynomial(*b, lead)
+        q, r = a.divmod_exact(b)
+        qb = (q * b).coeffs
+        assert r.degree() < b.degree()
+        assert IntPolynomial(*(x - y for x, y in itertools.zip_longest(a.coeffs, qb, fillvalue=0))) == r
 
     def test_boundary_raises(self):
         with pytest.raises(ValueError, match="^n must be positive$"):
@@ -321,6 +334,9 @@ class TestEmbedError:
         coeffs = tuple(coeffs)
         x, y = _embed(k, coeffs)
         bound = _embed_error(k, coeffs)
+        # the error analysis proves (k + 24) u ||coeffs||_1, u = 2^-53; a
+        # smaller bound is not proven, though the errors found are far below
+        assert bound >= (k + 24) * sum(map(abs, coeffs)) * 2.0**-53
         with mpmath.workdps(60):
             angles = [2 * mpmath.pi * j / k for j in range(k)]
             exact_x = mpmath.fsum(c * mpmath.cos(a) for c, a in zip(coeffs, angles))
@@ -381,6 +397,25 @@ def real_elements(draw):
     return k, tuple(sign * c for c in key)
 
 
+class TestTwiceDot:
+    @given(st.integers(3, 36).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.integers(-(2**36), 2**36), min_size=k, max_size=k))),
+        st.integers(-40, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_real_and_equal_to_twice_the_projection(self, kv, m):
+        # the key is fixed by reflection 0, so it is real, and its value is
+        # 2 Re(p * zeta^-m) at 50 digits
+        k, coeffs = kv
+        key = _canonical(k, tuple(coeffs))
+        got = _twice_dot(k, key, m)
+        assert _mapped_key(k, got, 0, -1) == got
+        with mpmath.workdps(50):
+            def value(c, shift):
+                return mpmath.fsum(x * mpmath.cospi(mpmath.mpf(2 * (j - shift)) / k)
+                                   for j, x in enumerate(c))
+            assert abs(value(got, 0) - 2 * value(key, m)) < mpmath.mpf(10) ** -30
+
+
 class TestRealSign:
     @given(real_elements())
     @settings(max_examples=300, deadline=None)
@@ -397,6 +432,16 @@ class TestRealSign:
         for s in (1, -1):
             signed = tuple(s * c for c in key)
             assert _real_sign(k, signed) == sign50(k, signed) != 0
+
+    @pytest.mark.parametrize("k", [5, 12, 35])
+    def test_float_within_its_bound_does_not_decide(self, k, monkeypatch):
+        # a float of the wrong sign inside the error bound E, at E/2, is left
+        # to the fixed-point sum, which gives the true sign
+        key = _canonical(k, small_real(k).coeffs)
+        sign = sign50(k, key)
+        wrong = (-sign * _embed_error(k, key) / 2, 0.0)
+        monkeypatch.setattr(cyclotomic, "_embed", lambda order, coeffs: wrong)
+        assert _real_sign(k, key) == sign
 
     @pytest.mark.parametrize("k", [4, 5, 12, 35])
     def test_non_real_key_raises(self, k):
@@ -433,7 +478,9 @@ wide_vectors = st.integers(3, 36).flatmap(
 
 
 class TestDerivedKeys:
-    """Keys derived by linearity, never by reduction, match a fresh reduction."""
+    """Keys of derived values match a fresh reduction: a translate's key is
+    derived by linearity, never by reduction; a rotation's or reflection's
+    is reduced on first use and equals the `_mapped_key` image."""
 
     def assert_preset(self, v: CycInt) -> None:
         assert v._key is not None  # set at construction, not computed on demand
@@ -447,8 +494,11 @@ class TestDerivedKeys:
         rotated, reflected = cyc_rotate(a, m), cyc_reflect(a, m)
         assert rotated.coeffs == tuple(a.coeffs[(i - m) % k] for i in range(k))
         assert reflected.coeffs == tuple(a.coeffs[(m - i) % k] for i in range(k))
-        self.assert_preset(rotated)
-        self.assert_preset(reflected)
+        # rotated and reflected values are reduced on first use, like any other
+        assert rotated.canonical_key() == fresh_key(rotated)
+        assert reflected.canonical_key() == fresh_key(reflected)
+        assert rotated.canonical_key() == _mapped_key(k, a.canonical_key(), m, 1)
+        assert reflected.canonical_key() == _mapped_key(k, a.canonical_key(), m, -1)
         if max(a.coeffs) == COEFF_LIMIT:
             # vertex j of a cell at the limit has coefficient COEFF_LIMIT + 1
             with pytest.raises(CoefficientOverflow):

@@ -354,7 +354,14 @@ class TestExactConflicts:
         # on every offset zeta^ja - zeta^jb, whose hulls touch (float gap 0,
         # decided by the exact gap) or clearly overlap
         circle = _unit_circle(k)
-        normals, w, _ = _facets(k)
+        normals, w, w2 = _facets(k)
+        # the width key, against the seven-term table of
+        # 2w = 2 Re((1 - zeta^m) * conj(1 + zeta)), m = (k+1)//2
+        m, table = (k + 1) // 2, [0] * k
+        for j, d in ((0, 2), (1, 1), (-1, 1), (m, -1), (m - 1, -1), (-m, -1), (1 - m, -1)):
+            table[j % k] += d
+        assert w2 == _canonical(k, tuple(table))
+        assert abs(_embed(k, w2)[0] - 2 * w) < 1e-12
         for ja, jb in itertools.product(range(k), repeat=2):
             dx, dy = circle[ja][0] - circle[jb][0], circle[ja][1] - circle[jb][1]
             gap = min(w - abs(nx * dx + ny * dy) for nx, ny in normals)

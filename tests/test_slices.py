@@ -455,20 +455,25 @@ def outcome(f, *args):
         return type(exc).__name__, str(exc)
 
 
+def recording(name, calls):
+    """A patch of `glp.<name>` that appends the arguments of each call to `calls`."""
+    f = getattr(glp, name)
+
+    def record(*args):
+        calls.append(args)
+        return f(*args)
+
+    return mock.patch.object(glp, name, record)
+
+
 class TestSectorsReference:
     @given(sector_cases())
     @settings(max_examples=150, deadline=None)
     def test_matches_kscan_reference(self, case):
         spec, variant = case
-        tests = []
-        mapped_key = glp._mapped_key
-
-        def counting(*args):
-            tests.append(args)
-            return mapped_key(*args)
-
+        tests, dots = [], []
         reference = kscan_sectors(spec)
-        with mock.patch.object(glp, "_mapped_key", counting):
+        with recording("_mapped_key", tests), recording("_twice_dot", dots):
             got = slices(spec)
         closed = closed_slices(spec)
         whole = make_spec(spec.k, [c.barycenter for c in spec.cells])
@@ -484,28 +489,26 @@ class TestSectorsReference:
             assert via.split("\n", 1)[0] == general.split("\n", 1)[0]
         # one reflection test per on-ray cell whose float side is certain on
         # every other ray, none for the other cells; the two tiny cells are
-        # within float error of every ray and are not counted
+        # within float error of every ray and are not counted, and only they
+        # reach the exact side
         keys = glp._scaled_points(spec)
         tiny = set(keys[-2:]) if variant == "tiny" else set()
         on_ray = sum(r is not None for r, key in zip(rays, keys) if key not in tiny)
         assert sum(t[1] not in tiny for t in tests) == on_ray
+        assert all(d[1] in tiny for d in dots)
 
     def test_far_points_certain(self):
         # one reflection test per cell on a ray: the hexagon's six cells sit
         # on the rays, 6 * 2 from the centre; the k = 8 ring has its eight
-        # corners on the rays and its eight mids off them
-        tests = []
-        mapped_key = glp._mapped_key
-
-        def counting(*args):
-            tests.append(args)
-            return mapped_key(*args)
-
-        with mock.patch.object(glp, "_mapped_key", counting):
+        # corners on the rays and its eight mids off them; no float side is
+        # left to the exact test
+        tests, dots = [], []
+        with recording("_mapped_key", tests), recording("_twice_dot", dots):
             assert slices(catalog("sierpinski-hexagon")).sector == (6, 1, 2, 3, 4, 5)
             assert len(tests) == 6
             slices(generate_glp_example(8))
         assert len(tests) == 6 + 8 and all(args[3] == -1 for args in tests)
+        assert dots == []
 
     def test_tiny_cells_get_exact_sectors(self):
         # the k = 15 ring plus the cells +-w, w = tiny_on_ray(15, 0), about
