@@ -23,7 +23,8 @@ class OrderMismatch(ValueError):
 
 
 class CoefficientOverflow(ValueError):
-    """Raised when a coefficient leaves the supported desk-scale range."""
+    """Raised when a spec's cell has a coefficient outside +-COEFF_LIMIT,
+    the range over which `model._NEAR` is proven (see `model.FractalSpec`)."""
 
 
 @dataclass(frozen=True)
@@ -146,10 +147,13 @@ class CycInt:
     """An element of Z[zeta_k]: sum of coeffs[j] * zeta_k^j for j = 0..k-1.
 
     Equality and hashing are mathematical (two vectors representing the
-    same complex number compare equal).  Values are immutable: the
-    canonical key and float point are computed lazily and cached on the
-    instance, each written at most once (every writer stores the same
-    tuple), so a CycInt can be shared across threads.
+    same complex number compare equal).  Coefficients may have any size:
+    only a spec's cells are held to COEFF_LIMIT (`model.FractalSpec`), so
+    the vertices, sums, rotations and scaling factor of any spec can be
+    built.  Values are immutable: the canonical key and float point are
+    computed lazily and cached on the instance, each written at most once
+    (every writer stores the same tuple), so a CycInt can be shared across
+    threads.
     """
 
     order: int
@@ -164,9 +168,6 @@ class CycInt:
             raise ValueError(
                 f"expected {self.order} coefficients, got {len(self.coeffs)}"
             )
-        if max(self.coeffs) > COEFF_LIMIT or min(self.coeffs) < -COEFF_LIMIT:
-            c = next(c for c in self.coeffs if abs(c) > COEFF_LIMIT)
-            raise CoefficientOverflow(f"coefficient {c} exceeds +/-{COEFF_LIMIT}")
 
     def canonical_key(self) -> tuple[int, ...]:
         key = self._key
@@ -275,8 +276,7 @@ def _mapped_key(k: int, key: tuple[int, ...], shift: int, sign: int) -> tuple[in
     keys, a rotation for sign 1 and a reflection for sign -1.
 
     Rotation and reflection are well defined on Z[zeta_k], so the image's
-    key is the reduction of the permuted key.  No value is built, so the
-    key may hold coefficients of any size.
+    key is the reduction of the permuted key.  No value is built.
     """
     return _canonical(k, _permuted(key + (0,) * (k - len(key)), shift, sign))
 

@@ -78,9 +78,7 @@ class Labeling:
     `labels` may be a plain dict.  From `make_labeling` or a decider it is
     a read-only mapping (`_VertexLabels`) that holds one label per vertex
     id of its spec, a list of small ints: lookups build no vertex value,
-    and iterating it builds the vertex values, so on a spec with a
-    coefficient of +-2^31 iteration raises CoefficientOverflow, where a
-    vertex value would need a coefficient past the limit.
+    and iterating it builds the vertex values.
     """
 
     k: int
@@ -95,9 +93,8 @@ class _VertexLabels(Mapping[CycInt, int]):
     The label list is built when first read, and the key index a lookup by
     value needs when first looked up; each is written at most once with
     equal contents, so the mapping can be shared across threads.  An
-    order-k CycInt is looked up by its canonical key, and two such mappings
-    of one order compare by key; iteration builds each vertex value when
-    first seen in cell order, and the repr builds none.
+    order-k CycInt is looked up by its canonical key; iteration builds each
+    vertex value when first seen in cell order, and the repr builds none.
     """
 
     __slots__ = ("_spec", "_offsets", "_labels", "_index")
@@ -132,8 +129,7 @@ class _VertexLabels(Mapping[CycInt, int]):
 
     @property
     def _by_key(self) -> dict[tuple[int, ...], int]:
-        """Label by vertex key, for lookups by value and for another spec's
-        vertices (`_labels_by_id`); built on first use."""
+        """Label by vertex key, for lookups by value; built on first use."""
         index = self._index
         if index is None:
             labels = self._by_id
@@ -160,12 +156,6 @@ class _VertexLabels(Mapping[CycInt, int]):
                 if v == seen:
                     seen += 1
                     yield value
-
-    def __eq__(self, other: object) -> bool:
-        # by vertex key, so no vertex value is built
-        if isinstance(other, _VertexLabels) and other._spec.k == self._spec.k:
-            return self._by_key == other._by_key
-        return Mapping.__eq__(self, other)
 
     def __repr__(self) -> str:
         return f"<vertex labels of {self._spec.n} order-{self._spec.k} cells>"
@@ -625,21 +615,16 @@ def _labels_by_id(spec: FractalSpec, labeling: Labeling) -> list[int | None]:
     the labeling has none.
 
     A decider's or `make_labeling`'s labels on this spec are that list
-    already.  Any other labeling is read through canonical keys: a CycInt
-    equals a vertex of order k exactly when it has order k and the
-    vertex's key, so entries of another order are dropped.  Labels on
-    another spec of order k (a decider's labeling read on a slice subspec)
-    are read by key without iterating them, which builds no vertex value
-    (see `Labeling`).
+    already.  Any other labeling, such as a decider's read on a slice
+    subspec, is read through canonical keys: a CycInt equals a vertex of
+    order k exactly when it has order k and the vertex's key, so entries
+    of another order are dropped.
     """
     labels = labeling.labels
     if isinstance(labels, _VertexLabels) and labels._spec is spec:
         return labels._by_id
     k = spec.k
-    if isinstance(labels, _VertexLabels) and labels._spec.k == k:
-        by_key = labels._by_key
-    else:
-        by_key = {v.canonical_key(): lab for v, lab in labels.items() if v.order == k}
+    by_key = {v.canonical_key(): lab for v, lab in labels.items() if v.order == k}
     ids, count = _vertex_ids(spec)
     out: list[int | None] = [None] * count
     for v, key in zip(ids, _vertex_key_stream(spec)):

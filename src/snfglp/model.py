@@ -19,6 +19,8 @@ from operator import add, sub
 from typing import NamedTuple, TypeVar
 
 from .cyclotomic import (
+    COEFF_LIMIT,
+    CoefficientOverflow,
     CycInt,
     _embed,
     _embed_error,
@@ -60,6 +62,11 @@ class Cell:
 class FractalSpec:
     """A configuration; immutable.
 
+    Its cells are where coefficients enter the package, so they are held to
+    |c| <= COEFF_LIMIT here, the range over which `_NEAR` is proven, before
+    any other check: CoefficientOverflow names the first coefficient outside
+    it, in cell order.  Values derived from the cells have no such limit.
+
     Six private records are filled on first use: `_near`, the near-pair
     record (`_near_pairs`); `_vids`, the vertex ids of every cell with their
     count (`_vertex_ids`), read off that record without a vertex key; `_dk`,
@@ -86,6 +93,9 @@ class FractalSpec:
     _reg: tuple[tuple, ConstraintGraph] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for c in chain.from_iterable(cell.barycenter.coeffs for cell in self.cells):
+            if abs(c) > COEFF_LIMIT:
+                raise CoefficientOverflow(f"coefficient {c} exceeds +/-{COEFF_LIMIT}")
         if self.k < 3:
             raise SpecError(f"k must be >= 3, got {self.k}")
         if not self.cells:
@@ -127,7 +137,7 @@ def vertices(cell: Cell) -> list[CycInt]:
 def _vertex_key_stream(spec: FractalSpec) -> Iterator[tuple[int, ...]]:
     """The canonical key key(b) + row_j of vertex j of each cell, in cell
     order, computed afresh: one key per slot of `_vertex_ids`, for reading
-    labels keyed by value or by another spec's vertices."""
+    labels keyed by value."""
     for cell in spec.cells:
         yield from cyc_unit_translate_keys(cell.barycenter)
 
@@ -263,7 +273,8 @@ class Adjacency(NamedTuple):
 
 
 # Cells at exact distance <= 2 are less than _NEAR apart in floats: every
-# value that can be built (k <= 36, |c| <= 2^31) embeds within
+# cell a spec admits (k <= 36, |c| <= COEFF_LIMIT = 2^31, see FractalSpec),
+# and every growth candidate, which lies far inside that range, embeds within
 # _embed_error(36, (2**31,) * 36) < 2^-9.9 per coordinate, so a float
 # distance is off by at most 2 * sqrt(2) * 2^-9.9 = 2^-8.4.  The margin
 # left, over 2^-11, dwarfs the rounding of d^2 and of x / _NEAR (< 2^-17).

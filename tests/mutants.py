@@ -10,12 +10,13 @@ the tests that must kill it and the reason the new text is wrong.  An old
 text must occur exactly once in its file, so a change that moves or
 rewrites the mutated code fails here until its mutant is updated.  Each
 set of named tests first runs on an unmutated copy and must pass.  Then
-each mutant is applied to a fresh temporary copy of `src` and `tests`, and
-`pytest -x -q` runs on its tests there.  A mutant is killed when they
-fail, or when they run past three times their unmutated time plus 30 s,
-as a mutant that makes the code loop does.  The report is JSON on stdout:
-killed or survived, and seconds, per mutant.  Exit status 1 means a mutant
-survived; 2 means a mutant does not apply or the unmutated tests fail.
+each mutant is applied to a fresh temporary copy of `src`, `tests` and
+`perfbench`, and `pytest -x -q` runs on its tests there.  A mutant is
+killed when they fail, or when they run past three times their unmutated
+time plus 30 s, as a mutant that makes the code loop does.  The report is
+JSON on stdout: killed or survived, and seconds, per mutant.  Exit status
+1 means a mutant survived; 2 means a mutant does not apply or the
+unmutated tests fail.
 It uses the standard library alone; pytest does not collect it.
 """
 from __future__ import annotations
@@ -126,12 +127,6 @@ MUTANTS = (
         'if False:\n        raise ParseError("missing header line")',
         ("tests/test_model.py::TestFormat::test_boundary_error_text",),
         "a text of blank and comment lines alone has no header to read",
-    ),
-    Mutant(
-        "labels-eq-by-value", "src/snfglp/glp.py",
-        "return self._by_key == other._by_key", "return Mapping.__eq__(self, other)",
-        ("tests/test_slices.py::TestSliceLabelsAtCoefficientLimit",),
-        "a vertex value at the coefficient limit overflows, so labels compare by key",
     ),
     Mutant(
         "step-table-one-order", "src/snfglp/model.py",
@@ -256,6 +251,19 @@ MUTANTS = (
         ("tests/test_model.py::TestReflectionSymmetry",),
         "a spec closed under rotation only is not D_k invariant",
     ),
+    Mutant(
+        "spec-range-unchecked", "src/snfglp/model.py",
+        "if abs(c) > COEFF_LIMIT:", "if False:",
+        ("tests/test_cyclotomic.py::TestRingOps",),
+        "a cell outside +-COEFF_LIMIT is outside the range _NEAR is proven for",
+    ),
+    Mutant(
+        "spec-range-inclusive", "src/snfglp/model.py",
+        "abs(c) > COEFF_LIMIT", "abs(c) >= COEFF_LIMIT",
+        ("tests/test_slices.py::TestSliceLabelsAtCoefficientLimit",
+         "tests/test_render.py::TestCoefficientLimit"),
+        "a coefficient of exactly +-COEFF_LIMIT is in range",
+    ),
 )
 # Equivalent, so not listed: the corner comparison `_real_sign(...) > 0`
 # made `>= 0`.  Cell keys are distinct, so the difference of two is never
@@ -264,7 +272,7 @@ MUTANTS = (
 
 def _copy(folder: str) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-    for part in ("src", "tests"):
+    for part in ("src", "tests", "perfbench"):
         shutil.copytree(os.path.join(ROOT, part), os.path.join(folder, part), ignore=ignore)
 
 

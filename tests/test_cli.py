@@ -521,6 +521,13 @@ class TestGenerators:
         assert captured.out == ""
         assert captured.err == "error: corner barycenter is not integral after recentring\n"
 
+    def test_expand_past_coefficient_range(self, tmp_path):
+        # level 2 of cells 0 and 2^31 on the real axis leaves the range a cell is held to
+        path = tmp_path / "far.snf"
+        path.write_text("snf k=6\ncell 0 0 0 0 0 0\ncell 2147483648 0 0 0 0 0\n")
+        assert run_captured(["expand", str(path), "--level", "2"]) == (
+            2, "", "error: coefficient -1152921506754330624 exceeds +/-2147483648\n")
+
     def test_expand_past_size_cap(self, tmp_path):
         path = tmp_path / "ring-36.snf"
         path.write_text(serialize(generate_glp_example(36)))

@@ -22,6 +22,8 @@ from snfglp.construct import (
     random_valid_spec,
 )
 from snfglp.cyclotomic import (
+    COEFF_LIMIT,
+    CoefficientOverflow,
     CycInt,
     _real_sign,
     cyc_add,
@@ -272,6 +274,18 @@ class TestExpand:
         for level in (1, 2, 3):
             with pytest.raises(ScalingError, match=text):
                 expand(spec, level)
+
+    def test_output_past_the_range_raises(self):
+        # cells 0 and 2^31 on the real axis: L = 1 + 2^30 and the offsets are
+        # +-2^30, so level 1 stays in range and level 2's cells leave it
+        spec = make_spec(6, [zero(6), zeta(6, 0, COEFF_LIMIT)])
+        assert derive_scaling(spec).coeffs == (2**30 + 1, 0, 0, 0, 0, 0)
+        assert [c.barycenter.coeffs[0] for c in expand(spec, 1).cells] == [-(2**30), 2**30]
+        with pytest.raises(CoefficientOverflow, match=r"^coefficient -1152921506754330624 exceeds"):
+            expand(spec, 2)
+        # the scaling factor of cells at +-2^31 is built, though past the range
+        wide = make_spec(6, [zeta(6, 0, -COEFF_LIMIT), zeta(6, 0, COEFF_LIMIT)])
+        assert derive_scaling(wide).coeffs == (COEFF_LIMIT + 1, 0, 0, 0, 0, 0)
 
 
 def reference_scaling(spec):

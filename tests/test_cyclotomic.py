@@ -8,7 +8,7 @@ import os
 import random
 import sys
 import threading
-from operator import sub
+from operator import add, sub
 
 import mpmath
 import pytest
@@ -47,6 +47,7 @@ from snfglp.cyclotomic import (
     zero,
     zeta,
 )
+from snfglp.model import make_spec
 
 
 def numeric_cyclotomic(n: int) -> list[int]:
@@ -170,12 +171,16 @@ class TestRingOps:
             cyc_eq(zeta(4), zeta(5))
 
     def test_overflow_checked(self):
+        # a value is built at any size; a spec's cell is held to the range
+        assert from_coeffs(3, (2**40, 0, 0)).coeffs == (2**40, 0, 0)
         with pytest.raises(CoefficientOverflow):
-            from_coeffs(3, (2**40, 0, 0))
+            make_spec(3, [(2**40, 0, 0)])
 
     def test_overflow_names_first_offending_coefficient(self):
+        row = (COEFF_LIMIT, -COEFF_LIMIT - 1, 2**40, 0)
+        assert from_coeffs(4, row).coeffs == row
         with pytest.raises(CoefficientOverflow, match=r"^coefficient -2147483649 exceeds \+/-2147483648$"):
-            from_coeffs(4, (COEFF_LIMIT, -COEFF_LIMIT - 1, 2**40, 0))
+            make_spec(4, [(1, 0, 0, 0), row, (2**41, 0, 0, 0)])
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
@@ -423,6 +428,17 @@ class TestRealSign:
         k, key = case
         assert _real_sign(k, key) == sign50(k, key)
 
+    @given(st.integers(3, 36).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+        st.integers(-COEFF_LIMIT, COEFF_LIMIT), min_size=euler_phi(k), max_size=euler_phi(k)))))
+    @settings(max_examples=100, deadline=None)
+    def test_key_plus_its_reflection(self, case):
+        # key + reflect(key) is twice the real part of any key, so it is real
+        k, key = case
+        real = tuple(map(add, key, _mapped_key(k, tuple(key), 0, -1)))
+        sign = _real_sign(k, real)
+        assert sign == sign50(k, real)
+        assert (sign == 0) == (not any(real))
+
     @pytest.mark.parametrize("k", [k for k in range(5, 37) if k != 6])
     def test_decides_below_the_float_error(self, k):
         # the highest power of small_real(k) within 2^40 is too near 0 for its
@@ -499,11 +515,8 @@ class TestDerivedKeys:
         assert reflected.canonical_key() == fresh_key(reflected)
         assert rotated.canonical_key() == _mapped_key(k, a.canonical_key(), m, 1)
         assert reflected.canonical_key() == _mapped_key(k, a.canonical_key(), m, -1)
-        if max(a.coeffs) == COEFF_LIMIT:
-            # vertex j of a cell at the limit has coefficient COEFF_LIMIT + 1
-            with pytest.raises(CoefficientOverflow):
-                cyc_unit_translates(a)
-            return
+        # a translate of a cell at the limit has coefficient COEFF_LIMIT + 1
+        # and is built and keyed like any other
         translates = cyc_unit_translates(a)
         assert len(translates) == k
         for j, v in enumerate(translates):

@@ -221,11 +221,13 @@ class TestSharedVertices:
 
     def test_extreme_coefficients_with_out_of_range_difference(self):
         # a = 2^31 (1 + zeta + zeta^2) = 0 and b = 1 - zeta in k = 3; b - a,
-        # built coefficient by coefficient, leaves the supported range
+        # built coefficient by coefficient, leaves the range a cell is held to
         a = cell(3, (COEFF_LIMIT,) * 3, 0)
         b = cell(3, (-COEFF_LIMIT + 2, -COEFF_LIMIT, -COEFF_LIMIT + 1), 1)
-        with pytest.raises(CoefficientOverflow):
-            cyc_sub(b.barycenter, a.barycenter)
+        delta = cyc_sub(b.barycenter, a.barycenter)
+        assert delta.coeffs == (-2 * COEFF_LIMIT + 2, -2 * COEFF_LIMIT, -2 * COEFF_LIMIT + 1)
+        keys = zip(b.barycenter.canonical_key(), a.barycenter.canonical_key())
+        assert delta.canonical_key() == tuple(x - y for x, y in keys)
         assert shared_vertices(a, b) == [(0, 1)]
 
 
@@ -1228,6 +1230,13 @@ class TestFormat:
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert str(exc.value) == error
+
+    def test_coefficient_range_checked_before_duplicates(self):
+        # cell 1 repeats cell 0 and cell 2 has a coefficient 2^31 + 1: the
+        # range is checked first, over every cell
+        text = "snf k=3\ncell 2 1 1\ncell 1 0 0\ncell 2147483649 0 0\n"
+        with pytest.raises(CoefficientOverflow, match=r"^coefficient 2147483649 exceeds \+/-2147483648$"):
+            parse(text)
 
 
 class TestCatalog:

@@ -628,26 +628,35 @@ def _ring_at_limit(k):
 class TestSliceLabelsAtCoefficientLimit:
     @pytest.mark.parametrize("k", [6, 9, 12])
     def test_slice_labels_check_on_a_slice_at_the_limit(self, k):
-        # 1 + zeta^t + zeta^2t = 0 for t = k/3: each cell gains m there, so the
-        # points are the ring's and a coefficient is 2^31; a vertex value would
-        # have a coefficient 2^31 + 1, so the labels are read by key, not iterated
-        t, limit = k // 3, 2**31
-        rows = []
-        for cell in generate_glp_example(k).cells:
-            b = list(cell.barycenter.coeffs)
-            m = limit - max(b[0], b[t], b[2 * t])
-            for j in (0, t, 2 * t):
-                b[j] += m
-            rows.append(b)
-        spec = make_spec(k, rows)
+        # a vertex value has a coefficient 2^31 + 1; the labels are read on
+        # the slice by iterating them, which builds those values
+        spec = _ring_at_limit(k)
         verdict = glp_via_slices(spec)
         assert verdict.glp
         sub = slice_subspec(spec, [1] if k % 2 == 0 else [1, 2])
         assert glp.check_labeling(sub, verdict.labeling)
 
+    @pytest.mark.parametrize("name", ["gasket", 6, 9, 12])
+    def test_vertices_and_labels_iterate_at_the_limit(self, name):
+        # the gasket with 2^31 - 1 added at each zeta^j (1 + zeta + zeta^2 = 0),
+        # or a ring at the limit: every vertex has a coefficient 2^31 + 1
+        if name == "gasket":
+            spec = make_spec(3, [[2**31 - (i != j) for i in range(3)] for j in range(3)])
+        else:
+            spec = _ring_at_limit(name)
+        k = spec.k
+        corners = model.vertices(spec.cells[0])
+        assert len(corners) == k and max(max(v.coeffs) for v in corners) == 2**31 + 1
+        verdict = decide_glp(spec)
+        labels = dict(verdict.labeling.labels)
+        assert len(labels) == len(verdict.labeling.labels) and glp.check_labeling(spec, verdict.labeling)
+        sub = slice_subspec(spec, [1] if k % 2 == 0 else [1, 2])
+        assert glp.check_labeling(sub, verdict.labeling)
+        assert glp.check_labeling(sub, Labeling(k, verdict.labeling.offsets, labels))
+
     @pytest.mark.parametrize("k", [6, 9, 12])
     def test_verdicts_compare_and_print_at_the_limit(self, k):
-        # labels compare by vertex key, and their repr builds no vertex value
+        # labels compare as mappings, and their repr builds no vertex value
         spec = _ring_at_limit(k)
         verdict = decide_glp(spec)
         assert verdict == glp_via_slices(spec)
