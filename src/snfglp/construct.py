@@ -33,6 +33,7 @@ from .cyclotomic import (
 )
 from .glp import classify_k
 from .model import (
+    _CENTRAL_CELL_ORDERS,
     Cell,
     FractalSpec,
     SpecError,
@@ -257,7 +258,7 @@ def random_valid_spec(
             continue
         cand = _preset(k, tuple(map(add, base.coeffs, steps[i].coeffs)), key)
         if not any(key):
-            ok = k in (3, 4, 6)  # central cell only legal for triangles, squares, hexagons
+            ok = k in _CENTRAL_CELL_ORDERS
         else:
             # a float filter on draws: a candidate is a base cell (1-norm <= 160)
             # plus at most 100 legal steps (1-norm 2), permuted, so to_cartesian

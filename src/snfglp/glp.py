@@ -413,7 +413,7 @@ class SliceAssignment:
 
 def _sectors(spec: FractalSpec) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
     """Per cell: its open sector, and the vertex ray it lies on (None for
-    neither); memoized on the spec as `_sect`.
+    neither); kept in the spec's record table by its callers' `_memo`.
 
     Sector i covers angles in ((i-1) * 2pi/k, i * 2pi/k]; a cell exactly
     on a vertex ray belongs to the sector whose counter-clockwise edge
@@ -461,7 +461,7 @@ def _sectors(spec: FractalSpec) -> tuple[tuple[int | None, ...], tuple[int | Non
 
 def slices(spec: FractalSpec) -> SliceAssignment:
     """Assign each cell to the angular sector holding its barycenter (see `_sectors`)."""
-    return SliceAssignment(spec.k, _memo(spec, "_sect", _sectors)[0])
+    return SliceAssignment(spec.k, _memo(spec, "sect", _sectors)[0])
 
 
 def closed_slices(spec: FractalSpec) -> list[frozenset[int]]:
@@ -473,7 +473,7 @@ def closed_slices(spec: FractalSpec) -> list[frozenset[int]]:
     """
     k = spec.k
     members: list[set[int]] = [set() for _ in range(k)]
-    for idx, (s, ray) in enumerate(zip(*_memo(spec, "_sect", _sectors))):
+    for idx, (s, ray) in enumerate(zip(*_memo(spec, "sect", _sectors))):
         if s is None:
             continue
         members[s - 1].add(idx)
@@ -523,8 +523,8 @@ def _region(k: int, keys: list[tuple[int, ...]], n: int) -> tuple[int, ...]:
 
 def _slice_region(spec: FractalSpec) -> tuple[tuple[int, ...], ConstraintGraph]:
     """The `_region` cells of a D_k-invariant spec and the `_forest` of the
-    spec's near-pair edges among them, memoized on the spec as `_reg`;
-    SpecError if the spec is not invariant."""
+    spec's near-pair edges among them, kept in the spec's record table by
+    `glp_via_slices`'s `_memo`; SpecError if the spec is not invariant."""
     dk = _dihedral(spec)
     if dk.symmetry_witness is not None:
         raise SpecError(
@@ -594,7 +594,7 @@ def glp_via_slices(spec: FractalSpec) -> Verdict:
         return decide_glp(spec)
     # a region verdict says nothing about nesting outside the region
     _require_nested(_near_pairs(spec).violation)
-    chosen, graph = _memo(spec, "_reg", _slice_region)
+    chosen, graph = _memo(spec, "reg", _slice_region)
     r, witness = _forest_sums(graph, k, lambda e: edge_weight(e, k))
     if witness is not None:
         return Verdict(glp=False, witness=witness)

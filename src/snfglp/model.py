@@ -20,6 +20,7 @@ from typing import NamedTuple, TypeVar
 
 from .cyclotomic import (
     COEFF_LIMIT,
+    MAX_ORDER,
     CoefficientOverflow,
     CycInt,
     _embed,
@@ -67,30 +68,16 @@ class FractalSpec:
     any other check: CoefficientOverflow names the first coefficient outside
     it, in cell order.  Values derived from the cells have no such limit.
 
-    Six private records are filled on first use: `_near`, the near-pair
-    record (`_near_pairs`); `_vids`, the vertex ids of every cell with their
-    count (`_vertex_ids`), read off that record without a vertex key; `_dk`,
-    the dihedral record (`_dihedral`: central cell, symmetry witness, corner
-    key, corner coverage, vertex at the centre, and the cells' rotation
-    permutation `rot`, 8 B per cell); `_graph`, the constraint graph with
-    its spanning forest (`_constraint_graph`); and in `glp`, `_sect`, each
-    cell's sector and ray (`_sectors`), and `_reg`, the slice route's region
-    cells and the `_forest` of the near-pair edges among them, in this
-    spec's indices.
-    Each is built from the spec alone (no caller hands its builder data)
-    and stored by `_memo`, at most once with equal values, so a spec can be
+    Its private records are kept in one table, `_records`, that `_memo`
+    alone reads and fills: each is built on first use from the spec alone
+    (no caller hands its builder data), and stored once, so a spec can be
     shared across threads.
     """
 
     k: int
     cells: tuple[Cell, ...]
     partial: bool = False
-    _near: _NearPairs | None = field(default=None, init=False, repr=False, compare=False)
-    _vids: tuple[array, int] | None = field(default=None, init=False, repr=False, compare=False)
-    _dk: _Dihedral | None = field(default=None, init=False, repr=False, compare=False)
-    _graph: ConstraintGraph | None = field(default=None, init=False, repr=False, compare=False)
-    _sect: tuple[tuple, tuple] | None = field(default=None, init=False, repr=False, compare=False)
-    _reg: tuple[tuple, ConstraintGraph] | None = field(default=None, init=False, repr=False, compare=False)
+    _records: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for c in chain.from_iterable(cell.barycenter.coeffs for cell in self.cells):
@@ -339,14 +326,11 @@ _T = TypeVar("_T")
 
 
 def _memo(spec: FractalSpec, name: str, build: Callable[[FractalSpec], _T]) -> _T:
-    """The spec's record `name` (see `FractalSpec`), `build(spec)` on first
-    use.  Every record is stored here, with one `object.__setattr__`, so a
-    thread reads it whole or not at all; a record is never half-built."""
-    value = getattr(spec, name)
-    if value is None:
-        value = build(spec)
-        object.__setattr__(spec, name, value)
-    return value
+    """The spec's record `name`, `build(spec)` on first use.  The record is
+    stored whole by one `setdefault`, so a thread reads it whole or not at
+    all, and threads that race to build it all get the one stored."""
+    value = spec._records.get(name)
+    return spec._records.setdefault(name, build(spec)) if value is None else value
 
 
 def _near_pairs(spec: FractalSpec) -> _NearPairs:
@@ -377,7 +361,7 @@ def _near_pairs(spec: FractalSpec) -> _NearPairs:
                 multi += [Adjacency(i, j, ja, jb) for ja, jb in pairs]
         return _NearPairs(tuple(edges), tuple(multi), tuple(others))
 
-    return _memo(spec, "_near", build)
+    return _memo(spec, "near", build)
 
 
 def _vertex_ids(spec: FractalSpec) -> tuple[array, int]:
@@ -410,7 +394,7 @@ def _vertex_ids(spec: FractalSpec) -> tuple[array, int]:
                 ids[s] = ids[t]  # t < s holds its id already
         return ids, count
 
-    return _memo(spec, "_vids", build)
+    return _memo(spec, "vids", build)
 
 
 def _first_conflict(spec: FractalSpec) -> tuple[int, int] | None:
@@ -531,7 +515,7 @@ def _forest(spec: FractalSpec, cells: Iterable[int], edges: tuple[Adjacency, ...
 def _constraint_graph(spec: FractalSpec) -> ConstraintGraph:
     """The `_forest` of the spec's `_near_pairs` edges on all its cells,
     whatever its nesting verdict, memoized on the spec."""
-    return _memo(spec, "_graph", lambda s: _forest(s, range(s.n), _near_pairs(s).edges))
+    return _memo(spec, "graph", lambda s: _forest(s, range(s.n), _near_pairs(s).edges))
 
 
 def _rotation_class(e: Adjacency, k: int) -> int | None:
@@ -619,7 +603,7 @@ def _dihedral(spec: FractalSpec) -> _Dihedral:
             vertex_at_center = next((i for i, p in enumerate(points) if p in at_center), None)
         return _Dihedral(central, symmetry, corner_key, uncovered, vertex_at_center, rot)
 
-    return _memo(spec, "_dk", build)
+    return _memo(spec, "dk", build)
 
 
 @dataclass(frozen=True)
@@ -676,6 +660,10 @@ class ValidationReport:
         return out
 
 
+# the orders at which a cell may sit at the global barycenter
+_CENTRAL_CELL_ORDERS = (3, 4, 6)
+
+
 def validate(spec: FractalSpec) -> ValidationReport:
     """Check the configuration axioms and report per-axiom witnesses.
 
@@ -693,7 +681,7 @@ def validate(spec: FractalSpec) -> ValidationReport:
     illegal = (e for e in edges if k % 2 == 1 and _rotation_class(e, k) is None)
     odd_adjacency_witness = next(((e.a, e.b) for e in illegal), None)
     central_ok = spec.partial or (
-        (dk.central_cell is None or k in (3, 4, 6)) and dk.vertex_at_center is None
+        (dk.central_cell is None or k in _CENTRAL_CELL_ORDERS) and dk.vertex_at_center is None
     )
     return ValidationReport(
         connectivity_ok=component_count == 1,
@@ -768,8 +756,8 @@ def parse(text: str) -> FractalSpec:
         partial = True
     elif len(parts) > 2:
         raise ParseError(f"unexpected tokens in header {header!r}")
-    if not 3 <= k <= 36:
-        raise ParseError(f"k must be in 3..36, got {k}")
+    if not 3 <= k <= MAX_ORDER:
+        raise ParseError(f"k must be in 3..{MAX_ORDER}, got {k}")
     if not cell_rows:
         raise ParseError("no cell lines")
     for row in cell_rows:

@@ -46,7 +46,8 @@ MUTANTS = (
     Mutant(
         "fold-step-sign", "src/snfglp/glp.py",
         "r[rot[c]] = (r[c] + t) % k", "r[rot[c]] = (r[c] - t) % k",
-        ("tests/test_glp.py::TestSpecRecords::test_slice_labeling_covers_its_region",),
+        ("tests/test_glp.py::TestSpecRecords::test_slice_labeling_covers_its_region",
+         "tests/test_certificates.py::test_closed_form_labelings"),
         "the slice route's fold steps by +t along each rotation cycle",
     ),
     Mutant(
@@ -75,7 +76,7 @@ MUTANTS = (
     ),
     Mutant(
         "central-cell-k8", "src/snfglp/model.py",
-        "k in (3, 4, 6)", "k in (3, 4, 6, 8)",
+        "_CENTRAL_CELL_ORDERS = (3, 4, 6)", "_CENTRAL_CELL_ORDERS = (3, 4, 6, 8)",
         ("tests/test_model.py::TestValidate",),
         "a central cell is allowed at k = 3, 4 and 6 only",
     ),
@@ -263,6 +264,12 @@ MUTANTS = (
         ("tests/test_slices.py::TestSliceLabelsAtCoefficientLimit",
          "tests/test_render.py::TestCoefficientLimit"),
         "a coefficient of exactly +-COEFF_LIMIT is in range",
+    ),
+    Mutant(
+        "memo-not-stored", "src/snfglp/model.py",
+        "spec._records.setdefault(name, build(spec))", "build(spec)",
+        ("tests/test_model.py::TestNearPairMemo::test_one_close_pair_pass_per_spec",),
+        "a spec's record is built once and then read from its table",
     ),
 )
 # Equivalent, so not listed: the corner comparison `_real_sign(...) > 0`

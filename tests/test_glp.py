@@ -844,7 +844,7 @@ class TestSpecRecords:
             assert cycle_weight(spec, (e.a, e.b)) == 0
         assert built == [spec]
         graph = build_constraint_graph(spec)
-        assert build_constraint_graph(spec) is graph and spec._graph is graph
+        assert build_constraint_graph(spec) is graph and spec._records["graph"] is graph
 
     @pytest.mark.parametrize("k", [7, 12])
     def test_one_sector_pass_per_spec(self, k, monkeypatch):
@@ -869,8 +869,8 @@ class TestSpecRecords:
         # both calls decide on the one held region forest, built once on the
         # spec's own indices; the spec's whole graph is not built
         assert built == [spec] and whole == []
-        chosen, graph = spec._reg
-        assert sorted(graph.order) == list(chosen) and spec._graph is None
+        chosen, graph = spec._records["reg"]
+        assert sorted(graph.order) == list(chosen) and "graph" not in spec._records
 
     def test_errors_raise_on_every_call(self):
         disconnected = make_spec(
@@ -902,7 +902,7 @@ class TestSpecRecords:
         # the region is decided, and its labeling is carried to every cell
         spec = generate_glp_example(k)
         labeling = glp_via_slices(spec).labeling
-        chosen = spec._reg[0]
+        chosen = spec._records["reg"][0]
         assert len(chosen) < spec.n and sorted(labeling.offsets) == list(range(spec.n))
         assert check_labeling(_cells_spec(spec, chosen), labeling)
         assert check_labeling(spec, labeling)

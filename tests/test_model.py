@@ -882,9 +882,8 @@ class TestNearPairMemo:
         spec = _fresh_copy(base)
         verdict = decide_glp(_fresh_copy(base))
         labels = verdict.labeling.labels
-        assert verdict.glp and spec._near is None and labels._labels is None
-        assert spec._vids is None and labels._spec._vids is None and spec._dk is None
-        assert spec._graph is None and spec._sect is None and spec._reg is None
+        assert verdict.glp and spec._records == {} and labels._labels is None
+        assert "vids" not in labels._spec._records
         calls = {
             "validate": lambda: validate(spec),
             "adjacencies": lambda: find_adjacencies(spec),
@@ -922,20 +921,26 @@ class TestNearPairMemo:
         assert not any(t.is_alive() for t in threads)
         assert all(out == want for out in seen)
 
-    def test_each_memo_written_once(self, monkeypatch):
+    def test_each_memo_written_once(self):
         # a memo stored in two steps (a placeholder, then the record) can be
         # read half-built by another thread however short the gap, which a
-        # threaded run does not show; model stores every memo through
-        # `_memo`'s `object.__setattr__`, so every store is recorded here
+        # threaded run does not show; `_memo` stores every record in the
+        # spec's table through one `setdefault`, so a recording table here
+        # sees every write
+        stored, others = [], []
+
+        class RecordingTable(dict):
+            def setdefault(self, name, value):
+                stored.append((name, value))
+                return super().setdefault(name, value)
+
+            def other(self, *args, **kwargs):
+                others.append(args)
+
+            __setitem__ = __delitem__ = update = pop = popitem = clear = other
+
         spec = _fresh_copy(random_valid_spec(10, 60, 1, symmetrize=True))
-        writes = []
-
-        def recording(target, name, value):
-            writes.append((target, name, value))
-            object.__setattr__(target, name, value)
-
-        recorder = type("RecordingObject", (), {"__setattr__": staticmethod(recording)})
-        monkeypatch.setattr(model, "object", recorder, raising=False)
+        object.__setattr__(spec, "_records", RecordingTable())
         verdict = decide_glp(spec)
         validate(spec)
         find_adjacencies(spec)
@@ -947,9 +952,9 @@ class TestNearPairMemo:
             closed_slices(spec)
             slice_subspec(spec, [1], closed=True)
         derive_scaling(spec)
-        mine = [(name, value) for target, name, value in writes if target is spec]
-        assert sorted(name for name, _ in mine) == ["_dk", "_graph", "_near", "_reg", "_sect", "_vids"]
-        assert all(value is getattr(spec, name) for name, value in mine)
+        assert sorted(name for name, _ in stored) == ["dk", "graph", "near", "reg", "sect", "vids"]
+        assert all(model._memo(spec, name, None) is value for name, value in stored)
+        assert others == []
 
 
 @cache
@@ -1039,9 +1044,9 @@ class TestVertexKeyMemo:
             return translate_keys(b)
 
         def computed(s):
-            fresh = s._vids is None
+            fresh = "vids" not in s._records
             vids = vertex_ids(s)
-            passes.append(fresh and s._vids is vids)
+            passes.append(fresh and s._records["vids"] is vids)
             return vids
 
         # the ids come from the near-pair record, and a labeling on its own
@@ -1050,7 +1055,7 @@ class TestVertexKeyMemo:
         for module in (glp, render):
             monkeypatch.setattr(module, "_vertex_ids", computed)
         verdict = decide_glp(spec)
-        assert verdict.glp and spec._vids is None
+        assert verdict.glp and "vids" not in spec._records
         labeling = verdict.labeling if decided else make_labeling(spec, verdict.labeling.offsets)
         assert check_labeling(spec, labeling)
         render_svg(spec, verdict, RenderOptions(show_labels=True))
@@ -1058,7 +1063,7 @@ class TestVertexKeyMemo:
         assert passes.count(True) == 1 and len(passes) >= 3
         # what stays is the id table and one label per id, no key index
         assert labeling.labels._index is None and verdict.labeling.labels._index is None
-        assert len(labeling.labels._labels) == spec._vids[1]
+        assert len(labeling.labels._labels) == spec._records["vids"][1]
 
     @given(vertex_id_specs(), st.data())
     @settings(max_examples=150, deadline=None)

@@ -145,7 +145,7 @@ class TestViaSlices:
             v = glp_via_slices(spec)
             assert v.glp
             # the region decided is a strict subset of the cells
-            assert len(spec._reg[0]) < spec.n
+            assert len(spec._records["reg"][0]) < spec.n
 
     def test_partial_rejected(self):
         spec = make_spec(5, [tuple(zero(5).coeffs)], partial=True)
@@ -325,7 +325,7 @@ class TestSubspecReference:
         cells = [c.barycenter for c in generate_glp_example(k).cells]
         spec = make_spec(k, cells[len(cells) // 2:] + cells[:len(cells) // 2])
         self.assert_matches_reference(spec)
-        assert 0 not in spec._reg[0]
+        assert 0 not in spec._records["reg"][0]
 
     @pytest.mark.parametrize("k", range(6, 13))
     def test_symmetrized_growth(self, k):
@@ -347,7 +347,7 @@ class TestSubspecReference:
             with mock.patch.object(model, "_close_pairs", counting):
                 glp_via_slices(spec)
             assert calls == [spec]
-            assert not any(isinstance(part, FractalSpec) for part in spec._reg)
+            assert not any(isinstance(part, FractalSpec) for part in spec._records["reg"])
 
 
 def kscan_sectors(spec):
