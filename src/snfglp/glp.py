@@ -99,7 +99,7 @@ class _VertexLabels(Mapping[CycInt, int]):
 
     __slots__ = ("_spec", "_offsets", "_labels", "_index")
 
-    def __init__(self, spec: FractalSpec, offsets: Mapping[int, int] | list[int]):
+    def __init__(self, spec: FractalSpec, offsets: Mapping[int, int]):
         self._spec = spec
         self._offsets = offsets
         self._labels: list[int] | None = None
@@ -201,21 +201,21 @@ def build_constraint_graph(spec: FractalSpec) -> ConstraintGraph:
 
 
 def _tree_cycle(graph: ConstraintGraph, u: int, v: int) -> tuple[int, ...]:
-    """Cells along the fundamental cycle of non-tree edge (u, v): u .. lca .. v."""
-    path_u = [u]
-    path_v = [v]
+    """Cells along the fundamental cycle of non-tree edge (u, v): u .. lca .. v.
+
+    Each step moves the deeper end, u's on a tie, up to its parent, so each
+    end walks its own ancestor chain and the two meet at the lowest common
+    ancestor, in time linear in the cycle's length.
+    """
+    path_u, path_v = [u], [v]
     a, b = u, v
-    while graph.depth[a] > graph.depth[b]:
-        a = graph.parent[a]
-        path_u.append(a)
-    while graph.depth[b] > graph.depth[a]:
-        b = graph.parent[b]
-        path_v.append(b)
     while a != b:
-        a = graph.parent[a]
-        b = graph.parent[b]
-        path_u.append(a)
-        path_v.append(b)
+        if graph.depth[a] >= graph.depth[b]:
+            a = graph.parent[a]
+            path_u.append(a)
+        else:
+            b = graph.parent[b]
+            path_v.append(b)
     return tuple(path_u + path_v[:-1][::-1])
 
 
@@ -235,15 +235,16 @@ def make_labeling(spec: FractalSpec, offsets: dict[int, int]) -> Labeling:
 
     The labels are built and checked here, not on first read.
     """
-    offsets = dict(offsets)
-    labels = _VertexLabels(spec, offsets)
-    labels._by_id
-    return Labeling(spec.k, offsets, labels)
+    labeling = _decided_labeling(spec, dict(offsets))
+    labeling.labels._by_id
+    return labeling
 
 
-def _decided_labeling(spec: FractalSpec, offsets: list[int]) -> Labeling:
-    """A decider's labeling, one offset per cell; labels built on first read."""
-    return Labeling(spec.k, dict(enumerate(offsets)), _VertexLabels(spec, offsets))
+def _decided_labeling(spec: FractalSpec, offsets: dict[int, int]) -> Labeling:
+    """The labeling of `offsets`, one per cell index, which it keeps as its
+    own: its offsets and its labels' are one dict.  Labels are built on
+    first read."""
+    return Labeling(spec.k, offsets, _VertexLabels(spec, offsets))
 
 
 def _connected_graph(spec: FractalSpec) -> ConstraintGraph:
@@ -293,7 +294,7 @@ def decide_glp(spec: FractalSpec) -> Verdict:
     r, witness = _forest_sums(_connected_graph(spec), k, lambda e: edge_weight(e, k))
     if witness is not None:
         return Verdict(glp=False, witness=witness)
-    return Verdict(glp=True, labeling=_decided_labeling(spec, r))
+    return Verdict(glp=True, labeling=_decided_labeling(spec, dict(enumerate(r))))
 
 
 def decide_glp_even(spec: FractalSpec) -> Verdict:
@@ -315,7 +316,7 @@ def decide_glp_even(spec: FractalSpec) -> Verdict:
         return Verdict(glp=False, witness=witness)
     offsets = [c * (k // 2) for c in color]
     classes = {i: c + 1 for i, c in enumerate(color)}
-    return Verdict(glp=True, labeling=_decided_labeling(spec, offsets), classes=classes)
+    return Verdict(glp=True, labeling=_decided_labeling(spec, dict(enumerate(offsets))), classes=classes)
 
 
 def decide_glp_odd(spec: FractalSpec) -> Verdict:
@@ -342,7 +343,7 @@ def decide_glp_odd(spec: FractalSpec) -> Verdict:
     if witness is not None:
         return Verdict(glp=False, witness=witness)
     offsets = [-((k + 1) // 2) * c % k for c in rho]
-    return Verdict(glp=True, labeling=_decided_labeling(spec, offsets))
+    return Verdict(glp=True, labeling=_decided_labeling(spec, dict(enumerate(offsets))))
 
 
 @dataclass(frozen=True)
@@ -493,16 +494,18 @@ def _slice_ids(k: int, ids) -> list[int]:
 
 
 def slice_subspec(spec: FractalSpec, ids, closed: bool = False) -> FractalSpec:
-    """Partial spec of the chosen (closed) slices, cells in original order."""
-    ids = _slice_ids(spec.k, ids)
-    if closed:
-        sets = closed_slices(spec)
-        chosen = set().union(*(sets[i - 1] for i in ids))
-    else:
-        chosen = {idx for idx, s in enumerate(slices(spec).sector) if s in ids}
+    """Partial spec of the chosen (closed) slices, cells in original order.
+
+    A cell is in open slice s (`slices`), and also in closed slice
+    ray % k + 1 when it lies on vertex ray `ray` (`closed_slices`).
+    """
+    k = spec.k
+    ids = _slice_ids(k, ids)
+    chosen = [cell.barycenter for cell, s, ray in zip(spec.cells, *_memo(spec, "sect", _sectors))
+              if s in ids or closed and ray is not None and ray % k + 1 in ids]
     if not chosen:
         raise ValueError("selected slices contain no cells")
-    return make_spec(spec.k, [spec.cells[i].barycenter for i in sorted(chosen)], partial=True)
+    return make_spec(k, chosen, partial=True)
 
 
 def _region(k: int, keys: list[tuple[int, ...]], n: int) -> tuple[int, ...]:
@@ -607,7 +610,8 @@ def glp_via_slices(spec: FractalSpec) -> Verdict:
         while r[rot[c]] is None:
             r[rot[c]] = (r[c] + t) % k
             c = rot[c]
-    return Verdict(glp=True, labeling=_decided_labeling(spec, [(x - r[0]) % k for x in r]))
+    offsets = {i: (x - r[0]) % k for i, x in enumerate(r)}
+    return Verdict(glp=True, labeling=_decided_labeling(spec, offsets))
 
 
 def _labels_by_id(spec: FractalSpec, labeling: Labeling) -> list[int | None]:

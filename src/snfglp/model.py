@@ -31,6 +31,7 @@ from .cyclotomic import (
     _twice_dot,
     _unit_circle,
     cyc_add,
+    cyc_div_int,
     cyc_rotate,
     cyc_sub,
     cyc_unit_translate_keys,
@@ -433,19 +434,19 @@ def edge_weight(e: Adjacency, k: int) -> int:
 
 @dataclass(frozen=True)
 class ConstraintGraph:
+    """A `_forest` record: the graph's edges on the spec's n cells, its
+    non-tree edges, its number of components, and per cell its place in
+    the breadth-first spanning forest."""
+
     k: int
     n: int
     edges: tuple[Adjacency, ...]
     nontree: tuple[Adjacency, ...]
-    component: tuple[int, ...]
+    component_count: int
     parent: tuple[int, ...]        # -1 at component roots
     parent_edge: tuple[int, ...]   # index into edges, -1 at roots
     depth: tuple[int, ...]
     order: tuple[int, ...]         # cells in visit order, each after its parent
-
-    @property
-    def component_count(self) -> int:
-        return max(self.component) + 1
 
     @cached_property
     def _weights(self) -> dict[tuple[int, int], int]:
@@ -471,35 +472,35 @@ def _forest(spec: FractalSpec, cells: Iterable[int], edges: tuple[Adjacency, ...
     that hold both ends of every edge, with a breadth-first spanning forest
     and its non-tree edges.
 
-    Each component is rooted at its lowest-index cell.  The edges are
-    distinct pairs a < b in ascending (a, b) order, so neighbours are
-    listed and visited in ascending order.  The per-cell tuples are indexed
-    by the spec's cells; one outside `cells` has component and parent -1
-    and is not in `order`.
+    Each component is rooted at its lowest-index cell, and the components
+    are counted as their roots are taken.  The edges are distinct pairs
+    a < b in ascending (a, b) order, so neighbours are listed and visited
+    in ascending order.  The per-cell tuples are indexed by the spec's
+    cells; one outside `cells` has parent -1 and is not in `order`.
     """
     n = spec.n
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for idx, e in enumerate(edges):
         adj[e.a].append((e.b, idx))
         adj[e.b].append((e.a, idx))
-    component = [-1] * n
+    seen = [False] * n
     parent = [-1] * n
     parent_edge = [-1] * n
     depth = [0] * n
     order: list[int] = []  # the queue: cells are visited as they are taken
     comp = 0
     for root in cells:
-        if component[root] != -1:
+        if seen[root]:
             continue
-        component[root] = comp
+        seen[root] = True
         head = len(order)
         order.append(root)
         while head < len(order):
             u = order[head]
             head += 1
             for v, idx in adj[u]:
-                if component[v] == -1:
-                    component[v] = comp
+                if not seen[v]:
+                    seen[v] = True
                     parent[v] = u
                     parent_edge[v] = idx
                     depth[v] = depth[u] + 1
@@ -508,7 +509,7 @@ def _forest(spec: FractalSpec, cells: Iterable[int], edges: tuple[Adjacency, ...
     tree = set(parent_edge)
     nontree = tuple(e for i, e in enumerate(edges) if i not in tree)
     return ConstraintGraph(
-        spec.k, n, edges, nontree, *map(tuple, (component, parent, parent_edge, depth, order))
+        spec.k, n, edges, nontree, comp, *map(tuple, (parent, parent_edge, depth, order))
     )
 
 
@@ -703,25 +704,23 @@ def validate(spec: FractalSpec) -> ValidationReport:
 def derive_scaling(spec: FractalSpec) -> CycInt:
     """The scaling factor L = 1 + b where b is the positive-real corner barycenter.
 
-    The spec is recentred internally; the corner barycenter must be an
-    exact cyclotomic integer after recentring.  L is real and exceeds 1
-    because the corner search (`_dihedral`) takes only cells that
-    reflection 0 fixes, at a position whose exact sign is positive.
+    The spec is recentred internally: b is the corner's scaled key
+    (`_dihedral`), n times its recentred barycenter, divided by n with
+    `cyc_div_int`, so b has the reduced quotient as its coefficients, and
+    it must be an exact cyclotomic integer.  L is real and exceeds 1
+    because the corner search takes only cells that reflection 0 fixes, at
+    a position whose exact sign is positive.
     """
     if spec.partial:
         raise ScalingError("scaling factor is defined for non-partial specs only")
     k = spec.k
-    n = spec.n
     corner_key = _dihedral(spec).corner_key
     if corner_key is None:
         raise ScalingError("no corner cell on the positive real axis")
-    if any(c % n for c in corner_key):
+    b = cyc_div_int(CycInt(k, corner_key + (0,) * (k - len(corner_key))), spec.n)
+    if b is None:
         raise ScalingError("corner barycenter is not integral after recentring")
-    # b = p / n has the reduced quotient as its coefficients (as cyc_div_int
-    # gives them), and L = b + 1
-    quot = [c // n for c in corner_key] + [0] * (k - len(corner_key))
-    quot[0] += 1
-    return CycInt(k, tuple(quot))
+    return cyc_add(b, zeta(k, 0))
 
 
 def parse(text: str) -> FractalSpec:

@@ -82,12 +82,8 @@ def brute_force_glp(spec: FractalSpec) -> bool:
     earlier: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for a, b, w in edges:
         earlier[b].append((a, w))
-    roots = set()
-    seen_components = set()
-    for i in range(n):
-        if graph.component[i] not in seen_components:
-            seen_components.add(graph.component[i])
-            roots.add(i)
+    # the forest roots each component at its lowest-index cell
+    roots = {i for i in range(n) if graph.parent[i] == -1}
 
     assign = [0] * n
 

@@ -52,7 +52,7 @@ MUTANTS = (
     ),
     Mutant(
         "fold-no-root-shift", "src/snfglp/glp.py",
-        "_decided_labeling(spec, [(x - r[0]) % k for x in r])", "_decided_labeling(spec, r)",
+        "{i: (x - r[0]) % k for i, x in enumerate(r)}", "dict(enumerate(r))",
         ("tests/test_slices.py::TestSubspecReference",),
         "the folded offsets are shifted so that cell 0 has offset 0, as decide_glp's are",
     ),
@@ -94,7 +94,7 @@ MUTANTS = (
     ),
     Mutant(
         "scaling-not-integral-unchecked", "src/snfglp/model.py",
-        "if any(c % n for c in corner_key):", "if False:",
+        "if b is None:", "if False:",
         ("tests/test_construct.py::TestExpand::test_corner_not_integral_after_recentring",),
         "L and the key mean are exact only where n divides the corner's scaled key",
     ),
@@ -264,6 +264,18 @@ MUTANTS = (
         ("tests/test_slices.py::TestSliceLabelsAtCoefficientLimit",
          "tests/test_render.py::TestCoefficientLimit"),
         "a coefficient of exactly +-COEFF_LIMIT is in range",
+    ),
+    Mutant(
+        "tree-cycle-lca-twice", "src/snfglp/glp.py",
+        "path_u + path_v[:-1][::-1]", "path_u + path_v[::-1]",
+        ("tests/test_glp.py",),
+        "the two ancestor paths of a fundamental cycle share its lowest common ancestor once",
+    ),
+    Mutant(
+        "component-count-off-by-one", "src/snfglp/model.py",
+        "edges, nontree, comp, *map", "edges, nontree, comp + 1, *map",
+        ("tests/test_model.py::TestValidate",),
+        "a forest has one component per root taken",
     ),
     Mutant(
         "memo-not-stored", "src/snfglp/model.py",

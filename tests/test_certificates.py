@@ -18,6 +18,8 @@ from __future__ import annotations
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fold, remainder_key
 from snfglp.construct import (
@@ -224,3 +226,23 @@ def test_obstruction_bounds(k, p):
             assert cycle_weight(spec, walk) % p == 0, walk
         else:
             assert len(walk) >= p, walk
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(6, 3), (9, 3), (10, 5), (14, 7)]), st.integers(0, 2**31 - 1),
+       st.integers(2, 100), st.data())
+def test_obstruction_bounds_over_growth_and_shifts(kp, seed, target, data):
+    """test_obstruction_bounds' bounds on every fundamental cycle of plain
+    growth, not only on witnesses; and decide_glp's verdict, which is read
+    off the points, is unchanged when each cell's coefficients are moved by
+    m * zeta^j * Phi_k (zero), |m| <= 2^29."""
+    k, p = kp
+    spec = random_valid_spec(k, target, seed)
+    moves = st.tuples(st.integers(0, k - 1), st.integers(-(2**29), 2**29))
+    rows = [fold(k, c.barycenter.coeffs, *data.draw(moves)) for c in spec.cells]
+    assert decide_glp(make_spec(k, rows, partial=True)).serialize() == decide_glp(spec).serialize()
+    for cycle in fundamental_cycles(build_constraint_graph(spec)):
+        if k % 2:
+            assert cycle_weight(spec, cycle) % p == 0, cycle
+        elif len(cycle) % 2:
+            assert len(cycle) >= p, cycle

@@ -8,6 +8,7 @@ import threading
 from collections import deque
 from functools import cache
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +114,21 @@ class TestConstraintGraph:
         far = min(set(range(1, graph.n)) - neighbours)
         with pytest.raises(KeyError):
             cycle_weight(spec, (0, far))
+
+    def test_fundamental_cycles_are_tree_paths(self):
+        # reference: each non-tree edge (a, b) closes the one path from a to
+        # b in the spanning forest, here found by networkx
+        specs = [random_valid_spec(k, 40, seed, symmetrize=sym)
+                 for k in range(3, 13) for sym in (False, True) for seed in range(4)]
+        specs.append(expand(generate_glp_example(8), 2))
+        for spec in specs:
+            graph = build_constraint_graph(spec)
+            tree = nx.Graph()
+            tree.add_nodes_from(range(graph.n))
+            tree.add_edges_from((i, p) for i, p in enumerate(graph.parent) if p != -1)
+            want = [tuple(nx.shortest_path(tree, e.a, e.b)) for e in graph.nontree]
+            assert fundamental_cycles(graph) == want
+        assert any(build_constraint_graph(spec).nontree for spec in specs)
 
     def test_cycle_weight_rejects_nesting_violation(self):
         # squares one unit chord apart share a whole edge
@@ -666,7 +682,7 @@ class TestVertexIdLabels:
         # offsets that disagree raise at the same cell, eagerly or on first read
         changed = dict(offsets)
         changed[data.draw(st.integers(0, spec.n - 1))] = data.draw(st.integers(0, k - 1))
-        lazy = _decided_labeling(spec, [changed[i] for i in range(spec.n)]).labels
+        lazy = _decided_labeling(spec, dict(enumerate(changed[i] for i in range(spec.n)))).labels
         want = _raised(lambda: list(_keyed_labels(spec, changed).values()))
         assert want == _raised(lambda: make_labeling(spec, changed).labels._by_id)
         assert want == _raised(lambda: lazy._by_id)
