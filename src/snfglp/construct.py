@@ -39,6 +39,7 @@ from .model import (
     SpecError,
     _conflicting,
     _Grid,
+    _step_ring,
     derive_scaling,
     make_spec,
 )
@@ -74,10 +75,11 @@ def base_step(k: int) -> CycInt:
 def generate_counterexample(k: int) -> FractalSpec:
     """A partial spec of r cells in one ring that cannot be labeled.
 
-    r is the largest odd divisor of k below k.  The q-th barycenter is
-    the partial sum of the base step rotated by h * (k/r) root-of-unity
-    steps for h < q, so the steps are exactly the r-th roots of unity
-    (scaled); the ring closes because those roots sum to zero.
+    r is the largest odd divisor of k below k.  The ring is
+    `model._step_ring` of the base step with stride k/r: the q-th
+    barycenter is the partial sum of the base step rotated by h * (k/r)
+    root-of-unity steps for h < q, so the steps are exactly the r-th roots
+    of unity (scaled); the ring closes because those roots sum to zero.
     """
     kind = classify_k(k)
     if kind.always_glp:
@@ -85,13 +87,7 @@ def generate_counterexample(k: int) -> FractalSpec:
             f"k={k} is {kind.reason}; every such configuration can be labeled"
         )
     r = _largest_odd_divisor_below(k)
-    step = base_step(k)
-    cells = []
-    pos = zero(k)
-    for q in range(r):
-        cells.append(pos)
-        pos = cyc_add(pos, cyc_rotate(step, q * (k // r)))
-    return make_spec(k, cells, partial=True)
+    return make_spec(k, _step_ring(base_step(k), r, k // r), partial=True)
 
 
 def _ring_radius_vector(k: int, step: CycInt) -> CycInt:

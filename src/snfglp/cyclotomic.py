@@ -296,10 +296,6 @@ def cyc_rotate(a: CycInt, j: int) -> CycInt:
     return CycInt(a.order, _permuted(a.coeffs, j, 1))
 
 
-def cyc_conj(a: CycInt) -> CycInt:
-    return cyc_reflect(a, 0)
-
-
 def cyc_reflect(a: CycInt, m: int) -> CycInt:
     """Reflect across the line through the origin at angle m*pi/k.
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cyclotomic import (
     CycInt,
@@ -77,8 +78,9 @@ class Labeling:
 
     `labels` may be a plain dict.  From `make_labeling` or a decider it is
     a read-only mapping (`_VertexLabels`) that holds one label per vertex
-    id of its spec, a list of small ints: lookups build no vertex value,
-    and iterating it builds the vertex values.
+    id of its spec, a list of small ints cached by `cached_property` on
+    first read: lookups build no vertex value, and iterating it builds the
+    vertex values.
     """
 
     k: int
@@ -90,53 +92,43 @@ class _VertexLabels(Mapping[CycInt, int]):
     """Labels of the vertices of `spec` under per-cell `offsets` (indexed
     by cell index), one per vertex id of the spec (`_vertex_ids`).
 
-    The label list is built when first read, and the key index a lookup by
-    value needs when first looked up; each is written at most once with
-    equal contents, so the mapping can be shared across threads.  An
-    order-k CycInt is looked up by its canonical key; iteration builds each
-    vertex value when first seen in cell order, and the repr builds none.
+    The label list and the key index a lookup by value needs are each a
+    `cached_property`: built when first read, stored whole, and equal
+    whichever thread builds it, so the mapping can be shared across
+    threads.  An order-k CycInt is looked up by its canonical key;
+    iteration builds each vertex value when first seen in cell order, and
+    the repr builds none.
     """
-
-    __slots__ = ("_spec", "_offsets", "_labels", "_index")
 
     def __init__(self, spec: FractalSpec, offsets: Mapping[int, int]):
         self._spec = spec
         self._offsets = offsets
-        self._labels: list[int] | None = None
-        self._index: dict[tuple[int, ...], int] | None = None
 
-    @property
+    @cached_property
     def _by_id(self) -> list[int]:
         """Label (j + r) mod k of vertex j of each cell with offset r, by
         vertex id, so no vertex value or key is kept.  Raises SpecError
         where two cells give one vertex different labels."""
-        labels = self._labels
-        if labels is None:
-            spec = self._spec
-            k = spec.k
-            ids, count = _vertex_ids(spec)
-            labels = [None] * count
-            for i in range(spec.n):
-                r = self._offsets[i]
-                for j, v in enumerate(ids[i * k:(i + 1) * k]):
-                    lab = (j + r) % k
-                    if labels[v] is None:
-                        labels[v] = lab
-                    elif labels[v] != lab:
-                        raise SpecError(f"offsets disagree at a shared vertex of cell {i}")
-            self._labels = labels
+        spec = self._spec
+        k = spec.k
+        ids, count = _vertex_ids(spec)
+        labels = [None] * count
+        for i in range(spec.n):
+            r = self._offsets[i]
+            for j, v in enumerate(ids[i * k:(i + 1) * k]):
+                lab = (j + r) % k
+                if labels[v] is None:
+                    labels[v] = lab
+                elif labels[v] != lab:
+                    raise SpecError(f"offsets disagree at a shared vertex of cell {i}")
         return labels
 
-    @property
+    @cached_property
     def _by_key(self) -> dict[tuple[int, ...], int]:
-        """Label by vertex key, for lookups by value; built on first use."""
-        index = self._index
-        if index is None:
-            labels = self._by_id
-            ids, _ = _vertex_ids(self._spec)
-            index = {key: labels[v] for v, key in zip(ids, _vertex_key_stream(self._spec))}
-            self._index = index
-        return index
+        """Label by vertex key, for lookups by value."""
+        labels = self._by_id
+        ids, _ = _vertex_ids(self._spec)
+        return {key: labels[v] for v, key in zip(ids, _vertex_key_stream(self._spec))}
 
     def __getitem__(self, v: CycInt) -> int:
         if isinstance(v, CycInt) and v.order == self._spec.k:
@@ -348,8 +340,15 @@ def decide_glp_odd(spec: FractalSpec) -> Verdict:
 
 @dataclass(frozen=True)
 class KClassification:
-    always_glp: bool
-    reason: str | None  # 'prime' | 'power_of_two'
+    """`classify_k`'s answer: why every configuration of order k has GLP
+    ('prime' or 'power_of_two'), or None when that depends on the
+    configuration; `always_glp` is read off it."""
+
+    reason: str | None
+
+    @property
+    def always_glp(self) -> bool:
+        return self.reason is not None
 
     def __str__(self) -> str:
         return f"AlwaysGLP({self.reason})" if self.always_glp else "Conditional"
@@ -393,10 +392,10 @@ def classify_k(k: int) -> KClassification:
     if k >= _PSI_13:
         raise ValueError(f"k must be below {_PSI_13} (psi_13) to be classified")
     if all(_strong_probable_prime(k, a) for a in _PRIME_BASES if a < k):
-        return KClassification(True, "prime")
+        return KClassification("prime")
     if k & (k - 1) == 0:
-        return KClassification(True, "power_of_two")
-    return KClassification(False, None)
+        return KClassification("power_of_two")
+    return KClassification(None)
 
 
 @dataclass(frozen=True)
@@ -428,7 +427,11 @@ def _sectors(spec: FractalSpec) -> tuple[tuple[int | None, ...], tuple[int | Non
     reflection 2j fixes the key; else the sign of the real element
     `_twice_dot`(p, j + 1) - `_twice_dot`(p, j - 1) = 4 sin(2pi/k) Im(w),
     w = p * zeta^-j.
-    The walk starts at the sector of the float angle.
+    The walk starts at the sector of the float angle and moves one sector
+    at a time, and it is monotone: a move up needs side[i] > 0, which is
+    the next side[i-1], and a move down needs side[i-1] <= 0, the next
+    side[i].  So with consistent exact signs it settles within k - 1
+    moves; ArithmeticError, naming the key, is raised after k.
     """
     k = spec.k
     circle = _unit_circle(k)
@@ -443,7 +446,7 @@ def _sectors(spec: FractalSpec) -> tuple[tuple[int | None, ...], tuple[int | Non
         e = 3 * _embed_error(k, key)
         i = math.floor(math.atan2(y, x) * k / (2 * math.pi)) + 1
         side: dict[int, float] = {}
-        while True:
+        for _ in range(k):
             for j in {i - 1, i} - side.keys():
                 cos, sin = circle[j % k]
                 side[j] = cos * y - sin * x
@@ -455,6 +458,8 @@ def _sectors(spec: FractalSpec) -> tuple[tuple[int | None, ...], tuple[int | Non
             if side[i - 1] > 0 >= side[i]:
                 break
             i += 1 if side[i - 1] > 0 else -1
+        else:
+            raise ArithmeticError(f"the sector walk of key {key} does not settle in {k} moves")
         sector.append((i - 1) % k + 1)
         rays.append(i % k if side[i] == 0 else None)
     return tuple(sector), tuple(rays)

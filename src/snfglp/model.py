@@ -435,18 +435,24 @@ def edge_weight(e: Adjacency, k: int) -> int:
 @dataclass(frozen=True)
 class ConstraintGraph:
     """A `_forest` record: the graph's edges on the spec's n cells, its
-    non-tree edges, its number of components, and per cell its place in
-    the breadth-first spanning forest."""
+    number of components, and per cell its place in the breadth-first
+    spanning forest.  Its non-tree edges are derived from the forest on
+    first read."""
 
     k: int
     n: int
     edges: tuple[Adjacency, ...]
-    nontree: tuple[Adjacency, ...]
     component_count: int
     parent: tuple[int, ...]        # -1 at component roots
     parent_edge: tuple[int, ...]   # index into edges, -1 at roots
     depth: tuple[int, ...]
     order: tuple[int, ...]         # cells in visit order, each after its parent
+
+    @cached_property
+    def nontree(self) -> tuple[Adjacency, ...]:
+        """The edges that are no cell's `parent_edge`, in edge order."""
+        tree = set(self.parent_edge)
+        return tuple(e for i, e in enumerate(self.edges) if i not in tree)
 
     @cached_property
     def _weights(self) -> dict[tuple[int, int], int]:
@@ -469,8 +475,8 @@ class ConstraintGraph:
 
 def _forest(spec: FractalSpec, cells: Iterable[int], edges: tuple[Adjacency, ...]) -> ConstraintGraph:
     """The graph of `edges` on `cells`, ascending indices of the spec's cells
-    that hold both ends of every edge, with a breadth-first spanning forest
-    and its non-tree edges.
+    that hold both ends of every edge, with a breadth-first spanning forest;
+    its non-tree edges are left to `ConstraintGraph.nontree`.
 
     Each component is rooted at its lowest-index cell, and the components
     are counted as their roots are taken.  The edges are distinct pairs
@@ -506,11 +512,7 @@ def _forest(spec: FractalSpec, cells: Iterable[int], edges: tuple[Adjacency, ...
                     depth[v] = depth[u] + 1
                     order.append(v)
         comp += 1
-    tree = set(parent_edge)
-    nontree = tuple(e for i, e in enumerate(edges) if i not in tree)
-    return ConstraintGraph(
-        spec.k, n, edges, nontree, comp, *map(tuple, (parent, parent_edge, depth, order))
-    )
+    return ConstraintGraph(spec.k, n, edges, comp, *map(tuple, (parent, parent_edge, depth, order)))
 
 
 def _constraint_graph(spec: FractalSpec) -> ConstraintGraph:
@@ -609,19 +611,39 @@ def _dihedral(spec: FractalSpec) -> _Dihedral:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    connectivity_ok: bool
+    """`validate`'s verdict, one stored form per axiom: the component count
+    for connectivity, a witness for nesting, symmetry, corner coverage and
+    odd adjacency (None when the axiom holds), and the central-cell facts.
+    Each `*_ok` flag is read off its stored form."""
+
     component_count: int
-    nesting_ok: bool
     nesting_witness: tuple[int, int] | None
-    symmetry_ok: bool
     symmetry_witness: tuple[str, int] | None
-    corner_ok: bool
     corner_witness: int | None
-    odd_adjacency_ok: bool
     odd_adjacency_witness: tuple[int, int] | None
     central_cell: int | None
     central_ok: bool
     vertex_at_center: int | None
+
+    @property
+    def connectivity_ok(self) -> bool:
+        return self.component_count == 1
+
+    @property
+    def nesting_ok(self) -> bool:
+        return self.nesting_witness is None
+
+    @property
+    def symmetry_ok(self) -> bool:
+        return self.symmetry_witness is None
+
+    @property
+    def corner_ok(self) -> bool:
+        return self.corner_witness is None
+
+    @property
+    def odd_adjacency_ok(self) -> bool:
+        return self.odd_adjacency_witness is None
 
     @property
     def valid(self) -> bool:
@@ -635,19 +657,17 @@ class ValidationReport:
         )
 
     def lines(self) -> list[str]:
-        out = []
-        out.append(
+        out = [
             f"connectivity: {'ok' if self.connectivity_ok else 'FAIL'}"
             f" ({self.component_count} component{'s' if self.component_count != 1 else ''})"
-        )
-        w = f" cells {self.nesting_witness}" if self.nesting_witness else ""
-        out.append(f"nesting: {'ok' if self.nesting_ok else 'FAIL' + w}")
-        w = f" {self.symmetry_witness}" if self.symmetry_witness else ""
-        out.append(f"symmetry: {'ok' if self.symmetry_ok else 'FAIL' + w}")
-        w = f" direction {self.corner_witness}" if self.corner_witness is not None else ""
-        out.append(f"corner-coverage: {'ok' if self.corner_ok else 'FAIL' + w}")
-        w = f" edge {self.odd_adjacency_witness}" if self.odd_adjacency_witness else ""
-        out.append(f"odd-adjacency: {'ok' if self.odd_adjacency_ok else 'FAIL' + w}")
+        ]
+        for axiom, label, witness in (
+            ("nesting", " cells", self.nesting_witness),
+            ("symmetry", "", self.symmetry_witness),
+            ("corner-coverage", " direction", self.corner_witness),
+            ("odd-adjacency", " edge", self.odd_adjacency_witness),
+        ):
+            out.append(f"{axiom}: {'ok' if witness is None else f'FAIL{label} {witness}'}")
         if self.central_cell is not None:
             out.append(
                 f"central-cell: index {self.central_cell}"
@@ -685,19 +705,8 @@ def validate(spec: FractalSpec) -> ValidationReport:
         (dk.central_cell is None or k in _CENTRAL_CELL_ORDERS) and dk.vertex_at_center is None
     )
     return ValidationReport(
-        connectivity_ok=component_count == 1,
-        component_count=component_count,
-        nesting_ok=nesting_witness is None,
-        nesting_witness=nesting_witness,
-        symmetry_ok=dk.symmetry_witness is None,
-        symmetry_witness=dk.symmetry_witness,
-        corner_ok=dk.corner_witness is None,
-        corner_witness=dk.corner_witness,
-        odd_adjacency_ok=odd_adjacency_witness is None,
-        odd_adjacency_witness=odd_adjacency_witness,
-        central_cell=dk.central_cell,
-        central_ok=central_ok,
-        vertex_at_center=dk.vertex_at_center,
+        component_count, nesting_witness, dk.symmetry_witness, dk.corner_witness,
+        odd_adjacency_witness, dk.central_cell, central_ok, dk.vertex_at_center,
     )
 
 
@@ -779,16 +788,13 @@ def serialize(spec: FractalSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _pentagon_ring() -> FractalSpec:
-    """Five cells chained around a ring by partial sums of rotated legal steps."""
-    k = 5
-    s = cyc_sub(zeta(k, 2), zeta(k, 4))
-    cells = []
-    pos = zero(k)
-    for q in range(k):
-        cells.append(pos)
-        pos = cyc_add(pos, cyc_rotate(s, q))
-    return make_spec(k, cells)
+def _step_ring(step: CycInt, count: int, stride: int) -> list[CycInt]:
+    """`count` barycenters chained around a ring: the q-th is the sum of
+    `step` rotated by h * `stride` over h < q, so the first is the origin."""
+    cells = [zero(step.order)]
+    for q in range(count - 1):
+        cells.append(cyc_add(cells[-1], cyc_rotate(step, q * stride)))
+    return cells
 
 
 _CATALOG: dict[str, Callable[[], FractalSpec]] = {
@@ -796,7 +802,8 @@ _CATALOG: dict[str, Callable[[], FractalSpec]] = {
     "vicsek-cross": lambda: make_spec(4, [zero(4)] + [zeta(4, j, 2) for j in range(4)]),
     "sierpinski-hexagon": lambda: make_spec(6, [zeta(6, j, 2) for j in range(6)]),
     "lindstrom-snowflake": lambda: make_spec(6, [zeta(6, j, 2) for j in range(6)] + [zero(6)]),
-    "pentagon-ring": _pentagon_ring,
+    # the step is construct.base_step(5), rotated through the fifth roots of unity
+    "pentagon-ring": lambda: make_spec(5, _step_ring(cyc_sub(zeta(5, 2), zeta(5, 4)), 5, 1)),
 }
 CATALOG_NAMES = tuple(_CATALOG)
 

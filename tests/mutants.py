@@ -137,7 +137,7 @@ MUTANTS = (
     ),
     Mutant(
         "ring-stride", "src/snfglp/construct.py",
-        "cyc_rotate(step, q * (k // r))", "cyc_rotate(step, q)",
+        "_step_ring(base_step(k), r, k // r)", "_step_ring(base_step(k), r, 1)",
         ("tests/test_construct.py::TestFixedRings",),
         "the counterexample ring's steps are the r-th roots of unity, k/r steps of zeta apart",
     ),
@@ -171,6 +171,13 @@ MUTANTS = (
         "if gap <= e:", "if False:",
         ("tests/test_model.py::TestExactConflicts",),
         "a float gap within its error bound of 0 does not decide; the exact gap does",
+    ),
+    Mutant(
+        "sector-ray-or", "src/snfglp/glp.py",
+        "if abs(side[j]) <= e and _mapped_key(k, key, 2 * j, -1) == key:",
+        "if abs(side[j]) <= e or _mapped_key(k, key, 2 * j, -1) == key:",
+        ("tests/test_slices.py::TestSectorsReference",),
+        "a side within float error of 0 is 0 only for a key on the mirror line of the ray",
     ),
     Mutant(
         "sector-exact-off", "src/snfglp/glp.py",
@@ -273,9 +280,21 @@ MUTANTS = (
     ),
     Mutant(
         "component-count-off-by-one", "src/snfglp/model.py",
-        "edges, nontree, comp, *map", "edges, nontree, comp + 1, *map",
+        "edges, comp, *map", "edges, comp + 1, *map",
         ("tests/test_model.py::TestValidate",),
         "a forest has one component per root taken",
+    ),
+    Mutant(
+        "report-flag-inverted", "src/snfglp/model.py",
+        "return self.nesting_witness is None", "return self.nesting_witness is not None",
+        ("tests/test_model.py::TestValidate",),
+        "an axiom holds exactly when it has no witness",
+    ),
+    Mutant(
+        "cache-budget-ge", "src/snfglp/cli.py",
+        "if spec.n > self.budget:", "if spec.n >= self.budget:",
+        ("tests/test_cli.py::TestSpecCache::test_spec_of_exactly_the_budget_is_held",),
+        "a spec of exactly the cache's budget fits in it",
     ),
     Mutant(
         "memo-not-stored", "src/snfglp/model.py",

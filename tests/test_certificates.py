@@ -16,6 +16,8 @@ to zero.
 from __future__ import annotations
 
 from functools import cache
+from itertools import product
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -43,7 +45,7 @@ from snfglp.glp import (
     glp_via_slices,
     make_labeling,
 )
-from snfglp.model import CATALOG_NAMES, catalog, make_spec
+from snfglp.model import CATALOG_NAMES, _dihedral, catalog, make_spec
 
 
 def _shifted(spec):
@@ -85,8 +87,13 @@ def _keys(name):
     return out
 
 
-def audit(spec, keys, verdict):
-    """Assert that `verdict` carries a valid certificate for `spec`."""
+def audit(spec, keys, verdict, looked_up=None):
+    """Assert that `verdict` carries a valid certificate for `spec`.
+
+    A labeling's offsets are checked at every vertex on the audit's own
+    keys, and its mapping is looked up by value at the vertices of the
+    cells `looked_up`, every cell by default; each lookup builds and
+    reduces one vertex value."""
     k = spec.k
     if verdict.glp:
         offsets = verdict.labeling.offsets
@@ -98,7 +105,7 @@ def audit(spec, keys, verdict):
                 assert label_of.setdefault(key, lab) == lab, f"a vertex of cell {i} gets two labels"
         labels = verdict.labeling.labels
         assert len(labels) == len(label_of), "the labeling's points are not the cells' points"
-        for i in offsets:
+        for i in offsets if looked_up is None else looked_up:
             b = spec.cells[i].barycenter.coeffs
             row = [labels[from_coeffs(k, b[:j] + (b[j] + 1,) + b[j + 1:])] for j in range(k)]
             assert row == [label_of[key] for key in keys[i]]
@@ -246,3 +253,94 @@ def test_obstruction_bounds_over_growth_and_shifts(kp, seed, target, data):
             assert cycle_weight(spec, cycle) % p == 0, cycle
         elif len(cycle) % 2:
             assert len(cycle) >= p, cycle
+
+
+# level-1 specs whose expansions are labeled by the closed form below
+LEVEL1 = dict(
+    [(f"ring-{k}", lambda k=k: generate_glp_example(k)) for k in range(3, 37)]
+    + [(f"catalog-{name}", lambda name=name: catalog(name)) for name in CATALOG_NAMES]
+    + [(f"growth-{k}-{seed}", lambda k=k, seed=seed: random_valid_spec(k, 40, seed, symmetrize=True))
+       for k in (6, 8, 9, 10, 12) for seed in range(4)]
+)
+EXPANSION_CAP = 3_000  # cells of an expansion checked at levels 2 and 3
+
+
+@cache
+def _level1(name):
+    return LEVEL1[name]()
+
+
+def _whole(spec):
+    """The same cells as a non-partial spec."""
+    return make_spec(spec.k, [c.barycenter for c in spec.cells])
+
+
+def _vertex_keys(spec, cells):
+    """{cell: the long-division key of each vertex b + zeta^j} for `cells`,
+    the keys `_keys` makes: remainder_key is linear, so the key of zeta^j is
+    added to the barycenter's."""
+    k = spec.k
+    rows = [remainder_key(k, [int(i == j) for i in range(k)]) for j in range(k)]
+    out = {}
+    for i in cells:
+        key = remainder_key(k, spec.cells[i].barycenter.coeffs)
+        out[i] = [tuple(map(add, key, row)) for row in rows]
+    return out
+
+
+@pytest.mark.parametrize("name", list(LEVEL1))
+def test_expansion_labeled_in_closed_form(name):
+    """GLP carries to every level by a formula that shares no code with the
+    deciders.
+
+    Let r be `decide_glp`'s offsets of a valid level-1 spec of n cells with
+    GLP, and t = r[rot[0]] - r[0] mod k, `rot` of the dihedral record: a
+    D_k-invariant labeling steps by one constant along the rotation, as
+    `glp_via_slices` relies on.  Index cell i of `expand(spec, l)` by its
+    offset choice (d_0, .., d_{l-1}) in the order of
+    product(range(n), repeat=l), d_0 the unscaled choice.  Then
+
+        offset(i) = sum over m of (1 + t)^m * r[d_m]  mod k.
+
+    Sketch: two copies a and b of one depth meet where the level-1 cells a
+    and b do, at the vertex ja of copy a's corner cell in direction ja and
+    the vertex jb of copy b's corner cell in direction jb.  Corner offsets
+    step by t along the rotation, so the constraint between the two copy
+    shifts is (ja - jb)(1 + t): level 1's constraint times 1 + t, which
+    compounds to (1 + t)^m at depth m.  Every route on the expansion, made
+    non-partial, gives these offsets, and each labeling passes the audit on
+    the audit's own keys, with by-value lookups at the first and last cell;
+    `test_every_decider_certificate` looks up every cell of level-2
+    expansions.
+
+    NOGLP side: each copy is a translate of level 1, so the level-1 witness
+    placed in copy 0, the cells (w, 0, .., 0), is a cycle of the expansion
+    with the same weights, by the audit's own keys.
+    """
+    spec = _level1(name)
+    k, n = spec.k, spec.n
+    verdict = decide_glp(spec)
+    for level in (2, 3):
+        if n**level > EXPANSION_CAP:
+            continue
+        big = _whole(expand(spec, level))
+        if not verdict.glp:
+            walk = tuple(w * n ** (level - 1) for w in verdict.witness)
+            audit(big, _vertex_keys(big, walk), Verdict(glp=False, witness=walk))
+            continue
+        r = verdict.labeling.offsets
+        t = (r[_dihedral(spec).rot[0]] - r[0]) % k
+        want = {i: sum(pow(1 + t, m, k) * r[d] for m, d in enumerate(choice)) % k
+                for i, choice in enumerate(product(range(n), repeat=level))}
+        keys = _vertex_keys(big, range(big.n))
+        for method, decider in _deciders(big):
+            got = decider(big)
+            assert got.labeling.offsets == want, (name, level, method)
+            audit(big, keys, got, looked_up=(0, big.n - 1))
+
+
+def test_expansions_reach_both_verdicts():
+    # the NOGLP side is the snowflake and growth at k = 6 and 12
+    noglp = [name for name in LEVEL1 if not decide_glp(_level1(name)).glp]
+    assert "catalog-lindstrom-snowflake" in noglp
+    assert {name.split("-")[1] for name in noglp if name.startswith("growth")} == {"6", "12"}

@@ -316,6 +316,15 @@ class TestSpecCache:
         assert list(cache._specs) == [a, c] and cache.cells == 8
         assert cache.load(a) is spec_a
 
+    def test_spec_of_exactly_the_budget_is_held(self):
+        cache = _SpecCache(3)
+        gasket = serialize(catalog("sierpinski-gasket"))
+        spec = cache.load(gasket)
+        assert spec.n == 3 and cache.cells == 3 and cache.load(gasket) is spec
+        larger = _cells_text(4)
+        assert cache.load(larger) is not cache.load(larger)
+        assert list(cache._specs) == [gasket] and cache.cells == 3
+
     def test_spec_over_budget_is_not_held(self, tmp_path):
         cli._SPECS.clear()
         held = tmp_path / "small.snf"

@@ -27,7 +27,6 @@ from snfglp.cyclotomic import (
     CycInt,
     _real_sign,
     cyc_add,
-    cyc_conj,
     cyc_div_int,
     cyc_eq,
     cyc_is_zero,
@@ -173,7 +172,7 @@ class TestFixedRings:
             step = cyc_scale(cyc_add(zeta(k, k // 4), zeta(k, k // 4 + 1)), 2)
         b = construct._ring_radius_vector(k, step)
         assert b is not None  # an integral radius
-        assert cyc_eq(b, cyc_conj(b)) and _real_sign(k, b.canonical_key()) > 0
+        assert cyc_eq(b, cyc_reflect(b, 0)) and _real_sign(k, b.canonical_key()) > 0
         assert cyc_eq(cyc_sub(cyc_rotate(b, 1), b), step)
         corners = [c.barycenter for c in generate_glp_example(k).cells][:: 2 if k % 4 == 0 else 1]
         self.assert_closed_ring(corners, [cyc_rotate(step, q) for q in range(k)])
@@ -297,7 +296,7 @@ def reference_scaling(spec):
     best = None
     for i, p in enumerate(positions):
         x = to_cartesian(p)[0]
-        if not cyc_eq(p, cyc_conj(p)) or x <= 1e-9:
+        if not cyc_eq(p, cyc_reflect(p, 0)) or x <= 1e-9:
             continue
         tip = cyc_add(p, zeta(k, 0, n))
         if any(index_of.get(cyc_sub(tip, zeta(k, j, n)).canonical_key(), i) != i for j in range(1, k)):

@@ -28,7 +28,6 @@ from snfglp.cyclotomic import (
     _mapped_key,
     _unit_circle,
     cyc_add,
-    cyc_conj,
     cyc_eq,
     cyc_is_zero,
     cyc_neg,
@@ -551,6 +550,14 @@ class TestValidate:
         assert not report.symmetry_ok
         assert not report.valid
 
+    def test_no_corner_cell_fails_direction_0(self):
+        # the D_6 orbit of 2 + 2 zeta has no cell on the positive real axis,
+        # so the corner's orbit is uncovered from direction 0, printed as such
+        report = validate(make_spec(6, [cyc_scale(cyc_add(zeta(6, j), zeta(6, j + 1)), 2)
+                                        for j in range(6)]))
+        assert report.symmetry_ok and report.corner_witness == 0 and not report.corner_ok
+        assert "corner-coverage: FAIL direction 0" in report.lines()
+
     def test_partial_flag_skips_symmetry(self):
         ring = catalog("sierpinski-hexagon")
         spec = make_spec(6, [c.barycenter for c in ring.cells[:-1]], partial=True)
@@ -776,7 +783,7 @@ def symmetry_specs(draw):
         p = from_coeffs(k, draw(st.lists(st.integers(-40, 40), min_size=k, max_size=k)))
         orbit = [cyc_rotate(p, j) for j in range(k)]
         if change == "mirrored":
-            orbit += [cyc_rotate(cyc_conj(p), j) for j in range(k)]
+            orbit += [cyc_rotate(cyc_reflect(p, 0), j) for j in range(k)]
         cells += orbit
     assume(len({b.canonical_key() for b in cells}) == len(cells))
     return make_spec(k, cells)
@@ -882,7 +889,7 @@ class TestNearPairMemo:
         spec = _fresh_copy(base)
         verdict = decide_glp(_fresh_copy(base))
         labels = verdict.labeling.labels
-        assert verdict.glp and spec._records == {} and labels._labels is None
+        assert verdict.glp and spec._records == {} and "_by_id" not in vars(labels)
         assert "vids" not in labels._spec._records
         calls = {
             "validate": lambda: validate(spec),
@@ -1062,8 +1069,8 @@ class TestVertexKeyMemo:
         assert built == []
         assert passes.count(True) == 1 and len(passes) >= 3
         # what stays is the id table and one label per id, no key index
-        assert labeling.labels._index is None and verdict.labeling.labels._index is None
-        assert len(labeling.labels._labels) == spec._records["vids"][1]
+        assert "_by_key" not in vars(labeling.labels) and "_by_key" not in vars(verdict.labeling.labels)
+        assert len(vars(labeling.labels)["_by_id"]) == spec._records["vids"][1]
 
     @given(vertex_id_specs(), st.data())
     @settings(max_examples=150, deadline=None)

@@ -522,6 +522,17 @@ class TestSectorsReference:
         closed = closed_slices(spec)
         assert [[m + 1 for m, s in enumerate(closed) if i in s] for i in (15, 16)] == [[1, 15], [8]]
 
+    def test_walk_that_cannot_settle_raises(self):
+        # w0 + 2 w1, w_j = tiny_on_ray(15, j), lies on no mirror line and is
+        # within float error of every ray, so every side is exact; a
+        # `_real_sign` that answers +1 puts it left of every ray, and the
+        # walk, which would move up for ever, stops after k moves
+        w = cyc_add(tiny_on_ray(15, 0), cyc_scale(tiny_on_ray(15, 1), 2))
+        spec = make_spec(15, [c.barycenter for c in generate_glp_example(15).cells] + [w])
+        with mock.patch.object(glp, "_real_sign", lambda k, key: 1):
+            with pytest.raises(ArithmeticError, match="does not settle in 15 moves"):
+                slices(spec)
+
     def test_tiny_point_is_tiny(self):
         w = tiny_on_ray(8, 3)
         assert math.hypot(*to_cartesian(w)) < 1e-6
