@@ -195,20 +195,18 @@ def build_constraint_graph(spec: FractalSpec) -> ConstraintGraph:
 def _tree_cycle(graph: ConstraintGraph, u: int, v: int) -> tuple[int, ...]:
     """Cells along the fundamental cycle of non-tree edge (u, v): u .. lca .. v.
 
-    Each step moves the deeper end, u's on a tie, up to its parent, so each
-    end walks its own ancestor chain and the two meet at the lowest common
-    ancestor, in time linear in the cycle's length.
+    u's ancestor chain is listed up to its root; then v climbs until it
+    reaches a cell of that chain, the lowest common ancestor.  The forest
+    is read through `parent` alone, in time linear in u's depth.
     """
-    path_u, path_v = [u], [v]
-    a, b = u, v
-    while a != b:
-        if graph.depth[a] >= graph.depth[b]:
-            a = graph.parent[a]
-            path_u.append(a)
-        else:
-            b = graph.parent[b]
-            path_v.append(b)
-    return tuple(path_u + path_v[:-1][::-1])
+    up = [u]
+    while graph.parent[up[-1]] != -1:
+        up.append(graph.parent[up[-1]])
+    at = {c: i for i, c in enumerate(up)}
+    down = [v]
+    while down[-1] not in at:
+        down.append(graph.parent[down[-1]])
+    return tuple(up[:at[down[-1]] + 1] + down[:-1][::-1])
 
 
 def fundamental_cycles(graph: ConstraintGraph) -> list[tuple[int, ...]]:
@@ -412,13 +410,14 @@ class SliceAssignment:
 
 
 def _sectors(spec: FractalSpec) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
-    """Per cell: its open sector, and the vertex ray it lies on (None for
-    neither); kept in the spec's record table by its callers' `_memo`.
+    """Per cell: its open sector, and the other closed slice it is in
+    (None for none); kept in the spec's record table by its callers' `_memo`.
 
     Sector i covers angles in ((i-1) * 2pi/k, i * 2pi/k]; a cell exactly
     on a vertex ray belongs to the sector whose counter-clockwise edge
-    that ray is.  The central cell (barycenter at the global barycenter)
-    belongs to no sector and lies on no ray.
+    that ray is, and it is also in the next closed slice, i % k + 1, whose
+    clockwise edge the ray is.  The central cell (barycenter at the global
+    barycenter) belongs to no sector and lies on no ray.
 
     A cell's position p is its key in the spec's `_scaled_points`.
     Sector i holds p when p is left of ray i-1 and not left of ray i.  The
@@ -436,11 +435,11 @@ def _sectors(spec: FractalSpec) -> tuple[tuple[int | None, ...], tuple[int | Non
     k = spec.k
     circle = _unit_circle(k)
     sector: list[int | None] = []
-    rays: list[int | None] = []
+    also: list[int | None] = []
     for key in _scaled_points(spec):
         if not any(key):
             sector.append(None)
-            rays.append(None)
+            also.append(None)
             continue
         x, y = _embed(k, key)
         e = 3 * _embed_error(k, key)
@@ -461,8 +460,8 @@ def _sectors(spec: FractalSpec) -> tuple[tuple[int | None, ...], tuple[int | Non
         else:
             raise ArithmeticError(f"the sector walk of key {key} does not settle in {k} moves")
         sector.append((i - 1) % k + 1)
-        rays.append(i % k if side[i] == 0 else None)
-    return tuple(sector), tuple(rays)
+        also.append(i % k + 1 if side[i] == 0 else None)
+    return tuple(sector), tuple(also)
 
 
 def slices(spec: FractalSpec) -> SliceAssignment:
@@ -474,17 +473,16 @@ def closed_slices(spec: FractalSpec) -> list[frozenset[int]]:
     """Cell sets of the closed slices; on-axis cells belong to both neighbors.
 
     Entry i-1 holds closed slice i: open sector i (`slices`) and the cells
-    on its clockwise ray.  The central cell is in no closed slice.  The
-    list is new on every call.
+    on its clockwise ray, whose other closed slice `_sectors` records as i.
+    The central cell is in no closed slice.  The list is new on every call.
     """
-    k = spec.k
-    members: list[set[int]] = [set() for _ in range(k)]
-    for idx, (s, ray) in enumerate(zip(*_memo(spec, "sect", _sectors))):
+    members: list[set[int]] = [set() for _ in range(spec.k)]
+    for idx, (s, also) in enumerate(zip(*_memo(spec, "sect", _sectors))):
         if s is None:
             continue
         members[s - 1].add(idx)
-        if ray is not None:
-            members[ray % k].add(idx)  # right edge of the next sector's closure
+        if also is not None:
+            members[also - 1].add(idx)
     return [frozenset(m) for m in members]
 
 
@@ -501,13 +499,14 @@ def _slice_ids(k: int, ids) -> list[int]:
 def slice_subspec(spec: FractalSpec, ids, closed: bool = False) -> FractalSpec:
     """Partial spec of the chosen (closed) slices, cells in original order.
 
-    A cell is in open slice s (`slices`), and also in closed slice
-    ray % k + 1 when it lies on vertex ray `ray` (`closed_slices`).
+    A cell is in open slice s (`slices`), and a cell on a vertex ray is
+    also in the closed slice that `_sectors` records beside s
+    (`closed_slices`).
     """
     k = spec.k
     ids = _slice_ids(k, ids)
-    chosen = [cell.barycenter for cell, s, ray in zip(spec.cells, *_memo(spec, "sect", _sectors))
-              if s in ids or closed and ray is not None and ray % k + 1 in ids]
+    chosen = [cell.barycenter for cell, s, also in zip(spec.cells, *_memo(spec, "sect", _sectors))
+              if s in ids or closed and also in ids]
     if not chosen:
         raise ValueError("selected slices contain no cells")
     return make_spec(k, chosen, partial=True)

@@ -403,8 +403,9 @@ def _first_conflict(spec: FractalSpec) -> tuple[int, int] | None:
 
     Precondition: no pair shares two or more vertices.  Then the first
     conflicting vertex step is the first edge (edges are in pair order)
-    whose polygons overlap at the shared vertex.  Pairs that are no vertex
-    step are embedded here, on demand, and only those that come before it.
+    whose polygons overlap at the shared vertex.  The record's `others`
+    are no vertex step, so each goes straight to `_hulls_overlap`, here,
+    on demand, and only those that come before that edge.
     """
     near = _near_pairs(spec)
     k = spec.k
@@ -412,7 +413,7 @@ def _first_conflict(spec: FractalSpec) -> tuple[int, int] | None:
     for i, j in near.others:
         if conflict is not None and (i, j) > conflict:
             break
-        if _conflicting(k, _key_difference(spec.cells[i], spec.cells[j])):
+        if _hulls_overlap(k, _key_difference(spec.cells[i], spec.cells[j])):
             return (i, j)
     return conflict
 
@@ -435,9 +436,10 @@ def edge_weight(e: Adjacency, k: int) -> int:
 @dataclass(frozen=True)
 class ConstraintGraph:
     """A `_forest` record: the graph's edges on the spec's n cells, its
-    number of components, and per cell its place in the breadth-first
-    spanning forest.  Its non-tree edges are derived from the forest on
-    first read."""
+    number of components, and per cell its parent and parent edge in the
+    breadth-first spanning forest, the one form of the forest (a cell's
+    depth is the length of its parent chain).  Its non-tree edges are
+    derived from the forest on first read."""
 
     k: int
     n: int
@@ -445,7 +447,6 @@ class ConstraintGraph:
     component_count: int
     parent: tuple[int, ...]        # -1 at component roots
     parent_edge: tuple[int, ...]   # index into edges, -1 at roots
-    depth: tuple[int, ...]
     order: tuple[int, ...]         # cells in visit order, each after its parent
 
     @cached_property
@@ -481,8 +482,9 @@ def _forest(spec: FractalSpec, cells: Iterable[int], edges: tuple[Adjacency, ...
     Each component is rooted at its lowest-index cell, and the components
     are counted as their roots are taken.  The edges are distinct pairs
     a < b in ascending (a, b) order, so neighbours are listed and visited
-    in ascending order.  The per-cell tuples are indexed by the spec's
-    cells; one outside `cells` has parent -1 and is not in `order`.
+    in ascending order.  The forest is held as parent and parent edge
+    alone, indexed by the spec's cells: `glp._tree_cycle` climbs parents.
+    A cell outside `cells` has parent -1 and is not in `order`.
     """
     n = spec.n
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -492,7 +494,6 @@ def _forest(spec: FractalSpec, cells: Iterable[int], edges: tuple[Adjacency, ...
     seen = [False] * n
     parent = [-1] * n
     parent_edge = [-1] * n
-    depth = [0] * n
     order: list[int] = []  # the queue: cells are visited as they are taken
     comp = 0
     for root in cells:
@@ -509,10 +510,9 @@ def _forest(spec: FractalSpec, cells: Iterable[int], edges: tuple[Adjacency, ...
                     seen[v] = True
                     parent[v] = u
                     parent_edge[v] = idx
-                    depth[v] = depth[u] + 1
                     order.append(v)
         comp += 1
-    return ConstraintGraph(spec.k, n, edges, comp, *map(tuple, (parent, parent_edge, depth, order)))
+    return ConstraintGraph(spec.k, n, edges, comp, *map(tuple, (parent, parent_edge, order)))
 
 
 def _constraint_graph(spec: FractalSpec) -> ConstraintGraph:

@@ -31,6 +31,11 @@ _RAY = (
 
 @dataclass(frozen=True)
 class RenderOptions:
+    """What `render_svg` draws, and how: `scale` screen units per plane unit,
+    finite and positive, and a finite `margin`, in plane units, around the
+    vertices on each side.  A negative margin crops the drawing; one that
+    leaves it no width or height is refused by `render_svg`."""
+
     show_labels: bool = False
     show_classes: bool = False
     show_slices: bool = False
@@ -39,12 +44,10 @@ class RenderOptions:
     margin: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-
-
-def _label_text(lab: int, k: int) -> str:
-    return chr(ord("A") + lab) if k <= 26 else str(lab)
+        if not 0 < self.scale < math.inf:
+            raise ValueError("scale must be finite and positive")
+        if not math.isfinite(self.margin):
+            raise ValueError("margin must be finite")
 
 
 def _polygon(k: int, barycenter: tuple[int, ...]) -> tuple[list[float], list[float]]:
@@ -86,22 +89,28 @@ def _vertex_points(spec: FractalSpec) -> tuple[array, array]:
 
 
 def _label_glyphs(
-    spec: FractalSpec, xs: array, ys: array, labeling: Labeling
-) -> Iterator[list[tuple[float, float, str]]]:
-    """Per cell, one glyph per labeled point first seen on that cell, nudged
-    outward from the cell's center; `xs` and `ys` are `_vertex_points`.
+    spec: FractalSpec, xs: array, ys: array, labeling: Labeling, xmin: float, ymax: float, scale: float
+) -> Iterator[list[float | str]]:
+    """Per cell, the screen row x, y, text of each glyph: one per labeled
+    point first seen on that cell, nudged 0.22 outward from the cell's
+    center and mapped to the screen where it is placed, as every point is;
+    `xs` and `ys` are `_vertex_points`.
 
     Points are told apart by vertex id (`_vertex_ids`), so no vertex value
     is built; ids are numbered as first seen in cell order, so a point is
-    new exactly where its id is the count of ids seen before.
+    new exactly where its id is the count of ids seen before.  Labels are
+    residues mod k, and each one's text is built once per render: a letter
+    for k <= 26, else the number.  A vertex is within 2^-8.4 of distance 1
+    from its cell's center (see `_NEAR`), so the nudge never divides by 0.
     """
     k = spec.k
+    texts = [chr(ord("A") + lab) if k <= 26 else str(lab) for lab in range(k)]
     labels = _labels_by_id(spec, labeling)
     ids, _ = _vertex_ids(spec)
     seen = 0
     for i, cell in enumerate(spec.cells):
         cx, cy = to_cartesian(cell.barycenter)
-        glyphs = []
+        row: list[float | str] = []
         for s in range(i * k, (i + 1) * k):
             v = ids[s]
             if v != seen:
@@ -111,9 +120,10 @@ def _label_glyphs(
             if lab is not None:
                 x, y = xs[s], ys[s]
                 dx, dy = x - cx, y - cy
-                norm = math.hypot(dx, dy) or 1.0
-                glyphs.append((x + 0.22 * dx / norm, y + 0.22 * dy / norm, _label_text(lab, k)))
-        yield glyphs
+                norm = math.hypot(dx, dy)
+                row += ((x + 0.22 * dx / norm - xmin) * scale,
+                        (ymax - (y + 0.22 * dy / norm)) * scale, texts[lab])
+        yield row
 
 
 def _put(out: bytearray, block: str) -> None:
@@ -147,6 +157,8 @@ def render_svg(
     scale = opt.scale
     width = (xmax - xmin) * scale
     height = (ymax - ymin) * scale
+    if not (0 < width < math.inf and 0 < height < math.inf):
+        raise ValueError(f"margin {opt.margin} and scale {scale} leave a {width} x {height} drawing")
 
     out = bytearray()
     _put(out, '<?xml version="1.0" encoding="UTF-8" standalone="no"?>')
@@ -205,10 +217,9 @@ def render_svg(
         _put(out, dot_block % tuple(screen[start:start + 2 * k]))
     if labeling is not None:
         glyph_blocks = ["\n".join([_GLYPH] * count) for count in range(k + 1)]
-        for glyphs in _label_glyphs(spec, xs, ys, labeling):
-            if glyphs:
-                row = [v for x, y, text in glyphs for v in ((x - xmin) * scale, (ymax - y) * scale, text)]
-                _put(out, glyph_blocks[len(glyphs)] % tuple(row))
+        for row in _label_glyphs(spec, xs, ys, labeling, xmin, ymax, scale):
+            if row:
+                _put(out, glyph_blocks[len(row) // 3] % tuple(row))
 
     if classes is not None:
         for cell in spec.cells:

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 from snfglp.cyclotomic import CycInt, IntPolynomial, cyc_add, cyc_sub, cyclotomic_polynomial, zero, zeta
 from snfglp.glp import build_constraint_graph, edge_weight
@@ -20,6 +22,21 @@ PARSE_ERRORS = [
     # 2 + zeta + zeta^2 = 1: one point written two ways
     ("snf k=3\ncell 2 1 1\ncell 1 0 0\n", "duplicate barycenter at cell 1"),
 ]
+
+
+@contextmanager
+def recording(module, name: str):
+    """Patch `module.<name>` for the block to append the arguments of each
+    call, as a tuple, to the list it yields; the list outlives the block."""
+    calls: list[tuple] = []
+    f = getattr(module, name)
+
+    def record(*args):
+        calls.append(args)
+        return f(*args)
+
+    with mock.patch.object(module, name, record):
+        yield calls
 
 
 def remainder_key(k: int, coeffs) -> tuple[int, ...]:

@@ -274,9 +274,27 @@ MUTANTS = (
     ),
     Mutant(
         "tree-cycle-lca-twice", "src/snfglp/glp.py",
-        "path_u + path_v[:-1][::-1]", "path_u + path_v[::-1]",
+        "down[:-1][::-1]", "down[::-1]",
         ("tests/test_glp.py",),
         "the two ancestor paths of a fundamental cycle share its lowest common ancestor once",
+    ),
+    Mutant(
+        "closed-slice-off-by-one", "src/snfglp/glp.py",
+        "also.append(i % k + 1", "also.append(i % k",
+        ("tests/test_slices.py::TestSectorsReference",),
+        "a cell on ray i is also in closed slice i + 1, whose clockwise edge the ray is",
+    ),
+    Mutant(
+        "nonstep-overlap-skipped", "src/snfglp/model.py",
+        "if _hulls_overlap(k, _key_difference(spec.cells[i], spec.cells[j])):", "if False:",
+        ("tests/test_model.py::TestLazyConflictWitness",),
+        "a close pair that is no vertex step conflicts when its hulls overlap",
+    ),
+    Mutant(
+        "render-margin-unchecked", "src/snfglp/render.py",
+        "if not (0 < width < math.inf and 0 < height < math.inf):", "if False:",
+        ("tests/test_render.py::TestDiscipline::test_scale_validation",),
+        "a margin that leaves no width or height draws no picture",
     ),
     Mutant(
         "component-count-off-by-one", "src/snfglp/model.py",

@@ -288,6 +288,15 @@ def _vertex_keys(spec, cells):
     return out
 
 
+def _closed_form(spec, verdict, level):
+    """The offsets of `expand(spec, level)` by the closed form of
+    `test_expansion_labeled_in_closed_form`, from the level-1 GLP verdict."""
+    k, r = spec.k, verdict.labeling.offsets
+    t = (r[_dihedral(spec).rot[0]] - r[0]) % k
+    return {i: sum(pow(1 + t, m, k) * r[d] for m, d in enumerate(choice)) % k
+            for i, choice in enumerate(product(range(spec.n), repeat=level))}
+
+
 @pytest.mark.parametrize("name", list(LEVEL1))
 def test_expansion_labeled_in_closed_form(name):
     """GLP carries to every level by a formula that shares no code with the
@@ -318,7 +327,7 @@ def test_expansion_labeled_in_closed_form(name):
     with the same weights, by the audit's own keys.
     """
     spec = _level1(name)
-    k, n = spec.k, spec.n
+    n = spec.n
     verdict = decide_glp(spec)
     for level in (2, 3):
         if n**level > EXPANSION_CAP:
@@ -328,15 +337,30 @@ def test_expansion_labeled_in_closed_form(name):
             walk = tuple(w * n ** (level - 1) for w in verdict.witness)
             audit(big, _vertex_keys(big, walk), Verdict(glp=False, witness=walk))
             continue
-        r = verdict.labeling.offsets
-        t = (r[_dihedral(spec).rot[0]] - r[0]) % k
-        want = {i: sum(pow(1 + t, m, k) * r[d] for m, d in enumerate(choice)) % k
-                for i, choice in enumerate(product(range(n), repeat=level))}
+        want = _closed_form(spec, verdict, level)
         keys = _vertex_keys(big, range(big.n))
         for method, decider in _deciders(big):
             got = decider(big)
             assert got.labeling.offsets == want, (name, level, method)
             audit(big, keys, got, looked_up=(0, big.n - 1))
+
+
+def test_level3_ring_labeled_in_closed_form():
+    """The closed form past EXPANSION_CAP, on one expansion: level 3 of the
+    k = 12 ring, 13,824 cells, the spec of the fractal3 benchmark.  Offsets
+    only: the long-division audit of its vertex keys is left to the smaller
+    expansions.  Here t = 0, as 4 | k, so the offsets are plain sums of the
+    level-1 offsets mod k."""
+    spec = _level1("ring-12")
+    verdict = decide_glp(spec)
+    assert verdict.glp
+    r = verdict.labeling.offsets
+    assert r[_dihedral(spec).rot[0]] == r[0]  # t = 0
+    big = _whole(expand(spec, 3))
+    assert big.n == 13_824 > EXPANSION_CAP
+    want = _closed_form(spec, verdict, 3)
+    for method, decider in _deciders(big):
+        assert decider(big).labeling.offsets == want, method
 
 
 def test_expansions_reach_both_verdicts():

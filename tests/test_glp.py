@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_glp, fold
+from conftest import brute_force_glp, fold, recording
 from test_invariance import moved_specs
 from snfglp.cyclotomic import (
     CycInt,
@@ -775,7 +775,7 @@ def _sorted_forest(n, edges):
         adj[e.b].append((e.a, idx))
     for lst in adj:
         lst.sort()
-    parent, parent_edge, depth = [-1] * n, [-1] * n, [0] * n
+    parent, parent_edge = [-1] * n, [-1] * n
     seen = [False] * n
     for root in range(n):
         if seen[root]:
@@ -787,9 +787,9 @@ def _sorted_forest(n, edges):
             for v, idx in adj[u]:
                 if not seen[v]:
                     seen[v] = True
-                    parent[v], parent_edge[v], depth[v] = u, idx, depth[u] + 1
+                    parent[v], parent_edge[v] = u, idx
                     queue.append(v)
-    return tuple(parent), tuple(parent_edge), tuple(depth)
+    return tuple(parent), tuple(parent_edge)
 
 
 def _forest_corpus():
@@ -818,7 +818,7 @@ class TestForestEdgeOrder:
     def test_forest_matches_sorted_reference(self):
         for spec in _forest_corpus():
             graph = build_constraint_graph(spec)
-            got = (graph.parent, graph.parent_edge, graph.depth)
+            got = (graph.parent, graph.parent_edge)
             assert got == _sorted_forest(spec.n, list(graph.edges))
 
     def test_order_puts_parents_first(self):
@@ -831,60 +831,46 @@ class TestForestEdgeOrder:
             assert sorted(graph.order) == list(range(spec.n))
 
 
-def _counting(monkeypatch, module, name):
-    """Patch module.name to record the spec it is called on; returns the list."""
-    calls = []
-    original = getattr(module, name)
-
-    def counting(spec, *args):
-        calls.append(spec)
-        return original(spec, *args)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
-
-
 class TestSpecRecords:
     """Each spec derives its graph, its sectors and its slice region once,
     however many callers read them, and errors still raise on every call."""
 
     @pytest.mark.parametrize("k", [9, 12])
-    def test_one_forest_per_spec(self, k, monkeypatch):
+    def test_one_forest_per_spec(self, k):
         spec = random_valid_spec(k, 40, 3, symmetrize=True)
-        built = _counting(monkeypatch, model, "_forest")
         by_parity = decide_glp_even if k % 2 == 0 else decide_glp_odd
         e = find_adjacencies(spec)[0][0]
-        for _ in range(2):
-            assert validate(spec).valid
-            assert decide_glp(spec).glp == by_parity(spec).glp
-            assert cycle_weight(spec, (e.a, e.b)) == 0
-        assert built == [spec]
+        with recording(model, "_forest") as built:
+            for _ in range(2):
+                assert validate(spec).valid
+                assert decide_glp(spec).glp == by_parity(spec).glp
+                assert cycle_weight(spec, (e.a, e.b)) == 0
+        assert [args[0] for args in built] == [spec]
         graph = build_constraint_graph(spec)
         assert build_constraint_graph(spec) is graph and spec._records["graph"] is graph
 
     @pytest.mark.parametrize("k", [7, 12])
-    def test_one_sector_pass_per_spec(self, k, monkeypatch):
+    def test_one_sector_pass_per_spec(self, k):
         spec = generate_glp_example(k)
-        passes = _counting(monkeypatch, glp, "_sectors")
-        for _ in range(2):
-            sector = slices(spec).sector
-            closed = closed_slices(spec)
-            assert slice_subspec(spec, [1]).n == sector.count(1)
-            assert slice_subspec(spec, [1], closed=True).n == len(closed[0])
-        assert passes == [spec]
+        with recording(glp, "_sectors") as passes:
+            for _ in range(2):
+                sector = slices(spec).sector
+                closed = closed_slices(spec)
+                assert slice_subspec(spec, [1]).n == sector.count(1)
+                assert slice_subspec(spec, [1], closed=True).n == len(closed[0])
+        assert passes == [(spec,)]
 
     @pytest.mark.parametrize("k", [6, 9, 12])
-    def test_one_region_per_spec(self, k, monkeypatch):
+    def test_one_region_per_spec(self, k):
         spec = generate_glp_example(k)
-        regions = _counting(monkeypatch, glp, "_region")
-        built = _counting(monkeypatch, glp, "_forest")
-        whole = _counting(monkeypatch, model, "_forest")
-        first = glp_via_slices(spec).serialize()
-        assert glp_via_slices(spec).serialize() == first
+        with (recording(glp, "_region") as regions, recording(glp, "_forest") as built,
+              recording(model, "_forest") as whole):
+            first = glp_via_slices(spec).serialize()
+            assert glp_via_slices(spec).serialize() == first
         assert len(regions) == 1
         # both calls decide on the one held region forest, built once on the
         # spec's own indices; the spec's whole graph is not built
-        assert built == [spec] and whole == []
+        assert [args[0] for args in built] == [spec] and whole == []
         chosen, graph = spec._records["reg"]
         assert sorted(graph.order) == list(chosen) and "graph" not in spec._records
 

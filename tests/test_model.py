@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import PARSE_ERRORS, cell_sum, fold
+from conftest import PARSE_ERRORS, cell_sum, fold, recording
 from snfglp import model
 from snfglp.construct import expand, generate_glp_example, random_valid_spec
 from snfglp.cyclotomic import (
@@ -1161,45 +1161,33 @@ def cluttered_specs(draw):
 
 
 class TestLazyConflictWitness:
-    @staticmethod
-    def _counting(monkeypatch):
-        calls = []
-        conflicting = model._conflicting
-
-        def counting(k, delta):
-            calls.append(delta)
-            return conflicting(k, delta)
-
-        monkeypatch.setattr(model, "_conflicting", counting)
-        return calls
-
     @given(cluttered_specs())
     @settings(max_examples=300, deadline=None)
     def test_witness_matches_all_pairs_reference(self, spec):
         assert validate(spec).nesting_witness == all_pairs_nesting_witness(spec)
 
-    def test_only_validate_embeds(self, monkeypatch):
+    def test_only_validate_embeds(self):
         # the pair is close (distance 2) but no vertex step, and does not conflict
         spec = make_spec(3, [(0, 0, 0), (-1, 1, -1)], partial=True)
-        calls = self._counting(monkeypatch)
-        decide_glp(spec)
-        decide_glp_odd(spec)
-        slices(spec)
-        render_svg(spec, decide_glp(spec), RenderOptions(show_labels=True))
-        assert find_adjacencies(spec) == ([], None) and calls == []
-        assert validate(spec).nesting_ok and len(calls) == 1
+        with recording(model, "_hulls_overlap") as calls:
+            decide_glp(spec)
+            decide_glp_odd(spec)
+            slices(spec)
+            render_svg(spec, decide_glp(spec), RenderOptions(show_labels=True))
+            assert find_adjacencies(spec) == ([], None) and calls == []
+            assert validate(spec).nesting_ok and len(calls) == 1
 
-    def test_stops_at_the_first_step_conflict(self, monkeypatch):
+    def test_stops_at_the_first_step_conflict(self):
         k = 5
         step = next(s for s, pairs in _step_table(k).items() if s in _conflict_steps(k))
         near = (-1, -1, -1, 0, 0)  # 1.618 from the origin, no vertex step, conflicting
         assert tuple(near[:4]) not in _step_table(k) and cells_conflict(cell(k, (0,) * k), cell(k, near))
         step_cell = tuple(step) + (0,)
-        calls = self._counting(monkeypatch)
-        assert validate(make_spec(k, [(0,) * k, step_cell, near], partial=True)).nesting_witness == (0, 1)
-        assert calls == []
-        assert validate(make_spec(k, [(0,) * k, near, step_cell], partial=True)).nesting_witness == (0, 1)
-        assert len(calls) == 1
+        with recording(model, "_hulls_overlap") as calls:
+            assert validate(make_spec(k, [(0,) * k, step_cell, near], partial=True)).nesting_witness == (0, 1)
+            assert calls == []
+            assert validate(make_spec(k, [(0,) * k, near, step_cell], partial=True)).nesting_witness == (0, 1)
+            assert len(calls) == 1
 
 
 class TestFormat:

@@ -105,8 +105,13 @@ class TestDiscipline:
                 show_labels=True, show_classes=True, show_slices=True)))
 
     def test_scale_validation(self):
-        with pytest.raises(ValueError):
-            RenderOptions(scale=0)
+        spec = catalog("sierpinski-gasket")
+        # the gasket's vertices span 3 by 2 sqrt(3): a margin of -1.6 leaves
+        # no width, one of -10 neither width nor height
+        for options in ({"scale": 0}, {"scale": -1.0}, {"scale": math.nan}, {"scale": math.inf},
+                        {"margin": math.nan}, {"margin": -math.inf}, {"margin": -1.6}, {"margin": -10.0}):
+            with pytest.raises(ValueError):
+                render_svg(spec, decide_glp(spec), RenderOptions(show_labels=True, **options))
 
 
 ALL_LAYERS = RenderOptions(show_labels=True, show_classes=True, show_slices=True)
@@ -306,10 +311,11 @@ class TestBlockFormatting:
         ]
         dots = [[c.get("cx"), c.get("cy")] for c in root.findall(f"{NS}circle")]
         assert points == want and dots == want
-        glyphs = [g for row in _label_glyphs(spec, xs, ys, verdict.labeling) for g in row]
+        rows = _label_glyphs(spec, xs, ys, verdict.labeling, xmin, ymax, scale)
+        glyphs = [v for row in rows for v in row]  # screen x, y, text of each glyph
         texts = [[t.get("x"), t.get("y"), t.text] for t in root.findall(f"{NS}text")]
         assert texts == [
-            [_each((x - xmin) * scale), _each((ymax - y) * scale), text] for x, y, text in glyphs
+            [_each(x), _each(y), text] for x, y, text in zip(glyphs[0::3], glyphs[1::3], glyphs[2::3])
         ]
         assert "-0.000000" not in svg
 

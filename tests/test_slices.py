@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fold, remainder_key, small_real
+from conftest import fold, recording, remainder_key, small_real
 from snfglp import glp, model
 from snfglp.construct import expand, generate_counterexample, generate_glp_example, random_valid_spec
 from test_certificates import CORPUS, _spec
@@ -189,16 +189,9 @@ class TestViaSlices:
     @pytest.mark.parametrize("name", ["sierpinski-gasket", "vicsek-cross", "pentagon-ring"])
     def test_small_k_runs_one_adjacency_search(self, name):
         spec = catalog(name)
-        calls = []
-        close_pairs = model._close_pairs
-
-        def counting(s):
-            calls.append(s)
-            return close_pairs(s)
-
-        with mock.patch.object(model, "_close_pairs", counting):
+        with recording(model, "_close_pairs") as calls:
             verdict = glp_via_slices(spec)
-        assert calls == [spec]  # one grid pass
+        assert calls == [(spec,)]  # one grid pass
         assert verdict.serialize() == decide_glp(spec).serialize()
 
     @pytest.mark.parametrize("k", [6, 7, 9, 12])
@@ -212,17 +205,10 @@ class TestViaSlices:
 
     @pytest.mark.parametrize("k", [6, 9, 12])
     def test_one_scaled_points_pass(self, k):
-        calls = []
-        scaled_points = glp._scaled_points
-
-        def counting(s):
-            calls.append(s)
-            return scaled_points(s)
-
         spec = generate_glp_example(k)
-        with mock.patch.object(glp, "_scaled_points", counting):
+        with recording(glp, "_scaled_points") as calls:
             assert glp_via_slices(spec).glp
-        assert calls == [spec]
+        assert calls == [(spec,)]
 
     @pytest.mark.parametrize("k", [6, 7, 12])
     def test_disconnected_region_left_to_general(self, k, tmp_path):
@@ -337,16 +323,9 @@ class TestSubspecReference:
     def test_first_call_runs_one_grid_pass(self, k):
         level2 = expand(generate_glp_example(k), 2)
         for spec in (generate_glp_example(k), make_spec(k, [c.barycenter for c in level2.cells])):
-            calls = []
-            close_pairs = model._close_pairs
-
-            def counting(s):
-                calls.append(s)
-                return close_pairs(s)
-
-            with mock.patch.object(model, "_close_pairs", counting):
+            with recording(model, "_close_pairs") as calls:
                 glp_via_slices(spec)
-            assert calls == [spec]
+            assert calls == [(spec,)]
             assert not any(isinstance(part, FractalSpec) for part in spec._records["reg"])
 
 
@@ -455,25 +434,13 @@ def outcome(f, *args):
         return type(exc).__name__, str(exc)
 
 
-def recording(name, calls):
-    """A patch of `glp.<name>` that appends the arguments of each call to `calls`."""
-    f = getattr(glp, name)
-
-    def record(*args):
-        calls.append(args)
-        return f(*args)
-
-    return mock.patch.object(glp, name, record)
-
-
 class TestSectorsReference:
     @given(sector_cases())
     @settings(max_examples=150, deadline=None)
     def test_matches_kscan_reference(self, case):
         spec, variant = case
-        tests, dots = [], []
         reference = kscan_sectors(spec)
-        with recording("_mapped_key", tests), recording("_twice_dot", dots):
+        with recording(glp, "_mapped_key") as tests, recording(glp, "_twice_dot") as dots:
             got = slices(spec)
         closed = closed_slices(spec)
         whole = make_spec(spec.k, [c.barycenter for c in spec.cells])
@@ -502,8 +469,7 @@ class TestSectorsReference:
         # on the rays, 6 * 2 from the centre; the k = 8 ring has its eight
         # corners on the rays and its eight mids off them; no float side is
         # left to the exact test
-        tests, dots = [], []
-        with recording("_mapped_key", tests), recording("_twice_dot", dots):
+        with recording(glp, "_mapped_key") as tests, recording(glp, "_twice_dot") as dots:
             assert slices(catalog("sierpinski-hexagon")).sector == (6, 1, 2, 3, 4, 5)
             assert len(tests) == 6
             slices(generate_glp_example(8))
@@ -593,11 +559,11 @@ class TestRegion:
         got = []
         region = glp._region
 
-        def recording(*args):
+        def record(*args):
             got.append(region(*args))
             return got[-1]
 
-        with mock.patch.object(glp, "_region", recording):
+        with mock.patch.object(glp, "_region", record):
             verdict = glp_via_slices(spec).serialize()
         assert len(got) == 1
         return set(got[0]), verdict
