@@ -297,6 +297,18 @@ MUTANTS = (
         "a margin that leaves no width or height draws no picture",
     ),
     Mutant(
+        "render-scale-unchecked", "src/snfglp/render.py",
+        "if not 0 < self.scale < math.inf:", "if False:",
+        ("tests/test_render.py::TestDiscipline::test_scale_validation",),
+        "a scale that is not finite and positive prints a width of nan, inf or at most 0",
+    ),
+    Mutant(
+        "render-margin-not-finite", "src/snfglp/render.py",
+        "if not math.isfinite(self.margin):", "if False:",
+        ("tests/test_render.py::TestDiscipline::test_scale_validation",),
+        "a margin that is not finite prints a width of nan",
+    ),
+    Mutant(
         "component-count-off-by-one", "src/snfglp/model.py",
         "edges, comp, *map", "edges, comp + 1, *map",
         ("tests/test_model.py::TestValidate",),

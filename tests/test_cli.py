@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import snfglp
-from conftest import PARSE_ERRORS
+from conftest import PARSE_ERRORS, recording
 from snfglp import cli
 from snfglp.cli import SPEC_CACHE_CELLS, _build_parser, _load, _SpecCache, run
 from snfglp.construct import generate_counterexample, generate_glp_example, random_valid_spec
@@ -265,24 +265,17 @@ class TestSpecCache:
         assert run(["decide", str(path)]) == 1
         assert capsys.readouterr().out.splitlines()[0] == "NOGLP"
 
-    def test_one_parse_per_text(self, tmp_path, monkeypatch):
-        # wrapped at the module attribute, as the benchmark's tracer wraps it
-        calls = []
-        original = snfglp.model.parse
-
-        def counting(text):
-            calls.append(text)
-            return original(text)
-
-        monkeypatch.setattr(snfglp.model, "parse", counting)
+    def test_one_parse_per_text(self, tmp_path):
         cli._SPECS.clear()
         first, second = tmp_path / "a.snf", tmp_path / "b.snf"
         first.write_text(self.FILES["snowflake"])
         second.write_text(self.FILES["snowflake"])
-        spec = _load(str(first))
-        assert _load(str(second)) is spec and _load(str(first)) is spec
-        assert calls == [self.FILES["snowflake"]]
-        assert run(["decide", str(second)]) == 1
+        # wrapped at the module attribute, as the benchmark's tracer wraps it
+        with recording(snfglp.model, "parse") as calls:
+            spec = _load(str(first))
+            assert _load(str(second)) is spec and _load(str(first)) is spec
+            assert calls == [(self.FILES["snowflake"],)]
+            assert run(["decide", str(second)]) == 1
         assert len(calls) == 1
 
     def test_direct_parse_is_fresh(self):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_glp, cell_sum
+from conftest import brute_force_glp, cell_sum, recording
 from snfglp import construct
 from snfglp.construct import (
     GenerationError,
@@ -356,27 +356,19 @@ class TestExpandReference:
 class TestConstructionBudget:
     """Derived points stay integer tuples: only cells a caller receives are built."""
 
-    def test_values_built_by_validate_slices_and_expand(self, monkeypatch):
+    def test_values_built_by_validate_slices_and_expand(self):
         spec = generate_glp_example(12)
         # per-k tables (step keys, support normals) are built on first use; build them now
         validate(spec)
         glp_via_slices(spec)
         expand(spec, 2)
-        built = {"validate": 0, "glp_via_slices": 0, "expand": 0}
-        phase = ["validate"]
-        init = CycInt.__init__
-
-        def counting(self, *args, **kwargs):
-            built[phase[0]] += 1
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(CycInt, "__init__", counting)
-        assert validate(spec).valid
-        phase[0] = "glp_via_slices"
-        assert glp_via_slices(spec).glp
-        phase[0] = "expand"
-        expanded = expand(spec, 2)
-        monkeypatch.undo()
+        with recording(CycInt, "__init__") as checked:
+            assert validate(spec).valid
+        with recording(CycInt, "__init__") as sliced:
+            assert glp_via_slices(spec).glp
+        with recording(CycInt, "__init__") as grown:
+            expanded = expand(spec, 2)
+        built = {"validate": len(checked), "glp_via_slices": len(sliced), "expand": len(grown)}
         # expand builds its output cells and the scaling factor L; k values
         # are the allowance for per-k constants
         assert sum(built.values()) <= expanded.n + spec.k, built

@@ -30,7 +30,6 @@ from snfglp.cyclotomic import (
     cyc_add,
     cyc_eq,
     cyc_is_zero,
-    cyc_neg,
     cyc_reflect,
     cyc_rotate,
     cyc_scale,
@@ -618,7 +617,7 @@ class TestValidate:
                 x for x in plain if x.startswith(axiom)
             ]
 
-    def test_each_key_reflected_once(self, monkeypatch):
+    def test_each_key_reflected_once(self):
         # the symmetry test and the corner search share one reflection and
         # one rotation per scaled key; the corner's orbit is walked on the
         # rotation's cell indices.  They run once per spec: the slice route
@@ -629,22 +628,16 @@ class TestValidate:
         level2 = expand(generate_glp_example(12), 2)
         spec = make_spec(12, [c.barycenter for c in level2.cells])
         want = derive_scaling(make_spec(12, [c.barycenter for c in level2.cells]))
-        calls = []
-        mapped_key = model._mapped_key
-
-        def counting(*args):
-            calls.append(args[2:])
-            return mapped_key(*args)
-
-        monkeypatch.setattr(model, "_mapped_key", counting)
-        assert validate(spec).valid
-        assert glp_via_slices(spec).glp
-        assert cyc_eq(derive_scaling(spec), want)
+        with recording(model, "_mapped_key") as mapped:
+            assert validate(spec).valid
+            assert glp_via_slices(spec).glp
+            assert cyc_eq(derive_scaling(spec), want)
+        calls = [args[2:] for args in mapped]
         assert spec.n == 576
         assert calls.count((0, -1)) == spec.n
         assert len(calls) == 2 * spec.n
 
-    def test_one_scaled_pass_per_spec(self, monkeypatch):
+    def test_one_scaled_pass_per_spec(self):
         # every record is built from its spec alone: the dihedral record makes
         # the one pass expand needs, the slice region one more, and later
         # callers read the records
@@ -655,25 +648,17 @@ class TestValidate:
 
         assert list(inspect.signature(model._dihedral).parameters) == ["spec"]
         assert not hasattr(construct, "_scaled_points") and not hasattr(construct, "_dihedral")
-        scaled_points = model._scaled_points
-        passes = []
-
-        def counting(s):
-            passes.append(s)
-            return scaled_points(s)
-
-        for module in (model, glp):
-            monkeypatch.setattr(module, "_scaled_points", counting)
         first, second = generate_glp_example(9), generate_glp_example(12)
-        assert expand(first, 2).n == first.n**2
-        assert passes == [first]
-        assert glp_via_slices(second).glp
-        assert passes == [first, second, second]
-        assert glp_via_slices(second).glp
-        for spec in (first, second):
-            derive_scaling(spec)
-            assert validate(spec).valid
-        assert passes == [first, second, second]
+        with recording(model, "_scaled_points") as own, recording(glp, "_scaled_points") as region:
+            assert expand(first, 2).n == first.n**2
+            assert own == [(first,)] and region == []
+            assert glp_via_slices(second).glp
+            assert own == [(first,), (second,)] and region == [(second,)]
+            assert glp_via_slices(second).glp
+            for spec in (first, second):
+                derive_scaling(spec)
+                assert validate(spec).valid
+        assert own == [(first,), (second,)] and region == [(second,)]
 
     def test_vertex_at_center_rejected(self):
         # symmetric orbit of cells whose vertices land exactly on the barycenter
@@ -838,21 +823,15 @@ class TestNearPairMemo:
     ]
 
     @pytest.mark.parametrize("build", SPECS, ids=["snowflake", "pentagon", "sym-k9", "sym-k12"])
-    def test_one_close_pair_pass_per_spec(self, build, monkeypatch):
+    def test_one_close_pair_pass_per_spec(self, build):
         spec = _fresh_copy(build())
-        seen = []
-        close_pairs = model._close_pairs
-
-        def counting(s):
-            seen.append(s)
-            return close_pairs(s)
-
-        monkeypatch.setattr(model, "_close_pairs", counting)
-        validate(spec)
-        decide_glp(spec)
-        (decide_glp_even if spec.k % 2 == 0 else decide_glp_odd)(spec)
-        glp_via_slices(spec)
-        find_adjacencies(spec)
+        with recording(model, "_close_pairs") as calls:
+            validate(spec)
+            decide_glp(spec)
+            (decide_glp_even if spec.k % 2 == 0 else decide_glp_odd)(spec)
+            glp_via_slices(spec)
+            find_adjacencies(spec)
+        seen = [s for s, in calls]
         # the slice route may decide a subspec, a spec of its own
         assert sum(s is spec for s in seen) == 1
         assert len(seen) == len({id(s) for s in seen}) <= 2
@@ -1041,16 +1020,11 @@ class TestVertexKeyMemo:
         from snfglp import glp, render
 
         spec = _fresh_copy(random_valid_spec(10, 60, 1, symmetrize=True))
-        built = []
         passes = []
-        translate_keys = model.cyc_unit_translate_keys
         vertex_ids = model._vertex_ids
 
-        def counting(b):
-            built.append(b)
-            return translate_keys(b)
-
         def computed(s):
+            # not a call recorder: it sees the record before and after each call
             fresh = "vids" not in s._records
             vids = vertex_ids(s)
             passes.append(fresh and s._records["vids"] is vids)
@@ -1058,14 +1032,14 @@ class TestVertexKeyMemo:
 
         # the ids come from the near-pair record, and a labeling on its own
         # spec is read by id, so no vertex key is ever built
-        monkeypatch.setattr(model, "cyc_unit_translate_keys", counting)
         for module in (glp, render):
             monkeypatch.setattr(module, "_vertex_ids", computed)
-        verdict = decide_glp(spec)
-        assert verdict.glp and "vids" not in spec._records
-        labeling = verdict.labeling if decided else make_labeling(spec, verdict.labeling.offsets)
-        assert check_labeling(spec, labeling)
-        render_svg(spec, verdict, RenderOptions(show_labels=True))
+        with recording(model, "cyc_unit_translate_keys") as built:
+            verdict = decide_glp(spec)
+            assert verdict.glp and "vids" not in spec._records
+            labeling = verdict.labeling if decided else make_labeling(spec, verdict.labeling.offsets)
+            assert check_labeling(spec, labeling)
+            render_svg(spec, verdict, RenderOptions(show_labels=True))
         assert built == []
         assert passes.count(True) == 1 and len(passes) >= 3
         # what stays is the id table and one label per id, no key index

@@ -105,13 +105,17 @@ class TestDiscipline:
                 show_labels=True, show_classes=True, show_slices=True)))
 
     def test_scale_validation(self):
+        for options in ({"scale": 0}, {"scale": -1.0}, {"scale": math.nan}, {"scale": math.inf},
+                        {"margin": math.nan}, {"margin": -math.inf}):
+            with pytest.raises(ValueError):
+                RenderOptions(**options)
         spec = catalog("sierpinski-gasket")
         # the gasket's vertices span 3 by 2 sqrt(3): a margin of -1.6 leaves
         # no width, one of -10 neither width nor height
-        for options in ({"scale": 0}, {"scale": -1.0}, {"scale": math.nan}, {"scale": math.inf},
-                        {"margin": math.nan}, {"margin": -math.inf}, {"margin": -1.6}, {"margin": -10.0}):
+        for margin in (-1.6, -10.0):
+            options = RenderOptions(show_labels=True, margin=margin)
             with pytest.raises(ValueError):
-                render_svg(spec, decide_glp(spec), RenderOptions(show_labels=True, **options))
+                render_svg(spec, decide_glp(spec), options)
 
 
 ALL_LAYERS = RenderOptions(show_labels=True, show_classes=True, show_slices=True)
